@@ -14,8 +14,6 @@ from .adversary import (
     h2_plan,
     heuristic1_targets,
     heuristic2_targets,
-    plan_from_json,
-    plan_to_json,
 )
 from .allocation import (
     AllocationRequest,
@@ -50,8 +48,6 @@ from .experiment import ResolvedConfig, resolve_config, run_simulate, run_sweep
 from .scheduler import ExperimentReport, Job, JobMetrics, RoundReport, gen_workload, run_queue
 from .topology import (
     CouplingGraph,
-    QubitSubset,
-    all_pairs_shortest_paths,
     compactness,
     degree,
     density,

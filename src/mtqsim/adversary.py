@@ -13,11 +13,9 @@ hence every PST computed against it, is never modified.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .calibration import CalibrationSeries, CalibrationSnapshot
-from .errors import DataError
 from .topology import CouplingGraph, max_degree_qubits, path_stddev
 
 H1 = "H1"
@@ -71,18 +69,16 @@ def heuristic1_targets(g: CouplingGraph, n: int) -> list[int]:
     of the device: a qubit that is "equally close to everything" anchors the
     most placements. Ties break toward the lower index.
     """
-    pool = max_degree_qubits(g)
-    if not (1 <= n <= len(pool)):
-        raise ValueError(f"n must be in [1, {len(pool)}] for this graph, got {n}")
-    ranked = sorted(pool, key=lambda q: (path_stddev(g, q), q))
-    return ranked[:n]
+    ranking = heuristic1_sigma_ranking(g)
+    if not (1 <= n <= len(ranking)):
+        raise ValueError(f"n must be in [1, {len(ranking)}] for this graph, got {n}")
+    return [q for q, _ in ranking[:n]]
 
 
 def heuristic1_sigma_ranking(g: CouplingGraph) -> list[tuple[int, float]]:
     """The full max-degree pool with path stddevs, in selection order."""
-    pool = max_degree_qubits(g)
-    ranked = sorted(pool, key=lambda q: (path_stddev(g, q), q))
-    return [(q, path_stddev(g, q)) for q in ranked]
+    ranked = sorted((path_stddev(g, q), q) for q in max_degree_qubits(g))
+    return [(q, sigma) for sigma, q in ranked]
 
 
 def heuristic2_targets(g: CouplingGraph, n: int) -> list[int]:
@@ -171,30 +167,3 @@ def apply_misreport_series(
     )
     return CalibrationSeries(series.graph, snaps)
 
-
-def plan_to_json(plan: MisreportPlan) -> str:
-    obj = {
-        "heuristic": plan.heuristic,
-        "n": plan.n,
-        "targets": [{"qubit": q, "delta": d} for q, d in plan.targets],
-    }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def plan_from_json(text: str) -> MisreportPlan:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"plan is not valid JSON: {exc}") from None
-    try:
-        heuristic = obj["heuristic"]
-        n = obj["n"]
-        targets = tuple((t["qubit"], t["delta"]) for t in obj["targets"])
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"plan JSON missing field: {exc}") from None
-    if n != len(targets):
-        raise DataError(f"plan n={n} does not match {len(targets)} targets")
-    try:
-        return MisreportPlan(heuristic, targets)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None

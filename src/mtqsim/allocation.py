@@ -21,16 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .calibration import CalibrationSnapshot, avg_cnot_error
-from .topology import (
-    CouplingGraph,
-    QubitSubset,
-    compactness,
-    degree,
-    density,
-    subset_members,
-)
-
-EXACT_EXTRACTION_LIMIT = 12
+from .topology import CouplingGraph, compactness, degree, density, subset_members
 
 
 @dataclass(frozen=True)
@@ -106,21 +97,20 @@ def greedy_allocate(
 
 
 def fidelity_weight(error: float) -> float:
-    """Default community edge weight: max(0, 1 - cnot_error)."""
+    """Community edge weight: max(0, 1 - cnot_error)."""
     return max(0.0, 1.0 - error)
 
 
 def louvain(
     g: CouplingGraph,
     snap_reported: CalibrationSnapshot,
-    available: QubitSubset | Sequence[int],
-    weight_fn: Callable[[float], float] = fidelity_weight,
+    available: Sequence[int],
 ) -> tuple[tuple[int, ...], ...]:
     """Deterministic modularity-maximizing communities on the available region.
 
     Two-phase Louvain on the induced subgraph, with edge weights
-    weight_fn(cnot_error). Nodes are visited in ascending index order and
-    each moves to the neighboring community with the largest modularity
+    fidelity_weight(cnot_error). Nodes are visited in ascending index order
+    and each moves to the neighboring community with the largest modularity
     gain above 1e-12, ties going to the lowest community id; a node with no
     such gain stays where it is. Communities whose induced
     subgraph is disconnected are split into connected pieces as a post-pass,
@@ -134,7 +124,7 @@ def louvain(
     wedges: dict[tuple[int, int], float] = {}
     for u, v in g.edge_list:
         if u in node_set and v in node_set:
-            wedges[(u, v)] = weight_fn(snap_reported.cnot_error[(u, v)])
+            wedges[(u, v)] = fidelity_weight(snap_reported.cnot_error[(u, v)])
 
     communities = _louvain_core(nodes, wedges)
     split = []
@@ -244,7 +234,7 @@ def _connected_pieces(g: CouplingGraph, members: tuple[int, ...]) -> list[tuple[
 
 
 def cri(
-    g: CouplingGraph, snap_reported: CalibrationSnapshot, s: QubitSubset | Sequence[int]
+    g: CouplingGraph, snap_reported: CalibrationSnapshot, s: Sequence[int]
 ) -> float:
     """Connectivity and reliability index of a subset, normalized by the device.
 
@@ -304,49 +294,10 @@ def _expand_densest(
     return tuple(subset)
 
 
-def _expand_densest_exact(
-    g: CouplingGraph,
-    snap: CalibrationSnapshot,
-    pool: tuple[int, ...],
-    size: int,
-) -> tuple[int, ...] | None:
-    """Exhaustive variant of _expand_densest for oracle tests.
-
-    Enumerates every connected subset of the pool with the requested size and
-    returns the CRI maximum (ties: lexicographically smallest member tuple).
-    Exponential; refuses pools larger than EXACT_EXTRACTION_LIMIT.
-    """
-    if len(pool) > EXACT_EXTRACTION_LIMIT:
-        raise ValueError(
-            f"exact extraction limited to pools of <= {EXACT_EXTRACTION_LIMIT} qubits"
-        )
-    pool_set = set(pool)
-    found: set[tuple[int, ...]] = set()
-
-    def grow(subset: frozenset[int]) -> None:
-        if len(subset) == size:
-            found.add(tuple(sorted(subset)))
-            return
-        frontier = set()
-        for q in subset:
-            for n in g.neighbors(q):
-                if n in pool_set and n not in subset:
-                    frontier.add(n)
-        for n in frontier:
-            grow(subset | {n})
-
-    for q in pool:
-        grow(frozenset([q]))
-    if not found:
-        return None
-    return min(found, key=lambda mem: (-cri(g, snap, mem), mem))
-
-
 def comdap_allocate(
     g: CouplingGraph,
     snap_reported: CalibrationSnapshot,
     req: AllocationRequest,
-    exact_extraction: bool = False,
 ) -> Partition | None:
     """Community-based allocation.
 
@@ -361,9 +312,7 @@ def comdap_allocate(
          set. Anchors are tried in descending CRI order, so the allocation
          fails only when no connected available region is large enough.
 
-    Size-1 requests return the highest-CFM available qubit. The
-    exact_extraction flag swaps the greedy extraction for the exhaustive one
-    (small pools only).
+    Size-1 requests return the highest-CFM available qubit.
     """
     avail = req.available
     if req.size > len(avail):
@@ -372,7 +321,6 @@ def comdap_allocate(
         q = _best_by_cfm(g, snap_reported, sorted(avail))
         return Partition((q,), score=cri(g, snap_reported, (q,)))
 
-    extract = _expand_densest_exact if exact_extraction else _expand_densest
     communities = louvain(g, snap_reported, avail)
     com_cri = {c: cri(g, snap_reported, c) for c in communities}
 
@@ -386,7 +334,7 @@ def comdap_allocate(
         best_sub: tuple[int, ...] | None = None
         best_score = 0.0
         for c in sorted(larger, key=lambda c: (-com_cri[c], c)):
-            sub = extract(g, snap_reported, c, req.size)
+            sub = _expand_densest(g, snap_reported, c, req.size)
             if sub is None:
                 continue
             score = cri(g, snap_reported, sub)
@@ -413,7 +361,7 @@ def comdap_allocate(
             remaining.remove(join)
         if len(merged) < req.size:
             continue
-        sub = extract(g, snap_reported, tuple(sorted(merged)), req.size)
+        sub = _expand_densest(g, snap_reported, tuple(sorted(merged)), req.size)
         if sub is not None:
             return Partition(sub, score=cri(g, snap_reported, sub))
     return None

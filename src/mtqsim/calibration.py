@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .errors import DataError
-from .topology import CouplingGraph, Edge, _normalize_edge
+from .topology import CouplingGraph, Edge
 
 MAX_DRIFT_CV = 1.5
 

@@ -1,8 +1,10 @@
 """Command-line experiment driver.
 
 Subcommands: simulate, attack-plan, detect, sweep, gen-workload. Exit codes:
-0 on success, 2 for configuration problems (bad flags, unknown names,
-missing referenced files), 3 for malformed data file content.
+0 on success, 2 for configuration problems (bad flags or flag values, unknown
+names, missing referenced files, workloads that cannot be placed), 3 for
+malformed data file content. `main` is the one place that maps errors to
+exit codes: ConfigError and ValueError exit 2, DataError exits 3.
 
 The CLI is a thin layer: everything it does is importable from the library
 modules, and every report it writes embeds the resolved config and seeds
@@ -15,7 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .adversary import h1_plan, h2_plan, heuristic1_sigma_ranking
+from .adversary import H1, heuristic1_sigma_ranking
 from .calibration import (
     CalibrationSeries,
     CalibrationSnapshot,
@@ -32,11 +34,13 @@ from .defense import (
 )
 from .errors import ConfigError, DataError
 from .experiment import (
+    BUILTIN_TOPOLOGIES,
     DEFAULT_GATE_DENSITY,
     dump_json,
     jobs_csv,
     load_config_file,
     read_referenced_file,
+    resolve_attack,
     resolve_config,
     resolve_topology,
     rounds_csv,
@@ -46,7 +50,6 @@ from .experiment import (
     write_workload,
 )
 from .scheduler import gen_workload
-from .topology import CouplingGraph
 
 CALIBRATION_SEED_BASE = 1000
 DEFAULT_CALIBRATION_RUNS = 60
@@ -114,18 +117,23 @@ def parse_windows(spec: str) -> tuple[tuple[int, int], tuple[int, int]]:
         raise ConfigError(f"bad windows {spec!r} (want 'lo:hi,lo:hi'): {exc}") from None
 
 
-def _topology_from_flag(spec: str) -> CouplingGraph:
-    path = Path(spec)
-    if path.suffix or path.exists():
-        return resolve_topology({"file": spec}, Path("."))
-    return resolve_topology(spec, Path("."))
+def topology_entry(flag: str) -> str | dict:
+    """--topology as a config entry: a builtin name, else an edge-list file.
+
+    The file path is made absolute against the working directory, so a
+    config that resolves file references against its own directory still
+    reads the file the user named.
+    """
+    if flag in BUILTIN_TOPOLOGIES:
+        return flag
+    return {"file": str(Path(flag).absolute())}
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     raw = load_config_file(args.config)
     base_dir = Path(args.config).parent
     if args.topology:
-        raw["topology"] = args.topology if not Path(args.topology).exists() else {"file": args.topology}
+        raw["topology"] = topology_entry(args.topology)
     if args.allocator:
         raw["allocator"] = args.allocator
     if args.attack:
@@ -154,13 +162,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_attack_plan(args: argparse.Namespace) -> int:
-    g = _topology_from_flag(args.topology)
-    spec = parse_attack_spec(args.attack)
-    if spec == "none" or spec["kind"] == "none":
+    g = resolve_topology(topology_entry(args.topology), Path("."))
+    plan = resolve_attack(parse_attack_spec(args.attack), g)
+    if plan is None:
         raise ConfigError("attack-plan needs an H1 or H2 attack spec")
-    dist = g.distance_matrix
-    if spec["kind"] == "H1":
-        plan = h1_plan(g, spec["n"], spec["k"])
+    if plan.heuristic == H1:
         ranking = heuristic1_sigma_ranking(g)
         sigma = dict(ranking)
         doc = {
@@ -172,7 +178,7 @@ def cmd_attack_plan(args: argparse.Namespace) -> int:
             "pool_sigma_ranking": [{"qubit": q, "sigma": s} for q, s in ranking],
         }
     else:
-        plan = h2_plan(g, spec["ks"])
+        dist = g.distance_matrix
         targets = []
         chosen: list[int] = []
         for q, d in plan.targets:
@@ -208,7 +214,7 @@ def _mean_window_base(
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    g = _topology_from_flag(args.topology)
+    g = resolve_topology(topology_entry(args.topology), Path("."))
     series = load_calibration_csv(read_referenced_file(args.calib), g)
     window1, window2 = parse_windows(args.windows)
 
@@ -300,10 +306,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_gen_workload(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ConfigError("--count must be positive")
-    try:
-        jobs = gen_workload(args.count, args.size_min, args.size_max, args.density, args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    jobs = gen_workload(args.count, args.size_min, args.size_max, args.density, args.seed)
     params = {
         "count": args.count,
         "size_min": args.size_min,
@@ -376,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:

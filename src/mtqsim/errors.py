@@ -1,9 +1,11 @@
 """Error types shared across the package.
 
-ConfigError covers invalid experiment configuration (bad parameter values,
-missing referenced files, malformed attack specs). DataError covers malformed
-content inside data files (topology edge lists, calibration CSV, circuit
-text). The CLI maps ConfigError to exit code 2 and DataError to exit code 3.
+ConfigError covers invalid experiment configuration (missing referenced
+files, unknown names, malformed attack specs and config shapes). DataError
+covers malformed content inside data files (topology edge lists, calibration
+CSV, circuit text). Library functions reject invalid parameter values with
+ValueError. `cli.main` is the single place these become exit codes:
+ConfigError and ValueError exit 2, DataError exits 3.
 """
 
 

@@ -20,14 +20,14 @@ from typing import Any
 import numpy as np
 
 from .adversary import MisreportPlan, apply_misreport, h1_plan, h2_plan
-from .allocation import ALLOCATORS
+from .allocation import get_allocator
 from .calibration import (
     CalibrationSnapshot,
     load_calibration_csv,
     uniform_snapshot,
     validate_snapshot,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .scheduler import ExperimentReport, Job, gen_workload, run_queue
 from .topology import CouplingGraph, hanoi27, load_edge_list
 from .transpile import circuit_to_qasm, parse_qasm_subset
@@ -259,10 +259,7 @@ def resolve_config(raw: Any, base_dir: str | Path = ".") -> ResolvedConfig:
     g = resolve_topology(raw["topology"], base_dir)
     snapshot = resolve_errors(raw["errors"], g, base_dir)
     allocator = raw.get("allocator", "greedy")
-    if allocator not in ALLOCATORS:
-        raise ConfigError(
-            f"unknown allocator {allocator!r}; expected one of {sorted(ALLOCATORS)}"
-        )
+    get_allocator(allocator)  # rejects unknown names
     plan = resolve_attack(raw.get("attack", "none"), g)
     workload = resolve_workload(raw["workload"], base_dir)
     return ResolvedConfig(g, snapshot, allocator, plan, workload)
@@ -317,8 +314,8 @@ def run_simulate(rc: ResolvedConfig, seed_override: int | None = None) -> Simula
         "attack_targets": [
             {"qubit": q, "delta": d} for q, d in (rc.plan.targets if rc.plan else ())
         ],
-        "baseline": _aggregates(baseline),
-        "attacked": _aggregates(attacked),
+        "baseline": baseline.aggregates(),
+        "attacked": attacked.aggregates(),
         "delta": {
             "rounds": attacked.total_rounds - baseline.total_rounds,
             "mean_utilization": attacked.mean_utilization - baseline.mean_utilization,
@@ -328,17 +325,6 @@ def run_simulate(rc: ResolvedConfig, seed_override: int | None = None) -> Simula
         },
     }
     return SimulationResult(baseline, attacked, baseline_doc, attacked_doc, summary_doc)
-
-
-def _aggregates(r: ExperimentReport) -> dict:
-    return {
-        "total_rounds": r.total_rounds,
-        "mean_utilization": r.mean_utilization,
-        "mean_depth": r.mean_depth,
-        "mean_cnot_count": r.mean_cnot_count,
-        "mean_swap_count": r.mean_swap_count,
-        "mean_pst": r.mean_pst,
-    }
 
 
 def rounds_csv(r: ExperimentReport) -> str:

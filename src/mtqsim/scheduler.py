@@ -9,7 +9,8 @@ out and routed against the reported snapshot and scored against the true one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from statistics import mean
 
 import numpy as np
@@ -57,6 +58,17 @@ class JobMetrics:
     pst: float
 
 
+# the report-level aggregates, by ExperimentReport property name
+AGGREGATES = (
+    "total_rounds",
+    "mean_utilization",
+    "mean_depth",
+    "mean_cnot_count",
+    "mean_swap_count",
+    "mean_pst",
+)
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     allocator: str
@@ -87,15 +99,13 @@ class ExperimentReport:
     def mean_pst(self) -> float:
         return mean(j.pst for j in self.jobs) if self.jobs else 0.0
 
+    def aggregates(self) -> dict:
+        return {name: getattr(self, name) for name in AGGREGATES}
+
     def to_dict(self) -> dict:
         return {
             "allocator": self.allocator,
-            "total_rounds": self.total_rounds,
-            "mean_utilization": self.mean_utilization,
-            "mean_depth": self.mean_depth,
-            "mean_cnot_count": self.mean_cnot_count,
-            "mean_swap_count": self.mean_swap_count,
-            "mean_pst": self.mean_pst,
+            **self.aggregates(),
             "rounds": [
                 {
                     "round": r.round_index,
@@ -167,10 +177,10 @@ def run_queue(
                 break
         if not placed:
             stuck = ", ".join(j.id for j in pending)
-            raise RuntimeError(f"jobs cannot be placed even on idle hardware: {stuck}")
+            raise ValueError(f"jobs cannot be placed even on idle hardware: {stuck}")
         for job, part in placed:
-            layout = initial_layout(job.circuit, part, g, snap_reported)
-            routed = route(job.circuit, layout, part, g)
+            layout = initial_layout(job.circuit, part.members, g, snap_reported)
+            routed = route(job.circuit, layout, part.members, g)
             metrics.append(
                 JobMetrics(
                     job_id=job.id,
@@ -213,8 +223,8 @@ def gen_workload(
         raise ValueError(f"count must be non-negative, got {count}")
     if not (1 <= size_min <= size_max):
         raise ValueError(f"need 1 <= size_min <= size_max, got {size_min}..{size_max}")
-    if gate_density <= 0:
-        raise ValueError(f"gate_density must be positive, got {gate_density}")
+    if not 0 < gate_density < math.inf:
+        raise ValueError(f"gate_density must be positive and finite, got {gate_density}")
     rng = np.random.default_rng(seed)
     jobs: list[Job] = []
     for i in range(count):

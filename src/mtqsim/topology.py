@@ -10,8 +10,8 @@ commonly modeled 27-qubit backends.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -101,32 +101,8 @@ class CouplingGraph:
             raise ValueError(f"qubit index {q} out of range for {self.qubit_count} qubits")
 
 
-@dataclass(frozen=True)
-class QubitSubset:
-    """An ordered set of distinct qubit indices within one graph."""
-
-    members: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("subset must be non-empty")
-        if len(set(self.members)) != len(self.members):
-            raise ValueError(f"duplicate members in subset {self.members}")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, q: int) -> bool:
-        return q in self.members
-
-
-def subset_members(s: "QubitSubset | Sequence[int]") -> tuple[int, ...]:
-    """Normalize a QubitSubset or plain index sequence to a member tuple."""
-    if isinstance(s, QubitSubset):
-        return s.members
+def subset_members(s: Sequence[int]) -> tuple[int, ...]:
+    """A qubit index sequence as a member tuple: non-empty, no duplicates."""
     members = tuple(s)
     if not members:
         raise ValueError("subset must be non-empty")
@@ -162,11 +138,6 @@ def max_degree_qubits(g: CouplingGraph) -> tuple[int, ...]:
     return tuple(q for q, d in enumerate(degs) if d == top)
 
 
-def all_pairs_shortest_paths(g: CouplingGraph) -> np.ndarray:
-    """Symmetric hop-distance matrix with zero diagonal; np.inf if unreachable."""
-    return g.distance_matrix
-
-
 def path_stddev(g: CouplingGraph, q: int) -> float:
     """Population standard deviation of hop distances from q to every other qubit.
 
@@ -184,7 +155,7 @@ def path_stddev(g: CouplingGraph, q: int) -> float:
     return float(np.std(np.sort(others)))
 
 
-def density(g: CouplingGraph, s: "QubitSubset | Sequence[int]") -> float:
+def density(g: CouplingGraph, s: Sequence[int]) -> float:
     """Intra-subset edges divided by the pair count |s|(|s|-1)/2; 1 for singletons."""
     members = subset_members(s)
     for q in members:
@@ -218,7 +189,7 @@ def induced_diameter(g: CouplingGraph, members: tuple[int, ...]) -> int:
     return best
 
 
-def compactness(g: CouplingGraph, s: "QubitSubset | Sequence[int]") -> float:
+def compactness(g: CouplingGraph, s: Sequence[int]) -> float:
     """Induced-subgraph diameter over the maximum possible diameter |s|-1.
 
     A path-shaped subset scores exactly 1; denser shapes score lower. Defined

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
-from .allocation import Partition, cfm
+from .allocation import cfm
 from .calibration import CalibrationSnapshot
 from .errors import DataError
 from .topology import CouplingGraph, _normalize_edge
@@ -267,15 +267,9 @@ class RoutedCircuit:
     swap_count: int
 
 
-def _partition_members(part) -> tuple[int, ...]:
-    if isinstance(part, Partition):
-        return part.members
-    return tuple(part)
-
-
 def initial_layout(
     c: LogicalCircuit,
-    part: "Partition | Sequence[int]",
+    members: Sequence[int],
     g: CouplingGraph,
     snap_reported: CalibrationSnapshot,
 ) -> dict[int, int]:
@@ -287,7 +281,6 @@ def initial_layout(
     qubits adjacent to an already-placed interaction partner whenever that
     set is non-empty. Ties break toward the lower physical index.
     """
-    members = _partition_members(part)
     if len(members) != c.qubit_count:
         raise ValueError(
             f"partition size {len(members)} != circuit qubit count {c.qubit_count}"
@@ -342,7 +335,7 @@ def _bfs_path(
 def route(
     c: LogicalCircuit,
     layout: dict[int, int],
-    part: "Partition | Sequence[int]",
+    members: Sequence[int],
     g: CouplingGraph,
 ) -> RoutedCircuit:
     """Make every two-qubit gate executable by shortest-path SWAP insertion.
@@ -353,7 +346,6 @@ def route(
     per hop, until adjacency; the gate's CNOT is then emitted. Routing never
     leaves the partition and never emits a CNOT on a non-edge.
     """
-    members = _partition_members(part)
     allowed = set(members)
     l2p = dict(layout)
     if set(l2p) != set(range(c.qubit_count)) or set(l2p.values()) != allowed:
@@ -387,7 +379,7 @@ def route(
             ops.append(PhysOp("cnot", (pc, pt)))
 
     return RoutedCircuit(
-        partition=members,
+        partition=tuple(members),
         initial_layout=dict(layout),
         final_layout=dict(l2p),
         physical_ops=tuple(ops),

@@ -227,3 +227,16 @@ def connected_subsets(adj, nodes, size):
         if is_connected(adj, combo):
             out.add(combo)
     return out
+
+
+def best_connected_subset(adj, pool, size, score):
+    """Exhaustive extraction: the highest-scoring connected subset of the pool.
+
+    Ties go to the lexicographically smallest member tuple; None when the
+    pool holds no connected subset of that size. The caller supplies the
+    scoring function, so this module stays free of library imports.
+    """
+    found = connected_subsets(adj, pool, size)
+    if not found:
+        return None
+    return min(found, key=lambda members: (-score(members), members))

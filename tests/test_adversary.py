@@ -10,8 +10,6 @@ from mtqsim.adversary import (
     heuristic1_sigma_ranking,
     heuristic1_targets,
     heuristic2_targets,
-    plan_from_json,
-    plan_to_json,
 )
 from mtqsim.calibration import uniform_snapshot, synth_drift
 from mtqsim.topology import CouplingGraph, hanoi27
@@ -157,11 +155,3 @@ def test_apply_misreport_series_window():
         )
         assert touched == (6 <= before.cycle_id < 10)
 
-
-def test_plan_json_round_trip():
-    g = hanoi27()
-    plan = h2_plan(g, [0.15, 0.12, 0.10])
-    text = plan_to_json(plan)
-    again = plan_from_json(text)
-    assert again == plan
-    assert '"heuristic"' in text and '"targets"' in text

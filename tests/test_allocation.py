@@ -209,7 +209,7 @@ def test_comdap_merged_allocation():
     assert oracles.is_connected(adj, part.members)
 
 
-def test_comdap_exact_extraction_matches_brute_force():
+def test_comdap_exact_extraction_matches_brute_force(monkeypatch):
     g = CouplingGraph(6, frozenset({(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)}))
     rng = np.random.default_rng(3)
     s = CalibrationSnapshot(
@@ -218,8 +218,14 @@ def test_comdap_exact_extraction_matches_brute_force():
         {q: float(rng.uniform(0.005, 0.08)) for q in range(6)},
     )
     adj = oracles.adjacency(g.edge_list, 6)
+
+    # comdap with its greedy extraction swapped for the exhaustive one
+    def exhaustive(graph, snap, pool, size):
+        return oracles.best_connected_subset(adj, pool, size, lambda sub: cri(graph, snap, sub))
+
+    monkeypatch.setattr("mtqsim.allocation._expand_densest", exhaustive)
     for size in (2, 3, 4, 5):
-        part = comdap_allocate(g, s, AllocationRequest(size, tuple(range(6))), exact_extraction=True)
+        part = comdap_allocate(g, s, AllocationRequest(size, tuple(range(6))))
         best = max(
             oracles.connected_subsets(adj, range(6), size),
             key=lambda sub: cri(g, s, sub),

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtqsim.calibration import synth_drift, uniform_snapshot, write_calibration_csv
 from mtqsim.cli import main, parse_attack_spec, parse_seed_list, parse_windows
 from mtqsim.errors import ConfigError
 from mtqsim.experiment import SWEEP_COLUMNS
-from mtqsim.topology import hanoi27
+from mtqsim.topology import hanoi27, write_edge_list
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -20,6 +25,14 @@ def write_config(tmp_path, name="config.json", **overrides):
     cfg.update(overrides)
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
+    return path
+
+
+def write_honest_calib(path):
+    """14 cycles of honest drift at cv 0.30 around the flat 2% snapshot."""
+    g = hanoi27()
+    series = synth_drift(uniform_snapshot(g, 0.02, 0.02), g, 14, 0.30, 7)
+    path.write_text(write_calibration_csv(series))
     return path
 
 
@@ -278,11 +291,7 @@ def test_detect_cli_flags_misreported_targets(tmp_path, capsys):
 
 
 def test_detect_cli_explicit_tau(tmp_path):
-    g = hanoi27()
-    base = uniform_snapshot(g, 0.02, 0.02)
-    series = synth_drift(base, g, 14, 0.30, 7)
-    calib = tmp_path / "honest.csv"
-    calib.write_text(write_calibration_csv(series))
+    calib = write_honest_calib(tmp_path / "honest.csv")
     out = tmp_path / "v.json"
     code = main(
         ["detect", "--calib", str(calib), "--windows", "0:7,7:14",
@@ -292,3 +301,102 @@ def test_detect_cli_explicit_tau(tmp_path):
     doc = json.loads(out.read_text())
     assert all(not row["flagged"] for row in doc["qubits"])
     assert doc["params"]["tau_source"] == "explicit"
+
+
+# two 3-qubit paths: no connected region holds 4 qubits, and comdap's
+# whole-device CRI term is undefined
+TWO_PATHS = {"qubits": 6, "edges": [[0, 1], [1, 2], [3, 4], [4, 5]]}
+DETECT = ["detect", "--calib", "c14.csv", "--windows", "0:7,7:14"]
+REJECTED = {
+    "detect-bins-0": DETECT + ["--bins", "0"],
+    "detect-eps-negative": DETECT + ["--eps", "-1"],
+    "detect-percentile-150": DETECT + ["--percentile", "150"],
+    "detect-cv-3": DETECT + ["--calibration-cv", "3"],
+    "detect-5-runs": DETECT + ["--calibration-runs", "5"],
+    "detect-overlapping-windows": ["detect", "--calib", "c14.csv", "--windows", "0:7,5:14"],
+    "detect-short-window": ["detect", "--calib", "c14.csv", "--windows", "0:2,7:14"],
+    "h1-n-too-large": ["attack-plan", "--attack", "H1:n=9,k=0.1"],
+    "h1-k-negative": ["attack-plan", "--attack", "H1:n=3,k=-0.1"],
+    "h2-k-increasing": ["attack-plan", "--attack", "H2:k=0.1,0.2"],
+    "greedy-no-region": ["simulate", "--config", "two_greedy.json", "--out", "r"],
+    "comdap-disconnected": ["simulate", "--config", "two_comdap.json", "--out", "r"],
+}
+
+
+@pytest.mark.parametrize("argv", list(REJECTED.values()), ids=list(REJECTED))
+def test_invalid_values_exit_2_without_traceback(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_honest_calib(tmp_path / "c14.csv")
+    for allocator, size in (("greedy", 4), ("comdap", 2)):
+        workload = {"count": 3, "size_min": size, "size_max": size, "seed": 1}
+        write_config(tmp_path, f"two_{allocator}.json", topology=TWO_PATHS,
+                     allocator=allocator, attack="none", workload=workload)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+def test_simulate_topology_flag_resolves_against_working_directory(tmp_path, monkeypatch):
+    conf = tmp_path / "conf"
+    conf.mkdir()
+    write_config(conf)
+    (tmp_path / "topo.txt").write_text(write_edge_list(hanoi27()))
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--config", "conf/config.json", "--topology", "topo.txt", "--out", "r"]
+    assert main(argv) == 0
+    doc = json.loads((tmp_path / "r" / "attacked.json").read_text())
+    assert doc["config"]["topology"]["edges"] == [list(e) for e in hanoi27().edge_list]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    write_honest_calib(d / "c14.csv")
+    (d / "topo.txt").write_text("qubits 6\n0 1\n1 2\n2 3\n3 4\n4 5\n1 4\n")
+    return d
+
+
+_ints = st.integers(-3, 12).map(str)
+_floats = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+# bounded: the generator emits about density * size^2 / 2 gates per job
+_density = st.one_of(st.floats(-1.0, 8.0), st.sampled_from([math.nan, math.inf, -math.inf])).map(repr)
+_window = st.builds(lambda a, b: f"{a}:{b}", st.integers(-2, 16), st.integers(-2, 16))
+_windows = st.one_of(st.builds(lambda a, b: f"{a},{b}", _window, _window), st.text(max_size=12))
+_attack = st.one_of(
+    st.builds(lambda n, k: f"H1:n={n},k={k}", _ints, _floats),
+    st.builds(lambda ks: "H2:k=" + ",".join(ks), st.lists(_floats, max_size=4)),
+    st.sampled_from(["none", "H1", "H3:n=1,k=0.1"]),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def cli_argv(draw, d):
+    command = draw(st.sampled_from(["detect", "attack-plan", "gen-workload"]))
+    if command == "detect":
+        # --flag=value, so that argparse reads "-1" or "-inf" as a value
+        argv = ["detect", f"--calib={d / 'c14.csv'}", f"--windows={draw(_windows)}",
+                f"--tau={draw(_floats)}"]
+        for flag, values in (("--bins", _ints), ("--eps", _floats), ("--percentile", _floats)):
+            if draw(st.booleans()):
+                argv.append(f"{flag}={draw(values)}")
+        return argv
+    if command == "attack-plan":
+        topology = draw(st.sampled_from(["hanoi27", str(d / "topo.txt"), "mystery99"]))
+        return ["attack-plan", f"--topology={topology}", f"--attack={draw(_attack)}"]
+    return ["gen-workload", f"--count={draw(_ints)}", f"--size-min={draw(_ints)}",
+            f"--size-max={draw(_ints)}", f"--density={draw(_density)}",
+            f"--seed={draw(_ints)}", f"--out={d / 'workload'}"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_exit_codes_hold_for_any_flag_values(fuzz_dir, data):
+    argv = data.draw(cli_argv(fuzz_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

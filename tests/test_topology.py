@@ -8,7 +8,6 @@ from mtqsim.errors import DataError
 from mtqsim.topology import (
     HANOI27_EDGES,
     CouplingGraph,
-    all_pairs_shortest_paths,
     compactness,
     degree,
     density,
@@ -50,7 +49,7 @@ def test_degree_p3():
 
 def test_shortest_paths_fixture():
     g = hanoi27()
-    d = all_pairs_shortest_paths(g)
+    d = g.distance_matrix
     assert d[1, 25] == 10
     assert np.all(np.diag(d) == 0)
     assert np.array_equal(d, d.T)
@@ -61,7 +60,7 @@ def test_shortest_paths_fixture():
 
 
 def test_shortest_paths_p3():
-    d = all_pairs_shortest_paths(P3)
+    d = P3.distance_matrix
     assert d[0, 2] == 2
 
 
@@ -76,7 +75,7 @@ def test_shortest_paths_random_graphs():
             u, v = rng.choice(n, size=2, replace=False)
             edges.add((min(int(u), int(v)), max(int(u), int(v))))
         g = CouplingGraph(n, frozenset(edges))
-        d = all_pairs_shortest_paths(g)
+        d = g.distance_matrix
         oracle = oracles.floyd_warshall(sorted(edges), n)
         for i in range(n):
             for j in range(n):
