@@ -161,9 +161,9 @@ def apply_misreport_series(
     cycle_hi: int,
 ) -> CalibrationSeries:
     """Apply a plan to every snapshot with cycle_lo <= cycle_id < cycle_hi."""
-    snaps = tuple(
+    snaps = (
         apply_misreport(s, series.graph, plan) if cycle_lo <= s.cycle_id < cycle_hi else s
         for s in series
     )
-    return CalibrationSeries(series.graph, snaps)
+    return CalibrationSeries.from_snapshots(series.graph, snaps)
 

@@ -6,14 +6,19 @@ be conflated: the true rates the hardware actually exhibits, and the reported
 rates an allocator consumes. The adversary perturbs only the reported side;
 the scoring side of the simulator always reads the true side.
 
-Snapshots and series are treated as immutable values. Anything that derives a
-new snapshot builds fresh dicts.
+A series stores its rates as read-only arrays, one row per cycle, and caches
+the one cycles x qubits matrix of mean incident CNOT error that every
+per-qubit statistic reads. Iterating it yields fresh dict-shaped snapshot
+views. Anything that derives a new snapshot or series builds new values.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,33 +64,82 @@ def validate_snapshot(snap: CalibrationSnapshot, g: CouplingGraph) -> None:
             raise ValueError(f"cycle {snap.cycle_id}: readout_error[{q}] = {val} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationSeries:
-    """Snapshots over strictly increasing cycle ids, all covering one graph."""
+    """Error rates over strictly increasing calibration cycles of one graph.
+
+    Row i of each array belongs to cycle cycle_ids[i]. cnot_error is a
+    cycles x edges array whose columns follow graph.edge_list; readout_error
+    is a cycles x qubits array. Both are copied on construction and read-only.
+    Build one from snapshots with from_snapshots.
+    """
 
     graph: CouplingGraph
-    snapshots: tuple[CalibrationSnapshot, ...]
+    cycle_ids: tuple[int, ...]
+    cnot_error: np.ndarray
+    readout_error: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.snapshots:
+        ids = self.cycle_ids
+        if not ids:
             raise ValueError("series must contain at least one snapshot")
-        for a, b in zip(self.snapshots, self.snapshots[1:]):
-            if b.cycle_id <= a.cycle_id:
-                raise ValueError(
-                    f"cycle ids must strictly increase, got {a.cycle_id} then {b.cycle_id}"
-                )
-        for snap in self.snapshots:
-            validate_snapshot(snap, self.graph)
+        for a, b in zip(ids, ids[1:]):
+            if b <= a:
+                raise ValueError(f"cycle ids must strictly increase, got {a} then {b}")
+        g = self.graph
+        for name, width in (("cnot_error", len(g.edges)), ("readout_error", g.qubit_count)):
+            arr = np.array(getattr(self, name), dtype=float)
+            if arr.shape != (len(ids), width):
+                raise ValueError(f"{name} must have shape {(len(ids), width)}, got {arr.shape}")
+            if not ((arr >= 0.0) & (arr <= 1.0)).all():
+                raise ValueError(f"{name} has a rate outside [0, 1]")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_snapshots(
+        cls, g: CouplingGraph, snapshots: Iterable[CalibrationSnapshot]
+    ) -> CalibrationSeries:
+        """Validate each snapshot against g and stack them, in order, into a series."""
+        snaps = tuple(snapshots)
+        for snap in snaps:
+            validate_snapshot(snap, g)
+        cnot = [[s.cnot_error[e] for e in g.edge_list] for s in snaps]
+        readout = [[s.readout_error[q] for q in range(g.qubit_count)] for s in snaps]
+        return cls(g, tuple(s.cycle_id for s in snaps), cnot, readout)
 
     def __len__(self) -> int:
-        return len(self.snapshots)
+        return len(self.cycle_ids)
 
-    def __iter__(self):
-        return iter(self.snapshots)
+    def __iter__(self) -> Iterator[CalibrationSnapshot]:
+        """One dict-shaped snapshot view per cycle, in cycle order."""
+        edges, qubits = self.graph.edge_list, range(self.graph.qubit_count)
+        rows = zip(self.cycle_ids, self.cnot_error.tolist(), self.readout_error.tolist())
+        for cycle_id, cnot, readout in rows:
+            yield CalibrationSnapshot(cycle_id, dict(zip(edges, cnot)), dict(zip(qubits, readout)))
 
-    def cycle_slice(self, lo: int, hi: int) -> tuple[CalibrationSnapshot, ...]:
-        """Snapshots with lo <= cycle_id < hi."""
-        return tuple(s for s in self.snapshots if lo <= s.cycle_id < hi)
+    def cycle_slice(self, lo: int, hi: int) -> slice:
+        """The rows whose cycle ids satisfy lo <= cycle_id < hi, as a slice."""
+        return slice(bisect_left(self.cycle_ids, lo), bisect_left(self.cycle_ids, hi))
+
+    @cached_property
+    def mean_cnot_error(self) -> np.ndarray:
+        """avg_cnot_error of every cycle (row) and qubit (column), read-only.
+
+        Each column adds the qubit's incident edges in incident_edges order,
+        as avg_cnot_error does, so every entry equals it exactly. Stored
+        column-major, so one qubit's values are contiguous.
+        """
+        g = self.graph
+        column = {e: j for j, e in enumerate(g.edge_list)}
+        out = np.empty((len(self), g.qubit_count), order="F")
+        for q in range(g.qubit_count):
+            incident = g.incident_edges(q)
+            if not incident:
+                raise ValueError(f"qubit {q} has no incident edges")
+            out[:, q] = sum(self.cnot_error[:, column[e]] for e in incident) / len(incident)
+        out.setflags(write=False)
+        return out
 
 
 def uniform_snapshot(
@@ -118,8 +172,9 @@ def synth_drift(
 ) -> CalibrationSeries:
     """Seeded multiplicative lognormal drift around a base snapshot.
 
-    For each cycle t and edge e (edges visited in sorted order, one draw per
-    (t, e) pair from numpy's default_rng(seed)):
+    For each cycle t and edge e (one standard-normal draw per (t, e) pair from
+    numpy's default_rng(seed), cycle by cycle, edges in sorted order within a
+    cycle):
 
         error_t(e) = clamp(base(e) * exp(s * z), 0, 1)
 
@@ -134,21 +189,12 @@ def synth_drift(
         raise ValueError(f"cv must be in [0, {MAX_DRIFT_CV}), got {cv}")
     validate_snapshot(base, g)
     s = math.sqrt(math.log(1.0 + cv * cv))
-    rng = np.random.default_rng(seed)
-    edges = g.edge_list
-    base_vals = np.array([base.cnot_error[e] for e in edges])
-    snaps = []
-    for t in range(cycles):
-        z = rng.standard_normal(len(edges))
-        vals = np.clip(base_vals * np.exp(s * z), 0.0, 1.0)
-        snaps.append(
-            CalibrationSnapshot(
-                cycle_id=t,
-                cnot_error={e: float(v) for e, v in zip(edges, vals)},
-                readout_error=dict(base.readout_error),
-            )
-        )
-    return CalibrationSeries(g, tuple(snaps))
+    z = np.random.default_rng(seed).standard_normal((cycles, len(g.edge_list)))
+    base_vals = np.array([base.cnot_error[e] for e in g.edge_list])
+    readout = [base.readout_error[q] for q in range(g.qubit_count)]
+    return CalibrationSeries(
+        g, tuple(range(cycles)), np.clip(base_vals * np.exp(s * z), 0.0, 1.0), [readout] * cycles
+    )
 
 
 def fluctuation_percent(series: CalibrationSeries, g: CouplingGraph, q: int) -> float:
@@ -158,7 +204,8 @@ def fluctuation_percent(series: CalibrationSeries, g: CouplingGraph, q: int) -> 
     """
     if len(series) < 2:
         raise ValueError("fluctuation needs at least 2 cycles")
-    vals = np.array([avg_cnot_error(snap, g, q) for snap in series])
+    g._check_index(q)
+    vals = series.mean_cnot_error[:, q]
     mean = float(np.mean(vals))
     if mean == 0.0:
         raise ValueError(f"qubit {q} has zero mean error; fluctuation undefined")
@@ -183,22 +230,7 @@ def load_calibration_csv(text: str, g: CouplingGraph) -> CalibrationSeries:
     if header != CSV_HEADER:
         raise DataError(f"line 1: expected header {CSV_HEADER!r}, got {header!r}")
 
-    # rows for the cycle currently being accumulated
-    cur_cycle: int | None = None
-    cur_cnot: dict[Edge, float] = {}
-    cur_readout: dict[int, float] = {}
-    snaps: list[CalibrationSnapshot] = []
-
-    def close_cycle(ln: int) -> None:
-        if cur_cycle is None:
-            return
-        snap = CalibrationSnapshot(cur_cycle, dict(cur_cnot), dict(cur_readout))
-        try:
-            validate_snapshot(snap, g)
-        except ValueError as exc:
-            raise DataError(f"line {ln}: {exc}") from None
-        snaps.append(snap)
-
+    snaps: list[CalibrationSnapshot] = []  # one per cycle, filled row by row
     for ln, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
@@ -217,13 +249,11 @@ def load_calibration_csv(text: str, g: CouplingGraph) -> CalibrationSeries:
             raise DataError(f"line {ln}: value {val_s!r} is not a number") from None
         if not (0.0 <= value <= 1.0):
             raise DataError(f"line {ln}: value {value} outside [0, 1]")
-        if cur_cycle is None:
-            cur_cycle = cycle
-        elif cycle != cur_cycle:
-            if cycle < cur_cycle or (snaps and cycle <= snaps[-1].cycle_id):
+        if not snaps or cycle != snaps[-1].cycle_id:
+            if snaps and cycle < snaps[-1].cycle_id:
                 raise DataError(f"line {ln}: cycle {cycle} breaks ascending cycle order")
-            close_cycle(ln)
-            cur_cycle, cur_cnot, cur_readout = cycle, {}, {}
+            snaps.append(CalibrationSnapshot(cycle, {}, {}))
+        cur_cnot, cur_readout = snaps[-1].cnot_error, snaps[-1].readout_error
         if kind == "cnot":
             m = subject.split("-")
             if len(m) != 2:
@@ -253,11 +283,10 @@ def load_calibration_csv(text: str, g: CouplingGraph) -> CalibrationSeries:
         else:
             raise DataError(f"line {ln}: kind must be 'cnot' or 'readout', got {kind!r}")
 
-    if cur_cycle is None:
+    if not snaps:
         raise DataError("no snapshots: calibration file has a header but no rows")
-    close_cycle(len(lines))
     try:
-        return CalibrationSeries(g, tuple(snaps))
+        return CalibrationSeries.from_snapshots(g, snaps)
     except ValueError as exc:
         raise DataError(str(exc)) from None
 

@@ -36,6 +36,7 @@ from .errors import ConfigError, DataError
 from .experiment import (
     BUILTIN_TOPOLOGIES,
     DEFAULT_GATE_DENSITY,
+    SWEEP_COLUMNS,
     dump_json,
     jobs_csv,
     load_config_file,
@@ -139,8 +140,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.attack:
         raw["attack"] = parse_attack_spec(args.attack)
     rc = resolve_config(raw, base_dir)
+    if args.seed is not None:
+        rc = rc.with_seed(args.seed)
     out_dir = Path(args.out or raw.get("out", "reports"))
-    res = run_simulate(rc, seed_override=args.seed)
+    res = run_simulate(rc)
 
     write_text_atomic(out_dir / "baseline.json", dump_json(res.baseline_doc))
     write_text_atomic(out_dir / "attacked.json", dump_json(res.attacked_doc))
@@ -202,17 +205,6 @@ def cmd_attack_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _mean_window_base(
-    series: CalibrationSeries, window: tuple[int, int]
-) -> CalibrationSnapshot:
-    snaps = series.cycle_slice(*window)
-    edges = series.graph.edge_list
-    cnot = {
-        e: sum(s.cnot_error[e] for s in snaps) / len(snaps) for e in edges
-    }
-    return CalibrationSnapshot(0, cnot, dict(snaps[0].readout_error))
-
-
 def cmd_detect(args: argparse.Namespace) -> int:
     g = resolve_topology(topology_entry(args.topology), Path("."))
     series = load_calibration_csv(read_referenced_file(args.calib), g)
@@ -224,19 +216,23 @@ def cmd_detect(args: argparse.Namespace) -> int:
     else:
         # Calibrate against synthetic honest drift matched to the historical
         # window: same per-edge mean level, same per-qubit fluctuation scale.
-        hist = series.cycle_slice(*window1)
-        if len(hist) < 2:
+        rows = series.cycle_slice(*window1)
+        n1 = len(series.cycle_ids[rows])
+        if n1 < 2:
             raise ConfigError("window1 too short to calibrate a threshold from")
-        base = _mean_window_base(series, window1)
-        hist_series = CalibrationSeries(g, hist)
+        hist_series = CalibrationSeries(
+            g, series.cycle_ids[rows], series.cnot_error[rows], series.readout_error[rows]
+        )
+        cnot = {e: sum(col) / n1 for e, col in zip(g.edge_list, hist_series.cnot_error.T.tolist())}
+        readout = dict(enumerate(hist_series.readout_error[0].tolist()))
+        base = CalibrationSnapshot(0, cnot, readout)
         if args.calibration_cv is not None:
             cv = args.calibration_cv
         else:
             cv = sum(
                 fluctuation_percent(hist_series, g, q) for q in range(g.qubit_count)
             ) / (100.0 * g.qubit_count)
-        n1 = len(hist)
-        n2 = len(series.cycle_slice(*window2))
+        n2 = len(series.cycle_ids[series.cycle_slice(*window2)])
         runs = [
             synth_drift(base, g, n1 + n2, cv, seed)
             for seed in range(CALIBRATION_SEED_BASE, CALIBRATION_SEED_BASE + args.calibration_runs)
@@ -291,13 +287,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out or raw.get("out", "reports"))
     write_text_atomic(out_dir / "sweep.csv", csv_text)
     n = len(rows)
-    mean_dr = sum(r["delta_rounds"] for r in rows) / n
-    mean_du = sum(r["delta_mean_utilization"] for r in rows) / n
-    mean_dp = sum(r["depth_pct"] for r in rows) / n
-    mean_ps = sum(r["pst_pct"] for r in rows) / n
+    mean = {c: sum(r[c] for r in rows) / n for c in SWEEP_COLUMNS}
     print(
-        f"{n} seeds: mean delta rounds {mean_dr:+.2f}, mean utilization delta "
-        f"{mean_du:+.4f}, mean depth change {mean_dp:+.2f}%, mean pst change {mean_ps:+.2f}%"
+        f"{n} seeds: mean delta rounds {mean['delta_rounds']:+.2f}, mean utilization delta "
+        f"{mean['delta_mean_utilization']:+.4f}, mean depth change {mean['depth_pct']:+.2f}%, "
+        f"mean pst change {mean['pst_pct']:+.2f}%"
     )
     print(f"sweep written to {out_dir / 'sweep.csv'}")
     return 0

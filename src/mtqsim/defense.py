@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .calibration import CalibrationSeries, avg_cnot_error
+from .calibration import CalibrationSeries
 from .topology import CouplingGraph
 
 DEFAULT_BINS = 10
@@ -96,21 +96,13 @@ def kl_divergence(p: ErrorDistribution, q: ErrorDistribution) -> float:
     return total
 
 
-def _window_samples(
-    series: CalibrationSeries, g: CouplingGraph, q: int, window: tuple[int, int]
-) -> list[float]:
-    lo, hi = window
-    snaps = series.cycle_slice(lo, hi)
-    return [avg_cnot_error(s, g, q) for s in snaps]
-
-
 def _check_windows(
     series: CalibrationSeries, window1: tuple[int, int], window2: tuple[int, int]
 ) -> None:
     for name, (lo, hi) in (("window1", window1), ("window2", window2)):
         if hi <= lo:
             raise ValueError(f"{name} range [{lo}, {hi}) is empty")
-        n = len(series.cycle_slice(lo, hi))
+        n = len(series.cycle_ids[series.cycle_slice(lo, hi)])
         if n < MIN_WINDOW_CYCLES:
             raise ValueError(
                 f"{name} covers {n} cycles; need at least {MIN_WINDOW_CYCLES}"
@@ -137,10 +129,12 @@ def qubit_divergence(
     """
     if bins < 1:
         raise ValueError(f"bins must be positive, got {bins}")
-    s1 = _window_samples(series, g, q, window1)
-    s2 = _window_samples(series, g, q, window2)
-    lo = min(min(s1), min(s2))
-    hi = max(max(s1), max(s2))
+    g._check_index(q)
+    errors = series.mean_cnot_error[:, q]
+    s1 = errors[series.cycle_slice(*window1)]
+    s2 = errors[series.cycle_slice(*window2)]
+    lo = min(s1.min(), s2.min())
+    hi = max(s1.max(), s2.max())
     if hi <= lo:
         return 0.0
     edges = np.linspace(lo, hi, bins + 1)
@@ -219,7 +213,7 @@ def naive_threshold_flags(
         raise ValueError("naive detector needs at least 2 cycles")
     flagged = set()
     for q in range(g.qubit_count):
-        vals = np.array([avg_cnot_error(s, g, q) for s in series])
+        vals = series.mean_cnot_error[:, q]
         m = float(np.mean(vals))
         if m == 0.0:
             continue

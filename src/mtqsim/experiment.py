@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -45,6 +45,13 @@ def read_referenced_file(path: str | Path) -> str:
         raise ConfigError(f"cannot read referenced file {path}: {exc}") from None
 
 
+def _read_config_file(base_dir: Path, name: Any) -> str:
+    """Read a file a config names relative to the config's directory."""
+    if not isinstance(name, str):
+        raise ConfigError(f"file reference must be a path string, got {name!r}")
+    return read_referenced_file(base_dir / name)
+
+
 def dump_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -66,8 +73,7 @@ def resolve_topology(spec: Any, base_dir: Path) -> CouplingGraph:
             f"unknown topology {spec!r}; builtins: {sorted(BUILTIN_TOPOLOGIES)}"
         )
     if isinstance(spec, dict) and "file" in spec:
-        text = read_referenced_file(base_dir / spec["file"])
-        return load_edge_list(text)
+        return load_edge_list(_read_config_file(base_dir, spec["file"]))
     if isinstance(spec, dict) and "qubits" in spec and "edges" in spec:
         try:
             edges = frozenset((int(u), int(v)) for u, v in spec["edges"])
@@ -87,14 +93,15 @@ def resolve_errors(spec: Any, g: CouplingGraph, base_dir: Path) -> CalibrationSn
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid uniform error model: {exc}") from None
     if "file" in spec:
-        text = read_referenced_file(base_dir / spec["file"])
-        series = load_calibration_csv(text, g)
-        cycle = spec.get("cycle", series.snapshots[0].cycle_id)
+        series = load_calibration_csv(_read_config_file(base_dir, spec["file"]), g)
+        cycle = spec.get("cycle", series.cycle_ids[0])
         for snap in series:
             if snap.cycle_id == cycle:
                 return snap
         raise ConfigError(f"cycle {cycle} not present in {spec['file']}")
     if "cnot" in spec and "readout" in spec:
+        if not (isinstance(spec["cnot"], dict) and isinstance(spec["readout"], dict)):
+            raise ConfigError("inline 'cnot' and 'readout' error models must be objects")
         try:
             cnot = {}
             for key, val in spec["cnot"].items():
@@ -146,32 +153,14 @@ class WorkloadSpec:
     generator: dict | None
     circuits: tuple[tuple[str, str], ...] | None
 
-    def build_jobs(self, seed_override: int | None = None) -> list[Job]:
+    def build_jobs(self) -> list[Job]:
         if self.generator is not None:
-            params = dict(self.generator)
-            if seed_override is not None:
-                params["seed"] = seed_override
-            return gen_workload(
-                count=params["count"],
-                size_min=params["size_min"],
-                size_max=params["size_max"],
-                gate_density=params["gate_density"],
-                seed=params["seed"],
-            )
-        if seed_override is not None:
-            raise ConfigError("seed overrides require a generator workload")
+            return gen_workload(**self.generator)
         return [Job(id=jid, circuit=parse_qasm_subset(text)) for jid, text in self.circuits]
 
-    @property
-    def seed(self) -> int | None:
-        return self.generator["seed"] if self.generator is not None else None
-
-    def as_dict(self, seed_override: int | None = None) -> dict:
+    def as_dict(self) -> dict:
         if self.generator is not None:
-            d = {"kind": "generator", **self.generator}
-            if seed_override is not None:
-                d["seed"] = seed_override
-            return d
+            return {"kind": "generator", **self.generator}
         return {
             "kind": "qasm",
             "circuits": [{"id": jid, "qasm": text} for jid, text in self.circuits],
@@ -182,21 +171,27 @@ def resolve_workload(spec: Any, base_dir: Path) -> WorkloadSpec:
     if not isinstance(spec, dict):
         raise ConfigError(f"workload must be an object, got {spec!r}")
     if "qasm_files" in spec:
+        if not isinstance(spec["qasm_files"], list):
+            raise ConfigError(f"workload qasm_files must be a list, got {spec['qasm_files']!r}")
         circuits = []
         for p in spec["qasm_files"]:
-            text = read_referenced_file(base_dir / p)
+            text = _read_config_file(base_dir, p)
             parse_qasm_subset(text)  # fail fast with the file's line numbers
             circuits.append((Path(p).stem, text))
         if not circuits:
             raise ConfigError("workload qasm_files is empty")
         return WorkloadSpec(generator=None, circuits=tuple(circuits))
     if "circuits" in spec:
+        if not isinstance(spec["circuits"], list):
+            raise ConfigError(f"workload circuits must be a list, got {spec['circuits']!r}")
         circuits = []
         for entry in spec["circuits"]:
             try:
                 jid, text = entry["id"], entry["qasm"]
             except (KeyError, TypeError) as exc:
                 raise ConfigError(f"workload circuit entry missing field: {exc}") from None
+            if not isinstance(text, str):
+                raise ConfigError(f"workload circuit {jid!r}: qasm must be a string")
             parse_qasm_subset(text)
             circuits.append((jid, text))
         if not circuits:
@@ -229,10 +224,17 @@ class ResolvedConfig:
     plan: MisreportPlan | None
     workload: WorkloadSpec
 
-    def as_dict(self, force_attack_none: bool = False, seed_override: int | None = None) -> dict:
+    def with_seed(self, seed: int) -> ResolvedConfig:
+        """This config with its generator workload drawn from another seed."""
+        if self.workload.generator is None:
+            raise ConfigError("seed overrides require a generator workload")
+        generator = {**self.workload.generator, "seed": seed}
+        return replace(self, workload=replace(self.workload, generator=generator))
+
+    def as_dict(self) -> dict:
         return {
             "allocator": self.allocator,
-            "attack": {"kind": "none"} if force_attack_none else attack_as_dict(self.plan),
+            "attack": attack_as_dict(self.plan),
             "errors": {
                 "cnot": {f"{u}-{v}": val for (u, v), val in sorted(self.snapshot.cnot_error.items())},
                 "readout": {str(q): val for q, val in sorted(self.snapshot.readout_error.items())},
@@ -241,7 +243,7 @@ class ResolvedConfig:
                 "qubits": self.graph.qubit_count,
                 "edges": [[u, v] for u, v in self.graph.edge_list],
             },
-            "workload": self.workload.as_dict(seed_override),
+            "workload": self.workload.as_dict(),
         }
 
 
@@ -259,6 +261,8 @@ def resolve_config(raw: Any, base_dir: str | Path = ".") -> ResolvedConfig:
     g = resolve_topology(raw["topology"], base_dir)
     snapshot = resolve_errors(raw["errors"], g, base_dir)
     allocator = raw.get("allocator", "greedy")
+    if not isinstance(allocator, str):
+        raise ConfigError(f"allocator must be a name, got {allocator!r}")
     get_allocator(allocator)  # rejects unknown names
     plan = resolve_attack(raw.get("attack", "none"), g)
     workload = resolve_workload(raw["workload"], base_dir)
@@ -289,28 +293,28 @@ def _pct_change(new: float, old: float) -> float:
     return 100.0 * (new - old) / old if old else 0.0
 
 
-def run_simulate(rc: ResolvedConfig, seed_override: int | None = None) -> SimulationResult:
+def run_simulate(rc: ResolvedConfig) -> SimulationResult:
     """Run the identical workload twice: honest reports, then attacked reports.
 
     The true snapshot is shared; only the reported snapshot differs between
     legs, so every metric delta is attributable to the misreport.
     """
-    jobs = rc.workload.build_jobs(seed_override)
+    jobs = rc.workload.build_jobs()
     snap_true = rc.snapshot
     snap_attacked = apply_misreport(snap_true, rc.graph, rc.plan)
     baseline = run_queue(jobs, rc.graph, snap_true, snap_true, rc.allocator)
     attacked = run_queue(jobs, rc.graph, snap_true, snap_attacked, rc.allocator)
 
     baseline_doc = {
-        "config": rc.as_dict(force_attack_none=True, seed_override=seed_override),
+        "config": replace(rc, plan=None).as_dict(),
         "report": baseline.to_dict(),
     }
     attacked_doc = {
-        "config": rc.as_dict(seed_override=seed_override),
+        "config": rc.as_dict(),
         "report": attacked.to_dict(),
     }
     summary_doc = {
-        "config": rc.as_dict(seed_override=seed_override),
+        "config": rc.as_dict(),
         "attack_targets": [
             {"qubit": q, "delta": d} for q, d in (rc.plan.targets if rc.plan else ())
         ],
@@ -345,69 +349,41 @@ def jobs_csv(r: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-SWEEP_COLUMNS = [
-    "seed",
-    "baseline_rounds",
-    "attacked_rounds",
-    "delta_rounds",
-    "baseline_mean_utilization",
-    "attacked_mean_utilization",
-    "delta_mean_utilization",
-    "baseline_mean_depth",
-    "attacked_mean_depth",
-    "depth_pct",
-    "baseline_mean_swaps",
-    "attacked_mean_swaps",
-    "baseline_mean_pst",
-    "attacked_mean_pst",
-    "pst_pct",
-]
+# each sweep.csv column after "seed", as its (section, key) in summary_doc
+SWEEP_COLUMNS = {
+    "baseline_rounds": ("baseline", "total_rounds"),
+    "attacked_rounds": ("attacked", "total_rounds"),
+    "delta_rounds": ("delta", "rounds"),
+    "baseline_mean_utilization": ("baseline", "mean_utilization"),
+    "attacked_mean_utilization": ("attacked", "mean_utilization"),
+    "delta_mean_utilization": ("delta", "mean_utilization"),
+    "baseline_mean_depth": ("baseline", "mean_depth"),
+    "attacked_mean_depth": ("attacked", "mean_depth"),
+    "depth_pct": ("delta", "depth_pct"),
+    "baseline_mean_swaps": ("baseline", "mean_swap_count"),
+    "attacked_mean_swaps": ("attacked", "mean_swap_count"),
+    "baseline_mean_pst": ("baseline", "mean_pst"),
+    "attacked_mean_pst": ("attacked", "mean_pst"),
+    "pst_pct": ("delta", "pst_pct"),
+}
 
 
 def run_sweep(rc: ResolvedConfig, seeds: list[int]) -> tuple[list[dict], str]:
     """Per-seed baseline-vs-attack rows plus mean/std aggregate rows, as CSV."""
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
-    if rc.workload.generator is None:
-        raise ConfigError("sweep requires a generator workload (seeds vary the generator)")
     rows: list[dict] = []
     for seed in seeds:
-        res = run_simulate(rc, seed_override=seed)
-        b, a = res.baseline, res.attacked
+        summary = run_simulate(rc.with_seed(seed)).summary_doc
         rows.append(
-            {
-                "seed": seed,
-                "baseline_rounds": b.total_rounds,
-                "attacked_rounds": a.total_rounds,
-                "delta_rounds": a.total_rounds - b.total_rounds,
-                "baseline_mean_utilization": b.mean_utilization,
-                "attacked_mean_utilization": a.mean_utilization,
-                "delta_mean_utilization": a.mean_utilization - b.mean_utilization,
-                "baseline_mean_depth": b.mean_depth,
-                "attacked_mean_depth": a.mean_depth,
-                "depth_pct": _pct_change(a.mean_depth, b.mean_depth),
-                "baseline_mean_swaps": b.mean_swap_count,
-                "attacked_mean_swaps": a.mean_swap_count,
-                "baseline_mean_pst": b.mean_pst,
-                "attacked_mean_pst": a.mean_pst,
-                "pst_pct": _pct_change(a.mean_pst, b.mean_pst),
-            }
+            {"seed": seed, **{c: summary[sec][key] for c, (sec, key) in SWEEP_COLUMNS.items()}}
         )
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in SWEEP_COLUMNS))
+    lines = [",".join(["seed", *SWEEP_COLUMNS])]
+    lines += [",".join(str(v) for v in row.values()) for row in rows]
     for label, fn in (("mean", np.mean), ("std", np.std)):
-        cells = [label]
-        for c in SWEEP_COLUMNS[1:]:
-            cells.append(_csv_cell(float(fn([row[c] for row in rows]))))
-        lines.append(",".join(cells))
+        cells = [str(float(fn([row[c] for row in rows]))) for c in SWEEP_COLUMNS]
+        lines.append(",".join([label, *cells]))
     return rows, "\n".join(lines) + "\n"
-
-
-def _csv_cell(v: Any) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def workload_manifest(jobs: list[Job], params: dict) -> dict:

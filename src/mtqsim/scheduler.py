@@ -204,6 +204,10 @@ def run_queue(
     return ExperimentReport(allocator, tuple(rounds), tuple(metrics))
 
 
+# the most two-qubit gates gen_workload may give one job
+MAX_JOB_GATES = 10**6
+
+
 def gen_workload(
     count: int,
     size_min: int,
@@ -217,7 +221,8 @@ def gen_workload(
     uniform over [size_min, size_max]; then max(1, round(gate_density *
     size*(size-1)/2)) two-qubit gates each draw a control and a distinct
     target uniformly. Every qubit is measured at the end. Single-qubit jobs
-    carry measurements only.
+    carry measurements only. A gate_density that would give a size_max job
+    more than MAX_JOB_GATES gates is rejected before anything is drawn.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
@@ -225,6 +230,11 @@ def gen_workload(
         raise ValueError(f"need 1 <= size_min <= size_max, got {size_min}..{size_max}")
     if not 0 < gate_density < math.inf:
         raise ValueError(f"gate_density must be positive and finite, got {gate_density}")
+    if gate_density * size_max * (size_max - 1) / 2 > MAX_JOB_GATES:
+        raise ValueError(
+            f"gate_density {gate_density} gives a {size_max}-qubit job more than "
+            f"{MAX_JOB_GATES} gates"
+        )
     rng = np.random.default_rng(seed)
     jobs: list[Job] = []
     for i in range(count):

@@ -149,7 +149,7 @@ def test_apply_misreport_series_window():
     series = synth_drift(base, g, 10, 0.2, 5)
     plan = h1_plan(g, 3, 0.15)
     attacked = apply_misreport_series(series, plan, 6, 10)
-    for before, after in zip(series.snapshots, attacked.snapshots):
+    for before, after in zip(series, attacked):
         touched = any(
             after.cnot_error[e] != before.cnot_error[e] for e in g.edge_list
         )

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from mtqsim.calibration import (
@@ -48,14 +52,14 @@ def test_series_monotonic_cycles():
     a = snap(0, {(0, 1): 0.01, (1, 2): 0.02}, {0: 0.1, 1: 0.1, 2: 0.1})
     b = snap(0, {(0, 1): 0.01, (1, 2): 0.02}, {0: 0.1, 1: 0.1, 2: 0.1})
     with pytest.raises(Exception):
-        CalibrationSeries(P3, (a, b))
+        CalibrationSeries.from_snapshots(P3, (a, b))
 
 
 def test_cycle_slice_half_open():
     base = uniform_snapshot(P3, 0.02, 0.02)
     series = synth_drift(base, P3, 6, 0.1, 7)
-    window = series.cycle_slice(1, 4)
-    assert [s.cycle_id for s in window] == [1, 2, 3]
+    rows = series.cycle_slice(1, 4)
+    assert series.cycle_ids[rows] == (1, 2, 3)
 
 
 def test_synth_drift_deterministic():
@@ -70,7 +74,7 @@ def test_synth_drift_deterministic():
 def test_synth_drift_zero_cv_limit():
     base = uniform_snapshot(P3, 0.02, 0.02)
     series = synth_drift(base, P3, 4, 1e-12, 1)
-    for s in series.snapshots:
+    for s in series:
         for e, v in s.cnot_error.items():
             assert v == pytest.approx(0.02, abs=1e-9)
 
@@ -78,10 +82,28 @@ def test_synth_drift_zero_cv_limit():
 def test_synth_drift_bounds_and_readout_held():
     base = uniform_snapshot(P3, 0.9, 0.07)
     series = synth_drift(base, P3, 50, 1.4, 3)
-    for s in series.snapshots:
+    for s in series:
         for v in s.cnot_error.values():
             assert 0.0 <= v <= 1.0
         assert s.readout_error == base.readout_error
+
+
+def test_synth_drift_matches_docstring():
+    """One draw per (cycle, edge), cycle by cycle, edges in sorted order."""
+    g = hanoi27()
+    cnot = {e: 0.01 * (1 + j % 7) for j, e in enumerate(g.edge_list)}
+    base = CalibrationSnapshot(0, cnot, {q: 0.03 for q in range(27)})
+    series = synth_drift(base, g, 30, 1.4, 5)
+    s = math.sqrt(math.log(1.0 + 1.4 * 1.4))
+    rng = np.random.default_rng(5)
+    base_vals = np.array([cnot[e] for e in g.edge_list])
+    expected = [
+        np.clip(base_vals * np.exp(s * rng.standard_normal(len(g.edge_list))), 0.0, 1.0)
+        for _ in range(30)
+    ]
+    assert np.array_equal(series.cnot_error, np.array(expected))
+    assert series.cycle_ids == tuple(range(30))
+    assert (series.readout_error == 0.03).all()
 
 
 def test_synth_drift_cv_validation():
@@ -98,7 +120,7 @@ def test_synth_drift_empirical_cv():
     pooled = {e: [] for e in P3.edge_list}
     for seed in range(1000):
         series = synth_drift(base, P3, 14, 0.30, seed)
-        for s in series.snapshots:
+        for s in series:
             for e, v in s.cnot_error.items():
                 pooled[e].append(v)
     for e, vals in pooled.items():
@@ -110,9 +132,9 @@ def test_synth_drift_empirical_cv():
 def test_fluctuation_percent():
     a = snap(0, {(0, 1): 0.01, (1, 2): 0.01}, {0: 0.1, 1: 0.1, 2: 0.1})
     b = snap(1, {(0, 1): 0.03, (1, 2): 0.03}, {0: 0.1, 1: 0.1, 2: 0.1})
-    series = CalibrationSeries(P3, (a, b))
+    series = CalibrationSeries.from_snapshots(P3, (a, b))
     assert fluctuation_percent(series, P3, 1) == pytest.approx(50.0, abs=1e-9)
-    const = CalibrationSeries(
+    const = CalibrationSeries.from_snapshots(
         P3, (a, snap(1, {(0, 1): 0.01, (1, 2): 0.01}, {0: 0.1, 1: 0.1, 2: 0.1}))
     )
     assert fluctuation_percent(const, P3, 0) == 0.0
@@ -149,7 +171,7 @@ def test_csv_round_trip():
     assert text.splitlines()[0] == "cycle,kind,subject,value"
     again = load_calibration_csv(text, g)
     assert write_calibration_csv(again) == text
-    for s1, s2 in zip(series.snapshots, again.snapshots):
+    for s1, s2 in zip(series, again):
         assert s1.cnot_error == s2.cnot_error
         assert s1.readout_error == s2.readout_error
 
@@ -164,3 +186,55 @@ def test_csv_errors_name_lines():
     unknown_edge = "cycle,kind,subject,value\n0,cnot,0-2,0.1\n"
     with pytest.raises(DataError):
         load_calibration_csv(unknown_edge, g)
+
+
+@st.composite
+def graph_and_series(draw):
+    """A random connected graph and a random series over it."""
+    n = draw(st.integers(2, 8))
+    edges = {(draw(st.integers(0, q - 1)), q) for q in range(1, n)}  # a spanning tree
+    qubit = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(qubit, qubit), max_size=8)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    g = CouplingGraph(n, frozenset(edges))
+    ids = tuple(sorted(draw(st.sets(st.integers(0, 500), min_size=1, max_size=6))))
+    rate = st.floats(0.0, 1.0)
+
+    def rows(width):
+        return draw(st.lists(st.lists(rate, min_size=width, max_size=width),
+                             min_size=len(ids), max_size=len(ids)))
+
+    return g, CalibrationSeries(g, ids, rows(len(g.edge_list)), rows(n))
+
+
+SERIES_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@SERIES_SETTINGS
+@given(graph_and_series())
+def test_mean_cnot_error_is_avg_cnot_error(case):
+    g, series = case
+    for i, snapshot in enumerate(series):
+        for q in range(g.qubit_count):
+            assert series.mean_cnot_error[i, q] == avg_cnot_error(snapshot, g, q)
+
+
+@SERIES_SETTINGS
+@given(graph_and_series())
+def test_from_snapshots_of_views_rebuilds_arrays(case):
+    g, series = case
+    again = CalibrationSeries.from_snapshots(g, series)
+    assert again.cycle_ids == series.cycle_ids
+    assert np.array_equal(again.cnot_error, series.cnot_error)
+    assert np.array_equal(again.readout_error, series.readout_error)
+
+
+@SERIES_SETTINGS
+@given(graph_and_series())
+def test_csv_round_trip_keeps_arrays(case):
+    g, series = case
+    again = load_calibration_csv(write_calibration_csv(series), g)
+    assert again.cycle_ids == series.cycle_ids
+    assert np.array_equal(again.cnot_error, series.cnot_error)
+    assert np.array_equal(again.readout_error, series.readout_error)

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtqsim.calibration import synth_drift, uniform_snapshot, write_calibration_csv
+from mtqsim.calibration import (
+    CalibrationSeries,
+    synth_drift,
+    uniform_snapshot,
+    write_calibration_csv,
+)
 from mtqsim.cli import main, parse_attack_spec, parse_seed_list, parse_windows
 from mtqsim.errors import ConfigError
 from mtqsim.experiment import SWEEP_COLUMNS
@@ -238,7 +243,7 @@ def test_sweep_csv(tmp_path, capsys):
     out = tmp_path / "sw"
     assert main(["sweep", "--config", str(cfg), "--seeds", "1..3", "--out", str(out)]) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0] == ",".join(SWEEP_COLUMNS)
+    assert lines[0] == ",".join(["seed", *SWEEP_COLUMNS])
     assert len(lines) == 1 + 3 + 2  # header, three seeds, mean, std
     assert [row.split(",")[0] for row in lines[1:]] == ["1", "2", "3", "mean", "std"]
     for row in lines[1:4]:
@@ -260,7 +265,7 @@ def test_detect_cli_flags_misreported_targets(tmp_path, capsys):
                 if 12 in (u, v):
                     cnot[(u, v)] = min(1.0, val + 0.15)
         snaps.append(type(s)(s.cycle_id, cnot, dict(s.readout_error)))
-    doctored = type(series)(g, tuple(snaps))
+    doctored = CalibrationSeries.from_snapshots(g, snaps)
     calib = tmp_path / "calib.csv"
     calib.write_text(write_calibration_csv(doctored))
     out = tmp_path / "verdict.json"
@@ -320,6 +325,8 @@ REJECTED = {
     "h2-k-increasing": ["attack-plan", "--attack", "H2:k=0.1,0.2"],
     "greedy-no-region": ["simulate", "--config", "two_greedy.json", "--out", "r"],
     "comdap-disconnected": ["simulate", "--config", "two_comdap.json", "--out", "r"],
+    "gen-workload-huge-density": ["gen-workload", "--count", "1", "--density=1e300",
+                                  "--seed", "1", "--out", "d"],
 }
 
 
@@ -336,6 +343,27 @@ def test_invalid_values_exit_2_without_traceback(argv, tmp_path, monkeypatch, ca
     assert len(err.splitlines()) == 1
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+# config fields of the right name but the wrong JSON shape
+MALFORMED = {
+    "allocator-list": {"allocator": ["greedy"]},
+    "topology-file-number": {"topology": {"file": 3}},
+    "errors-file-number": {"errors": {"file": 3}},
+    "errors-cnot-number": {"errors": {"cnot": 5, "readout": {}}},
+    "qasm-files-number": {"workload": {"qasm_files": 3}},
+    "circuits-number": {"workload": {"circuits": 3}},
+    "circuit-qasm-number": {"workload": {"circuits": [{"id": [1], "qasm": 5}]}},
+}
+
+
+@pytest.mark.parametrize("overrides", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_config_shapes_exit_2_without_traceback(overrides, tmp_path, capsys):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error:")
 
 
 def test_simulate_topology_flag_resolves_against_working_directory(tmp_path, monkeypatch):

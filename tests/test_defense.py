@@ -72,12 +72,12 @@ def test_detect_identical_windows_all_zero(hanoi):
     base = uniform_snapshot(hanoi, 0.02, 0.02)
     drift = synth_drift(base, hanoi, 5, 0.3, 21)
     # duplicate the five drifted cycles so both windows hold identical values
-    snaps = list(drift.snapshots)
+    snaps = list(drift)
     mirrored = [
         CalibrationSnapshot(s.cycle_id + 5, dict(s.cnot_error), dict(s.readout_error))
         for s in snaps
     ]
-    series = CalibrationSeries(hanoi, tuple(snaps + mirrored))
+    series = CalibrationSeries.from_snapshots(hanoi, snaps + mirrored)
     verdict = detect(series, (0, 5), (5, 10), hanoi, bins=5, eps=1e-9, tau=0.0)
     assert all(d == pytest.approx(0.0, abs=1e-9) for d in verdict.divergence.values())
     assert verdict.flagged == frozenset()
@@ -103,13 +103,13 @@ def test_detect_order_free_within_window(hanoi):
     """Divergence only sees each window's value multiset, not cycle order."""
     base = uniform_snapshot(hanoi, 0.02, 0.02)
     series = synth_drift(base, hanoi, 14, 0.3, 17)
-    snaps = list(series.snapshots)
+    snaps = list(series)
     shuffled = (
         [CalibrationSnapshot(i, dict(s.cnot_error), dict(s.readout_error))
          for i, s in enumerate(reversed(snaps[:7]))]
         + snaps[7:]
     )
-    series2 = CalibrationSeries(hanoi, tuple(shuffled))
+    series2 = CalibrationSeries.from_snapshots(hanoi, shuffled)
     v1 = detect(series, (0, 7), (7, 14), hanoi, bins=5, eps=1e-9, tau=0.0)
     v2 = detect(series2, (0, 7), (7, 14), hanoi, bins=5, eps=1e-9, tau=0.0)
     for q in range(27):
