@@ -13,11 +13,13 @@ from .adversary import (
     h1_plan,
     h2_plan,
     heuristic1_targets,
+    heuristic2_selection,
     heuristic2_targets,
 )
 from .allocation import (
     AllocationRequest,
     Partition,
+    ScoringContext,
     cfm,
     comdap_allocate,
     cri,

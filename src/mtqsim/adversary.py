@@ -90,20 +90,27 @@ def heuristic2_targets(g: CouplingGraph, n: int) -> list[int]:
     profile to the selected qubits (in selection order), then by the lowest
     index.
     """
+    return [q for q, _ in heuristic2_selection(g, n)]
+
+
+def heuristic2_selection(g: CouplingGraph, n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Heuristic 2's first n picks in selection order, with their distance profiles.
+
+    A pick's profile is its hop distance to each earlier pick, in selection
+    order, so the first pick's profile is empty.
+    """
     pool = max_degree_qubits(g)
     if not (1 <= n <= len(pool)):
         raise ValueError(f"n must be in [1, {len(pool)}] for this graph, got {n}")
     dist = g.distance_matrix
-    selected = [pool[0]]
-    remaining = [q for q in pool if q != pool[0]]
-    while len(selected) < n:
-        def key(q: int):
-            profile = tuple(int(dist[q, s]) for s in selected)
-            return (min(profile), profile, -q)
-        pick = max(remaining, key=key)
-        selected.append(pick)
+    selection: list[tuple[int, tuple[int, ...]]] = [(pool[0], ())]
+    remaining = list(pool[1:])
+    while len(selection) < n:
+        profiles = {q: tuple(int(dist[q, s]) for s, _ in selection) for q in remaining}
+        pick = max(remaining, key=lambda q: (min(profiles[q]), profiles[q], -q))
+        selection.append((pick, profiles[pick]))
         remaining.remove(pick)
-    return selected
+    return selection
 
 
 def h1_plan(g: CouplingGraph, n: int, k: float) -> MisreportPlan:

@@ -11,13 +11,16 @@ Scores:
 where D/C are density/compactness, E/R are mean CNOT/readout error, the _p
 terms range over the candidate subset and the _h terms over the whole device.
 
-Failure to allocate is reported as None; the scheduler treats it as a signal
-to defer the job to a later round.
+Both scores depend only on the graph and the snapshot, so the allocators and
+the layout read them from a ScoringContext that computes each qubit's CFM and
+the device's CRI term once. Failure to allocate is reported as None; the
+scheduler treats it as a signal to defer the job to a later round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .calibration import CalibrationSnapshot, avg_cnot_error
@@ -60,14 +63,12 @@ def cfm(g: CouplingGraph, snap: CalibrationSnapshot, q: int) -> float:
     return d + (1.0 - (avg_cnot_error(snap, g, q) + snap.readout_error[q]))
 
 
-def _best_by_cfm(g: CouplingGraph, snap: CalibrationSnapshot, qubits) -> int:
+def _best_by_cfm(ctx: ScoringContext, qubits) -> int:
     """Highest-CFM qubit, ties broken toward the lowest index."""
-    return min(qubits, key=lambda q: (-cfm(g, snap, q), q))
+    return min(qubits, key=lambda q: (-ctx.cfm(q), q))
 
 
-def greedy_allocate(
-    g: CouplingGraph, snap_reported: CalibrationSnapshot, req: AllocationRequest
-) -> Partition | None:
+def greedy_allocate(ctx: ScoringContext, req: AllocationRequest) -> Partition | None:
     """Attractor-seeded breadth-first expansion.
 
     The attractor is the available qubit with the highest CFM. The partition
@@ -76,24 +77,25 @@ def greedy_allocate(
     attractor: if the attractor's available region runs out of neighbors
     before the partition reaches the requested size, the request fails.
     """
+    g = ctx.graph
     avail = set(req.available)
     if req.size > len(avail):
         return None
-    attractor = _best_by_cfm(g, snap_reported, sorted(avail))
+    attractor = _best_by_cfm(ctx, sorted(avail))
     members = [attractor]
     in_part = {attractor}
     frontier = {n for n in g.neighbors(attractor) if n in avail}
     while len(members) < req.size:
         if not frontier:
             return None
-        nxt = _best_by_cfm(g, snap_reported, sorted(frontier))
+        nxt = _best_by_cfm(ctx, sorted(frontier))
         frontier.discard(nxt)
         members.append(nxt)
         in_part.add(nxt)
         for n in g.neighbors(nxt):
             if n in avail and n not in in_part:
                 frontier.add(n)
-    return Partition(tuple(members), score=cfm(g, snap_reported, attractor))
+    return Partition(tuple(members), score=ctx.cfm(attractor))
 
 
 def fidelity_weight(error: float) -> float:
@@ -261,11 +263,44 @@ def _cri_term(
     return density(g, members) / compactness(g, members) + (1.0 - (e_p + r_p))
 
 
+@dataclass(frozen=True)
+class ScoringContext:
+    """The CFM and CRI scores of one snapshot on one graph.
+
+    Each qubit's CFM and the device's CRI denominator are computed once, on
+    first use, and equal what cfm and cri return bit for bit: the same
+    expressions run in the same order. Computing on first use keeps the free
+    functions' errors where they were: a context on a disconnected device
+    raises at its first CRI, and an isolated qubit raises only when its CFM
+    is read.
+    """
+
+    graph: CouplingGraph
+    snapshot: CalibrationSnapshot
+
+    @cached_property
+    def _cfm(self) -> dict[int, float]:
+        g, snap = self.graph, self.snapshot
+        return {q: cfm(g, snap, q) for q in range(g.qubit_count) if degree(g, q)}
+
+    @cached_property
+    def _device_term(self) -> float:
+        return _cri_term(self.graph, self.snapshot, tuple(range(self.graph.qubit_count)))
+
+    def cfm(self, q: int) -> float:
+        """cfm(graph, snapshot, q)."""
+        value = self._cfm.get(q)
+        # only isolated or out-of-range qubits are missing, and cfm rejects both
+        return cfm(self.graph, self.snapshot, q) if value is None else value
+
+    def cri(self, s: Sequence[int]) -> float:
+        """cri(graph, snapshot, s)."""
+        num = _cri_term(self.graph, self.snapshot, subset_members(s))
+        return num / self._device_term
+
+
 def _expand_densest(
-    g: CouplingGraph,
-    snap: CalibrationSnapshot,
-    pool: tuple[int, ...],
-    size: int,
+    ctx: ScoringContext, pool: tuple[int, ...], size: int
 ) -> tuple[int, ...] | None:
     """Greedy dense-subset extraction from a connected pool.
 
@@ -273,8 +308,9 @@ def _expand_densest(
     contributing the most edges into the current subset (ties: higher CFM,
     then lower index).
     """
+    g = ctx.graph
     pool_set = set(pool)
-    seed = _best_by_cfm(g, snap, sorted(pool))
+    seed = _best_by_cfm(ctx, sorted(pool))
     subset = [seed]
     chosen = {seed}
     while len(subset) < size:
@@ -287,18 +323,14 @@ def _expand_densest(
             return None
         def key(q: int):
             intra = sum(1 for n in g.neighbors(q) if n in chosen)
-            return (-intra, -cfm(g, snap, q), q)
+            return (-intra, -ctx.cfm(q), q)
         nxt = min(sorted(candidates), key=key)
         subset.append(nxt)
         chosen.add(nxt)
     return tuple(subset)
 
 
-def comdap_allocate(
-    g: CouplingGraph,
-    snap_reported: CalibrationSnapshot,
-    req: AllocationRequest,
-) -> Partition | None:
+def comdap_allocate(ctx: ScoringContext, req: AllocationRequest) -> Partition | None:
     """Community-based allocation.
 
     Louvain communities are formed over the available region, then:
@@ -314,15 +346,16 @@ def comdap_allocate(
 
     Size-1 requests return the highest-CFM available qubit.
     """
+    g = ctx.graph
     avail = req.available
     if req.size > len(avail):
         return None
     if req.size == 1:
-        q = _best_by_cfm(g, snap_reported, sorted(avail))
-        return Partition((q,), score=cri(g, snap_reported, (q,)))
+        q = _best_by_cfm(ctx, sorted(avail))
+        return Partition((q,), score=ctx.cri((q,)))
 
-    communities = louvain(g, snap_reported, avail)
-    com_cri = {c: cri(g, snap_reported, c) for c in communities}
+    communities = louvain(g, ctx.snapshot, avail)
+    com_cri = {c: ctx.cri(c) for c in communities}
 
     exact = [c for c in communities if len(c) == req.size]
     if exact:
@@ -334,10 +367,10 @@ def comdap_allocate(
         best_sub: tuple[int, ...] | None = None
         best_score = 0.0
         for c in sorted(larger, key=lambda c: (-com_cri[c], c)):
-            sub = _expand_densest(g, snap_reported, c, req.size)
+            sub = _expand_densest(ctx, c, req.size)
             if sub is None:
                 continue
-            score = cri(g, snap_reported, sub)
+            score = ctx.cri(sub)
             if best_sub is None or score > best_score + 1e-15:
                 best_sub, best_score = sub, score
         if best_sub is None:
@@ -361,19 +394,21 @@ def comdap_allocate(
             remaining.remove(join)
         if len(merged) < req.size:
             continue
-        sub = _expand_densest(g, snap_reported, tuple(sorted(merged)), req.size)
+        sub = _expand_densest(ctx, tuple(sorted(merged)), req.size)
         if sub is not None:
-            return Partition(sub, score=cri(g, snap_reported, sub))
+            return Partition(sub, score=ctx.cri(sub))
     return None
 
 
-ALLOCATORS: dict[str, Callable[..., Partition | None]] = {
+Allocator = Callable[[ScoringContext, AllocationRequest], Partition | None]
+
+ALLOCATORS: dict[str, Allocator] = {
     "greedy": greedy_allocate,
     "comdap": comdap_allocate,
 }
 
 
-def get_allocator(name: str) -> Callable[..., Partition | None]:
+def get_allocator(name: str) -> Allocator:
     try:
         return ALLOCATORS[name]
     except KeyError:

@@ -243,6 +243,8 @@ def load_calibration_csv(text: str, g: CouplingGraph) -> CalibrationSeries:
             cycle = int(cyc_s)
         except ValueError:
             raise DataError(f"line {ln}: cycle {cyc_s!r} is not an integer") from None
+        if cycle < 0:
+            raise DataError(f"line {ln}: cycle {cycle} is negative")
         try:
             value = float(val_s)
         except ValueError:

@@ -17,7 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .adversary import H1, heuristic1_sigma_ranking
+from .adversary import H1, heuristic1_sigma_ranking, heuristic2_selection
 from .calibration import (
     CalibrationSeries,
     CalibrationSnapshot,
@@ -181,20 +181,15 @@ def cmd_attack_plan(args: argparse.Namespace) -> int:
             "pool_sigma_ranking": [{"qubit": q, "sigma": s} for q, s in ranking],
         }
     else:
-        dist = g.distance_matrix
-        targets = []
-        chosen: list[int] = []
-        for q, d in plan.targets:
-            profile = [int(dist[q, s]) for s in chosen]
-            targets.append(
-                {
-                    "qubit": q,
-                    "delta": d,
-                    "min_distance_to_selected": min(profile) if profile else None,
-                    "distance_profile": profile,
-                }
-            )
-            chosen.append(q)
+        targets = [
+            {
+                "qubit": q,
+                "delta": d,
+                "min_distance_to_selected": min(profile) if profile else None,
+                "distance_profile": list(profile),
+            }
+            for (q, d), (_, profile) in zip(plan.targets, heuristic2_selection(g, plan.n))
+        ]
         doc = {"heuristic": plan.heuristic, "n": plan.n, "targets": targets}
     text = dump_json(doc)
     if args.out:

@@ -5,6 +5,11 @@ the allocator can fit into the qubits still free this round; a job that does
 not fit is skipped, not blocking smaller jobs behind it, and retries next
 round. The round closes when a full scan places nothing. Placed jobs are laid
 out and routed against the reported snapshot and scored against the true one.
+
+The allocator is a pure function of the scoring context and the request,
+and a rescan repeats a request whenever the free qubits have not changed
+since, so each run computes each distinct request once and reuses the
+answer, failures included.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from statistics import mean
 
 import numpy as np
 
-from .allocation import AllocationRequest, Partition, get_allocator
+from .allocation import AllocationRequest, Partition, ScoringContext, get_allocator
 from .calibration import CalibrationSnapshot
 from .topology import CouplingGraph
 from .transpile import (
@@ -141,8 +146,8 @@ def run_queue(
 ) -> ExperimentReport:
     """Drain the queue and report per-round and per-job outcomes.
 
-    Allocation and layout see only snap_reported; PST sees only snap_true.
-    Deterministic: same inputs, same report.
+    Allocation and layout see only snap_reported, through one ScoringContext;
+    PST sees only snap_true. Deterministic: same inputs, same report.
     """
     alloc = get_allocator(allocator)
     for job in jobs:
@@ -153,6 +158,8 @@ def run_queue(
     if not jobs:
         return ExperimentReport(allocator, (), ())
 
+    ctx = ScoringContext(g, snap_reported)
+    answers: dict[AllocationRequest, Partition | None] = {}
     pending = list(jobs)
     rounds: list[RoundReport] = []
     metrics: list[JobMetrics] = []
@@ -164,7 +171,9 @@ def run_queue(
             placed_in_scan = False
             for job in list(pending):
                 req = AllocationRequest(job.size, tuple(sorted(available)))
-                part = alloc(g, snap_reported, req)
+                if req not in answers:
+                    answers[req] = alloc(ctx, req)
+                part = answers[req]
                 if part is None:
                     continue
                 available -= set(part.members)
@@ -179,7 +188,7 @@ def run_queue(
             stuck = ", ".join(j.id for j in pending)
             raise ValueError(f"jobs cannot be placed even on idle hardware: {stuck}")
         for job, part in placed:
-            layout = initial_layout(job.circuit, part.members, g, snap_reported)
+            layout = initial_layout(job.circuit, part.members, ctx)
             routed = route(job.circuit, layout, part.members, g)
             metrics.append(
                 JobMetrics(

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .allocation import cfm
+from .allocation import ScoringContext
 from .calibration import CalibrationSnapshot
 from .errors import DataError
 from .topology import CouplingGraph, _normalize_edge
@@ -268,10 +268,7 @@ class RoutedCircuit:
 
 
 def initial_layout(
-    c: LogicalCircuit,
-    members: Sequence[int],
-    g: CouplingGraph,
-    snap_reported: CalibrationSnapshot,
+    c: LogicalCircuit, members: Sequence[int], ctx: ScoringContext
 ) -> dict[int, int]:
     """Deterministic fidelity-greedy placement of logical onto physical qubits.
 
@@ -295,6 +292,7 @@ def initial_layout(
     order = sorted(range(c.qubit_count), key=lambda l: (-participation[l], l))
 
     layout: dict[int, int] = {}
+    g = ctx.graph
     unused = set(members)
     for logical in order:
         partner_phys = {layout[p] for p in partners[logical] if p in layout}
@@ -302,7 +300,7 @@ def initial_layout(
             p for p in unused if any(g.has_edge(p, pp) for pp in partner_phys)
         ]
         pool = preferred if preferred else sorted(unused)
-        chosen = min(pool, key=lambda p: (-cfm(g, snap_reported, p), p))
+        chosen = min(pool, key=lambda p: (-ctx.cfm(p), p))
         layout[logical] = chosen
         unused.discard(chosen)
     return layout

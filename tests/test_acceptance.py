@@ -25,6 +25,7 @@ from mtqsim.adversary import (
 )
 from mtqsim.allocation import (
     AllocationRequest,
+    ScoringContext,
     cfm,
     comdap_allocate,
     cri,
@@ -210,7 +211,7 @@ def test_criterion_07_allocator_exactness(hanoi):
     snap = uniform_snapshot(hanoi, 0.02, 0.02)
     communities = louvain(hanoi, snap, tuple(range(27)))
     target = communities[0]
-    part = comdap_allocate(hanoi, snap, AllocationRequest(len(target), tuple(range(27))))
+    part = comdap_allocate(ScoringContext(hanoi, snap), AllocationRequest(len(target), tuple(range(27))))
     verbatim_ok = tuple(sorted(part.members)) in communities
 
     adj = oracles.adjacency(hanoi.edge_list, 27)
@@ -236,7 +237,7 @@ def test_criterion_07_allocator_exactness(hanoi):
         req = AllocationRequest(size, avail)
         for name in ("greedy", "comdap"):
             instances += 1
-            p = get_allocator(name)(hanoi, s, req)
+            p = get_allocator(name)(ScoringContext(hanoi, s), req)
             if p is None:
                 continue
             returned += 1
@@ -263,9 +264,9 @@ def test_criterion_08_routing_invariants(hanoi):
     for seed in range(12):
         for job in gen_workload(5, 2, 6, 2.0, 9000 + seed):
             part = get_allocator("greedy")(
-                hanoi, snap, AllocationRequest(job.size, tuple(range(27)))
+                ScoringContext(hanoi, snap), AllocationRequest(job.size, tuple(range(27)))
             )
-            lay = initial_layout(job.circuit, part.members, hanoi, snap)
+            lay = initial_layout(job.circuit, part.members, ScoringContext(hanoi, snap))
             r = route(job.circuit, lay, part.members, hanoi)
             for op in r.physical_ops:
                 if op.kind == "cnot":

@@ -9,6 +9,7 @@ from mtqsim.adversary import (
     h2_plan,
     heuristic1_sigma_ranking,
     heuristic1_targets,
+    heuristic2_selection,
     heuristic2_targets,
 )
 from mtqsim.calibration import uniform_snapshot, synth_drift
@@ -67,6 +68,16 @@ def test_h2_maxmin_property():
         mine = min(d[sel[i]][s] for s in sel[:i])
         best = max(min(d[q][s] for s in sel[:i]) for q in DEG3_POOL if q not in sel[:i])
         assert mine == best
+
+
+def test_h2_selection_profiles():
+    g = hanoi27()
+    d = oracles.floyd_warshall(g.edge_list, 27)
+    selection = heuristic2_selection(g, 8)
+    assert [q for q, _ in selection] == heuristic2_targets(g, 8)
+    assert selection[:3] == [(1, ()), (25, (10,)), (14, (6, 4))]
+    for i, (q, profile) in enumerate(selection):
+        assert profile == tuple(d[q][s] for s, _ in selection[:i])
 
 
 def test_plan_validation():

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from strategies import graph_and_snapshot
 from mtqsim.allocation import (
     AllocationRequest,
     Partition,
+    ScoringContext,
     cfm,
     comdap_allocate,
     cri,
@@ -54,19 +58,21 @@ def test_cfm_monotone_under_overreport():
 
 def test_greedy_degenerate_size():
     g = hanoi27()
-    part = greedy_allocate(g, snap_uniform(g), AllocationRequest(1, tuple(range(27))))
+    ctx = ScoringContext(g, snap_uniform(g))
+    part = greedy_allocate(ctx, AllocationRequest(1, tuple(range(27))))
     assert part.members == (1,)
     assert part.score == pytest.approx(cfm(g, snap_uniform(g), 1))
 
 
 def test_greedy_p3():
-    part = greedy_allocate(P3, snap_uniform(P3), AllocationRequest(2, (0, 1, 2)))
+    part = greedy_allocate(ScoringContext(P3, snap_uniform(P3)), AllocationRequest(2, (0, 1, 2)))
     assert part.members == (1, 0)
 
 
 def test_greedy_hanoi_size4():
     g = hanoi27()
-    part = greedy_allocate(g, snap_uniform(g), AllocationRequest(4, tuple(range(27))))
+    ctx = ScoringContext(g, snap_uniform(g))
+    part = greedy_allocate(ctx, AllocationRequest(4, tuple(range(27))))
     assert len(part.members) == 4
     adj = oracles.adjacency(g.edge_list, 27)
     assert oracles.is_connected(adj, part.members)
@@ -76,7 +82,8 @@ def test_greedy_hanoi_size4():
 
 def test_greedy_failure_is_none():
     # available region around the best attractor too small
-    assert greedy_allocate(P3, snap_uniform(P3), AllocationRequest(2, (0, 2))) is None
+    ctx = ScoringContext(P3, snap_uniform(P3))
+    assert greedy_allocate(ctx, AllocationRequest(2, (0, 2))) is None
 
 
 def test_greedy_shift_invariance():
@@ -88,8 +95,8 @@ def test_greedy_shift_invariance():
     s1 = CalibrationSnapshot(0, cnot, read)
     s2 = CalibrationSnapshot(0, dict(cnot), {q: v + 0.07 for q, v in read.items()})
     for size in (3, 6, 9):
-        a = greedy_allocate(g, s1, AllocationRequest(size, tuple(range(27))))
-        b = greedy_allocate(g, s2, AllocationRequest(size, tuple(range(27))))
+        a = greedy_allocate(ScoringContext(g, s1), AllocationRequest(size, tuple(range(27))))
+        b = greedy_allocate(ScoringContext(g, s2), AllocationRequest(size, tuple(range(27))))
         assert a.members == b.members
 
 
@@ -181,7 +188,8 @@ def test_comdap_exact_size_branch():
     s = snap_uniform(g)
     communities = louvain(g, s, tuple(range(27)))
     for target in communities:
-        part = comdap_allocate(g, s, AllocationRequest(len(target), tuple(range(27))))
+        req = AllocationRequest(len(target), tuple(range(27)))
+        part = comdap_allocate(ScoringContext(g, s), req)
         assert tuple(sorted(part.members)) in communities
         assert len(part.members) == len(target)
         break
@@ -190,7 +198,7 @@ def test_comdap_exact_size_branch():
 def test_comdap_size_one():
     g = hanoi27()
     s = snap_uniform(g)
-    part = comdap_allocate(g, s, AllocationRequest(1, tuple(range(27))))
+    part = comdap_allocate(ScoringContext(g, s), AllocationRequest(1, tuple(range(27))))
     assert len(part.members) == 1
     q = part.members[0]
     best = max(range(27), key=lambda x: (cfm(g, s, x), -x))
@@ -203,7 +211,7 @@ def test_comdap_merged_allocation():
     communities = louvain(g, s, tuple(range(27)))
     biggest = max(len(c) for c in communities)
     size = biggest + 3
-    part = comdap_allocate(g, s, AllocationRequest(size, tuple(range(27))))
+    part = comdap_allocate(ScoringContext(g, s), AllocationRequest(size, tuple(range(27))))
     assert len(part.members) == size
     adj = oracles.adjacency(g.edge_list, 27)
     assert oracles.is_connected(adj, part.members)
@@ -220,12 +228,12 @@ def test_comdap_exact_extraction_matches_brute_force(monkeypatch):
     adj = oracles.adjacency(g.edge_list, 6)
 
     # comdap with its greedy extraction swapped for the exhaustive one
-    def exhaustive(graph, snap, pool, size):
-        return oracles.best_connected_subset(adj, pool, size, lambda sub: cri(graph, snap, sub))
+    def exhaustive(ctx, pool, size):
+        return oracles.best_connected_subset(adj, pool, size, ctx.cri)
 
     monkeypatch.setattr("mtqsim.allocation._expand_densest", exhaustive)
     for size in (2, 3, 4, 5):
-        part = comdap_allocate(g, s, AllocationRequest(size, tuple(range(6))))
+        part = comdap_allocate(ScoringContext(g, s), AllocationRequest(size, tuple(range(6))))
         best = max(
             oracles.connected_subsets(adj, range(6), size),
             key=lambda sub: cri(g, s, sub),
@@ -246,7 +254,7 @@ def test_allocators_valid_on_seeded_instances():
         size = int(rng.integers(1, n_avail + 1))
         req = AllocationRequest(size, available)
         for name in ("greedy", "comdap"):
-            part = get_allocator(name)(g, s, req)
+            part = get_allocator(name)(ScoringContext(g, s), req)
             if part is None:
                 continue
             assert len(part.members) == size
@@ -279,7 +287,11 @@ def test_comdap_succeeds_when_region_exists():
             comps.append(comp)
         biggest = max(len(c) for c in comps)
         size = int(rng.integers(1, 28))
-        part = comdap_allocate(g, s, AllocationRequest(min(size, 27), available)) if size <= len(available) else None
+        part = (
+            comdap_allocate(ScoringContext(g, s), AllocationRequest(min(size, 27), available))
+            if size <= len(available)
+            else None
+        )
         if size <= biggest:
             assert part is not None
         if part is not None:
@@ -296,6 +308,67 @@ def test_determinism():
     g = hanoi27()
     s = snap_uniform(g)
     req = AllocationRequest(6, tuple(range(27)))
-    assert greedy_allocate(g, s, req) == greedy_allocate(g, s, req)
-    assert comdap_allocate(g, s, req) == comdap_allocate(g, s, req)
+    ctx = ScoringContext(g, s)
+    assert greedy_allocate(ctx, req) == greedy_allocate(ScoringContext(g, s), req)
+    assert comdap_allocate(ctx, req) == comdap_allocate(ScoringContext(g, s), req)
     assert louvain(g, s, tuple(range(27))) == louvain(g, s, tuple(range(27)))
+
+
+@st.composite
+def allocation_case(draw):
+    """A random graph and snapshot plus a request that fits its available set."""
+    g, snap = draw(graph_and_snapshot())
+    available = tuple(sorted(draw(st.sets(st.integers(0, g.qubit_count - 1), min_size=1))))
+    size = draw(st.integers(1, len(available)))
+    return g, snap, AllocationRequest(size, available)
+
+
+PROPERTY_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY_SETTINGS
+@given(graph_and_snapshot())
+def test_context_scores_equal_free_functions(case):
+    g, snap = case
+    ctx = ScoringContext(g, snap)
+    adj = oracles.adjacency(g.edge_list, g.qubit_count)
+    for q in range(g.qubit_count):
+        assert ctx.cfm(q) == cfm(g, snap, q)
+    for size in range(1, g.qubit_count + 1):
+        for sub in oracles.connected_subsets(adj, range(g.qubit_count), size):
+            assert ctx.cri(sub) == cri(g, snap, sub)
+
+
+@PROPERTY_SETTINGS
+@given(allocation_case())
+def test_allocators_return_connected_available_subsets(case):
+    g, snap, req = case
+    adj = oracles.adjacency(g.edge_list, g.qubit_count)
+    for name in ("greedy", "comdap"):
+        part = get_allocator(name)(ScoringContext(g, snap), req)
+        if part is not None:
+            assert len(part.members) == req.size
+            assert set(part.members) <= set(req.available)
+            assert oracles.is_connected(adj, part.members)
+
+
+@PROPERTY_SETTINGS
+@given(allocation_case())
+def test_comdap_fails_only_without_a_large_enough_region(case):
+    g, snap, req = case
+    adj = oracles.adjacency(g.edge_list, g.qubit_count)
+    free = {q: adj[q] & set(req.available) for q in req.available}
+    biggest = max(len(oracles.bfs_distances(free, q)) for q in req.available)
+    part = comdap_allocate(ScoringContext(g, snap), req)
+    assert (part is None) == (biggest < req.size)
+
+
+def test_greedy_never_reads_the_device_term():
+    # two 3-qubit paths: the device is disconnected, so it has no CRI term
+    g = CouplingGraph(6, frozenset({(0, 1), (1, 2), (3, 4), (4, 5)}))
+    ctx = ScoringContext(g, snap_uniform(g))
+    part = greedy_allocate(ctx, AllocationRequest(3, tuple(range(6))))
+    assert part.members == (1, 0, 2)
+    assert "_device_term" not in vars(ctx)
+    with pytest.raises(ValueError, match="disconnected"):
+        ctx.cri((0, 1, 2))

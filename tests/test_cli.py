@@ -181,6 +181,11 @@ def test_malformed_data_exits_3(tmp_path, capsys):
     assert code == 3
     assert "data error" in capsys.readouterr().err
 
+    negative = tmp_path / "neg.csv"
+    negative.write_text("cycle,kind,subject,value\n-1,cnot,0-1,0.02\n-1,cnot,1-2,0.02\n")
+    assert main(["detect", "--calib", str(negative), "--windows", "0:3,3:6"]) == 3
+    assert capsys.readouterr().err == "data error: line 2: cycle -1 is negative\n"
+
     bad_qasm = tmp_path / "bad.qasm"
     bad_qasm.write_text("OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];\n")
     cfg = write_config(tmp_path, "q.json", workload={"qasm_files": ["bad.qasm"]})

@@ -1,9 +1,16 @@
+import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from strategies import graph_and_snapshot
+from mtqsim import allocation
+from mtqsim.allocation import ScoringContext
 from mtqsim.calibration import uniform_snapshot
+from mtqsim.experiment import dump_json, resolve_config, run_simulate
 from mtqsim.scheduler import ExperimentReport, Job, gen_workload, run_queue
 from mtqsim.topology import CouplingGraph, hanoi27
 from mtqsim.transpile import LogicalCircuit, MeasureGate, TwoQubitGate
@@ -121,3 +128,97 @@ def test_gen_workload_measures_every_qubit():
     for job in gen_workload(5, 2, 10, 3.0, 77):
         measured = {gt.qubit for gt in job.circuit.gates if isinstance(gt, MeasureGate)}
         assert measured == set(range(job.size))
+
+
+# sha256 of dump_json(report.to_dict()) for the baseline and attacked legs of
+# the 40-job preset (hanoi27, flat 2% errors, 2-10 qubits at density 2.0)
+PRESET_ATTACKS = {
+    "comdap": {"kind": "H1", "n": 3, "k": 0.15},
+    "greedy": {"kind": "H2", "ks": [0.15, 0.12, 0.10]},
+}
+PRESET_DIGESTS = {
+    ("comdap", 1): (
+        "e1620ea09e9d533dbd5ef77789b147d883befdd6205a9dea76a97f51559f95a8",
+        "b68faa645e81ba221b9ec9aa513cc4964a5508e3c224e56865b534c85605f9a7",
+    ),
+    ("comdap", 2): (
+        "d8389cb1cfbd1500fa64b0469831410dbc58afd56a7dd01df4326912d5ee1200",
+        "777c5266472985b5689bc1d1eb1563d43f8b8c3442cb0c6d3b89284f9f57ea64",
+    ),
+    ("comdap", 3): (
+        "264f4bf26a2eff1db594a2c11f7ed39ba7d8f07a6d0dcacf5a46d94e046b372b",
+        "ecbfa00a637bddff808bc03c21cfaa4c337912e68fb90b69a7a0e2d1fd5f9f4e",
+    ),
+    ("greedy", 1): (
+        "f40a1af03242cde62f120f53884f9c187f105aa4a0eb84fe3195e29d9ec70503",
+        "46b8bf82fd9510f6d89d72d3d6028f645edeea676b53a24c99ba3b3940e00889",
+    ),
+    ("greedy", 2): (
+        "13f9251f78c50b66c0b61544b6b6c9c487b8b7e18ce6b0d70b46a4cf636052af",
+        "8df07dcb4265ae4e854aed4333528407e09da3cc4038b96f9a3432fa79457a89",
+    ),
+    ("greedy", 3): (
+        "40290377b9ba27fedc4484d05b337f62aa7aa9f29b3bb0a7637209b6985794b2",
+        "b1826345463c8d7b7c27ff16e8cf03eb33a5db7ed0b41ab38ee230ac0c7a9747",
+    ),
+}
+
+
+@pytest.mark.parametrize("allocator, seed", sorted(PRESET_DIGESTS))
+def test_preset_reports_are_pinned(allocator, seed):
+    rc = resolve_config(
+        {
+            "topology": "hanoi27",
+            "errors": {"uniform": {"cnot": 0.02, "readout": 0.02}},
+            "allocator": allocator,
+            "attack": PRESET_ATTACKS[allocator],
+            "workload": {
+                "count": 40, "size_min": 2, "size_max": 10, "gate_density": 2.0, "seed": seed
+            },
+        }
+    )
+    res = run_simulate(rc)
+    got = tuple(
+        hashlib.sha256(dump_json(report.to_dict()).encode()).hexdigest()
+        for report in (res.baseline, res.attacked)
+    )
+    assert got == PRESET_DIGESTS[allocator, seed]
+
+
+@st.composite
+def queue_case(draw):
+    """A random graph and snapshot plus a workload of 1-12 jobs that fit the graph."""
+    g, snap = draw(graph_and_snapshot())
+    count, seed = draw(st.integers(1, 12)), draw(st.integers(0, 2**16))
+    return g, snap, gen_workload(count, 1, g.qubit_count, 1.0, seed)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(queue_case())
+def test_allocator_sees_each_distinct_request_once_per_run(case):
+    g, snap, jobs = case
+    for name in ("greedy", "comdap"):
+        real = allocation.ALLOCATORS[name]
+        calls = []
+
+        def spy(ctx, req):
+            calls.append((ctx, req))
+            return real(ctx, req)
+
+        allocation.ALLOCATORS[name] = spy
+        contexts = []
+        try:
+            for _ in range(2):
+                del calls[:]
+                report = run_queue(jobs, g, snap, snap, name)
+                requests = [req for _, req in calls]
+                assert len(requests) == len(set(requests))
+                contexts.append(calls[0][0])
+                assert all(ctx is contexts[-1] for ctx, _ in calls)
+                placed = sorted(jid for r in report.rounds for jid, _ in r.placed_jobs)
+                assert placed == sorted(j.id for j in jobs)
+        finally:
+            allocation.ALLOCATORS[name] = real
+        # each run scores through its own context
+        assert isinstance(contexts[0], ScoringContext)
+        assert contexts[0] is not contexts[1]

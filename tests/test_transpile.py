@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from mtqsim.allocation import ScoringContext
 from mtqsim.calibration import CalibrationSnapshot, uniform_snapshot
 from mtqsim.errors import DataError
 from mtqsim.topology import CouplingGraph, hanoi27
@@ -74,10 +75,10 @@ def test_qasm_round_trip():
 def test_initial_layout_trivial_and_busiest():
     s = uniform_snapshot(P3, 0.02, 0.01)
     one = parse_qasm_subset("qreg q[1];")
-    assert initial_layout(one, (2,), P3, s) == {0: 2}
+    assert initial_layout(one, (2,), ScoringContext(P3, s)) == {0: 2}
     # logical 0 participates in both cnots; physical 1 has the highest CFM
     c = parse_qasm_subset("qreg q[2]; cx q[0],q[1]; cx q[0],q[1];")
-    lay = initial_layout(c, (0, 1), P3, s)
+    lay = initial_layout(c, (0, 1), ScoringContext(P3, s))
     assert lay[0] == 1
     assert sorted(lay.values()) == [0, 1]
 
@@ -86,11 +87,11 @@ def test_initial_layout_bijection_and_mismatch():
     g = hanoi27()
     s = uniform_snapshot(g, 0.02, 0.02)
     c = parse_qasm_subset("qreg q[4]; cx q[0],q[1]; cx q[2],q[3];")
-    lay = initial_layout(c, (1, 2, 3, 4), g, s)
+    lay = initial_layout(c, (1, 2, 3, 4), ScoringContext(g, s))
     assert sorted(lay.keys()) == [0, 1, 2, 3]
     assert sorted(lay.values()) == [1, 2, 3, 4]
     with pytest.raises(ValueError):
-        initial_layout(c, (1, 2, 3), g, s)
+        initial_layout(c, (1, 2, 3), ScoringContext(g, s))
 
 
 def test_route_adjacent_pair():
@@ -143,7 +144,7 @@ def test_route_stays_on_edges_and_preserves_interactions():
         for q in range(size):
             gates.append(MeasureGate(q, q))
         c = LogicalCircuit(size, tuple(gates), size)
-        lay = initial_layout(c, tuple(members), g, s)
+        lay = initial_layout(c, tuple(members), ScoringContext(g, s))
         r = route(c, lay, tuple(members), g)
         for op in r.physical_ops:
             if op.kind == "cnot":
@@ -169,7 +170,7 @@ def test_depth_lower_bound():
     c = parse_qasm_subset(
         "qreg q[3]; cx q[0],q[1]; cx q[0],q[2]; cx q[0],q[1]; cx q[1],q[2];"
     )
-    lay = initial_layout(c, (11, 14, 16), g, s)
+    lay = initial_layout(c, (11, 14, 16), ScoringContext(g, s))
     r = route(c, lay, (11, 14, 16), g)
     per_qubit = {}
     for op in r.physical_ops:
