@@ -36,13 +36,13 @@ neighbors = sorted(
 print(f"misreport: +15% on qubits {targets}, applied to the last {N2} cycles")
 print(f"qubits sharing an attacked edge: {neighbors}")
 
-honest_runs = [synth_drift(base, g, N1 + N2, CV, 1000 + i) for i in range(60)]
-tau = calibrate_threshold(honest_runs, (0, N1), (N1, N1 + N2), g, bins=BINS, eps=EPS)
+honest_runs = (synth_drift(base, g, N1 + N2, CV, 1000 + i) for i in range(60))
+tau = calibrate_threshold(honest_runs, (0, N1), (N1, N1 + N2), bins=BINS, eps=EPS)
 print(f"threshold tau = {tau:.4f} (95th percentile of 60 honest runs)\n")
 
 series = synth_drift(base, g, N1 + N2, CV, 55)
 attacked = apply_misreport_series(series, plan, N1, N1 + N2)
-verdict = detect(attacked, (0, N1), (N1, N1 + N2), g, bins=BINS, eps=EPS, tau=tau)
+verdict = detect(attacked, (0, N1), (N1, N1 + N2), bins=BINS, eps=EPS, tau=tau)
 
 print("qubit  divergence  flagged")
 for q in sorted(verdict.divergence):
@@ -58,6 +58,6 @@ print(f"\nKL detector flagged: {sorted(verdict.flagged)}")
 outside = verdict.flagged - set(targets) - set(neighbors)
 print(f"flags outside the attacked neighborhood: {sorted(outside) or 'none'}")
 
-naive = naive_threshold_flags(attacked, g, rel_bound=0.15)
+naive = naive_threshold_flags(attacked, rel_bound=0.15)
 print(f"\nnaive +-15% bound check flagged {len(naive)}/27 qubits: {sorted(naive)}")
 print("(nearly everything: honest 30% drift crosses a 15% band all the time)")

@@ -43,6 +43,7 @@ from .defense import (
     calibrate_threshold,
     detect,
     kl_divergence,
+    matched_threshold,
     naive_threshold_flags,
 )
 from .errors import ConfigError, DataError

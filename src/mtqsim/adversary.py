@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .calibration import CalibrationSeries, CalibrationSnapshot
-from .topology import CouplingGraph, max_degree_qubits, path_stddev
+from .topology import CouplingGraph, Edge, max_degree_qubits, path_stddev
 
 H1 = "H1"
 H2 = "H2"
@@ -132,6 +134,23 @@ def h2_plan(g: CouplingGraph, ks: list[float]) -> MisreportPlan:
     return MisreportPlan(H2, targets)
 
 
+def _edge_factors(g: CouplingGraph, plan: MisreportPlan) -> dict[Edge, float]:
+    """The multiplier 1 + d of every edge incident to a target with delta d.
+
+    An edge incident to two targets takes the larger-magnitude delta. The
+    factor is floored at 0, as the [0, 1] clamp would do, so that numpy's
+    clip of a zero rate gives 0.0, as Python's max does, not -0.0.
+    """
+    for q, _ in plan.targets:
+        g._check_index(q)
+    delta: dict[Edge, float] = {}
+    for q, d in plan.targets:
+        for e in g.incident_edges(q):
+            if e not in delta or abs(d) > abs(delta[e]):
+                delta[e] = d
+    return {e: max(0.0, 1.0 + d) for e, d in delta.items()}
+
+
 def apply_misreport(
     true_snap: CalibrationSnapshot, g: CouplingGraph, plan: MisreportPlan | None
 ) -> CalibrationSnapshot:
@@ -142,22 +161,11 @@ def apply_misreport(
     is perturbed once, by the larger-magnitude delta. Readout errors pass
     through untouched, and the input snapshot is never modified.
     """
-    if plan is None:
-        return CalibrationSnapshot(
-            true_snap.cycle_id, dict(true_snap.cnot_error), dict(true_snap.readout_error)
-        )
-    for q, _ in plan.targets:
-        g._check_index(q)
-    factor: dict[tuple[int, int], float] = {}
-    for q, delta in plan.targets:
-        for e in g.incident_edges(q):
-            if e not in factor or abs(delta) > abs(factor[e]):
-                factor[e] = delta
-    cnot = {}
-    for e, val in true_snap.cnot_error.items():
-        if e in factor:
-            val = min(1.0, max(0.0, val * (1.0 + factor[e])))
-        cnot[e] = val
+    factor = {} if plan is None else _edge_factors(g, plan)
+    cnot = {
+        e: min(1.0, max(0.0, val * factor[e])) if e in factor else val
+        for e, val in true_snap.cnot_error.items()
+    }
     return CalibrationSnapshot(true_snap.cycle_id, cnot, dict(true_snap.readout_error))
 
 
@@ -167,10 +175,14 @@ def apply_misreport_series(
     cycle_lo: int,
     cycle_hi: int,
 ) -> CalibrationSeries:
-    """Apply a plan to every snapshot with cycle_lo <= cycle_id < cycle_hi."""
-    snaps = (
-        apply_misreport(s, series.graph, plan) if cycle_lo <= s.cycle_id < cycle_hi else s
-        for s in series
-    )
-    return CalibrationSeries.from_snapshots(series.graph, snaps)
+    """Apply a plan to every cycle with cycle_lo <= cycle_id < cycle_hi.
 
+    Each of those rows equals apply_misreport of its cycle's snapshot.
+    """
+    g = series.graph
+    rows = series.cycle_slice(cycle_lo, cycle_hi)
+    cnot = series.cnot_error.copy()
+    for e, f in _edge_factors(g, plan).items():
+        j = g.edge_list.index(e)
+        cnot[rows, j] = np.clip(cnot[rows, j] * f, 0.0, 1.0)
+    return CalibrationSeries(g, series.cycle_ids, cnot, series.readout_error)

@@ -113,10 +113,15 @@ class CalibrationSeries:
 
     def __iter__(self) -> Iterator[CalibrationSnapshot]:
         """One dict-shaped snapshot view per cycle, in cycle order."""
-        edges, qubits = self.graph.edge_list, range(self.graph.qubit_count)
-        rows = zip(self.cycle_ids, self.cnot_error.tolist(), self.readout_error.tolist())
-        for cycle_id, cnot, readout in rows:
-            yield CalibrationSnapshot(cycle_id, dict(zip(edges, cnot)), dict(zip(qubits, readout)))
+        return map(self.snapshot, range(len(self)))
+
+    def snapshot(self, row: int) -> CalibrationSnapshot:
+        """A fresh dict-shaped snapshot view of one row."""
+        return CalibrationSnapshot(
+            self.cycle_ids[row],
+            dict(zip(self.graph.edge_list, self.cnot_error[row].tolist())),
+            dict(enumerate(self.readout_error[row].tolist())),
+        )
 
     def cycle_slice(self, lo: int, hi: int) -> slice:
         """The rows whose cycle ids satisfy lo <= cycle_id < hi, as a slice."""
@@ -197,14 +202,14 @@ def synth_drift(
     )
 
 
-def fluctuation_percent(series: CalibrationSeries, g: CouplingGraph, q: int) -> float:
+def fluctuation_percent(series: CalibrationSeries, q: int) -> float:
     """Coefficient of variation of avg_cnot_error(q) across cycles, in percent.
 
     Population standard deviation over the series mean, times 100.
     """
     if len(series) < 2:
         raise ValueError("fluctuation needs at least 2 cycles")
-    g._check_index(q)
+    series.graph._check_index(q)
     vals = series.mean_cnot_error[:, q]
     mean = float(np.mean(vals))
     if mean == 0.0:

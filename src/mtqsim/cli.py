@@ -18,19 +18,14 @@ import sys
 from pathlib import Path
 
 from .adversary import H1, heuristic1_sigma_ranking, heuristic2_selection
-from .calibration import (
-    CalibrationSeries,
-    CalibrationSnapshot,
-    fluctuation_percent,
-    load_calibration_csv,
-    synth_drift,
-)
+from .calibration import load_calibration_csv
 from .defense import (
     DEFAULT_BINS,
+    DEFAULT_CALIBRATION_RUNS,
     DEFAULT_EPS,
     DEFAULT_PERCENTILE,
-    calibrate_threshold,
     detect,
+    matched_threshold,
 )
 from .errors import ConfigError, DataError
 from .experiment import (
@@ -51,9 +46,6 @@ from .experiment import (
     write_workload,
 )
 from .scheduler import gen_workload
-
-CALIBRATION_SEED_BASE = 1000
-DEFAULT_CALIBRATION_RUNS = 60
 
 
 def parse_attack_spec(spec: str) -> str | dict:
@@ -209,36 +201,13 @@ def cmd_detect(args: argparse.Namespace) -> int:
         tau = args.tau
         tau_source = "explicit"
     else:
-        # Calibrate against synthetic honest drift matched to the historical
-        # window: same per-edge mean level, same per-qubit fluctuation scale.
-        rows = series.cycle_slice(*window1)
-        n1 = len(series.cycle_ids[rows])
-        if n1 < 2:
-            raise ConfigError("window1 too short to calibrate a threshold from")
-        hist_series = CalibrationSeries(
-            g, series.cycle_ids[rows], series.cnot_error[rows], series.readout_error[rows]
-        )
-        cnot = {e: sum(col) / n1 for e, col in zip(g.edge_list, hist_series.cnot_error.T.tolist())}
-        readout = dict(enumerate(hist_series.readout_error[0].tolist()))
-        base = CalibrationSnapshot(0, cnot, readout)
-        if args.calibration_cv is not None:
-            cv = args.calibration_cv
-        else:
-            cv = sum(
-                fluctuation_percent(hist_series, g, q) for q in range(g.qubit_count)
-            ) / (100.0 * g.qubit_count)
-        n2 = len(series.cycle_ids[series.cycle_slice(*window2)])
-        runs = [
-            synth_drift(base, g, n1 + n2, cv, seed)
-            for seed in range(CALIBRATION_SEED_BASE, CALIBRATION_SEED_BASE + args.calibration_runs)
-        ]
-        tau = calibrate_threshold(
-            runs, (0, n1), (n1, n1 + n2), g, bins=args.bins, eps=args.eps,
-            percentile=args.percentile,
+        tau, cv = matched_threshold(
+            series, window1, window2, runs=args.calibration_runs, cv=args.calibration_cv,
+            bins=args.bins, eps=args.eps, percentile=args.percentile,
         )
         tau_source = f"synthetic honest drift (cv={cv:.4f}, {args.calibration_runs} runs)"
 
-    verdict = detect(series, window1, window2, g, bins=args.bins, eps=args.eps, tau=tau)
+    verdict = detect(series, window1, window2, bins=args.bins, eps=args.eps, tau=tau)
     doc = {
         "tau": verdict.tau,
         "params": {

@@ -7,6 +7,9 @@ range, smoothed, and compared by KL divergence with the historical window as
 the reference distribution. Qubits whose divergence exceeds a threshold
 calibrated on honest runs are flagged.
 
+matched_threshold calibrates that threshold on synthetic honest drift
+matched to the historical window of the series under audit.
+
 A naive alternative that just bounds per-cycle deviation is included because
 it fails instructively: natural drift at a 30% coefficient of variation
 blows through a 15% deviation bound on most qubits, so a bound tight enough
@@ -21,14 +24,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .calibration import CalibrationSeries
-from .topology import CouplingGraph
+from .calibration import CalibrationSeries, CalibrationSnapshot, fluctuation_percent, synth_drift
 
 DEFAULT_BINS = 10
 DEFAULT_EPS = 1e-9
 DEFAULT_PERCENTILE = 95.0
 MIN_WINDOW_CYCLES = 3
 MIN_CALIBRATION_RUNS = 30
+DEFAULT_CALIBRATION_RUNS = 60
+CALIBRATION_SEED_BASE = 1000
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,6 @@ def _check_windows(
     series: CalibrationSeries, window1: tuple[int, int], window2: tuple[int, int]
 ) -> None:
     for name, (lo, hi) in (("window1", window1), ("window2", window2)):
-        if hi <= lo:
-            raise ValueError(f"{name} range [{lo}, {hi}) is empty")
         n = len(series.cycle_ids[series.cycle_slice(lo, hi)])
         if n < MIN_WINDOW_CYCLES:
             raise ValueError(
@@ -115,7 +117,6 @@ def _check_windows(
 
 def qubit_divergence(
     series: CalibrationSeries,
-    g: CouplingGraph,
     q: int,
     window1: tuple[int, int],
     window2: tuple[int, int],
@@ -129,7 +130,7 @@ def qubit_divergence(
     """
     if bins < 1:
         raise ValueError(f"bins must be positive, got {bins}")
-    g._check_index(q)
+    series.graph._check_index(q)
     errors = series.mean_cnot_error[:, q]
     s1 = errors[series.cycle_slice(*window1)]
     s2 = errors[series.cycle_slice(*window2)]
@@ -147,7 +148,6 @@ def detect(
     series: CalibrationSeries,
     window1: tuple[int, int],
     window2: tuple[int, int],
-    g: CouplingGraph,
     bins: int = DEFAULT_BINS,
     eps: float = DEFAULT_EPS,
     tau: float = 0.0,
@@ -160,8 +160,8 @@ def detect(
     """
     _check_windows(series, window1, window2)
     divergence = {
-        q: qubit_divergence(series, g, q, window1, window2, bins, eps)
-        for q in range(g.qubit_count)
+        q: qubit_divergence(series, q, window1, window2, bins, eps)
+        for q in range(series.graph.qubit_count)
     }
     flagged = frozenset(q for q, d in divergence.items() if d > tau)
     return DetectionVerdict(divergence=divergence, tau=tau, flagged=flagged)
@@ -171,7 +171,6 @@ def calibrate_threshold(
     honest_runs: Iterable[CalibrationSeries],
     window1: tuple[int, int],
     window2: tuple[int, int],
-    g: CouplingGraph,
     bins: int = DEFAULT_BINS,
     eps: float = DEFAULT_EPS,
     percentile: float = DEFAULT_PERCENTILE,
@@ -179,27 +178,68 @@ def calibrate_threshold(
     """Pool per-qubit divergences over honest runs; return the given percentile.
 
     Requires at least MIN_CALIBRATION_RUNS runs so the pooled tail is
-    populated. Uses linear interpolation between order statistics.
+    populated. Uses linear interpolation between order statistics. Reads
+    honest_runs once, so a generator keeps one run alive at a time.
     """
+    if not (0.0 <= percentile <= 100.0):
+        raise ValueError(f"percentile must be in [0, 100], got {percentile}")
     pool: list[float] = []
     n_runs = 0
     for series in honest_runs:
         _check_windows(series, window1, window2)
         n_runs += 1
-        for q in range(g.qubit_count):
-            pool.append(qubit_divergence(series, g, q, window1, window2, bins, eps))
+        for q in range(series.graph.qubit_count):
+            pool.append(qubit_divergence(series, q, window1, window2, bins, eps))
     if n_runs < MIN_CALIBRATION_RUNS:
         raise ValueError(
             f"threshold calibration needs >= {MIN_CALIBRATION_RUNS} honest runs, got {n_runs}"
         )
-    if not (0.0 <= percentile <= 100.0):
-        raise ValueError(f"percentile must be in [0, 100], got {percentile}")
     return float(np.percentile(np.asarray(pool), percentile))
+
+
+def matched_threshold(
+    series: CalibrationSeries,
+    window1: tuple[int, int],
+    window2: tuple[int, int],
+    runs: int = DEFAULT_CALIBRATION_RUNS,
+    cv: float | None = None,
+    bins: int = DEFAULT_BINS,
+    eps: float = DEFAULT_EPS,
+    percentile: float = DEFAULT_PERCENTILE,
+) -> tuple[float, float]:
+    """Calibrate detect's tau for series on synthetic honest drift; return (tau, cv).
+
+    Each run drifts (synth_drift) around a base whose CNOT error on every
+    edge is that edge's mean over window1 and whose readout errors are
+    window1's first cycle. cv, when None, is estimated as the mean over
+    qubits of fluctuation_percent on window1, divided by 100. Run i uses seed
+    CALIBRATION_SEED_BASE + i and spans window1's cycle count, then
+    window2's. tau is calibrate_threshold over the runs.
+    """
+    _check_windows(series, window1, window2)
+    g = series.graph
+    rows = series.cycle_slice(*window1)
+    history = CalibrationSeries(
+        g, series.cycle_ids[rows], series.cnot_error[rows], series.readout_error[rows]
+    )
+    n1, n2 = len(history), len(series.cycle_ids[series.cycle_slice(*window2)])
+    cnot = {e: sum(col) / n1 for e, col in zip(g.edge_list, history.cnot_error.T.tolist())}
+    base = CalibrationSnapshot(0, cnot, dict(enumerate(history.readout_error[0].tolist())))
+    if cv is None:
+        qubits = range(g.qubit_count)
+        cv = sum(fluctuation_percent(history, q) for q in qubits) / (100.0 * len(qubits))
+    honest_runs = (
+        synth_drift(base, g, n1 + n2, cv, seed)
+        for seed in range(CALIBRATION_SEED_BASE, CALIBRATION_SEED_BASE + runs)
+    )
+    tau = calibrate_threshold(
+        honest_runs, (0, n1), (n1, n1 + n2), bins=bins, eps=eps, percentile=percentile
+    )
+    return tau, cv
 
 
 def naive_threshold_flags(
     series: CalibrationSeries,
-    g: CouplingGraph,
     rel_bound: float = 0.15,
 ) -> frozenset[int]:
     """Flag qubits whose per-cycle error ever strays more than rel_bound from
@@ -212,7 +252,7 @@ def naive_threshold_flags(
     if len(series) < 2:
         raise ValueError("naive detector needs at least 2 cycles")
     flagged = set()
-    for q in range(g.qubit_count):
+    for q in range(series.graph.qubit_count):
         vals = series.mean_cnot_error[:, q]
         m = float(np.mean(vals))
         if m == 0.0:

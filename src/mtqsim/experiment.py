@@ -95,10 +95,12 @@ def resolve_errors(spec: Any, g: CouplingGraph, base_dir: Path) -> CalibrationSn
     if "file" in spec:
         series = load_calibration_csv(_read_config_file(base_dir, spec["file"]), g)
         cycle = spec.get("cycle", series.cycle_ids[0])
-        for snap in series:
-            if snap.cycle_id == cycle:
-                return snap
-        raise ConfigError(f"cycle {cycle} not present in {spec['file']}")
+        if not isinstance(cycle, int) or isinstance(cycle, bool):
+            raise ConfigError(f"errors cycle must be an integer, got {cycle!r}")
+        rows = series.cycle_slice(cycle, cycle + 1)
+        if rows.start == rows.stop:
+            raise ConfigError(f"cycle {cycle} not present in {spec['file']}")
+        return series.snapshot(rows.start)
     if "cnot" in spec and "readout" in spec:
         if not (isinstance(spec["cnot"], dict) and isinstance(spec["readout"], dict)):
             raise ConfigError("inline 'cnot' and 'readout' error models must be objects")

@@ -313,7 +313,7 @@ def test_criterion_09b_detector_power(hanoi):
     w1, w2 = (0, n1), (n1, n1 + n2)
     bins, eps, cv = 3, 0.1, 0.30
     cal = [synth_drift(base, hanoi, n1 + n2, cv, 1000 + i) for i in range(60)]
-    tau = calibrate_threshold(cal, w1, w2, hanoi, bins=bins, eps=eps)
+    tau = calibrate_threshold(cal, w1, w2, bins=bins, eps=eps)
     plan = h1_plan(hanoi, 3, 0.15)
     targets = {q for q, _ in plan.targets}
     hits = 0
@@ -322,11 +322,11 @@ def test_criterion_09b_detector_power(hanoi):
     trials = 500
     for t in range(trials):
         honest = synth_drift(base, hanoi, n1 + n2, cv, 2000 + t)
-        hv = detect(honest, w1, w2, hanoi, bins=bins, eps=eps, tau=tau)
+        hv = detect(honest, w1, w2, bins=bins, eps=eps, tau=tau)
         fp += len(hv.flagged)
         honest_tests += 27
         attacked = apply_misreport_series(honest, plan, n1, n1 + n2)
-        av = detect(attacked, w1, w2, hanoi, bins=bins, eps=eps, tau=tau)
+        av = detect(attacked, w1, w2, bins=bins, eps=eps, tau=tau)
         hits += targets <= av.flagged
     rate = hits / trials
     fpr = fp / honest_tests
@@ -345,7 +345,7 @@ def test_criterion_09c_naive_detector_fails(hanoi):
     fracs = []
     for seed in (1, 2, 3, 4, 5):
         series = synth_drift(base, hanoi, 14, 0.30, seed)
-        fracs.append(len(naive_threshold_flags(series, hanoi, rel_bound=0.15)) / 27)
+        fracs.append(len(naive_threshold_flags(series, rel_bound=0.15)) / 27)
     ok = all(f > 0.5 for f in fracs)
     assert verdict(
         "9c",

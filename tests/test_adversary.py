@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from strategies import graph_and_series
 from mtqsim.adversary import (
     MisreportPlan,
     apply_misreport,
@@ -12,7 +15,7 @@ from mtqsim.adversary import (
     heuristic2_selection,
     heuristic2_targets,
 )
-from mtqsim.calibration import uniform_snapshot, synth_drift
+from mtqsim.calibration import CalibrationSeries, uniform_snapshot, synth_drift
 from mtqsim.topology import CouplingGraph, hanoi27
 
 P3 = CouplingGraph(3, frozenset({(0, 1), (1, 2)}))
@@ -166,3 +169,37 @@ def test_apply_misreport_series_window():
         )
         assert touched == (6 <= before.cycle_id < 10)
 
+
+@st.composite
+def plans(draw, g):
+    """An H1 or H2 plan over distinct qubits of g, magnitudes in [0.01, 2]."""
+    qubits = draw(st.lists(st.integers(0, g.qubit_count - 1), min_size=1, unique=True))
+    mags = draw(st.lists(st.floats(0.01, 2.0), min_size=len(qubits), max_size=len(qubits), unique=True))
+    mags.sort(reverse=True)
+    if draw(st.booleans()):
+        return MisreportPlan("H1", tuple(zip(qubits, mags)))
+    return MisreportPlan("H2", tuple((q, -m) for q, m in zip(qubits, mags)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=graph_and_series(), data=st.data())
+def test_apply_misreport_series_matches_per_snapshot(case, data):
+    """The column scale equals apply_misreport on each in-range snapshot view,
+    for ranges that cover some, all or none of the cycles."""
+    g, series = case
+    plan = data.draw(plans(g))
+    lo, hi = data.draw(st.integers(-2, 22)), data.draw(st.integers(-2, 22))
+    cnot_before, readout_before = series.cnot_error.copy(), series.readout_error.copy()
+    got = apply_misreport_series(series, plan, lo, hi)
+    want = CalibrationSeries.from_snapshots(
+        g, (apply_misreport(s, g, plan) if lo <= s.cycle_id < hi else s for s in series)
+    )
+    assert got.cycle_ids == series.cycle_ids
+    assert (got.cnot_error == want.cnot_error).all()
+    # bit for bit, so a -0.0 in place of 0.0 would show
+    assert got.cnot_error.tobytes() == want.cnot_error.tobytes()
+    outside = [i for i, c in enumerate(series.cycle_ids) if not lo <= c < hi]
+    assert (got.cnot_error[outside] == series.cnot_error[outside]).all()
+    assert (got.readout_error == series.readout_error).all()
+    assert (series.cnot_error == cnot_before).all()
+    assert (series.readout_error == readout_before).all()

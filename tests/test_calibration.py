@@ -133,11 +133,11 @@ def test_fluctuation_percent():
     a = snap(0, {(0, 1): 0.01, (1, 2): 0.01}, {0: 0.1, 1: 0.1, 2: 0.1})
     b = snap(1, {(0, 1): 0.03, (1, 2): 0.03}, {0: 0.1, 1: 0.1, 2: 0.1})
     series = CalibrationSeries.from_snapshots(P3, (a, b))
-    assert fluctuation_percent(series, P3, 1) == pytest.approx(50.0, abs=1e-9)
+    assert fluctuation_percent(series, 1) == pytest.approx(50.0, abs=1e-9)
     const = CalibrationSeries.from_snapshots(
         P3, (a, snap(1, {(0, 1): 0.01, (1, 2): 0.01}, {0: 0.1, 1: 0.1, 2: 0.1}))
     )
-    assert fluctuation_percent(const, P3, 0) == 0.0
+    assert fluctuation_percent(const, 0) == 0.0
 
 
 def test_fluctuation_tracks_cv():
@@ -156,7 +156,7 @@ def test_fluctuation_tracks_cv():
     q_means = []
     for seed in (11, 12, 13, 14, 15):
         series = synth_drift(base, g, 14, 0.30, seed)
-        percents = [fluctuation_percent(series, g, q) for q in range(27)]
+        percents = [fluctuation_percent(series, q) for q in range(27)]
         q_means.append(np.mean(percents))
         d1_vals.extend(percents[q] for q in deg1)
     assert 20.0 <= np.mean(d1_vals) <= 40.0

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -7,15 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtqsim import defense
+from mtqsim.adversary import apply_misreport_series, h1_plan
 from mtqsim.calibration import (
     CalibrationSeries,
+    load_calibration_csv,
     synth_drift,
     uniform_snapshot,
     write_calibration_csv,
 )
 from mtqsim.cli import main, parse_attack_spec, parse_seed_list, parse_windows
 from mtqsim.errors import ConfigError
-from mtqsim.experiment import SWEEP_COLUMNS
+from mtqsim.experiment import SWEEP_COLUMNS, resolve_errors
 from mtqsim.topology import hanoi27, write_edge_list
 
 
@@ -313,6 +317,88 @@ def test_detect_cli_explicit_tau(tmp_path):
     assert doc["params"]["tau_source"] == "explicit"
 
 
+@pytest.fixture(scope="module")
+def audit_dir(tmp_path_factory):
+    """420 cycles of cv 0.30 drift with H1 n=3, k=0.15 on cycles 336-419."""
+    d = tmp_path_factory.mktemp("audit")
+    g = hanoi27()
+    series = synth_drift(uniform_snapshot(g, 0.02, 0.02), g, 420, 0.30, 5)
+    attacked = apply_misreport_series(series, h1_plan(g, 3, 0.15), 336, 420)
+    (d / "audit.csv").write_text(write_calibration_csv(attacked))
+    return d
+
+
+# sha256 of the --out verdict JSON and of stdout for detect on audit.csv
+DETECT_DIGESTS = {
+    "calibrated": (
+        ["--calibration-runs", "30"],
+        (
+            "483d29553b9b482840e3afbfcf69c42196033fbac59da17820aea682aca48c01",
+            "48e7468d9145012ef2efd23c1e32c4242d5cde4afa1024830e7ab660ea31ea28",
+        ),
+    ),
+    "calibrated-cv-0.25": (
+        ["--calibration-cv", "0.25", "--calibration-runs", "30"],
+        (
+            "1bf638e23e3ae097059b5a49623b9935f3fe1d77b1582990acdaa971bfbd1627",
+            "c7efe6e8a27472e6e39c2aeba1a9e0001aea12384e38859271c6b346d0d67a02",
+        ),
+    ),
+    "explicit-tau": (
+        ["--tau", "0.05"],
+        (
+            "0c2c58c26bf0e48a7551b2f5e8894ad69bcd236e5df23215c1d8d35b28d1f87f",
+            "ef383d1535d4ac96d9ab99043e61a551a1e20cb26932d00c6744bb48106d4a37",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DETECT_DIGESTS))
+def test_detect_reports_are_pinned(case, audit_dir, monkeypatch, capsys):
+    flags, digests = DETECT_DIGESTS[case]
+    monkeypatch.chdir(audit_dir)
+    argv = ["detect", "--calib", "audit.csv", "--windows", "0:336,336:420",
+            "--bins", "3", "--eps", "0.1", *flags, "--out", f"{case}.json"]
+    assert main(argv) == 0
+    got = tuple(
+        hashlib.sha256(data).hexdigest()
+        for data in ((audit_dir / f"{case}.json").read_bytes(), capsys.readouterr().out.encode())
+    )
+    assert got == digests
+
+
+# inputs detect rejects before it draws a synthetic honest run
+EARLY_ERRORS = {
+    "window2-past-the-series": (["--windows", "0:336,500:600"], "window2 covers 0 cycles"),
+    "overlapping-windows": (["--windows", "0:336,300:420"], "overlap"),
+    "percentile-150": (["--windows", "0:336,336:420", "--percentile", "150"], "percentile"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EARLY_ERRORS))
+def test_detect_rejects_bad_input_before_calibrating(case, audit_dir, monkeypatch, capsys):
+    flags, message = EARLY_ERRORS[case]
+    calls = []
+    monkeypatch.setattr(defense, "synth_drift", lambda *args: calls.append(args))
+    assert main(["detect", "--calib", str(audit_dir / "audit.csv"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error:")
+    assert message in err
+    assert calls == []
+
+
+def test_errors_file_cycle_selects_that_cycle(tmp_path):
+    g = hanoi27()
+    calib = write_honest_calib(tmp_path / "cal.csv")
+    views = list(load_calibration_csv(calib.read_text(), g))
+    assert resolve_errors({"file": "cal.csv"}, g, tmp_path) == views[0]
+    assert resolve_errors({"file": "cal.csv", "cycle": 3}, g, tmp_path) == views[3]
+    with pytest.raises(ConfigError, match="cycle 14 not present"):
+        resolve_errors({"file": "cal.csv", "cycle": 14}, g, tmp_path)
+
+
 # two 3-qubit paths: no connected region holds 4 qubits, and comdap's
 # whole-device CRI term is undefined
 TWO_PATHS = {"qubits": 6, "edges": [[0, 1], [1, 2], [3, 4], [4, 5]]}
@@ -359,11 +445,14 @@ MALFORMED = {
     "qasm-files-number": {"workload": {"qasm_files": 3}},
     "circuits-number": {"workload": {"circuits": 3}},
     "circuit-qasm-number": {"workload": {"circuits": [{"id": [1], "qasm": 5}]}},
+    "errors-cycle-bool": {"errors": {"file": "cal.csv", "cycle": True}},
+    "errors-cycle-string": {"errors": {"file": "cal.csv", "cycle": "3"}},
 }
 
 
 @pytest.mark.parametrize("overrides", list(MALFORMED.values()), ids=list(MALFORMED))
 def test_malformed_config_shapes_exit_2_without_traceback(overrides, tmp_path, capsys):
+    write_honest_calib(tmp_path / "cal.csv")
     cfg = write_config(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err

@@ -78,7 +78,7 @@ def test_detect_identical_windows_all_zero(hanoi):
         for s in snaps
     ]
     series = CalibrationSeries.from_snapshots(hanoi, snaps + mirrored)
-    verdict = detect(series, (0, 5), (5, 10), hanoi, bins=5, eps=1e-9, tau=0.0)
+    verdict = detect(series, (0, 5), (5, 10), bins=5, eps=1e-9, tau=0.0)
     assert all(d == pytest.approx(0.0, abs=1e-9) for d in verdict.divergence.values())
     assert verdict.flagged == frozenset()
 
@@ -86,7 +86,7 @@ def test_detect_identical_windows_all_zero(hanoi):
 def test_detect_constant_series_zero(hanoi):
     base = uniform_snapshot(hanoi, 0.02, 0.02)
     series = synth_drift(base, hanoi, 10, 1e-12, 3)
-    verdict = detect(series, (0, 5), (5, 10), hanoi, bins=5, eps=1e-9, tau=0.0)
+    verdict = detect(series, (0, 5), (5, 10), bins=5, eps=1e-9, tau=0.0)
     assert all(d == 0.0 for d in verdict.divergence.values())
 
 
@@ -94,9 +94,9 @@ def test_detect_window_validation(hanoi):
     base = uniform_snapshot(hanoi, 0.02, 0.02)
     series = synth_drift(base, hanoi, 10, 0.3, 3)
     with pytest.raises(ValueError):
-        detect(series, (0, 2), (2, 10), hanoi)  # too short
+        detect(series, (0, 2), (2, 10))  # too short
     with pytest.raises(ValueError):
-        detect(series, (0, 6), (4, 10), hanoi)  # overlap
+        detect(series, (0, 6), (4, 10))  # overlap
 
 
 def test_detect_order_free_within_window(hanoi):
@@ -110,8 +110,8 @@ def test_detect_order_free_within_window(hanoi):
         + snaps[7:]
     )
     series2 = CalibrationSeries.from_snapshots(hanoi, shuffled)
-    v1 = detect(series, (0, 7), (7, 14), hanoi, bins=5, eps=1e-9, tau=0.0)
-    v2 = detect(series2, (0, 7), (7, 14), hanoi, bins=5, eps=1e-9, tau=0.0)
+    v1 = detect(series, (0, 7), (7, 14), bins=5, eps=1e-9, tau=0.0)
+    v2 = detect(series2, (0, 7), (7, 14), bins=5, eps=1e-9, tau=0.0)
     for q in range(27):
         assert v1.divergence[q] == pytest.approx(v2.divergence[q], abs=1e-12)
 
@@ -119,30 +119,30 @@ def test_detect_order_free_within_window(hanoi):
 def test_calibrate_threshold_examples(hanoi):
     base = uniform_snapshot(hanoi, 0.02, 0.02)
     runs = [synth_drift(base, hanoi, 14, 0.30, 3000 + i) for i in range(30)]
-    tau95 = calibrate_threshold(runs, (0, 7), (7, 14), hanoi, bins=5, eps=1e-9)
+    tau95 = calibrate_threshold(runs, (0, 7), (7, 14), bins=5, eps=1e-9)
     pool = [
-        qubit_divergence(s, hanoi, q, (0, 7), (7, 14), bins=5, eps=1e-9)
+        qubit_divergence(s, q, (0, 7), (7, 14), bins=5, eps=1e-9)
         for s in runs
         for q in range(27)
     ]
     assert tau95 == pytest.approx(oracles.percentile_linear(pool, 95.0), abs=1e-12)
     tau100 = calibrate_threshold(
-        runs, (0, 7), (7, 14), hanoi, bins=5, eps=1e-9, percentile=100.0
+        runs, (0, 7), (7, 14), bins=5, eps=1e-9, percentile=100.0
     )
     assert tau100 == pytest.approx(max(pool), abs=1e-15)
     with pytest.raises(ValueError):
-        calibrate_threshold(runs[:29], (0, 7), (7, 14), hanoi)
+        calibrate_threshold(runs[:29], (0, 7), (7, 14))
 
 
 def test_honest_false_positive_rate_near_design_point(hanoi):
     """tau at the 95th percentile flags about 5% of honest qubit-tests."""
     base = uniform_snapshot(hanoi, 0.02, 0.02)
     cal = [synth_drift(base, hanoi, 14, 0.30, 4000 + i) for i in range(40)]
-    tau = calibrate_threshold(cal, (0, 7), (7, 14), hanoi, bins=5, eps=1e-9)
+    tau = calibrate_threshold(cal, (0, 7), (7, 14), bins=5, eps=1e-9)
     flagged = total = 0
     for t in range(40):
         s = synth_drift(base, hanoi, 14, 0.30, 6000 + t)
-        v = detect(s, (0, 7), (7, 14), hanoi, bins=5, eps=1e-9, tau=tau)
+        v = detect(s, (0, 7), (7, 14), bins=5, eps=1e-9, tau=tau)
         flagged += len(v.flagged)
         total += 27
     assert flagged / total <= 0.10
@@ -152,7 +152,7 @@ def test_detection_rate_monotone_in_shift(hanoi):
     base = uniform_snapshot(hanoi, 0.02, 0.02)
     W = 28
     cal = [synth_drift(base, hanoi, 2 * W, 0.30, 5000 + i) for i in range(40)]
-    tau = calibrate_threshold(cal, (0, W), (W, 2 * W), hanoi, bins=5, eps=0.05)
+    tau = calibrate_threshold(cal, (0, W), (W, 2 * W), bins=5, eps=0.05)
     rates = []
     for delta in (0.05, 0.10, 0.15):
         plan = MisreportPlan(
@@ -163,7 +163,7 @@ def test_detection_rate_monotone_in_shift(hanoi):
         for t in range(trials):
             s = synth_drift(base, hanoi, 2 * W, 0.30, 9000 + t)
             att = apply_misreport_series(s, plan, W, 2 * W)
-            v = detect(att, (0, W), (W, 2 * W), hanoi, bins=5, eps=0.05, tau=tau)
+            v = detect(att, (0, W), (W, 2 * W), bins=5, eps=0.05, tau=tau)
             hits += all(q in v.flagged for q in (12, 14, 8))
         rates.append(hits / trials)
     assert rates[0] <= rates[1] <= rates[2]
@@ -175,5 +175,5 @@ def test_naive_threshold_detector_fails_on_honest_drift(hanoi):
     base = uniform_snapshot(hanoi, 0.02, 0.02)
     for seed in (1, 2, 3):
         series = synth_drift(base, hanoi, 14, 0.30, seed)
-        flagged = naive_threshold_flags(series, hanoi, rel_bound=0.15)
+        flagged = naive_threshold_flags(series, rel_bound=0.15)
         assert len(flagged) > 27 / 2
