@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .calibration import CalibrationSnapshot, avg_cnot_error
-from .topology import CouplingGraph, compactness, degree, density, subset_members
+from .topology import CouplingGraph, bfs_tree, compactness, degree, density, subset_members
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,34 @@ def _best_by_cfm(ctx: ScoringContext, qubits) -> int:
     return min(qubits, key=lambda q: (-ctx.cfm(q), q))
 
 
+def _grow(
+    ctx: ScoringContext, pool: Sequence[int], size: int, rank: Callable[[int, set[int]], tuple]
+) -> tuple[int, ...] | None:
+    """Grow a connected subset of `size` pool qubits from the pool's highest-CFM qubit.
+
+    Each step adds the frontier qubit (a pool qubit adjacent to the subset)
+    with the least rank(q, chosen). Members are returned in the order they
+    joined; None if the seed's connected region of the pool is too small.
+    """
+    if size > len(pool):
+        return None
+    g = ctx.graph
+    pool_set = set(pool)
+    q = _best_by_cfm(ctx, pool)
+    members, chosen, frontier = [q], {q}, set()
+    while len(members) < size:
+        frontier.update(n for n in g.neighbors(q) if n in pool_set and n not in chosen)
+        if not frontier:
+            return None
+        q = min(frontier, key=lambda n: rank(n, chosen))
+        frontier.discard(q)
+        members.append(q)
+        chosen.add(q)
+    return tuple(members)
+
+
 def greedy_allocate(ctx: ScoringContext, req: AllocationRequest) -> Partition | None:
-    """Attractor-seeded breadth-first expansion.
+    """Attractor-seeded best-first expansion.
 
     The attractor is the available qubit with the highest CFM. The partition
     then grows one qubit at a time, always taking the highest-CFM available
@@ -77,25 +103,8 @@ def greedy_allocate(ctx: ScoringContext, req: AllocationRequest) -> Partition | 
     attractor: if the attractor's available region runs out of neighbors
     before the partition reaches the requested size, the request fails.
     """
-    g = ctx.graph
-    avail = set(req.available)
-    if req.size > len(avail):
-        return None
-    attractor = _best_by_cfm(ctx, sorted(avail))
-    members = [attractor]
-    in_part = {attractor}
-    frontier = {n for n in g.neighbors(attractor) if n in avail}
-    while len(members) < req.size:
-        if not frontier:
-            return None
-        nxt = _best_by_cfm(ctx, sorted(frontier))
-        frontier.discard(nxt)
-        members.append(nxt)
-        in_part.add(nxt)
-        for n in g.neighbors(nxt):
-            if n in avail and n not in in_part:
-                frontier.add(n)
-    return Partition(tuple(members), score=ctx.cfm(attractor))
+    members = _grow(ctx, req.available, req.size, lambda q, chosen: (-ctx.cfm(q), q))
+    return None if members is None else Partition(members, score=ctx.cfm(members[0]))
 
 
 def fidelity_weight(error: float) -> float:
@@ -219,19 +228,9 @@ def _connected_pieces(g: CouplingGraph, members: tuple[int, ...]) -> list[tuple[
     pieces = []
     unseen = set(members)
     while unseen:
-        src = min(unseen)
-        comp = {src}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in g.neighbors(u):
-                    if v in mset and v not in comp:
-                        comp.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        pieces.append(tuple(sorted(comp)))
-        unseen -= comp
+        piece = bfs_tree(g, mset, min(unseen)).keys()
+        pieces.append(tuple(sorted(piece)))
+        unseen -= piece
     return pieces
 
 
@@ -309,95 +308,79 @@ def _expand_densest(
     then lower index).
     """
     g = ctx.graph
-    pool_set = set(pool)
-    seed = _best_by_cfm(ctx, sorted(pool))
-    subset = [seed]
-    chosen = {seed}
-    while len(subset) < size:
-        candidates = set()
-        for q in subset:
-            for n in g.neighbors(q):
-                if n in pool_set and n not in chosen:
-                    candidates.add(n)
-        if not candidates:
-            return None
-        def key(q: int):
-            intra = sum(1 for n in g.neighbors(q) if n in chosen)
-            return (-intra, -ctx.cfm(q), q)
-        nxt = min(sorted(candidates), key=key)
-        subset.append(nxt)
-        chosen.add(nxt)
-    return tuple(subset)
+
+    def rank(q: int, chosen: set[int]) -> tuple:
+        intra = sum(1 for n in g.neighbors(q) if n in chosen)
+        return (-intra, -ctx.cfm(q), q)
+
+    return _grow(ctx, pool, size, rank)
 
 
 def comdap_allocate(ctx: ScoringContext, req: AllocationRequest) -> Partition | None:
     """Community-based allocation.
 
-    Louvain communities are formed over the available region, then:
+    A request that no connected region of the available qubits can hold
+    fails (None) before any community is formed. Otherwise Louvain
+    communities are formed over the available region, then:
       1. a community of exactly the requested size with the highest CRI is
          returned verbatim, if one exists;
       2. otherwise each larger community yields a dense connected extraction
          of the requested size, and the highest-CRI extraction wins;
       3. otherwise communities are merged: starting from the highest-CRI
-         anchor, adjacent communities join in descending CRI order until the
-         merged set reaches the requested size, and step 2 runs on the merged
-         set. Anchors are tried in descending CRI order, so the allocation
-         fails only when no connected available region is large enough.
+         community in a connected region large enough for the request,
+         adjacent communities join in descending CRI order until the merged
+         set reaches the requested size, and step 2 runs on the merged set.
 
-    Size-1 requests return the highest-CFM available qubit.
+    Size-1 requests return the highest-CFM available qubit. Every CRI is
+    relative to the whole device, so on a disconnected device any request
+    of at most len(available) qubits raises ValueError.
     """
     g = ctx.graph
     avail = req.available
     if req.size > len(avail):
         return None
     if req.size == 1:
-        q = _best_by_cfm(ctx, sorted(avail))
+        q = _best_by_cfm(ctx, avail)
         return Partition((q,), score=ctx.cri((q,)))
+    ctx._device_term  # raises on a disconnected device, feasible request or not
+    regions = [p for p in _connected_pieces(g, avail) if len(p) >= req.size]
+    if not regions:
+        return None
 
     communities = louvain(g, ctx.snapshot, avail)
     com_cri = {c: ctx.cri(c) for c in communities}
 
+    def by_cri(c: tuple[int, ...]) -> tuple:
+        return (-com_cri[c], c)
+
     exact = [c for c in communities if len(c) == req.size]
     if exact:
-        best = min(exact, key=lambda c: (-com_cri[c], c))
+        best = min(exact, key=by_cri)
         return Partition(best, score=com_cri[best])
 
     larger = [c for c in communities if len(c) > req.size]
     if larger:
         best_sub: tuple[int, ...] | None = None
         best_score = 0.0
-        for c in sorted(larger, key=lambda c: (-com_cri[c], c)):
+        for c in sorted(larger, key=by_cri):
             sub = _expand_densest(ctx, c, req.size)
-            if sub is None:
-                continue
             score = ctx.cri(sub)
             if best_sub is None or score > best_score + 1e-15:
                 best_sub, best_score = sub, score
-        if best_sub is None:
-            return None
         return Partition(best_sub, score=best_score)
 
-    # all communities are smaller than the request: merge, then extract
-    for anchor in sorted(communities, key=lambda c: (-com_cri[c], c)):
-        merged = set(anchor)
-        remaining = [c for c in communities if c != anchor]
-        while len(merged) < req.size:
-            adjacent = [
-                c
-                for c in remaining
-                if any(n in merged for q in c for n in g.neighbors(q))
-            ]
-            if not adjacent:
-                break
-            join = min(adjacent, key=lambda c: (-com_cri[c], c))
-            merged |= set(join)
-            remaining.remove(join)
-        if len(merged) < req.size:
-            continue
-        sub = _expand_densest(ctx, tuple(sorted(merged)), req.size)
-        if sub is not None:
-            return Partition(sub, score=ctx.cri(sub))
-    return None
+    # all communities are smaller than the request: merge, then extract.
+    # Communities are connected and never span two regions, so merging from
+    # any community inside a large-enough region reaches the requested size.
+    merged = set(min((c for c in communities if any(c[0] in p for p in regions)), key=by_cri))
+    while len(merged) < req.size:
+        adjacent = (
+            c for c in communities
+            if c[0] not in merged and any(n in merged for q in c for n in g.neighbors(q))
+        )
+        merged |= set(min(adjacent, key=by_cri))
+    sub = _expand_densest(ctx, tuple(sorted(merged)), req.size)
+    return Partition(sub, score=ctx.cri(sub))
 
 
 Allocator = Callable[[ScoringContext, AllocationRequest], Partition | None]

@@ -190,11 +190,15 @@ def calibrate_threshold(
         n_runs += 1
         for q in range(series.graph.qubit_count):
             pool.append(qubit_divergence(series, q, window1, window2, bins, eps))
-    if n_runs < MIN_CALIBRATION_RUNS:
-        raise ValueError(
-            f"threshold calibration needs >= {MIN_CALIBRATION_RUNS} honest runs, got {n_runs}"
-        )
+    _check_runs(n_runs)
     return float(np.percentile(np.asarray(pool), percentile))
+
+
+def _check_runs(runs: int) -> None:
+    if runs < MIN_CALIBRATION_RUNS:
+        raise ValueError(
+            f"threshold calibration needs >= {MIN_CALIBRATION_RUNS} honest runs, got {runs}"
+        )
 
 
 def matched_threshold(
@@ -217,6 +221,7 @@ def matched_threshold(
     window2's. tau is calibrate_threshold over the runs.
     """
     _check_windows(series, window1, window2)
+    _check_runs(runs)
     g = series.graph
     rows = series.cycle_slice(*window1)
     history = CalibrationSeries(

@@ -4,13 +4,15 @@ A coupling graph is the undirected connectivity of a device's physical
 qubits: an edge (u, v) means a two-qubit gate can act directly on that pair.
 Allocation scores, misreport target selection, and SWAP routing all reduce to
 degrees, shortest-path distances, and subset density/compactness computed
-here. The 27-qubit heavy-hex fixture `hanoi27` matches the layout of the
+here. One breadth-first search inside a qubit subset, bfs_tree, gives the
+induced diameter, allocation's connected pieces and routing's shortest
+paths. The 27-qubit heavy-hex fixture `hanoi27` matches the layout of the
 commonly modeled 27-qubit backends.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -168,24 +170,43 @@ def density(g: CouplingGraph, s: Sequence[int]) -> float:
     return intra / (k * (k - 1) / 2)
 
 
+def bfs_tree(g: CouplingGraph, allowed: Collection[int], src: int) -> dict[int, int]:
+    """Breadth-first search from src inside allowed: the parent of each reached qubit.
+
+    Keys are in visit order, so hop distance from src never decreases along
+    them; src is its own parent. Neighbors are scanned in ascending order,
+    so a qubit's parent does not depend on where a caller stops reading.
+    """
+    g._check_index(src)
+    adj = g._adjacency
+    parent = {src: src}
+    queue = [src]
+    for u in queue:
+        for v in adj[u]:
+            if v in allowed and v not in parent:
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
+def tree_path(parent: dict[int, int], dst: int) -> list[int]:
+    """The path from a bfs_tree's source to dst, a shortest one inside its subset."""
+    path = [dst]
+    while parent[path[-1]] != path[-1]:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
 def induced_diameter(g: CouplingGraph, members: tuple[int, ...]) -> int:
     """Diameter of the subgraph induced on members, by BFS within the subset."""
     mset = set(members)
     best = 0
     for src in members:
-        seen = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in g.neighbors(u):
-                    if v in mset and v not in seen:
-                        seen[v] = seen[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        if len(seen) != len(members):
+        parent = bfs_tree(g, mset, src)
+        if len(parent) != len(members):
             raise ValueError(f"induced subgraph on {sorted(members)} is disconnected")
-        best = max(best, max(seen.values()))
+        # the last qubit visited is the farthest from src
+        best = max(best, len(tree_path(parent, next(reversed(parent)))) - 1)
     return best
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 from .allocation import ScoringContext
 from .calibration import CalibrationSnapshot
 from .errors import DataError
-from .topology import CouplingGraph, _normalize_edge
+from .topology import CouplingGraph, _normalize_edge, bfs_tree, tree_path
 
 
 @dataclass(frozen=True)
@@ -306,30 +306,6 @@ def initial_layout(
     return layout
 
 
-def _bfs_path(
-    g: CouplingGraph, allowed: set[int], src: int, dst: int
-) -> list[int] | None:
-    """Shortest src->dst path inside `allowed`, deterministic via ascending scans."""
-    if src == dst:
-        return [src]
-    parent = {src: src}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.neighbors(u):
-                if v in allowed and v not in parent:
-                    parent[v] = u
-                    if v == dst:
-                        path = [dst]
-                        while path[-1] != src:
-                            path.append(parent[path[-1]])
-                        return path[::-1]
-                    nxt.append(v)
-        frontier = nxt
-    return None
-
-
 def route(
     c: LogicalCircuit,
     layout: dict[int, int],
@@ -341,7 +317,8 @@ def route(
     Gates are processed in circuit order. When a two-qubit gate's carriers
     are not adjacent, the control's carrier walks a shortest path inside the
     partition's induced subgraph, one SWAP (three CNOTs, flagged as routing)
-    per hop, until adjacency; the gate's CNOT is then emitted. Routing never
+    per hop, until adjacency; the gate's CNOT is then emitted. Paths are read
+    from one bfs_tree per source qubit, built on first use. Routing never
     leaves the partition and never emits a CNOT on a non-edge.
     """
     allowed = set(members)
@@ -349,6 +326,7 @@ def route(
     if set(l2p) != set(range(c.qubit_count)) or set(l2p.values()) != allowed:
         raise ValueError("layout must be a bijection from logical qubits onto the partition")
     p2l = {p: l for l, p in l2p.items()}
+    trees: dict[int, dict[int, int]] = {}
     ops: list[PhysOp] = []
     swap_count = 0
 
@@ -359,13 +337,13 @@ def route(
             ops.append(PhysOp("measure", (l2p[gate.qubit],), clbit=gate.clbit))
         else:
             pc, pt = l2p[gate.control], l2p[gate.target]
-            path = _bfs_path(g, allowed, pc, pt)
-            if path is None:
+            if pc not in trees:
+                trees[pc] = bfs_tree(g, allowed, pc)
+            if pt not in trees[pc]:
                 raise ValueError(
                     f"partition {sorted(allowed)} is disconnected: no path {pc} -> {pt}"
                 )
-            while len(path) > 2:
-                step = path[1]
+            for step in tree_path(trees[pc], pt)[1:-1]:
                 for _ in range(3):
                     ops.append(PhysOp("cnot", (pc, step), routing=True))
                 swap_count += 1
@@ -373,7 +351,6 @@ def route(
                 l2p[lc], l2p[ls] = step, pc
                 p2l[pc], p2l[step] = ls, lc
                 pc = step
-                path = path[1:]
             ops.append(PhysOp("cnot", (pc, pt)))
 
     return RoutedCircuit(

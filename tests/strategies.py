@@ -19,9 +19,9 @@ def connected_graph(draw):
 
 
 @st.composite
-def graph_and_snapshot(draw):
-    """A random connected graph of 2-8 qubits and a random snapshot over it."""
-    g = draw(connected_graph())
+def graph_and_snapshot(draw, graphs=connected_graph()):
+    """A random graph (by default connected, of 2-8 qubits) and a random snapshot over it."""
+    g = draw(graphs)
     rate = st.floats(0.0, 1.0)
     snap = CalibrationSnapshot(
         0, {e: draw(rate) for e in g.edge_list}, {q: draw(rate) for q in range(g.qubit_count)}
@@ -41,3 +41,12 @@ def graph_and_series(draw):
     cnot = [[draw(rate) for _ in g.edge_list] for _ in ids]
     readout = [[draw(rate) for _ in range(g.qubit_count)] for _ in ids]
     return g, CalibrationSeries(g, tuple(ids), cnot, readout)
+
+
+@st.composite
+def disconnected_graph(draw):
+    """Two random connected graphs of 2-8 qubits side by side, with no edge between them."""
+    a, b = draw(connected_graph()), draw(connected_graph())
+    n = a.qubit_count
+    edges = a.edges | {(u + n, v + n) for u, v in b.edges}
+    return CouplingGraph(n + b.qubit_count, edges)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import graph_and_snapshot
+from strategies import disconnected_graph, graph_and_snapshot
 from mtqsim.allocation import (
     AllocationRequest,
     Partition,
@@ -361,6 +361,40 @@ def test_comdap_fails_only_without_a_large_enough_region(case):
     biggest = max(len(oracles.bfs_distances(free, q)) for q in req.available)
     part = comdap_allocate(ScoringContext(g, snap), req)
     assert (part is None) == (biggest < req.size)
+
+
+@st.composite
+def disconnected_case(draw):
+    """Two connected graphs side by side, a snapshot, and a request that may not fit."""
+    g, snap = draw(graph_and_snapshot(disconnected_graph()))
+    available = tuple(sorted(draw(st.sets(st.integers(0, g.qubit_count - 1), min_size=1))))
+    return g, snap, AllocationRequest(draw(st.integers(1, g.qubit_count)), available)
+
+
+@PROPERTY_SETTINGS
+@given(disconnected_case())
+def test_allocators_on_a_disconnected_device(case):
+    g, snap, req = case
+    # comdap scores against the whole device, which has no CRI term
+    if req.size <= len(req.available):
+        with pytest.raises(ValueError, match="disconnected"):
+            comdap_allocate(ScoringContext(g, snap), req)
+    else:
+        assert comdap_allocate(ScoringContext(g, snap), req) is None
+    # greedy grows inside the attractor's connected piece of the free region
+    ctx = ScoringContext(g, snap)
+    part = greedy_allocate(ctx, req)
+    assert "_device_term" not in vars(ctx)
+    adj = oracles.adjacency(g.edge_list, g.qubit_count)
+    free = {q: adj[q] & set(req.available) for q in req.available}
+    attractor = min(req.available, key=lambda q: (-cfm(g, snap, q), q))
+    piece = set(oracles.bfs_distances(free, attractor))
+    if part is None:
+        assert len(piece) < req.size
+    else:
+        assert len(part.members) == req.size
+        assert set(part.members) <= piece
+        assert oracles.is_connected(adj, part.members)
 
 
 def test_greedy_never_reads_the_device_term():

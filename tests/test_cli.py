@@ -373,6 +373,9 @@ EARLY_ERRORS = {
     "window2-past-the-series": (["--windows", "0:336,500:600"], "window2 covers 0 cycles"),
     "overlapping-windows": (["--windows", "0:336,300:420"], "overlap"),
     "percentile-150": (["--windows", "0:336,336:420", "--percentile", "150"], "percentile"),
+    "calibration-runs-29": (
+        ["--windows", "0:336,336:420", "--calibration-runs", "29"], "needs >= 30 honest runs, got 29"
+    ),
 }
 
 

@@ -132,46 +132,52 @@ def test_gen_workload_measures_every_qubit():
 
 # sha256 of dump_json(report.to_dict()) for the baseline and attacked legs of
 # the 40-job preset (hanoi27, flat 2% errors, 2-10 qubits at density 2.0)
-PRESET_ATTACKS = {
-    "comdap": {"kind": "H1", "n": 3, "k": 0.15},
-    "greedy": {"kind": "H2", "ks": [0.15, 0.12, 0.10]},
+ATTACKS = {
+    "H1": {"kind": "H1", "n": 3, "k": 0.15},
+    "H2": {"kind": "H2", "ks": [0.15, 0.12, 0.10]},
 }
-PRESET_DIGESTS = {
-    ("comdap", 1): (
-        "e1620ea09e9d533dbd5ef77789b147d883befdd6205a9dea76a97f51559f95a8",
-        "b68faa645e81ba221b9ec9aa513cc4964a5508e3c224e56865b534c85605f9a7",
-    ),
-    ("comdap", 2): (
-        "d8389cb1cfbd1500fa64b0469831410dbc58afd56a7dd01df4326912d5ee1200",
-        "777c5266472985b5689bc1d1eb1563d43f8b8c3442cb0c6d3b89284f9f57ea64",
-    ),
-    ("comdap", 3): (
-        "264f4bf26a2eff1db594a2c11f7ed39ba7d8f07a6d0dcacf5a46d94e046b372b",
-        "ecbfa00a637bddff808bc03c21cfaa4c337912e68fb90b69a7a0e2d1fd5f9f4e",
-    ),
-    ("greedy", 1): (
-        "f40a1af03242cde62f120f53884f9c187f105aa4a0eb84fe3195e29d9ec70503",
-        "46b8bf82fd9510f6d89d72d3d6028f645edeea676b53a24c99ba3b3940e00889",
-    ),
-    ("greedy", 2): (
-        "13f9251f78c50b66c0b61544b6b6c9c487b8b7e18ce6b0d70b46a4cf636052af",
-        "8df07dcb4265ae4e854aed4333528407e09da3cc4038b96f9a3432fa79457a89",
-    ),
-    ("greedy", 3): (
-        "40290377b9ba27fedc4484d05b337f62aa7aa9f29b3bb0a7637209b6985794b2",
-        "b1826345463c8d7b7c27ff16e8cf03eb33a5db7ed0b41ab38ee230ac0c7a9747",
-    ),
+PRESET_ATTACKS = {"comdap": "H1", "greedy": "H2"}
+BASELINE_DIGESTS = {
+    ("comdap", 1): "e1620ea09e9d533dbd5ef77789b147d883befdd6205a9dea76a97f51559f95a8",
+    ("comdap", 2): "d8389cb1cfbd1500fa64b0469831410dbc58afd56a7dd01df4326912d5ee1200",
+    ("comdap", 3): "264f4bf26a2eff1db594a2c11f7ed39ba7d8f07a6d0dcacf5a46d94e046b372b",
+    ("greedy", 1): "f40a1af03242cde62f120f53884f9c187f105aa4a0eb84fe3195e29d9ec70503",
+    ("greedy", 2): "13f9251f78c50b66c0b61544b6b6c9c487b8b7e18ce6b0d70b46a4cf636052af",
+    ("greedy", 3): "40290377b9ba27fedc4484d05b337f62aa7aa9f29b3bb0a7637209b6985794b2",
+}
+ATTACKED_DIGESTS = {
+    ("comdap", "H1", 1): "b68faa645e81ba221b9ec9aa513cc4964a5508e3c224e56865b534c85605f9a7",
+    ("comdap", "H1", 2): "777c5266472985b5689bc1d1eb1563d43f8b8c3442cb0c6d3b89284f9f57ea64",
+    ("comdap", "H1", 3): "ecbfa00a637bddff808bc03c21cfaa4c337912e68fb90b69a7a0e2d1fd5f9f4e",
+    ("comdap", "H2", 1): "2553bc3e43db2a01a5f02477e2bdd5d4d6ab265fbf586449b6007e4ed013d41d",
+    ("comdap", "H2", 2): "8dd5f03343ac60db7d23203648c0d797563899d28c3d530a44b92e78b515ea32",
+    ("comdap", "H2", 3): "879c7238fe9f997f7388d12a477930d915cbfb70824138c70a75b65976c3eb6a",
+    ("greedy", "H1", 1): "52e977a1972ef88b59cf07da4cfe2b1e0b38e614d7d398228d12ff8a585c212a",
+    ("greedy", "H1", 2): "15f8b9cebba9769acab9357026ee339a36c1a3e2fbe5747a17aab6f88be96486",
+    ("greedy", "H1", 3): "1f2bc52afa19ca5cfbcd522803ff03287980e7eb74c8a67cb273e44cc8b9ed72",
+    ("greedy", "H2", 1): "46b8bf82fd9510f6d89d72d3d6028f645edeea676b53a24c99ba3b3940e00889",
+    ("greedy", "H2", 2): "8df07dcb4265ae4e854aed4333528407e09da3cc4038b96f9a3432fa79457a89",
+    ("greedy", "H2", 3): "b1826345463c8d7b7c27ff16e8cf03eb33a5db7ed0b41ab38ee230ac0c7a9747",
 }
 
 
-@pytest.mark.parametrize("allocator, seed", sorted(PRESET_DIGESTS))
-def test_preset_reports_are_pinned(allocator, seed):
+def pin_id(key):
+    """The preset pairs keep their allocator-seed ids; the others name the attack."""
+    allocator, attack, seed = key
+    if attack == PRESET_ATTACKS[allocator]:
+        return f"{allocator}-{seed}"
+    return f"{allocator}-{attack}-{seed}"
+
+
+@pytest.mark.parametrize("key", sorted(ATTACKED_DIGESTS), ids=pin_id)
+def test_preset_reports_are_pinned(key):
+    allocator, attack, seed = key
     rc = resolve_config(
         {
             "topology": "hanoi27",
             "errors": {"uniform": {"cnot": 0.02, "readout": 0.02}},
             "allocator": allocator,
-            "attack": PRESET_ATTACKS[allocator],
+            "attack": ATTACKS[attack],
             "workload": {
                 "count": 40, "size_min": 2, "size_max": 10, "gate_density": 2.0, "seed": seed
             },
@@ -182,7 +188,7 @@ def test_preset_reports_are_pinned(allocator, seed):
         hashlib.sha256(dump_json(report.to_dict()).encode()).hexdigest()
         for report in (res.baseline, res.attacked)
     )
-    assert got == PRESET_DIGESTS[allocator, seed]
+    assert got == (BASELINE_DIGESTS[allocator, seed], ATTACKED_DIGESTS[key])
 
 
 @st.composite

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from strategies import connected_graph
+from mtqsim.allocation import _connected_pieces
 from mtqsim.errors import DataError
 from mtqsim.topology import (
     HANOI27_EDGES,
     CouplingGraph,
+    bfs_tree,
     compactness,
     degree,
     density,
@@ -16,6 +21,7 @@ from mtqsim.topology import (
     load_edge_list,
     max_degree_qubits,
     path_stddev,
+    tree_path,
     write_edge_list,
 )
 
@@ -136,6 +142,41 @@ def test_induced_diameter_disconnected():
     g = hanoi27()
     with pytest.raises(ValueError):
         induced_diameter(g, (0, 26))
+
+
+@st.composite
+def subset_search_case(draw):
+    """A random connected graph, a subset of its qubits, and a source inside it."""
+    g = draw(connected_graph())
+    allowed = draw(st.sets(st.integers(0, g.qubit_count - 1), min_size=1))
+    return g, allowed, draw(st.sampled_from(sorted(allowed)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(subset_search_case())
+def test_subset_search_matches_oracle(case):
+    g, allowed, src = case
+    adj = oracles.adjacency(g.edge_list, g.qubit_count)
+    induced = {q: adj[q] & allowed for q in allowed}
+    dist = oracles.bfs_distances(induced, src)
+    parent = bfs_tree(g, allowed, src)
+    assert set(parent) == set(dist)
+    for q in parent:
+        chain = [q]
+        while chain[-1] != src:
+            chain.append(parent[chain[-1]])
+        assert len(chain) - 1 == dist[q]
+        assert all(v in induced[u] for u, v in zip(chain, chain[1:]))
+        assert tree_path(parent, q) == chain[::-1]
+    members = tuple(sorted(allowed))
+    pieces = {tuple(sorted(oracles.bfs_distances(induced, q))) for q in allowed}
+    assert _connected_pieces(g, members) == sorted(pieces)
+    if len(pieces) == 1:
+        diameter = max(max(oracles.bfs_distances(induced, q).values()) for q in allowed)
+        assert induced_diameter(g, members) == diameter
+    else:
+        with pytest.raises(ValueError, match="disconnected"):
+            induced_diameter(g, members)
 
 
 def test_edge_list_round_trip():

@@ -113,6 +113,20 @@ def test_route_p3_long_range():
     oracles.replay_routed(c, r)
 
 
+def test_route_rejects_a_disconnected_partition():
+    c = parse_qasm_subset("qreg q[2]; cx q[0],q[1];")
+    with pytest.raises(ValueError, match="no path 0 -> 2"):
+        route(c, {0: 0, 1: 2}, (0, 2), P3)
+
+
+def test_route_takes_the_lowest_shortest_path():
+    # on the 4-cycle 0-1-3-2 both 0-1-3 and 0-2-3 are shortest; neighbors scan ascending
+    g = CouplingGraph(4, frozenset({(0, 1), (1, 3), (0, 2), (2, 3)}))
+    c = parse_qasm_subset("qreg q[4]; cx q[0],q[1];")
+    r = route(c, {0: 0, 1: 3, 2: 1, 3: 2}, (0, 1, 2, 3), g)
+    assert [op.qubits for op in r.physical_ops] == [(0, 1)] * 3 + [(1, 3)]
+
+
 def test_route_stays_on_edges_and_preserves_interactions():
     g = hanoi27()
     s = uniform_snapshot(g, 0.02, 0.02)
