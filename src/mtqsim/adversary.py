@@ -105,6 +105,8 @@ def heuristic2_selection(g: CouplingGraph, n: int) -> list[tuple[int, tuple[int,
     if not (1 <= n <= len(pool)):
         raise ValueError(f"n must be in [1, {len(pool)}] for this graph, got {n}")
     dist = g.distance_matrix
+    if n > 1 and not np.isfinite(dist[pool[0], list(pool)]).all():
+        raise ValueError("heuristic 2 requires the maximum-degree qubits to be connected")
     selection: list[tuple[int, tuple[int, ...]]] = [(pool[0], ())]
     remaining = list(pool[1:])
     while len(selection) < n:

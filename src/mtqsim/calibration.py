@@ -225,8 +225,8 @@ def load_calibration_csv(text: str, g: CouplingGraph) -> CalibrationSeries:
 
     Schema: header `cycle,kind,subject,value`; kind is `cnot` with subject
     "u-v" (u < v) or `readout` with subject "q"; values are decimals in
-    [0, 1]; rows grouped by ascending cycle. Every cycle must cover the whole
-    graph. Malformed rows raise DataError naming the line.
+    [0, 1]; rows grouped by ascending cycle. A malformed row raises DataError
+    naming the line; a cycle missing an edge or qubit, one naming the cycle.
     """
     lines = text.splitlines()
     if not lines or not any(ln.strip() for ln in lines):
@@ -235,7 +235,9 @@ def load_calibration_csv(text: str, g: CouplingGraph) -> CalibrationSeries:
     if header != CSV_HEADER:
         raise DataError(f"line 1: expected header {CSV_HEADER!r}, got {header!r}")
 
-    snaps: list[CalibrationSnapshot] = []  # one per cycle, filled row by row
+    subjects = [*g.edge_list, *range(g.qubit_count)]  # columns: cnot by edge, then readout by qubit
+    column = {s: j for j, s in enumerate(subjects)}
+    ids, rows = [], []  # per cycle: its id, and its rates, nan until the CSV gives one
     for ln, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
@@ -256,46 +258,44 @@ def load_calibration_csv(text: str, g: CouplingGraph) -> CalibrationSeries:
             raise DataError(f"line {ln}: value {val_s!r} is not a number") from None
         if not (0.0 <= value <= 1.0):
             raise DataError(f"line {ln}: value {value} outside [0, 1]")
-        if not snaps or cycle != snaps[-1].cycle_id:
-            if snaps and cycle < snaps[-1].cycle_id:
+        if not ids or cycle != ids[-1]:
+            if ids and cycle < ids[-1]:
                 raise DataError(f"line {ln}: cycle {cycle} breaks ascending cycle order")
-            snaps.append(CalibrationSnapshot(cycle, {}, {}))
-        cur_cnot, cur_readout = snaps[-1].cnot_error, snaps[-1].readout_error
+            ids.append(cycle)
+            rows.append([math.nan] * len(subjects))
         if kind == "cnot":
             m = subject.split("-")
             if len(m) != 2:
                 raise DataError(f"line {ln}: cnot subject must be 'u-v', got {subject!r}")
             try:
-                u, v = int(m[0]), int(m[1])
+                key = int(m[0]), int(m[1])
             except ValueError:
                 raise DataError(f"line {ln}: non-integer edge in {subject!r}") from None
-            if u >= v:
+            if key[0] >= key[1]:
                 raise DataError(f"line {ln}: edge subject must have u < v, got {subject!r}")
-            edge = (u, v)
-            if edge not in g.edges:
+            if key not in column:
                 raise DataError(f"line {ln}: unknown edge {subject!r} for this topology")
-            if edge in cur_cnot:
-                raise DataError(f"line {ln}: duplicate cnot entry for {subject!r}")
-            cur_cnot[edge] = value
         elif kind == "readout":
             try:
-                q = int(subject)
+                key = int(subject)
             except ValueError:
                 raise DataError(f"line {ln}: readout subject {subject!r} is not an integer") from None
-            if not (0 <= q < g.qubit_count):
-                raise DataError(f"line {ln}: unknown qubit {q} for this topology")
-            if q in cur_readout:
-                raise DataError(f"line {ln}: duplicate readout entry for qubit {q}")
-            cur_readout[q] = value
+            if key not in column:
+                raise DataError(f"line {ln}: unknown qubit {key} for this topology")
         else:
             raise DataError(f"line {ln}: kind must be 'cnot' or 'readout', got {kind!r}")
+        if not math.isnan(rows[-1][column[key]]):
+            raise DataError(f"line {ln}: duplicate {kind} entry for {subject!r}")
+        rows[-1][column[key]] = value
 
-    if not snaps:
+    if not ids:
         raise DataError("no snapshots: calibration file has a header but no rows")
-    try:
-        return CalibrationSeries.from_snapshots(g, snaps)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    gaps = np.isnan(rows)
+    if gaps.any():
+        i = int(gaps.any(axis=1).argmax())
+        missing = [subjects[j] for j in np.flatnonzero(gaps[i])]
+        raise DataError(f"cycle {ids[i]}: no rate for these edges and qubits: {missing}")
+    return CalibrationSeries(g, tuple(ids), *np.hsplit(np.array(rows), [len(g.edge_list)]))
 
 
 def write_calibration_csv(series: CalibrationSeries) -> str:

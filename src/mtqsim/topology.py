@@ -5,9 +5,9 @@ qubits: an edge (u, v) means a two-qubit gate can act directly on that pair.
 Allocation scores, misreport target selection, and SWAP routing all reduce to
 degrees, shortest-path distances, and subset density/compactness computed
 here. One breadth-first search inside a qubit subset, bfs_tree, gives the
-induced diameter, allocation's connected pieces and routing's shortest
-paths. The 27-qubit heavy-hex fixture `hanoi27` matches the layout of the
-commonly modeled 27-qubit backends.
+all-pairs hop distances, the induced diameter, allocation's connected pieces
+and routing's shortest paths. The 27-qubit heavy-hex fixture `hanoi27`
+matches the layout of the commonly modeled 27-qubit backends.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import DataError
 
@@ -81,22 +79,16 @@ class CouplingGraph:
     def distance_matrix(self) -> np.ndarray:
         """Hop distances between all qubit pairs; np.inf where unreachable.
 
-        Cached because every allocator and the router reuse it. The returned
-        array is marked read-only; copy before mutating.
+        Row src is read off bfs_tree(self, range(n), src). The returned array
+        is marked read-only; copy before mutating.
         """
         n = self.qubit_count
-        if self.edges:
-            rows, cols = zip(*self.edge_list)
-            data = np.ones(len(self.edge_list))
-            mat = csr_matrix((data, (rows, cols)), shape=(n, n))
-        else:
-            mat = csr_matrix((n, n))
-        dist = shortest_path(mat, method="D", directed=False, unweighted=True)
+        dist = np.full((n, n), np.inf)
+        for src, row in enumerate(dist):
+            for q, p in bfs_tree(self, range(n), src).items():
+                row[q] = row[p] + 1 if q != p else 0.0
         dist.setflags(write=False)
         return dist
-
-    def is_connected(self) -> bool:
-        return bool(np.all(np.isfinite(self.distance_matrix)))
 
     def _check_index(self, q: int) -> None:
         if not (0 <= q < self.qubit_count):

@@ -2,7 +2,7 @@
 
 Everything here is deliberately written from scratch against the documented
 rules, using different algorithms and data structures than the library
-(plain dicts and math.fsum instead of numpy/scipy), so agreement between the
+(plain dicts and math.fsum instead of numpy), so agreement between the
 two is meaningful.
 """
 

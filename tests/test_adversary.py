@@ -55,6 +55,16 @@ def test_h2_hanoi():
     assert heuristic2_targets(g, 2) == [1, 25]
 
 
+def test_h2_on_a_disconnected_device():
+    two_paths = CouplingGraph(6, frozenset({(0, 1), (1, 2), (3, 4), (4, 5)}))  # pool {1, 4}
+    assert heuristic2_targets(two_paths, 1) == [1]
+    with pytest.raises(ValueError, match="connected"):
+        heuristic2_targets(two_paths, 2)
+    # a second component holding no maximum-degree qubit leaves the choice as it was
+    stars = CouplingGraph(9, frozenset({(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (6, 7), (7, 8)}))
+    assert heuristic2_selection(stars, 2) == [(0, ()), (3, (1,))]
+
+
 def test_h2_vs_oracle_chain():
     g = hanoi27()
     for n in (1, 2, 3, 5, 8):

@@ -188,6 +188,19 @@ def test_csv_errors_name_lines():
         load_calibration_csv(unknown_edge, g)
 
 
+P3_CYCLE0 = "cycle,kind,subject,value\n0,cnot,0-1,0.1\n0,cnot,1-2,0.1\n0,readout,0,0.1\n0,readout,1,0.1\n"
+
+
+def test_csv_rejects_duplicate_and_missing_rates():
+    with pytest.raises(DataError, match="line 3: duplicate cnot"):
+        load_calibration_csv(P3_CYCLE0.replace("1-2", "0-1"), P3)
+    with pytest.raises(DataError, match="line 6: duplicate readout"):
+        load_calibration_csv(P3_CYCLE0 + "0,readout,1,0.2\n", P3)
+    with pytest.raises(DataError, match="^cycle 0:"):
+        load_calibration_csv(P3_CYCLE0, P3)  # qubit 2 has no readout rate
+    assert len(load_calibration_csv(P3_CYCLE0 + "0,readout,2,0.1\n", P3)) == 1
+
+
 @st.composite
 def graph_and_series(draw):
     """A random connected graph and a random series over it."""

@@ -392,6 +392,18 @@ def test_detect_rejects_bad_input_before_calibrating(case, audit_dir, monkeypatc
     assert calls == []
 
 
+def test_incomplete_cycle_exits_3_naming_the_cycle(tmp_path, capsys):
+    calib = write_honest_calib(tmp_path / "c14.csv")
+    lines = calib.read_text().splitlines(keepends=True)
+    lines.remove(next(ln for ln in lines if ln.startswith("1,cnot,0-1,")))
+    calib.write_text("".join(lines))
+    assert main(["detect", "--calib", str(calib), "--windows", "0:7,7:14"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("data error: cycle 1:")
+    assert "(0, 1)" in err
+
+
 def test_errors_file_cycle_selects_that_cycle(tmp_path):
     g = hanoi27()
     calib = write_honest_calib(tmp_path / "cal.csv")
@@ -417,6 +429,8 @@ REJECTED = {
     "h1-n-too-large": ["attack-plan", "--attack", "H1:n=9,k=0.1"],
     "h1-k-negative": ["attack-plan", "--attack", "H1:n=3,k=-0.1"],
     "h2-k-increasing": ["attack-plan", "--attack", "H2:k=0.1,0.2"],
+    "h2-disconnected": ["simulate", "--config", "two_greedy.json", "--attack", "H2:k=0.15,0.12",
+                        "--out", "r"],
     "greedy-no-region": ["simulate", "--config", "two_greedy.json", "--out", "r"],
     "comdap-disconnected": ["simulate", "--config", "two_comdap.json", "--out", "r"],
     "gen-workload-huge-density": ["gen-workload", "--count", "1", "--density=1e300",

@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtqsim
 import oracles
-from strategies import connected_graph
+from strategies import connected_graph, disconnected_graph
 from mtqsim.allocation import _connected_pieces
 from mtqsim.errors import DataError
 from mtqsim.topology import (
@@ -86,6 +91,41 @@ def test_shortest_paths_random_graphs():
         for i in range(n):
             for j in range(n):
                 assert d[i, j] == oracle[i][j]
+
+
+def assert_matches_oracle(g):
+    d = g.distance_matrix
+    assert d.dtype == np.float64
+    assert not d.flags.writeable
+    n = g.qubit_count
+    oracle = oracles.floyd_warshall(g.edge_list, n)
+    for i in range(n):
+        for j in range(n):
+            assert d[i, j] == oracle[i][j]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(disconnected_graph())
+def test_shortest_paths_disconnected_graphs(g):
+    """Matrix agrees with Floyd-Warshall across components too, where both give inf."""
+    assert_matches_oracle(g)
+    assert np.isinf(g.distance_matrix).any()
+
+
+def test_shortest_paths_edgeless_graph():
+    g = CouplingGraph(4, frozenset())
+    assert_matches_oracle(g)
+    d = g.distance_matrix
+    assert np.array_equal(d, np.where(np.eye(4) == 1, 0.0, np.inf))
+
+
+def test_cli_import_loads_no_scipy():
+    """numpy is the only runtime dependency; a fresh interpreter shows what the CLI loads."""
+    probe = "import mtqsim.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(mtqsim.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out == "[]\n"
 
 
 def test_path_stddev_examples():
