@@ -27,6 +27,8 @@ import numpy as np
 from .calibration import CalibrationSeries, CalibrationSnapshot, fluctuation_percent, synth_drift
 
 DEFAULT_BINS = 10
+# the most bins a divergence may use; far more than any window has samples
+MAX_BINS = 10**4
 DEFAULT_EPS = 1e-9
 DEFAULT_PERCENTILE = 95.0
 MIN_WINDOW_CYCLES = 3
@@ -78,8 +80,8 @@ def build_distribution(
             f"samples outside bin range [{edges[0]}, {edges[-1]}]: "
             f"min {arr.min()}, max {arr.max()}"
         )
-    if eps < 0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and non-negative, got {eps}")
     counts, _ = np.histogram(arr, bins=np.asarray(edges))
     probs = counts.astype(float) / counts.sum()
     if eps > 0:
@@ -125,11 +127,12 @@ def qubit_divergence(
 ) -> float:
     """KL divergence of one qubit's window-2 errors from its window-1 history.
 
-    Bins are equal-width over the pooled min and max of both windows. A
-    constant pooled series has no spread to bin; its divergence is 0.
+    Bins are equal-width over the pooled min and max of both windows; there
+    are 1 to MAX_BINS of them. A constant pooled series has no spread to
+    bin; its divergence is 0.
     """
-    if bins < 1:
-        raise ValueError(f"bins must be positive, got {bins}")
+    if not 1 <= bins <= MAX_BINS:
+        raise ValueError(f"bins must be in [1, {MAX_BINS}], got {bins}")
     series.graph._check_index(q)
     errors = series.mean_cnot_error[:, q]
     s1 = errors[series.cycle_slice(*window1)]
@@ -156,8 +159,11 @@ def detect(
 
     window1 is the historical reference, window2 the window under test; both
     are half-open [lo, hi) ranges over cycle ids, disjoint, each covering at
-    least MIN_WINDOW_CYCLES cycles of the series.
+    least MIN_WINDOW_CYCLES cycles of the series. tau must be finite and
+    non-negative.
     """
+    if not 0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and non-negative, got {tau}")
     _check_windows(series, window1, window2)
     divergence = {
         q: qubit_divergence(series, q, window1, window2, bins, eps)

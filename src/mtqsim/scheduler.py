@@ -27,11 +27,9 @@ from .transpile import (
     LogicalCircuit,
     MeasureGate,
     TwoQubitGate,
-    cnot_count,
-    depth,
     initial_layout,
-    pst_estimate,
     route,
+    score,
 )
 
 
@@ -190,14 +188,15 @@ def run_queue(
         for job, part in placed:
             layout = initial_layout(job.circuit, part.members, ctx)
             routed = route(job.circuit, layout, part.members, g)
+            job_depth, cnots, pst = score(routed, snap_true)
             metrics.append(
                 JobMetrics(
                     job_id=job.id,
                     round_index=round_index,
-                    depth=depth(routed),
-                    cnot_count=cnot_count(routed),
+                    depth=job_depth,
+                    cnot_count=cnots,
                     swap_count=routed.swap_count,
-                    pst=pst_estimate(routed, snap_true),
+                    pst=pst,
                 )
             )
         active = sum(len(p.members) for _, p in placed)

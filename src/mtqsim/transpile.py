@@ -4,9 +4,13 @@ The pipeline mirrors what production transpilers cost tenants without
 simulating any quantum state. A circuit parsed from the supported grammar is
 assigned an initial logical-to-physical layout inside its allocated
 partition, two-qubit gates between non-adjacent carriers are made adjacent by
-SWAP insertion (three CNOTs each) along shortest paths inside the partition,
-and the result is scored by ASAP depth, CNOT count, and an analytic success
-probability against the true error rates.
+SWAP insertion along shortest paths inside the partition, and the result is
+scored by ASAP depth, CNOT count, and an analytic success probability against
+the true error rates.
+
+A SWAP is one shared routing-CNOT op listed three times. score computes all
+three measures in one walk over the ops; depth, cnot_count and pst_estimate
+each read one of them.
 
 Layout consumes the reported snapshot (the allocator's world view); the
 success probability consumes the true snapshot. Keeping those apart is the
@@ -23,7 +27,7 @@ from typing import Sequence
 from .allocation import ScoringContext
 from .calibration import CalibrationSnapshot
 from .errors import DataError
-from .topology import CouplingGraph, _normalize_edge, bfs_tree, tree_path
+from .topology import CouplingGraph, bfs_tree, tree_path
 
 
 @dataclass(frozen=True)
@@ -295,12 +299,11 @@ def initial_layout(
     g = ctx.graph
     unused = set(members)
     for logical in order:
-        partner_phys = {layout[p] for p in partners[logical] if p in layout}
-        preferred = [
-            p for p in unused if any(g.has_edge(p, pp) for pp in partner_phys)
-        ]
-        pool = preferred if preferred else sorted(unused)
-        chosen = min(pool, key=lambda p: (-ctx.cfm(p), p))
+        preferred = {
+            q for p in partners[logical] if p in layout for q in g.neighbors(layout[p])
+        }
+        preferred &= unused
+        chosen = min(preferred or unused, key=lambda p: (-ctx.cfm(p), p))
         layout[logical] = chosen
         unused.discard(chosen)
     return layout
@@ -316,10 +319,11 @@ def route(
 
     Gates are processed in circuit order. When a two-qubit gate's carriers
     are not adjacent, the control's carrier walks a shortest path inside the
-    partition's induced subgraph, one SWAP (three CNOTs, flagged as routing)
-    per hop, until adjacency; the gate's CNOT is then emitted. Paths are read
-    from one bfs_tree per source qubit, built on first use. Routing never
-    leaves the partition and never emits a CNOT on a non-edge.
+    partition's induced subgraph, one SWAP per hop, until adjacency; the
+    gate's CNOT is then emitted. A SWAP is one routing-flagged CNOT op,
+    listed three times (the op is frozen, so sharing it is safe). Paths are
+    read from one bfs_tree per source qubit, built on first use. Routing
+    never leaves the partition and never emits a CNOT on a non-edge.
     """
     allowed = set(members)
     l2p = dict(layout)
@@ -344,8 +348,8 @@ def route(
                     f"partition {sorted(allowed)} is disconnected: no path {pc} -> {pt}"
                 )
             for step in tree_path(trees[pc], pt)[1:-1]:
-                for _ in range(3):
-                    ops.append(PhysOp("cnot", (pc, step), routing=True))
+                swap = PhysOp("cnot", (pc, step), routing=True)
+                ops += (swap, swap, swap)
                 swap_count += 1
                 lc, ls = p2l[pc], p2l[step]
                 l2p[lc], l2p[ls] = step, pc
@@ -362,38 +366,58 @@ def route(
     )
 
 
-def depth(r: RoutedCircuit) -> int:
-    """ASAP schedule length; every physical op occupies its qubits one layer."""
-    ready: dict[int, int] = {}
-    total = 0
-    for op in r.physical_ops:
-        start = max((ready.get(q, 0) for q in op.qubits), default=0)
-        for q in op.qubits:
-            ready[q] = start + 1
-        total = max(total, start + 1)
-    return total
+def score(
+    r: RoutedCircuit, snap_true: CalibrationSnapshot | None
+) -> tuple[int, int, float | None]:
+    """ASAP depth, CNOT count and analytic PST of a routed circuit, in one walk.
 
-
-def cnot_count(r: RoutedCircuit) -> int:
-    """All emitted CNOTs, routing CNOTs included."""
-    return sum(1 for op in r.physical_ops if op.kind == "cnot")
-
-
-def pst_estimate(r: RoutedCircuit, snap_true: CalibrationSnapshot) -> float:
-    """Analytic success probability against the true snapshot.
-
-    Product of (1 - cnot_error) over every emitted CNOT times
-    (1 - readout_error) over the distinct measured physical qubits.
-    One-qubit gates are treated as error-free.
+    Depth: every physical op occupies its qubits for one layer and starts
+    once all of them are free. CNOTs: every emitted CNOT, routing CNOTs
+    included. PST: the product of (1 - cnot_error) over every CNOT in op
+    order, then of (1 - readout_error) over the distinct measured physical
+    qubits in ascending order, against the true snapshot; one-qubit gates
+    are error-free. PST is None, and no product is taken, when snap_true is
+    None.
     """
+    rates = None if snap_true is None else snap_true.cnot_error
+    ready = dict.fromkeys(r.partition, 0)
+    total = cnots = 0
     p = 1.0
     measured: set[int] = set()
     for op in r.physical_ops:
         if op.kind == "cnot":
-            edge = _normalize_edge(op.qubits[0], op.qubits[1])
-            p *= 1.0 - snap_true.cnot_error[edge]
-        elif op.kind == "measure":
-            measured.add(op.qubits[0])
+            a, b = op.qubits
+            ta, tb = ready[a], ready[b]
+            t = (ta if ta > tb else tb) + 1
+            ready[a] = ready[b] = t
+            cnots += 1
+            if rates is not None:
+                p *= 1.0 - rates[(a, b) if a < b else (b, a)]
+        else:
+            (a,) = op.qubits
+            t = ready[a] + 1
+            ready[a] = t
+            if op.kind == "measure":
+                measured.add(a)
+        if t > total:
+            total = t
+    if rates is None:
+        return total, cnots, None
     for q in sorted(measured):
         p *= 1.0 - snap_true.readout_error[q]
-    return p
+    return total, cnots, p
+
+
+def depth(r: RoutedCircuit) -> int:
+    """ASAP schedule length; every physical op occupies its qubits one layer."""
+    return score(r, None)[0]
+
+
+def cnot_count(r: RoutedCircuit) -> int:
+    """All emitted CNOTs, routing CNOTs included."""
+    return score(r, None)[1]
+
+
+def pst_estimate(r: RoutedCircuit, snap_true: CalibrationSnapshot) -> float:
+    """Analytic success probability against the true snapshot (see score)."""
+    return score(r, snap_true)[2]

@@ -197,6 +197,43 @@ def replay_routed(circuit, routed):
     return swaps
 
 
+def asap_layers(ops):
+    """Schedule ops into layers as soon as possible; return the layer count.
+
+    Layers are kept as a list of sets of busy qubits. Each op goes into the
+    layer right after the last one that already uses any of its qubits.
+    """
+    layers = []
+    for op in ops:
+        busy = set(op.qubits)
+        slot = len(layers)
+        while slot > 0 and not (layers[slot - 1] & busy):
+            slot -= 1
+        if slot == len(layers):
+            layers.append(set())
+        layers[slot] |= busy
+    return len(layers)
+
+
+def success_product(ops, cnot_rates, readout_rates):
+    """(1 - rate) over every CNOT in op order, then over each distinct
+    measured qubit in ascending order; rates are plain dicts keyed by
+    (low, high) edge and by qubit."""
+    factors = []
+    measured = []
+    for op in ops:
+        if op.kind == "cnot":
+            a, b = op.qubits
+            factors.append(1.0 - cnot_rates[(min(a, b), max(a, b))])
+        elif op.kind == "measure" and op.qubits[0] not in measured:
+            measured.append(op.qubits[0])
+    factors.extend(1.0 - readout_rates[q] for q in sorted(measured))
+    p = 1.0
+    for f in factors:
+        p *= f
+    return p
+
+
 # --- statistics --------------------------------------------------------------
 
 def percentile_linear(values, pct):

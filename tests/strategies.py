@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from mtqsim.calibration import CalibrationSeries, CalibrationSnapshot
 from mtqsim.topology import CouplingGraph
+from mtqsim.transpile import LogicalCircuit, MeasureGate, OneQubitGate, TwoQubitGate
 
 
 @st.composite
@@ -50,3 +51,46 @@ def disconnected_graph(draw):
     n = a.qubit_count
     edges = a.edges | {(u + n, v + n) for u, v in b.edges}
     return CouplingGraph(n + b.qubit_count, edges)
+
+
+@st.composite
+def connected_partition(draw, g):
+    """A connected qubit subset of g, grown from a random qubit one frontier pick at a time."""
+    members = [draw(st.integers(0, g.qubit_count - 1))]
+    size = draw(st.integers(1, g.qubit_count))
+    while len(members) < size:
+        frontier = sorted({y for x in members for y in g.neighbors(x)} - set(members))
+        if not frontier:
+            break
+        members.append(draw(st.sampled_from(frontier)))
+    return tuple(members)
+
+
+@st.composite
+def circuit(draw, size):
+    """A random circuit of up to 30 one-qubit, CNOT and measure gates on size qubits."""
+    qubit = st.integers(0, size - 1)
+    one = st.builds(OneQubitGate, st.sampled_from("hxyzst"), qubit)
+    measure = st.builds(MeasureGate, qubit, qubit)
+    kinds = [one, measure]
+    if size > 1:
+        pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
+        kinds.append(pair.map(lambda p: TwoQubitGate(*p)))
+    gates = draw(st.lists(st.one_of(kinds), max_size=30))
+    return LogicalCircuit(size, tuple(gates), size)
+
+
+@st.composite
+def routing_case(draw):
+    """A random connected graph, a snapshot with distinct CNOT rates, a connected
+    partition, a random circuit on it and a random layout onto it."""
+    g = draw(connected_graph())
+    rates = draw(st.lists(st.floats(0.0, 0.5), min_size=len(g.edge_list),
+                          max_size=len(g.edge_list), unique=True))
+    readout = draw(st.lists(st.floats(0.0, 0.5), min_size=g.qubit_count,
+                            max_size=g.qubit_count))
+    snap = CalibrationSnapshot(0, dict(zip(g.edge_list, rates)), dict(enumerate(readout)))
+    members = draw(connected_partition(g))
+    c = draw(circuit(len(members)))
+    layout = dict(enumerate(draw(st.permutations(members))))
+    return g, snap, members, c, layout

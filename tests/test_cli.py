@@ -421,6 +421,11 @@ DETECT = ["detect", "--calib", "c14.csv", "--windows", "0:7,7:14"]
 REJECTED = {
     "detect-bins-0": DETECT + ["--bins", "0"],
     "detect-eps-negative": DETECT + ["--eps", "-1"],
+    "detect-eps-nan": DETECT + ["--eps", "nan"],
+    "detect-tau-nan": DETECT + ["--tau", "nan"],
+    "detect-tau-negative": DETECT + ["--tau", "-1"],
+    # one past the cap, with tau given so no threshold calibration runs first
+    "detect-bins-over-cap": DETECT + ["--bins", str(defense.MAX_BINS + 1), "--tau", "0.1"],
     "detect-percentile-150": DETECT + ["--percentile", "150"],
     "detect-cv-3": DETECT + ["--calibration-cv", "3"],
     "detect-5-runs": DETECT + ["--calibration-runs", "5"],
@@ -451,6 +456,14 @@ def test_invalid_values_exit_2_without_traceback(argv, tmp_path, monkeypatch, ca
     assert len(err.splitlines()) == 1
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--eps", "--tau"])
+def test_detect_names_a_nan_parameter(flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_honest_calib(tmp_path / "c14.csv")
+    assert main(DETECT + [flag, "nan"]) == 2
+    assert f"{flag[2:]} must be finite" in capsys.readouterr().err
 
 
 # config fields of the right name but the wrong JSON shape

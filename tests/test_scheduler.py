@@ -9,7 +9,7 @@ import oracles
 from strategies import graph_and_snapshot
 from mtqsim import allocation
 from mtqsim.allocation import ScoringContext
-from mtqsim.calibration import uniform_snapshot
+from mtqsim.calibration import synth_drift, uniform_snapshot
 from mtqsim.experiment import dump_json, resolve_config, run_simulate
 from mtqsim.scheduler import ExperimentReport, Job, gen_workload, run_queue
 from mtqsim.topology import CouplingGraph, hanoi27
@@ -169,13 +169,13 @@ def pin_id(key):
     return f"{allocator}-{attack}-{seed}"
 
 
-@pytest.mark.parametrize("key", sorted(ATTACKED_DIGESTS), ids=pin_id)
-def test_preset_reports_are_pinned(key):
+def leg_digests(errors, key):
+    """sha256 of the baseline and attacked reports of the preset workload."""
     allocator, attack, seed = key
     rc = resolve_config(
         {
             "topology": "hanoi27",
-            "errors": {"uniform": {"cnot": 0.02, "readout": 0.02}},
+            "errors": errors,
             "allocator": allocator,
             "attack": ATTACKS[attack],
             "workload": {
@@ -184,11 +184,62 @@ def test_preset_reports_are_pinned(key):
         }
     )
     res = run_simulate(rc)
-    got = tuple(
+    return tuple(
         hashlib.sha256(dump_json(report.to_dict()).encode()).hexdigest()
         for report in (res.baseline, res.attacked)
     )
+
+
+@pytest.mark.parametrize("key", sorted(ATTACKED_DIGESTS), ids=pin_id)
+def test_preset_reports_are_pinned(key):
+    allocator, attack, seed = key
+    got = leg_digests({"uniform": {"cnot": 0.02, "readout": 0.02}}, key)
     assert got == (BASELINE_DIGESTS[allocator, seed], ATTACKED_DIGESTS[key])
+
+
+# the same legs with one synth_drift cycle (cv 0.30, seed 7) of the flat snapshot
+# as the true errors: CNOT factors differ per edge, so PST pins the product order
+DRIFT_BASELINE_DIGESTS = {
+    ("comdap", 1): "0eebd7deac39a74ad3887c8b952cc477395c4e29845aa70de4d82479366196de",
+    ("comdap", 2): "fbf4ab3c7237b734b44e2f403c353265ab1094da31899b0b0a9278e9dacec5bd",
+    ("comdap", 3): "a577a1d3f413b280d78c5e3e5d42e8b0485124c38919eb0b4e00a53d9abfc03f",
+    ("greedy", 1): "6f2a8f03d5f1e9557563111ecd3b5f1564286136abe7076c3acb26edf9f90dc6",
+    ("greedy", 2): "17cba0cbfb9e87aa75cde3a11ae387bee600ad4af2f4d766c0876b2d924739b2",
+    ("greedy", 3): "ca5197ecb42a1cd2478fd520c1f41add654050d22403db55fc9ce50485e98a8e",
+}
+DRIFT_ATTACKED_DIGESTS = {
+    ("comdap", "H1", 1): "b0b888d213ae500bdd5ee2ea7c52f2c1ab0cf75c0b4fe3c5e047eaadb258bd39",
+    ("comdap", "H1", 2): "a43d614cd29bea14d006959fb7cab99390ff9dc344b964a55a533fb225f344ef",
+    ("comdap", "H1", 3): "1c9dd62c2c0d1a9c283b8cce509b1432573848817edb91ede03b849b07d94a26",
+    ("comdap", "H2", 1): "a359d4a8ef0176d6bc21813738d43b60e441e41246be64abea3610bf34e1e568",
+    ("comdap", "H2", 2): "21dcb3fffb67d6a783d5c1dd36cf82e54914d458f98d163889fc6dd8050901d0",
+    ("comdap", "H2", 3): "60218f6e9eb9b54a7607a9df0ddd105129b4526d8e25177b0dceb08cc49d7309",
+    ("greedy", "H1", 1): "7d334864f3b93417e07bdaac41da868b9cee4bb7aad0e4646d121a447ff9fa95",
+    ("greedy", "H1", 2): "a3cc15ee6990fdc5c14124165a38235d201dc6904ed341ce9ed7cc1b77cb9f3a",
+    ("greedy", "H1", 3): "2ee82babdadae207437d4dda080715687e378175f13efef37f942cbbdb51a626",
+    ("greedy", "H2", 1): "f24cf0c6e26e49822da4c049c51654723367bc3e7744985885cb3184e5a55dd0",
+    ("greedy", "H2", 2): "0179f339bb8a20f70bc40497c51f56041e12dcf2987f973d41bebc4e9a3b4008",
+    ("greedy", "H2", 3): "c02a4f11198197b92b51e6fb103fe105fc6788d4707fef6c9eccbb51c2940ebf",
+}
+
+
+@pytest.fixture(scope="module")
+def drift_errors():
+    g = hanoi27()
+    snap = synth_drift(uniform_snapshot(g, 0.02, 0.02), g, 1, 0.30, 7).snapshot(0)
+    return {
+        "cnot": {f"{u}-{v}": e for (u, v), e in snap.cnot_error.items()},
+        "readout": {str(q): e for q, e in snap.readout_error.items()},
+    }
+
+
+@pytest.mark.parametrize(
+    "key", sorted(DRIFT_ATTACKED_DIGESTS), ids=lambda key: "-".join(map(str, key))
+)
+def test_drift_reports_are_pinned(key, drift_errors):
+    allocator, attack, seed = key
+    got = leg_digests(drift_errors, key)
+    assert got == (DRIFT_BASELINE_DIGESTS[allocator, seed], DRIFT_ATTACKED_DIGESTS[key])
 
 
 @st.composite

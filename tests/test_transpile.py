@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import oracles
+from strategies import routing_case
 from mtqsim.allocation import ScoringContext
 from mtqsim.calibration import CalibrationSnapshot, uniform_snapshot
 from mtqsim.errors import DataError
@@ -238,3 +240,16 @@ def test_no_swap_matches_unrouted_schedule():
     assert r.swap_count == 0
     assert cnot_count(r) == 2
     assert depth(r) == 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(routing_case())
+def test_depth_cnots_and_pst_match_the_oracles(case):
+    g, snap, members, c, layout = case
+    r = route(c, layout, members, g)
+    swaps = oracles.replay_routed(c, r)
+    assert swaps == r.swap_count
+    assert depth(r) == oracles.asap_layers(r.physical_ops)
+    assert cnot_count(r) == len(c.two_qubit_gates) + 3 * swaps
+    expected = oracles.success_product(r.physical_ops, snap.cnot_error, snap.readout_error)
+    assert pst_estimate(r, snap) == expected
