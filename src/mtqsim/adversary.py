@@ -13,6 +13,7 @@ hence every PST computed against it, is never modified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ class MisreportPlan:
 
     H1 plans over-report: every delta positive. H2 plans under-report: every
     delta negative, with strictly decreasing magnitude so the most attractive
-    lure lands on the first target.
+    lure lands on the first target. Every delta is finite.
     """
 
     heuristic: str
@@ -46,11 +47,11 @@ class MisreportPlan:
             raise ValueError(f"duplicate target qubits in {qubits}")
         deltas = [d for _, d in self.targets]
         if self.heuristic == H1:
-            if any(d <= 0 for d in deltas):
-                raise ValueError("H1 deltas must all be positive (over-report)")
+            if not all(0 < d < math.inf for d in deltas):
+                raise ValueError(f"H1 deltas must be positive and finite, got {deltas}")
         else:
-            if any(d >= 0 for d in deltas):
-                raise ValueError("H2 deltas must all be negative (under-report)")
+            if not all(0 < -d < math.inf for d in deltas):
+                raise ValueError(f"H2 deltas must be negative and finite, got {deltas}")
             mags = [abs(d) for d in deltas]
             if any(a <= b for a, b in zip(mags, mags[1:])):
                 raise ValueError(f"H2 magnitudes must strictly decrease, got {mags}")
@@ -119,8 +120,6 @@ def heuristic2_selection(g: CouplingGraph, n: int) -> list[tuple[int, tuple[int,
 
 def h1_plan(g: CouplingGraph, n: int, k: float) -> MisreportPlan:
     """Over-report each of heuristic 1's targets by the same relative k."""
-    if k <= 0:
-        raise ValueError(f"H1 perturbation k must be positive, got {k}")
     targets = tuple((q, k) for q in heuristic1_targets(g, n))
     return MisreportPlan(H1, targets)
 
@@ -129,8 +128,6 @@ def h2_plan(g: CouplingGraph, ks: list[float]) -> MisreportPlan:
     """Under-report heuristic 2's targets by the given magnitudes, in order."""
     if not ks:
         raise ValueError("H2 needs at least one perturbation magnitude")
-    if any(k <= 0 for k in ks):
-        raise ValueError(f"H2 magnitudes must be positive, got {ks}")
     qubits = heuristic2_targets(g, len(ks))
     targets = tuple((q, -k) for q, k in zip(qubits, ks))
     return MisreportPlan(H2, targets)

@@ -32,6 +32,7 @@ from .experiment import (
     BUILTIN_TOPOLOGIES,
     DEFAULT_GATE_DENSITY,
     SWEEP_COLUMNS,
+    ResolvedConfig,
     dump_json,
     jobs_csv,
     load_config_file,
@@ -122,19 +123,26 @@ def topology_entry(flag: str) -> str | dict:
     return {"file": str(Path(flag).absolute())}
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def resolve_run(args: argparse.Namespace) -> tuple[ResolvedConfig, Path]:
+    """The --config file with its flag overrides applied, resolved, and the output directory."""
     raw = load_config_file(args.config)
-    base_dir = Path(args.config).parent
-    if args.topology:
+    if getattr(args, "topology", None):
         raw["topology"] = topology_entry(args.topology)
     if args.allocator:
         raw["allocator"] = args.allocator
     if args.attack:
         raw["attack"] = parse_attack_spec(args.attack)
-    rc = resolve_config(raw, base_dir)
+    rc = resolve_config(raw, Path(args.config).parent)
+    out = raw.get("out", "reports")
+    if not isinstance(out, str):
+        raise ConfigError(f"out must be a directory path string, got {out!r}")
+    return rc, Path(args.out or out)
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    rc, out_dir = resolve_run(args)
     if args.seed is not None:
         rc = rc.with_seed(args.seed)
-    out_dir = Path(args.out or raw.get("out", "reports"))
     res = run_simulate(rc)
 
     write_text_atomic(out_dir / "baseline.json", dump_json(res.baseline_doc))
@@ -239,16 +247,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    raw = load_config_file(args.config)
-    base_dir = Path(args.config).parent
-    if args.allocator:
-        raw["allocator"] = args.allocator
-    if args.attack:
-        raw["attack"] = parse_attack_spec(args.attack)
-    rc = resolve_config(raw, base_dir)
-    seeds = parse_seed_list(args.seeds)
-    rows, csv_text = run_sweep(rc, seeds)
-    out_dir = Path(args.out or raw.get("out", "reports"))
+    rc, out_dir = resolve_run(args)
+    rows, csv_text = run_sweep(rc, parse_seed_list(args.seeds))
     write_text_atomic(out_dir / "sweep.csv", csv_text)
     n = len(rows)
     mean = {c: sum(r[c] for r in rows) / n for c in SWEEP_COLUMNS}
@@ -264,7 +264,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_gen_workload(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ConfigError("--count must be positive")
-    jobs = gen_workload(args.count, args.size_min, args.size_max, args.density, args.seed)
     params = {
         "count": args.count,
         "size_min": args.size_min,
@@ -272,6 +271,7 @@ def cmd_gen_workload(args: argparse.Namespace) -> int:
         "gate_density": args.density,
         "seed": args.seed,
     }
+    jobs = gen_workload(**params)
     write_workload(jobs, params, args.out)
     print(f"{len(jobs)} circuits written to {args.out}")
     return 0

@@ -4,9 +4,16 @@ A configuration names a topology, a base error model, an allocator, an
 attack, and a workload. Resolution turns every file reference into inline
 content, so the resolved form embedded in each report is self-contained:
 re-running from an embedded config and its seeds reproduces the report byte
-for byte. The baseline leg always embeds attack "none", which makes baseline
-reports byte-identical across attack variants sharing a workload and
+for byte. A resolved workload is the very dict that reports embed, either
+{"kind": "generator", count, size_min, size_max, gate_density, seed} or
+{"kind": "qasm", "circuits": [{"id", "qasm"}, ...]}; ResolvedConfig.build_jobs
+turns it into jobs. The baseline leg always embeds attack "none", which makes
+baseline reports byte-identical across attack variants sharing a workload and
 topology.
+
+The report writers here lay out the per-round CSV, the per-job CSV (whose
+columns are scheduler.JOB_COLUMNS, the same keys as a report's "jobs"), and
+the sweep CSV (SWEEP_COLUMNS).
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .calibration import (
     validate_snapshot,
 )
 from .errors import ConfigError
-from .scheduler import ExperimentReport, Job, gen_workload, run_queue
+from .scheduler import JOB_COLUMNS, ExperimentReport, Job, gen_workload, run_queue
 from .topology import CouplingGraph, hanoi27, load_edge_list
 from .transpile import circuit_to_qasm, parse_qasm_subset
 
@@ -148,28 +155,8 @@ def attack_as_dict(plan: MisreportPlan | None) -> dict:
     return {"kind": "H2", "ks": [-d for _, d in plan.targets]}
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Either a seeded generator or an explicit list of (id, qasm text)."""
-
-    generator: dict | None
-    circuits: tuple[tuple[str, str], ...] | None
-
-    def build_jobs(self) -> list[Job]:
-        if self.generator is not None:
-            return gen_workload(**self.generator)
-        return [Job(id=jid, circuit=parse_qasm_subset(text)) for jid, text in self.circuits]
-
-    def as_dict(self) -> dict:
-        if self.generator is not None:
-            return {"kind": "generator", **self.generator}
-        return {
-            "kind": "qasm",
-            "circuits": [{"id": jid, "qasm": text} for jid, text in self.circuits],
-        }
-
-
-def resolve_workload(spec: Any, base_dir: Path) -> WorkloadSpec:
+def resolve_workload(spec: Any, base_dir: Path) -> dict:
+    """The workload as reports embed it: generator parameters, or QASM circuits."""
     if not isinstance(spec, dict):
         raise ConfigError(f"workload must be an object, got {spec!r}")
     if "qasm_files" in spec:
@@ -178,11 +165,8 @@ def resolve_workload(spec: Any, base_dir: Path) -> WorkloadSpec:
         circuits = []
         for p in spec["qasm_files"]:
             text = _read_config_file(base_dir, p)
-            parse_qasm_subset(text)  # fail fast with the file's line numbers
-            circuits.append((Path(p).stem, text))
-        if not circuits:
-            raise ConfigError("workload qasm_files is empty")
-        return WorkloadSpec(generator=None, circuits=tuple(circuits))
+            circuits.append({"id": Path(p).stem, "qasm": text})
+        spec = {"circuits": circuits}
     if "circuits" in spec:
         if not isinstance(spec["circuits"], list):
             raise ConfigError(f"workload circuits must be a list, got {spec['circuits']!r}")
@@ -192,15 +176,24 @@ def resolve_workload(spec: Any, base_dir: Path) -> WorkloadSpec:
                 jid, text = entry["id"], entry["qasm"]
             except (KeyError, TypeError) as exc:
                 raise ConfigError(f"workload circuit entry missing field: {exc}") from None
+            # a jobs.csv cell: splitlines also rejects the empty id
+            if not isinstance(jid, str) or "," in jid or jid.splitlines() != [jid]:
+                raise ConfigError(
+                    f"workload circuit id must be a non-empty string without commas or "
+                    f"line breaks, got {jid!r}"
+                )
+            if any(c["id"] == jid for c in circuits):
+                raise ConfigError(f"duplicate workload circuit id {jid!r}")
             if not isinstance(text, str):
                 raise ConfigError(f"workload circuit {jid!r}: qasm must be a string")
-            parse_qasm_subset(text)
-            circuits.append((jid, text))
+            parse_qasm_subset(text)  # fail fast with the circuit's line numbers
+            circuits.append({"id": jid, "qasm": text})
         if not circuits:
-            raise ConfigError("workload circuits is empty")
-        return WorkloadSpec(generator=None, circuits=tuple(circuits))
+            raise ConfigError("workload lists no circuits")
+        return {"kind": "qasm", "circuits": circuits}
     try:
-        generator = {
+        workload = {
+            "kind": "generator",
             "count": int(spec["count"]),
             "size_min": int(spec["size_min"]),
             "size_max": int(spec["size_max"]),
@@ -211,11 +204,11 @@ def resolve_workload(spec: Any, base_dir: Path) -> WorkloadSpec:
         raise ConfigError(f"generator workload missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid generator workload: {exc}") from None
-    if generator["count"] < 1:
+    if workload["count"] < 1:
         raise ConfigError("generator workload count must be positive")
-    if not (1 <= generator["size_min"] <= generator["size_max"]):
+    if not (1 <= workload["size_min"] <= workload["size_max"]):
         raise ConfigError("need 1 <= size_min <= size_max")
-    return WorkloadSpec(generator=generator, circuits=None)
+    return workload
 
 
 @dataclass(frozen=True)
@@ -224,14 +217,19 @@ class ResolvedConfig:
     snapshot: CalibrationSnapshot
     allocator: str
     plan: MisreportPlan | None
-    workload: WorkloadSpec
+    workload: dict
 
     def with_seed(self, seed: int) -> ResolvedConfig:
         """This config with its generator workload drawn from another seed."""
-        if self.workload.generator is None:
+        if self.workload["kind"] != "generator":
             raise ConfigError("seed overrides require a generator workload")
-        generator = {**self.workload.generator, "seed": seed}
-        return replace(self, workload=replace(self.workload, generator=generator))
+        return replace(self, workload={**self.workload, "seed": seed})
+
+    def build_jobs(self) -> list[Job]:
+        w = self.workload
+        if w["kind"] == "qasm":
+            return [Job(id=c["id"], circuit=parse_qasm_subset(c["qasm"])) for c in w["circuits"]]
+        return gen_workload(w["count"], w["size_min"], w["size_max"], w["gate_density"], w["seed"])
 
     def as_dict(self) -> dict:
         return {
@@ -245,7 +243,7 @@ class ResolvedConfig:
                 "qubits": self.graph.qubit_count,
                 "edges": [[u, v] for u, v in self.graph.edge_list],
             },
-            "workload": self.workload.as_dict(),
+            "workload": self.workload,
         }
 
 
@@ -301,7 +299,7 @@ def run_simulate(rc: ResolvedConfig) -> SimulationResult:
     The true snapshot is shared; only the reported snapshot differs between
     legs, so every metric delta is attributable to the misreport.
     """
-    jobs = rc.workload.build_jobs()
+    jobs = rc.build_jobs()
     snap_true = rc.snapshot
     snap_attacked = apply_misreport(snap_true, rc.graph, rc.plan)
     baseline = run_queue(jobs, rc.graph, snap_true, snap_true, rc.allocator)
@@ -343,11 +341,8 @@ def rounds_csv(r: ExperimentReport) -> str:
 
 
 def jobs_csv(r: ExperimentReport) -> str:
-    lines = ["id,round,depth,cnots,swaps,pst"]
-    for j in r.jobs:
-        lines.append(
-            f"{j.job_id},{j.round_index},{j.depth},{j.cnot_count},{j.swap_count},{j.pst!r}"
-        )
+    lines = [",".join(JOB_COLUMNS)]
+    lines += [",".join(str(getattr(j, field)) for field in JOB_COLUMNS.values()) for j in r.jobs]
     return "\n".join(lines) + "\n"
 
 

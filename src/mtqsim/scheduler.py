@@ -61,6 +61,16 @@ class JobMetrics:
     pst: float
 
 
+# each per-job report key, in jobs.csv column order, with its JobMetrics field
+JOB_COLUMNS = {
+    "id": "job_id",
+    "round": "round_index",
+    "depth": "depth",
+    "cnots": "cnot_count",
+    "swaps": "swap_count",
+    "pst": "pst",
+}
+
 # the report-level aggregates, by ExperimentReport property name
 AGGREGATES = (
     "total_rounds",
@@ -86,21 +96,13 @@ class ExperimentReport:
     def mean_utilization(self) -> float:
         return mean(r.utilization for r in self.rounds) if self.rounds else 0.0
 
-    @property
-    def mean_depth(self) -> float:
-        return mean(j.depth for j in self.jobs) if self.jobs else 0.0
+    def _job_mean(self, field: str) -> float:
+        return mean(getattr(j, field) for j in self.jobs) if self.jobs else 0.0
 
-    @property
-    def mean_cnot_count(self) -> float:
-        return mean(j.cnot_count for j in self.jobs) if self.jobs else 0.0
-
-    @property
-    def mean_swap_count(self) -> float:
-        return mean(j.swap_count for j in self.jobs) if self.jobs else 0.0
-
-    @property
-    def mean_pst(self) -> float:
-        return mean(j.pst for j in self.jobs) if self.jobs else 0.0
+    mean_depth = property(lambda self: self._job_mean("depth"))
+    mean_cnot_count = property(lambda self: self._job_mean("cnot_count"))
+    mean_swap_count = property(lambda self: self._job_mean("swap_count"))
+    mean_pst = property(lambda self: self._job_mean("pst"))
 
     def aggregates(self) -> dict:
         return {name: getattr(self, name) for name in AGGREGATES}
@@ -122,15 +124,7 @@ class ExperimentReport:
                 for r in self.rounds
             ],
             "jobs": [
-                {
-                    "id": j.job_id,
-                    "round": j.round_index,
-                    "depth": j.depth,
-                    "cnots": j.cnot_count,
-                    "swaps": j.swap_count,
-                    "pst": j.pst,
-                }
-                for j in self.jobs
+                {key: getattr(j, field) for key, field in JOB_COLUMNS.items()} for j in self.jobs
             ],
         }
 

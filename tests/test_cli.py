@@ -74,19 +74,28 @@ def test_parse_windows():
             parse_windows(bad)
 
 
+SIMULATE_FILES = (
+    "baseline.json",
+    "attacked.json",
+    "summary.json",
+    "baseline_rounds.csv",
+    "baseline_jobs.csv",
+    "attacked_rounds.csv",
+    "attacked_jobs.csv",
+)
+
+
+def simulate_digests(cfg, out, *flags):
+    """Run simulate on a config; the sha256 of each file it writes, by name."""
+    assert main(["simulate", "--config", str(cfg), *flags, "--out", str(out)]) == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SIMULATE_FILES}
+
+
 def test_simulate_writes_reports(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "reports"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    for name in (
-        "baseline.json",
-        "attacked.json",
-        "summary.json",
-        "baseline_rounds.csv",
-        "baseline_jobs.csv",
-        "attacked_rounds.csv",
-        "attacked_jobs.csv",
-    ):
+    for name in SIMULATE_FILES:
         assert (out / name).exists(), name
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary["delta"]) == {
@@ -131,6 +140,80 @@ def test_simulate_reproduces_from_embedded_config(tmp_path):
     assert main(["simulate", "--config", str(cfg2), "--out", str(out2)]) == 0
     assert (out1 / "attacked.json").read_bytes() == (out2 / "attacked.json").read_bytes()
     assert (out1 / "baseline.json").read_bytes() == (out2 / "baseline.json").read_bytes()
+
+
+# sha256 of each simulate file for six gen-workload circuits (2-6 qubits,
+# seed 5) read as qasm_files, under write_config's greedy H1 attack
+QASM_DIGESTS = {
+    "baseline.json": "8094fb7f5eeabd2b252313b2a0752f5af72e8db6403fc2a658e7e038402a2d90",
+    "attacked.json": "603cdc3309d7ffc2fd07e196544c8f3d5d18fd56dfa3097786f5eba1045413a3",
+    "summary.json": "34113033ac15c19c0d4953a3e16f88484ce9af041877a9ce0abbd4bd4cd97f4d",
+    "baseline_rounds.csv": "d5fa3bd5dada7ae11f538ed007acdb4328f46c91dd576ab1287e72b29163f492",
+    "baseline_jobs.csv": "9db92d33404b3684809d4e0ff95d394a2ae6abb1e6e5d56de9286430f6cc4ddc",
+    "attacked_rounds.csv": "896cb919b34a62114714c2ddec2f155a12fd1ee055146748910c8d7509dc4b7a",
+    "attacked_jobs.csv": "ed10a3136683d8d1b093e86663f8b5bfa43cdaa710c161bf182dbe7606bf86c7",
+}
+
+
+def test_qasm_workload_reports_are_pinned_and_replay(tmp_path):
+    gen = ["gen-workload", "--count", "6", "--size-min", "2", "--size-max", "6", "--seed", "5"]
+    assert main([*gen, "--out", str(tmp_path / "w")]) == 0
+    cfg = write_config(tmp_path, workload={"qasm_files": [f"w/job{i:03d}.qasm" for i in range(6)]})
+    assert simulate_digests(cfg, tmp_path / "r1") == QASM_DIGESTS
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(json.loads((tmp_path / "r1" / "attacked.json").read_text())["config"]))
+    assert simulate_digests(replay, tmp_path / "r2") == QASM_DIGESTS
+    assert main(["simulate", "--config", str(replay), "--seed", "2", "--out", str(tmp_path / "r3")]) == 2
+
+
+# sha256 of each simulate file for the 40-job preset (hanoi27, flat 2% errors,
+# 2-10 qubits at density 2.0, seed 1) under each allocator's preset attack
+PRESET_FLAGS = {
+    "comdap": ["--allocator", "comdap", "--attack", "H1:n=3,k=0.15"],
+    "greedy": ["--allocator", "greedy", "--attack", "H2:k=0.15,0.12,0.10"],
+}
+PRESET_DIGESTS = {
+    "comdap": {
+        "baseline.json": "80821d59fbabcd81b83a06fe73555515d0f5d399b6e2e958e16bc7f809e9de13",
+        "attacked.json": "65976a53d4ffe7bccef960ec2372ac27307d105448918ef8984929968e157578",
+        "summary.json": "9593aaa3006cb657306a5676e5220a2ff89d2f134cd7b2543a52fbf91863f0bf",
+        "baseline_rounds.csv": "f2f116fc8488b74eb9da78f081e7a3ebfc8d13e87bd1cfaab158650393bed94c",
+        "baseline_jobs.csv": "48d4c666f91b23f3897583dd890c55388917ace881e2ae744dfefd3e6e0133df",
+        "attacked_rounds.csv": "07c7e9db50bcf7d582668c2c3b31b350a424e99aedf7fac89215da0579d3c3e2",
+        "attacked_jobs.csv": "6920d55ac6eaa318fd7dd42abe9557bf6b33b6be47a9bbd705dfa618fd31cbfe",
+    },
+    "greedy": {
+        "baseline.json": "3461e585dcf31089c9daa776f39ef4fbec012f7f428713b5b377b142725efb63",
+        "attacked.json": "c5058bafe3c816ed776bc0a1f58b46e125a3b12631062aecdc1afb32cf898523",
+        "summary.json": "2a9279ddf656b2725239f0d10f280ff699014d8aa863ed43874e8f37ac458776",
+        "baseline_rounds.csv": "68382272e1968f1dafdfa3b0869e5b60afe7e54310458c059201d672e14f769f",
+        "baseline_jobs.csv": "e2cd502204a36f2abbe523211664482fb7f26df010b5b3dd627a6e298990aa95",
+        "attacked_rounds.csv": "d9f6b7434ae78d5d2c335c73b79ed13fffbc1ed94bc8ff6524a0cfae9ec2d4d3",
+        "attacked_jobs.csv": "958020f863b26f2514041e1a0657c183306f77e673ecca8ee4e93c35b14d2abf",
+    },
+}
+
+
+@pytest.mark.parametrize("allocator", sorted(PRESET_FLAGS))
+def test_simulate_files_are_pinned(allocator, tmp_path):
+    workload = {"count": 40, "size_min": 2, "size_max": 10, "gate_density": 2.0, "seed": 1}
+    cfg = write_config(tmp_path, workload=workload)
+    got = simulate_digests(cfg, tmp_path / "r", *PRESET_FLAGS[allocator])
+    assert got == PRESET_DIGESTS[allocator]
+
+
+# sha256 of sweep.csv for write_config's workload at seeds 1-3 under H2
+SWEEP_DIGESTS = {
+    "comdap": "5637f4b54a35b1c73cb3dbba0c0964052fcdce839ed02b4630b6e6b8ba8b6fe0",
+    "greedy": "a89308475dde0fb3496272fe9d4c520a5f9eb1715244d1519dba834476e7dca2",
+}
+
+
+@pytest.mark.parametrize("allocator", sorted(SWEEP_DIGESTS))
+def test_sweep_csv_is_pinned(allocator, tmp_path):
+    cfg = write_config(tmp_path, allocator=allocator, attack={"kind": "H2", "ks": [0.15, 0.12, 0.10]})
+    assert main(["sweep", "--config", str(cfg), "--seeds", "1..3", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == SWEEP_DIGESTS[allocator]
 
 
 def test_simulate_flag_overrides(tmp_path):
@@ -434,6 +517,12 @@ REJECTED = {
     "h1-n-too-large": ["attack-plan", "--attack", "H1:n=9,k=0.1"],
     "h1-k-negative": ["attack-plan", "--attack", "H1:n=3,k=-0.1"],
     "h2-k-increasing": ["attack-plan", "--attack", "H2:k=0.1,0.2"],
+    "h1-k-nan": ["attack-plan", "--attack", "H1:n=3,k=nan"],
+    "h1-k-inf": ["attack-plan", "--attack", "H1:n=3,k=inf"],
+    "h2-k-nan": ["attack-plan", "--attack", "H2:k=nan"],
+    "h2-k-inf": ["attack-plan", "--attack", "H2:k=inf,0.1"],
+    "simulate-h1-k-nan": ["simulate", "--config", "config.json", "--attack", "H1:n=3,k=nan",
+                          "--out", "r"],
     "h2-disconnected": ["simulate", "--config", "two_greedy.json", "--attack", "H2:k=0.15,0.12",
                         "--out", "r"],
     "greedy-no-region": ["simulate", "--config", "two_greedy.json", "--out", "r"],
@@ -447,6 +536,7 @@ REJECTED = {
 def test_invalid_values_exit_2_without_traceback(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     write_honest_calib(tmp_path / "c14.csv")
+    write_config(tmp_path)
     for allocator, size in (("greedy", 4), ("comdap", 2)):
         workload = {"count": 3, "size_min": size, "size_max": size, "seed": 1}
         write_config(tmp_path, f"two_{allocator}.json", topology=TWO_PATHS,
@@ -466,7 +556,14 @@ def test_detect_names_a_nan_parameter(flag, tmp_path, monkeypatch, capsys):
     assert f"{flag[2:]} must be finite" in capsys.readouterr().err
 
 
-# config fields of the right name but the wrong JSON shape
+BELL = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\ncx q[0],q[1];\nmeasure q[0] -> c[0];\n"
+
+
+def bell_circuits(*ids):
+    return {"workload": {"circuits": [{"id": jid, "qasm": BELL} for jid in ids]}}
+
+
+# config fields of the right name but the wrong JSON shape or value
 MALFORMED = {
     "allocator-list": {"allocator": ["greedy"]},
     "topology-file-number": {"topology": {"file": 3}},
@@ -477,17 +574,29 @@ MALFORMED = {
     "circuit-qasm-number": {"workload": {"circuits": [{"id": [1], "qasm": 5}]}},
     "errors-cycle-bool": {"errors": {"file": "cal.csv", "cycle": True}},
     "errors-cycle-string": {"errors": {"file": "cal.csv", "cycle": "3"}},
+    "out-number": {"out": 5},
+    "out-null": {"out": None},
+    "circuit-id-list": bell_circuits(["p", "q"]),
+    "circuit-id-empty": bell_circuits(""),
+    "circuit-id-comma": bell_circuits("p,q"),
+    "circuit-id-line-break": bell_circuits("p\nq"),
+    "circuit-ids-duplicate": bell_circuits("p", "q", "p"),
+    "qasm-files-same-stem": {"workload": {"qasm_files": ["x/a.qasm", "y/a.qasm"]}},
 }
 
 
 @pytest.mark.parametrize("overrides", list(MALFORMED.values()), ids=list(MALFORMED))
 def test_malformed_config_shapes_exit_2_without_traceback(overrides, tmp_path, capsys):
     write_honest_calib(tmp_path / "cal.csv")
+    for sub in ("x", "y"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "a.qasm").write_text(BELL)
     cfg = write_config(tmp_path, **overrides)
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert err.startswith("config error:")
+    for command in (["simulate"], ["sweep", "--seeds", "1"]):
+        assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error:")
 
 
 def test_simulate_topology_flag_resolves_against_working_directory(tmp_path, monkeypatch):
@@ -543,6 +652,10 @@ def cli_argv(draw, d):
             f"--seed={draw(_ints)}", f"--out={d / 'workload'}"]
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_cli_exit_codes_hold_for_any_flag_values(fuzz_dir, data):
@@ -552,3 +665,5 @@ def test_cli_exit_codes_hold_for_any_flag_values(fuzz_dir, data):
         code = main(argv)
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if argv[0] == "attack-plan" and code == 0:
+        json.loads(out.getvalue(), parse_constant=reject_constant)
