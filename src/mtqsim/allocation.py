@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 from .calibration import CalibrationSnapshot, avg_cnot_error
 from .topology import CouplingGraph, bfs_tree, compactness, degree, density, subset_members
@@ -131,30 +131,14 @@ def louvain(
     nodes = sorted(subset_members(available))
     for q in nodes:
         g._check_index(q)
-    node_set = set(nodes)
-    wedges: dict[tuple[int, int], float] = {}
-    for u, v in g.edge_list:
-        if u in node_set and v in node_set:
-            wedges[(u, v)] = fidelity_weight(snap_reported.cnot_error[(u, v)])
-
-    communities = _louvain_core(nodes, wedges)
-    split = []
-    for com in communities:
-        split.extend(_connected_pieces(g, com))
-    return tuple(sorted(split, key=lambda c: c[0]))
-
-
-def _louvain_core(
-    nodes: list[int], wedges: dict[tuple[int, int], float]
-) -> list[tuple[int, ...]]:
-    """Louvain on an explicit weighted edge dict; returns sorted member tuples."""
-    super_nodes: list[frozenset[int]] = [frozenset([n]) for n in nodes]
-    idx = {n: i for i, n in enumerate(nodes)}
-    w: dict[tuple[int, int], float] = {}
-    for (u, v), wt in wedges.items():
-        i, j = idx[u], idx[v]
-        key = (min(i, j), max(i, j))
-        w[key] = w.get(key, 0.0) + wt
+    idx = {q: i for i, q in enumerate(nodes)}
+    super_nodes: list[frozenset[int]] = [frozenset([q]) for q in nodes]
+    # weights between super-node indices i <= j; i == j is a self-loop
+    w: dict[tuple[int, int], float] = {
+        (idx[u], idx[v]): fidelity_weight(snap_reported.cnot_error[(u, v)])
+        for u, v in g.edge_list
+        if u in idx and v in idx
+    }
 
     while True:
         n = len(super_nodes)
@@ -164,20 +148,18 @@ def _louvain_core(
         for (i, j), wt in w.items():
             if i == j:
                 deg[i] += 2 * wt
-                m2 += 2 * wt
             else:
-                adj[i][j] = adj[i].get(j, 0.0) + wt
-                adj[j][i] = adj[j].get(i, 0.0) + wt
+                adj[i][j] = adj[j][i] = wt
                 deg[i] += wt
                 deg[j] += wt
-                m2 += 2 * wt
+            m2 += 2 * wt
         if m2 == 0.0:
-            return [tuple(sorted(sn)) for sn in super_nodes]
+            break
 
         comm = list(range(n))
         comm_deg = deg[:]
-        improved_any = False
-        while True:
+        moved = True
+        while moved:
             moved = False
             for i in range(n):
                 ci = comm[i]
@@ -198,32 +180,28 @@ def _louvain_core(
                 if best_c != ci:
                     comm[i] = best_c
                     moved = True
-                    improved_any = True
-            if not moved:
-                break
-        if not improved_any:
-            return [tuple(sorted(sn)) for sn in super_nodes]
 
-        groups: dict[int, list[int]] = {}
+        # aggregate: one super-node per community, numbered by smallest member
+        label: dict[int, int] = {}
+        for c in comm:
+            label.setdefault(c, len(label))
+        if len(label) == n:
+            break
+        merged: list[frozenset[int]] = [frozenset()] * len(label)
         for i, c in enumerate(comm):
-            groups.setdefault(c, []).append(i)
-        order = sorted(groups.values(), key=min)
-        new_nodes = [frozenset().union(*(super_nodes[i] for i in grp)) for grp in order]
-        gid: dict[int, int] = {}
-        for k, grp in enumerate(order):
-            for i in grp:
-                gid[i] = k
+            merged[label[c]] |= super_nodes[i]
         new_w: dict[tuple[int, int], float] = {}
         for (i, j), wt in w.items():
-            a, b = gid[i], gid[j]
-            key = (min(a, b), max(a, b))
+            a, b = label[comm[i]], label[comm[j]]
+            key = (a, b) if a < b else (b, a)
             new_w[key] = new_w.get(key, 0.0) + wt
-        if len(new_nodes) == len(super_nodes):
-            return [tuple(sorted(sn)) for sn in super_nodes]
-        super_nodes, w = new_nodes, new_w
+        super_nodes, w = merged, new_w
+
+    pieces = [piece for sn in super_nodes for piece in _connected_pieces(g, sn)]
+    return tuple(sorted(pieces, key=lambda c: c[0]))
 
 
-def _connected_pieces(g: CouplingGraph, members: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _connected_pieces(g: CouplingGraph, members: Collection[int]) -> list[tuple[int, ...]]:
     mset = set(members)
     pieces = []
     unseen = set(members)

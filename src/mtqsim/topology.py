@@ -68,9 +68,6 @@ class CouplingGraph:
         self._check_index(q)
         return self._adjacency[q]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _normalize_edge(u, v) in self.edges
-
     def incident_edges(self, q: int) -> tuple[Edge, ...]:
         self._check_index(q)
         return tuple(_normalize_edge(q, n) for n in self._adjacency[q])

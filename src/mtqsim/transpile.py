@@ -89,17 +89,16 @@ ONE_QUBIT_GATES = frozenset({"h", "x", "y", "z", "s", "t"})
 PARAM_GATES = frozenset({"rx", "ry", "rz"})
 
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
-_RE_QREG = re.compile(rf"^qreg\s+({_ID})\s*\[\s*(\d+)\s*\]$")
-_RE_CREG = re.compile(rf"^creg\s+({_ID})\s*\[\s*(\d+)\s*\]$")
-_RE_1Q = re.compile(rf"^([a-z]+)\s+({_ID})\s*\[\s*(\d+)\s*\]$")
-_RE_PARAM = re.compile(rf"^([a-z]+)\s*\(([^()]*)\)\s*({_ID})\s*\[\s*(\d+)\s*\]$")
-_RE_CX = re.compile(rf"^cx\s+({_ID})\s*\[\s*(\d+)\s*\]\s*,\s*({_ID})\s*\[\s*(\d+)\s*\]$")
-_RE_MEASURE = re.compile(
-    rf"^measure\s+({_ID})\s*\[\s*(\d+)\s*\]\s*->\s*({_ID})\s*\[\s*(\d+)\s*\]$"
-)
+_REF = rf"({_ID})\s*\[\s*(\d+)\s*\]"
+_RE_REG = re.compile(rf"^(qreg|creg)\s+{_REF}$")
+_RE_1Q = re.compile(rf"^([a-z]+)(?:\s*\(([^()]*)\)\s*|\s+){_REF}$")
+_RE_CX = re.compile(rf"^cx\s+{_REF}\s*,\s*{_REF}$")
+_RE_MEASURE = re.compile(rf"^measure\s+{_REF}\s*->\s*{_REF}$")
 _RE_PI_EXPR = re.compile(
     r"^([-+]?)(?:(\d+(?:\.\d*)?)\s*\*\s*)?pi(?:\s*/\s*(\d+(?:\.\d*)?))?$"
 )
+# what a missing register blocks, and what kind of register it is
+_REG_WORDS = {"qreg": ("gate", "quantum"), "creg": ("measure", "classical")}
 
 
 def _parse_angle(text: str, ln: int) -> float:
@@ -125,111 +124,68 @@ def parse_qasm_subset(text: str) -> LogicalCircuit:
     Supported statements: one `qreg`, one `creg`, gates h/x/y/z/s/t,
     rx/ry/rz(angle) (angle kept but not costed), `cx`, and
     `measure q[i] -> c[j]`. `OPENQASM ...;` headers and `include ...;` lines
-    are tolerated and ignored; `//` starts a comment. Anything else raises
-    DataError naming the line.
+    are tolerated and ignored; `//` starts a comment. A statement may span
+    lines, which join without a separator, and is numbered by the line of its
+    first character. Anything else raises DataError naming the line.
     """
     statements: list[tuple[int, str]] = []
-    buf: list[str] = []
-    buf_line = 0
+    buf, buf_line = "", 0  # buf: the open statement, from its first non-space character
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//", 1)[0]
-        for ch in line:
-            if ch == ";":
-                stmt = "".join(buf).strip()
-                if stmt:
-                    statements.append((buf_line, stmt))
-                buf = []
-                buf_line = 0
-            else:
-                if not buf and not ch.isspace():
-                    buf_line = ln
-                    buf.append(ch)
-                elif buf:
-                    buf.append(ch)
-    if "".join(buf).strip():
+        *ended, rest = raw.split("//", 1)[0].split(";")
+        for piece in ended:
+            if stmt := (buf + piece).strip():
+                statements.append((buf_line if buf else ln, stmt))
+            buf = ""
+        if not buf:
+            buf_line = ln
+        buf = (buf + rest).lstrip()
+    if buf:
         raise DataError(f"line {buf_line}: unterminated statement (missing ';')")
 
-    qreg: tuple[str, int] | None = None
-    creg: tuple[str, int] | None = None
+    regs: dict[str, tuple[str, int]] = {}
     gates: list[Gate] = []
 
-    def check_qubit(name: str, index: int, ln: int) -> int:
-        if qreg is None:
-            raise DataError(f"line {ln}: gate before qreg declaration")
-        if name != qreg[0]:
-            raise DataError(f"line {ln}: unknown quantum register {name!r}")
-        if index >= qreg[1]:
-            raise DataError(
-                f"line {ln}: index {index} overflows qreg {name}[{qreg[1]}]"
-            )
-        return index
+    def index(kind: str, name: str, digits: str, ln: int) -> int:
+        if kind not in regs:
+            raise DataError(f"line {ln}: {_REG_WORDS[kind][0]} before {kind} declaration")
+        if name != regs[kind][0]:
+            raise DataError(f"line {ln}: unknown {_REG_WORDS[kind][1]} register {name!r}")
+        i, size = int(digits), regs[kind][1]
+        if i >= size:
+            raise DataError(f"line {ln}: index {i} overflows {kind} {name}[{size}]")
+        return i
 
     for ln, stmt in statements:
         if stmt.startswith("OPENQASM") or stmt.startswith("include"):
             continue
-        m = _RE_QREG.match(stmt)
-        if m:
-            if qreg is not None:
-                raise DataError(f"line {ln}: only one qreg is supported")
-            size = int(m.group(2))
-            if size < 1:
-                raise DataError(f"line {ln}: qreg size must be positive")
-            qreg = (m.group(1), size)
-            continue
-        m = _RE_CREG.match(stmt)
-        if m:
-            if creg is not None:
-                raise DataError(f"line {ln}: only one creg is supported")
-            size = int(m.group(2))
-            if size < 1:
-                raise DataError(f"line {ln}: creg size must be positive")
-            creg = (m.group(1), size)
-            continue
-        m = _RE_MEASURE.match(stmt)
-        if m:
-            q = check_qubit(m.group(1), int(m.group(2)), ln)
-            if creg is None:
-                raise DataError(f"line {ln}: measure before creg declaration")
-            if m.group(3) != creg[0]:
-                raise DataError(f"line {ln}: unknown classical register {m.group(3)!r}")
-            c = int(m.group(4))
-            if c >= creg[1]:
-                raise DataError(f"line {ln}: index {c} overflows creg {creg[0]}[{creg[1]}]")
-            gates.append(MeasureGate(q, c))
-            continue
-        m = _RE_CX.match(stmt)
-        if m:
-            qc = check_qubit(m.group(1), int(m.group(2)), ln)
-            qt = check_qubit(m.group(3), int(m.group(4)), ln)
+        if m := _RE_REG.match(stmt):
+            kind = m[1]
+            if kind in regs:
+                raise DataError(f"line {ln}: only one {kind} is supported")
+            if (size := int(m[3])) < 1:
+                raise DataError(f"line {ln}: {kind} size must be positive")
+            regs[kind] = (m[2], size)
+        elif m := _RE_MEASURE.match(stmt):
+            gates.append(MeasureGate(index("qreg", m[1], m[2], ln), index("creg", m[3], m[4], ln)))
+        elif m := _RE_CX.match(stmt):
+            qc, qt = index("qreg", m[1], m[2], ln), index("qreg", m[3], m[4], ln)
             if qc == qt:
                 raise DataError(f"line {ln}: cx control and target are both q[{qc}]")
             gates.append(TwoQubitGate(qc, qt))
-            continue
-        m = _RE_PARAM.match(stmt)
-        if m:
-            name = m.group(1)
-            if name not in PARAM_GATES:
-                raise DataError(f"line {ln}: unknown gate {name!r}")
-            angle = _parse_angle(m.group(2), ln)
-            q = check_qubit(m.group(3), int(m.group(4)), ln)
-            gates.append(OneQubitGate(name, q, angle))
-            continue
-        m = _RE_1Q.match(stmt)
-        if m:
-            name = m.group(1)
-            if name not in ONE_QUBIT_GATES:
-                raise DataError(f"line {ln}: unknown gate {name!r}")
-            q = check_qubit(m.group(2), int(m.group(3)), ln)
-            gates.append(OneQubitGate(name, q))
-            continue
-        raise DataError(f"line {ln}: unsupported statement {stmt!r}")
+        elif m := _RE_1Q.match(stmt):
+            if m[1] not in (ONE_QUBIT_GATES if m[2] is None else PARAM_GATES):
+                raise DataError(f"line {ln}: unknown gate {m[1]!r}")
+            angle = None if m[2] is None else _parse_angle(m[2], ln)
+            gates.append(OneQubitGate(m[1], index("qreg", m[3], m[4], ln), angle))
+        else:
+            raise DataError(f"line {ln}: unsupported statement {stmt!r}")
 
-    if qreg is None:
+    if "qreg" not in regs:
         raise DataError("no qreg declaration found")
     return LogicalCircuit(
-        qubit_count=qreg[1],
+        qubit_count=regs["qreg"][1],
         gates=tuple(gates),
-        clbit_count=creg[1] if creg else 0,
+        clbit_count=regs["creg"][1] if "creg" in regs else 0,
     )
 
 
@@ -327,7 +283,11 @@ def route(
     """
     allowed = set(members)
     l2p = dict(layout)
-    if set(l2p) != set(range(c.qubit_count)) or set(l2p.values()) != allowed:
+    if (
+        len(allowed) != c.qubit_count
+        or set(l2p) != set(range(c.qubit_count))
+        or set(l2p.values()) != allowed
+    ):
         raise ValueError("layout must be a bijection from logical qubits onto the partition")
     p2l = {p: l for l, p in l2p.items()}
     trees: dict[int, dict[int, int]] = {}

@@ -81,6 +81,19 @@ def circuit(draw, size):
 
 
 @st.composite
+def angled_circuit(draw):
+    """A `circuit` on 1-6 qubits with up to 10 rx/ry/rz gates at finite angles inserted."""
+    size = draw(st.integers(1, 6))
+    gates = list(draw(circuit(size)).gates)
+    angle = st.floats(allow_nan=False, allow_infinity=False)
+    qubit = st.integers(0, size - 1)
+    rotation = st.builds(OneQubitGate, st.sampled_from(("rx", "ry", "rz")), qubit, angle)
+    for gate in draw(st.lists(rotation, max_size=10)):
+        gates.insert(draw(st.integers(0, len(gates))), gate)
+    return LogicalCircuit(size, tuple(gates), size)
+
+
+@st.composite
 def routing_case(draw):
     """A random connected graph, a snapshot with distinct CNOT rates, a connected
     partition, a random circuit on it and a random layout onto it."""

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from mtqsim.allocation import (
     greedy_allocate,
     louvain,
 )
-from mtqsim.calibration import CalibrationSnapshot, uniform_snapshot
+from mtqsim.calibration import CalibrationSnapshot, synth_drift, uniform_snapshot
 from mtqsim.topology import CouplingGraph, hanoi27
 
 P3 = CouplingGraph(3, frozenset({(0, 1), (1, 2)}))
@@ -154,6 +156,39 @@ def test_louvain_partitions_available():
         assert len(seen) == len(set(seen))
         for c in communities:
             assert oracles.is_connected(adj, c)
+
+
+def louvain_cases():
+    """Seeded louvain inputs: drifted hanoi27 snapshots on random available sets,
+    then random graphs of 1-12 qubits with all-zero, 0-or-1 or uniform edge weights."""
+    g = hanoi27()
+    series = synth_drift(uniform_snapshot(g, 0.02, 0.02), g, 12, 0.30, 11)
+    rng = np.random.default_rng(12)
+    for row in range(12):
+        snap = series.snapshot(row)
+        for _ in range(8):
+            size = int(rng.integers(1, 28))
+            yield g, snap, tuple(rng.choice(27, size=size, replace=False).tolist())
+    for _ in range(150):
+        n = int(rng.integers(1, 13))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n + 1)), 2)).tolist()
+        small = CouplingGraph(n, frozenset((u, v) for u, v in pairs if u != v))
+        kind = int(rng.integers(3))  # all errors 1 (every weight 0), errors 0 or 1, uniform
+        cnot = {
+            e: (1.0, float(rng.integers(2)), float(rng.uniform()))[kind] for e in small.edge_list
+        }
+        snap = CalibrationSnapshot(0, cnot, dict.fromkeys(range(n), 0.02))
+        size = int(rng.integers(1, n + 1))
+        yield small, snap, tuple(rng.choice(n, size=size, replace=False).tolist())
+
+
+# sha256 of the repr of every louvain_cases() result, one per line
+LOUVAIN_DIGEST = "60bcaf2b2371f9f18491102026310f8138a4bd5e2b90990fcd6ac27941edae02"
+
+
+def test_louvain_outputs_are_pinned():
+    text = "\n".join(repr(louvain(*case)) for case in louvain_cases())
+    assert hashlib.sha256(text.encode()).hexdigest() == LOUVAIN_DIGEST
 
 
 def test_cri_whole_hardware_is_one():

@@ -625,9 +625,13 @@ _floats = st.floats(allow_nan=True, allow_infinity=True).map(repr)
 _density = st.one_of(st.floats(-1.0, 8.0), st.sampled_from([math.nan, math.inf, -math.inf])).map(repr)
 _window = st.builds(lambda a, b: f"{a}:{b}", st.integers(-2, 16), st.integers(-2, 16))
 _windows = st.one_of(st.builds(lambda a, b: f"{a},{b}", _window, _window), st.text(max_size=12))
+_nonfinite = st.sampled_from(["nan", "inf"])
 _attack = st.one_of(
     st.builds(lambda n, k: f"H1:n={n},k={k}", _ints, _floats),
     st.builds(lambda ks: "H2:k=" + ",".join(ks), st.lists(_floats, max_size=4)),
+    # a valid n, or a non-finite first magnitude before a decreasing tail
+    st.builds(lambda n, k: f"H1:n={n},k={k}", st.integers(1, 3), _nonfinite),
+    st.builds(lambda k, ks: f"H2:k={k}{ks}", _nonfinite, st.sampled_from(["", ",0.1", ",0.2,0.1"])),
     st.sampled_from(["none", "H1", "H3:n=1,k=0.1"]),
     st.text(max_size=12),
 )

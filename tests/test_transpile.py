@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from strategies import routing_case
+from strategies import angled_circuit, routing_case
 from mtqsim.allocation import ScoringContext
 from mtqsim.calibration import CalibrationSnapshot, uniform_snapshot
 from mtqsim.errors import DataError
@@ -67,11 +67,82 @@ def test_parse_tolerates_header_comments_and_angles():
     assert c.gates[0].angle == pytest.approx(np.pi / 2)
 
 
+# one malformed text per DataError branch of parse_qasm_subset, with its exact message
+MALFORMED_QASM = {
+    "unterminated": ("qreg q[2];\nh q[0]", "line 2: unterminated statement (missing ';')"),
+    "unterminated-spans-lines": (
+        "qreg q[2]; // fine\n\n  cx q[0],\nq[1] // no semicolon\n",
+        "line 3: unterminated statement (missing ';')",
+    ),
+    "second-qreg": ("qreg q[2];\nqreg r[2];", "line 2: only one qreg is supported"),
+    "second-creg": ("qreg q[2]; creg c[1]; creg d[1];", "line 1: only one creg is supported"),
+    "qreg-size-0": ("qreg q[0];", "line 1: qreg size must be positive"),
+    "creg-size-0": ("qreg q[1]; creg c[0];", "line 1: creg size must be positive"),
+    "gate-before-qreg": ("h q[0];", "line 1: gate before qreg declaration"),
+    "cx-before-qreg": ("creg c[1]; cx q[0],q[1];", "line 1: gate before qreg declaration"),
+    "measure-before-creg": (
+        "qreg q[1]; measure q[0] -> c[0];", "line 1: measure before creg declaration"
+    ),
+    "measure-qubit-before-creg": (
+        "qreg q[1]; measure q[1] -> c[0];", "line 1: index 1 overflows qreg q[1]"
+    ),
+    "unknown-qreg": ("qreg q[2]; h r[0];", "line 1: unknown quantum register 'r'"),
+    "unknown-qreg-angled": ("qreg q[2]; rx(pi) r[0];", "line 1: unknown quantum register 'r'"),
+    "unknown-qreg-cx-target": ("qreg q[2]; cx q[0],r[1];", "line 1: unknown quantum register 'r'"),
+    "unknown-creg": (
+        "qreg q[1]; creg c[1]; measure q[0] -> d[0];", "line 1: unknown classical register 'd'"
+    ),
+    "qubit-overflow": ("qreg q[2]; h q[2];", "line 1: index 2 overflows qreg q[2]"),
+    "qubit-overflow-cx": ("qreg q[2]; cx q[0],q[2];", "line 1: index 2 overflows qreg q[2]"),
+    "clbit-overflow": (
+        "qreg q[2]; creg c[1]; measure q[1] -> c[1];", "line 1: index 1 overflows creg c[1]"
+    ),
+    "cx-same-qubit": ("qreg q[2]; cx q[1], q[1];", "line 1: cx control and target are both q[1]"),
+    "unknown-gate": ("qreg q[1]; u q[0];", "line 1: unknown gate 'u'"),
+    "unknown-angled-gate": ("qreg q[1]; h(0.5) q[0];", "line 1: unknown gate 'h'"),
+    "angled-gate-name-first": ("qreg q[1]; u(2pi) r[0];", "line 1: unknown gate 'u'"),
+    "bad-angle": ("qreg q[1]; rx(2pi) q[0];", "line 1: cannot parse angle '2pi'"),
+    "bad-angle-before-qubit": ("qreg q[1]; ry(2pi) r[0];", "line 1: cannot parse angle '2pi'"),
+    "empty-angle": ("qreg q[1]; rz( ) q[0];", "line 1: empty gate angle"),
+    "unsupported": ("qreg q[1]; barrier q;", "line 1: unsupported statement 'barrier q'"),
+    "unsupported-no-space": ("qreg q[1]; hq[0];", "line 1: unsupported statement 'hq[0]'"),
+    "lines-join-without-space": ("qreg\nq[2];", "line 1: unsupported statement 'qregq[2]'"),
+    "spans-lines": (
+        "OPENQASM 2.0;\nqreg q[2];\n\n  h\n  q[5];", "line 4: index 5 overflows qreg q[2]"
+    ),
+    "no-qreg": ("OPENQASM 2.0;\ncreg c[1];", "no qreg declaration found"),
+    "empty": ("", "no qreg declaration found"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_QASM))
+def test_parse_rejects_malformed_text_with_its_message(name):
+    text, message = MALFORMED_QASM[name]
+    with pytest.raises(DataError) as info:
+        parse_qasm_subset(text)
+    assert str(info.value) == message
+
+
+def test_parse_checks_the_register_before_reading_a_long_index():
+    # int() may refuse an index of over 4,300 digits; the register's own error comes first
+    long = "9" * 4301
+    with pytest.raises(DataError, match="line 1: gate before qreg declaration"):
+        parse_qasm_subset(f"h q[{long}];")
+    with pytest.raises(DataError, match="line 1: unknown quantum register 'r'"):
+        parse_qasm_subset(f"qreg q[2]; cx q[0],r[{long}];")
+
+
 def test_qasm_round_trip():
     text = "qreg q[3]; creg c[3]; h q[0]; cx q[0],q[1]; cx q[1],q[2]; measure q[2] -> c[0];"
     c = parse_qasm_subset(text)
     again = parse_qasm_subset(circuit_to_qasm(c))
     assert again == c
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(angled_circuit())
+def test_qasm_round_trip_holds_for_any_circuit(c):
+    assert parse_qasm_subset(circuit_to_qasm(c)) == c
 
 
 def test_initial_layout_trivial_and_busiest():
@@ -119,6 +190,13 @@ def test_route_rejects_a_disconnected_partition():
     c = parse_qasm_subset("qreg q[2]; cx q[0],q[1];")
     with pytest.raises(ValueError, match="no path 0 -> 2"):
         route(c, {0: 0, 1: 2}, (0, 2), P3)
+
+
+def test_route_rejects_a_many_to_one_layout():
+    # both logical qubits on physical 1 would route cx q[0],q[1] as a CNOT on (1, 1)
+    c = parse_qasm_subset("qreg q[2]; cx q[0],q[1];")
+    with pytest.raises(ValueError, match="layout must be a bijection"):
+        route(c, {0: 1, 1: 1}, (1,), P3)
 
 
 def test_route_takes_the_lowest_shortest_path():
