@@ -47,9 +47,6 @@ class Partition:
     members: tuple[int, ...]
     score: float
 
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 def cfm(g: CouplingGraph, snap: CalibrationSnapshot, q: int) -> float:
     """Composite fidelity metric: degree(q) + (1 - (E + R)).

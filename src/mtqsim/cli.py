@@ -2,9 +2,10 @@
 
 Subcommands: simulate, attack-plan, detect, sweep, gen-workload. Exit codes:
 0 on success, 2 for configuration problems (bad flags or flag values, unknown
-names, missing referenced files, workloads that cannot be placed), 3 for
-malformed data file content. `main` is the one place that maps errors to
-exit codes: ConfigError and ValueError exit 2, DataError exits 3.
+names, missing referenced files, unwritable output paths, workloads that
+cannot be placed), 3 for malformed data file content. `main` is the one
+place that maps errors to exit codes: ConfigError and ValueError exit 2,
+DataError exits 3.
 
 The CLI is a thin layer: everything it does is importable from the library
 modules, and every report it writes embeds the resolved config and seeds
@@ -33,6 +34,7 @@ from .experiment import (
     DEFAULT_GATE_DENSITY,
     SWEEP_COLUMNS,
     ResolvedConfig,
+    attack_plan,
     dump_json,
     jobs_csv,
     load_config_file,
@@ -166,7 +168,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_attack_plan(args: argparse.Namespace) -> int:
     g = resolve_topology(topology_entry(args.topology), Path("."))
-    plan = resolve_attack(parse_attack_spec(args.attack), g)
+    plan = attack_plan(resolve_attack(parse_attack_spec(args.attack), g), g)
     if plan is None:
         raise ConfigError("attack-plan needs an H1 or H2 attack spec")
     if plan.heuristic == H1:

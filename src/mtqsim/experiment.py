@@ -7,7 +7,9 @@ re-running from an embedded config and its seeds reproduces the report byte
 for byte. A resolved workload is the very dict that reports embed, either
 {"kind": "generator", count, size_min, size_max, gate_density, seed} or
 {"kind": "qasm", "circuits": [{"id", "qasm"}, ...]}; ResolvedConfig.build_jobs
-turns it into jobs. The baseline leg always embeds attack "none", which makes
+turns it into jobs. So is a resolved attack, {"kind": "none"}, {"kind": "H1",
+n, k} or {"kind": "H2", "ks": [...]}; attack_plan turns it into a
+MisreportPlan. The baseline leg always embeds attack "none", which makes
 baseline reports byte-identical across attack variants sharing a workload and
 topology.
 
@@ -18,6 +20,7 @@ the sweep CSV (SWEEP_COLUMNS).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, replace
@@ -64,12 +67,21 @@ def dump_json(obj: Any) -> str:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write-then-rename so readers never observe a half-written file."""
+    """Write-then-rename so readers never observe a half-written file.
+
+    A path that cannot be written, such as an existing directory or a path
+    under a file, is a ConfigError naming it; the temporary file is removed.
+    """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def resolve_topology(spec: Any, base_dir: Path) -> CouplingGraph:
@@ -125,34 +137,37 @@ def resolve_errors(spec: Any, g: CouplingGraph, base_dir: Path) -> CalibrationSn
     raise ConfigError("errors must give 'uniform', a 'file', or inline 'cnot'/'readout'")
 
 
-def resolve_attack(spec: Any, g: CouplingGraph) -> MisreportPlan | None:
+def attack_plan(attack: dict, g: CouplingGraph) -> MisreportPlan | None:
+    """The misreport plan of a resolved attack on g; None for no attack."""
+    if attack["kind"] == "H1":
+        return h1_plan(g, attack["n"], attack["k"])
+    if attack["kind"] == "H2":
+        return h2_plan(g, attack["ks"])
+    return None
+
+
+def resolve_attack(spec: Any, g: CouplingGraph) -> dict:
+    """The attack as reports embed it, checked by building its plan on g."""
     if spec in (None, "none"):
-        return None
+        return {"kind": "none"}
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"attack must be 'none' or an object with 'kind': {spec!r}")
     kind = spec["kind"]
     if kind == "none":
-        return None
+        return {"kind": "none"}
     try:
         if kind == "H1":
-            return h1_plan(g, int(spec["n"]), float(spec["k"]))
-        if kind == "H2":
-            ks = [float(k) for k in spec["ks"]]
-            return h2_plan(g, ks)
+            attack = {"kind": "H1", "n": int(spec["n"]), "k": float(spec["k"])}
+        elif kind == "H2":
+            attack = {"kind": "H2", "ks": [float(k) for k in spec["ks"]]}
+        else:
+            raise ConfigError(f"attack kind must be 'none', 'H1', or 'H2', got {kind!r}")
+        attack_plan(attack, g)
     except KeyError as exc:
         raise ConfigError(f"attack {kind} missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {kind} attack: {exc}") from None
-    raise ConfigError(f"attack kind must be 'none', 'H1', or 'H2', got {kind!r}")
-
-
-def attack_as_dict(plan: MisreportPlan | None) -> dict:
-    if plan is None:
-        return {"kind": "none"}
-    if plan.heuristic == "H1":
-        # H1 always uses one uniform k across targets
-        return {"kind": "H1", "n": plan.n, "k": plan.targets[0][1]}
-    return {"kind": "H2", "ks": [-d for _, d in plan.targets]}
+    return attack
 
 
 def resolve_workload(spec: Any, base_dir: Path) -> dict:
@@ -216,7 +231,7 @@ class ResolvedConfig:
     graph: CouplingGraph
     snapshot: CalibrationSnapshot
     allocator: str
-    plan: MisreportPlan | None
+    attack: dict
     workload: dict
 
     def with_seed(self, seed: int) -> ResolvedConfig:
@@ -234,7 +249,7 @@ class ResolvedConfig:
     def as_dict(self) -> dict:
         return {
             "allocator": self.allocator,
-            "attack": attack_as_dict(self.plan),
+            "attack": self.attack,
             "errors": {
                 "cnot": {f"{u}-{v}": val for (u, v), val in sorted(self.snapshot.cnot_error.items())},
                 "readout": {str(q): val for q, val in sorted(self.snapshot.readout_error.items())},
@@ -264,9 +279,9 @@ def resolve_config(raw: Any, base_dir: str | Path = ".") -> ResolvedConfig:
     if not isinstance(allocator, str):
         raise ConfigError(f"allocator must be a name, got {allocator!r}")
     get_allocator(allocator)  # rejects unknown names
-    plan = resolve_attack(raw.get("attack", "none"), g)
+    attack = resolve_attack(raw.get("attack", "none"), g)
     workload = resolve_workload(raw["workload"], base_dir)
-    return ResolvedConfig(g, snapshot, allocator, plan, workload)
+    return ResolvedConfig(g, snapshot, allocator, attack, workload)
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -301,12 +316,13 @@ def run_simulate(rc: ResolvedConfig) -> SimulationResult:
     """
     jobs = rc.build_jobs()
     snap_true = rc.snapshot
-    snap_attacked = apply_misreport(snap_true, rc.graph, rc.plan)
+    plan = attack_plan(rc.attack, rc.graph)
+    snap_attacked = apply_misreport(snap_true, rc.graph, plan)
     baseline = run_queue(jobs, rc.graph, snap_true, snap_true, rc.allocator)
     attacked = run_queue(jobs, rc.graph, snap_true, snap_attacked, rc.allocator)
 
     baseline_doc = {
-        "config": replace(rc, plan=None).as_dict(),
+        "config": replace(rc, attack={"kind": "none"}).as_dict(),
         "report": baseline.to_dict(),
     }
     attacked_doc = {
@@ -316,7 +332,7 @@ def run_simulate(rc: ResolvedConfig) -> SimulationResult:
     summary_doc = {
         "config": rc.as_dict(),
         "attack_targets": [
-            {"qubit": q, "delta": d} for q, d in (rc.plan.targets if rc.plan else ())
+            {"qubit": q, "delta": d} for q, d in (plan.targets if plan else ())
         ],
         "baseline": baseline.aggregates(),
         "attacked": attacked.aggregates(),

@@ -147,15 +147,12 @@ def run_queue(
             raise ValueError(
                 f"job {job.id} needs {job.size} qubits; hardware has {g.qubit_count}"
             )
-    if not jobs:
-        return ExperimentReport(allocator, (), ())
 
     ctx = ScoringContext(g, snap_reported)
     answers: dict[AllocationRequest, Partition | None] = {}
     pending = list(jobs)
     rounds: list[RoundReport] = []
     metrics: list[JobMetrics] = []
-    round_index = 0
     while pending:
         available = set(range(g.qubit_count))
         placed: list[tuple[Job, Partition]] = []
@@ -186,7 +183,7 @@ def run_queue(
             metrics.append(
                 JobMetrics(
                     job_id=job.id,
-                    round_index=round_index,
+                    round_index=len(rounds),
                     depth=job_depth,
                     cnot_count=cnots,
                     swap_count=routed.swap_count,
@@ -196,13 +193,12 @@ def run_queue(
         active = sum(len(p.members) for _, p in placed)
         rounds.append(
             RoundReport(
-                round_index=round_index,
+                round_index=len(rounds),
                 placed_jobs=tuple((job.id, part) for job, part in placed),
                 active_qubits=active,
                 utilization=active / g.qubit_count,
             )
         )
-        round_index += 1
     return ExperimentReport(allocator, tuple(rounds), tuple(metrics))
 
 

@@ -115,7 +115,16 @@ def _parse_angle(text: str, ln: int) -> float:
     sign = -1.0 if m.group(1) == "-" else 1.0
     coeff = float(m.group(2)) if m.group(2) else 1.0
     div = float(m.group(3)) if m.group(3) else 1.0
+    if div == 0:
+        raise DataError(f"line {ln}: angle {expr!r} divides by zero")
     return sign * coeff * math.pi / div
+
+
+def _parse_int(digits: str, ln: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() reads (sys.get_int_max_str_digits)
+        raise DataError(f"line {ln}: number of {len(digits)} digits is too long") from None
 
 
 def parse_qasm_subset(text: str) -> LogicalCircuit:
@@ -150,7 +159,7 @@ def parse_qasm_subset(text: str) -> LogicalCircuit:
             raise DataError(f"line {ln}: {_REG_WORDS[kind][0]} before {kind} declaration")
         if name != regs[kind][0]:
             raise DataError(f"line {ln}: unknown {_REG_WORDS[kind][1]} register {name!r}")
-        i, size = int(digits), regs[kind][1]
+        i, size = _parse_int(digits, ln), regs[kind][1]
         if i >= size:
             raise DataError(f"line {ln}: index {i} overflows {kind} {name}[{size}]")
         return i
@@ -162,7 +171,7 @@ def parse_qasm_subset(text: str) -> LogicalCircuit:
             kind = m[1]
             if kind in regs:
                 raise DataError(f"line {ln}: only one {kind} is supported")
-            if (size := int(m[3])) < 1:
+            if (size := _parse_int(m[3], ln)) < 1:
                 raise DataError(f"line {ln}: {kind} size must be positive")
             regs[kind] = (m[2], size)
         elif m := _RE_MEASURE.match(stmt):
@@ -222,7 +231,6 @@ class PhysOp:
 class RoutedCircuit:
     partition: tuple[int, ...]
     initial_layout: dict[int, int]
-    final_layout: dict[int, int]
     physical_ops: tuple[PhysOp, ...]
     swap_count: int
 
@@ -320,7 +328,6 @@ def route(
     return RoutedCircuit(
         partition=tuple(members),
         initial_layout=dict(layout),
-        final_layout=dict(l2p),
         physical_ops=tuple(ops),
         swap_count=swap_count,
     )

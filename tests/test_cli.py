@@ -277,6 +277,12 @@ def test_malformed_data_exits_3(tmp_path, capsys):
     bad_qasm.write_text("OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];\n")
     cfg = write_config(tmp_path, "q.json", workload={"qasm_files": ["bad.qasm"]})
     assert main(["simulate", "--config", str(cfg)]) == 3
+    capsys.readouterr()
+
+    (tmp_path / "div0.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\nrx(pi/0) q[0];\n")
+    cfg = write_config(tmp_path, "div0.json", workload={"qasm_files": ["div0.qasm"]})
+    assert main(["simulate", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == "data error: line 3: angle 'pi/0' divides by zero\n"
 
 
 def test_attack_plan_h1_evidence(tmp_path):
@@ -529,6 +535,12 @@ REJECTED = {
     "comdap-disconnected": ["simulate", "--config", "two_comdap.json", "--out", "r"],
     "gen-workload-huge-density": ["gen-workload", "--count", "1", "--density=1e300",
                                   "--seed", "1", "--out", "d"],
+    # "taken" is an existing file and "dir" an existing directory
+    "simulate-out-under-a-file": ["simulate", "--config", "config.json", "--out", "taken"],
+    "gen-workload-out-under-a-file": ["gen-workload", "--count", "1", "--seed", "1",
+                                      "--out", "taken"],
+    "attack-plan-out-a-directory": ["attack-plan", "--attack", "H1:n=3,k=0.1", "--out", "dir"],
+    "detect-out-a-directory": DETECT + ["--tau", "0.1", "--out", "dir"],
 }
 
 
@@ -541,11 +553,14 @@ def test_invalid_values_exit_2_without_traceback(argv, tmp_path, monkeypatch, ca
         workload = {"count": 3, "size_min": size, "size_max": size, "seed": 1}
         write_config(tmp_path, f"two_{allocator}.json", topology=TWO_PATHS,
                      allocator=allocator, attack="none", workload=workload)
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "dir").mkdir()
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("config error:")
     assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 @pytest.mark.parametrize("flag", ["--eps", "--tau"])

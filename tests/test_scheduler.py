@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -240,6 +241,20 @@ def test_drift_reports_are_pinned(key, drift_errors):
     allocator, attack, seed = key
     got = leg_digests(drift_errors, key)
     assert got == (DRIFT_BASELINE_DIGESTS[allocator, seed], DRIFT_ATTACKED_DIGESTS[key])
+
+
+def test_an_attack_set_on_a_resolved_config_replays_from_its_report():
+    raw = {
+        "topology": "hanoi27",
+        "errors": {"uniform": {"cnot": 0.02, "readout": 0.02}},
+        "workload": {"count": 8, "size_min": 2, "size_max": 6, "seed": 4},
+    }
+    rc = replace(resolve_config(raw), attack={"kind": "H1", "n": 2, "k": 0.3})
+    res = run_simulate(rc)
+    assert [t["qubit"] for t in res.summary_doc["attack_targets"]] == [12, 14]
+    replay = run_simulate(resolve_config(res.attacked_doc["config"]))
+    assert dump_json(replay.attacked_doc) == dump_json(res.attacked_doc)
+    assert dump_json(replay.summary_doc) == dump_json(res.summary_doc)
 
 
 @st.composite

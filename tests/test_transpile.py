@@ -104,6 +104,17 @@ MALFORMED_QASM = {
     "bad-angle": ("qreg q[1]; rx(2pi) q[0];", "line 1: cannot parse angle '2pi'"),
     "bad-angle-before-qubit": ("qreg q[1]; ry(2pi) r[0];", "line 1: cannot parse angle '2pi'"),
     "empty-angle": ("qreg q[1]; rz( ) q[0];", "line 1: empty gate angle"),
+    "angle-divides-by-zero": ("qreg q[1]; rx(pi/0) q[0];", "line 1: angle 'pi/0' divides by zero"),
+    "angle-divides-by-zero-point-zero": (
+        "qreg q[1];\nry(-2*pi/0.0) q[0];", "line 2: angle '-2*pi/0.0' divides by zero"
+    ),
+    # int() refuses over 4,300 digits by default
+    "qreg-size-too-long": (
+        f"qreg q[{'9' * 4301}];", "line 1: number of 4301 digits is too long"
+    ),
+    "index-too-long": (
+        f"qreg q[2];\nh q[{'9' * 4301}];", "line 2: number of 4301 digits is too long"
+    ),
     "unsupported": ("qreg q[1]; barrier q;", "line 1: unsupported statement 'barrier q'"),
     "unsupported-no-space": ("qreg q[1]; hq[0];", "line 1: unsupported statement 'hq[0]'"),
     "lines-join-without-space": ("qreg\nq[2];", "line 1: unsupported statement 'qregq[2]'"),
