@@ -9,12 +9,15 @@ DataError exits 3.
 
 The CLI is a thin layer: everything it does is importable from the library
 modules, and every report it writes embeds the resolved config and seeds
-needed to reproduce it.
+needed to reproduce it. Flags only fill in the raw config: --attack text
+becomes an attack object whose values are numbers, and resolve_config
+checks it exactly as it checks a config file's.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -33,7 +36,6 @@ from .experiment import (
     BUILTIN_TOPOLOGIES,
     DEFAULT_GATE_DENSITY,
     SWEEP_COLUMNS,
-    ResolvedConfig,
     attack_plan,
     dump_json,
     jobs_csv,
@@ -45,42 +47,43 @@ from .experiment import (
     rounds_csv,
     run_simulate,
     run_sweep,
+    with_seed,
     write_text_atomic,
     write_workload,
 )
 from .scheduler import gen_workload
 
 
+def _attack_token(text: str) -> int | float | str:
+    """An --attack value as an int if it parses as one, else a float, else as is."""
+    for number in (int, float):
+        with contextlib.suppress(ValueError):
+            return number(text)
+    return text.strip()
+
+
 def parse_attack_spec(spec: str) -> str | dict:
-    """Parse --attack strings: 'none', 'H1:n=3,k=0.15', 'H2:k=0.15,0.12,0.10'."""
+    """--attack text as a config attack: 'none', 'H1:n=3,k=0.15', 'H2:k=0.15,0.12,0.10'.
+
+    Only a field given twice is rejected here; resolve_attack checks the rest.
+    """
     spec = spec.strip()
-    if spec == "none":
-        return "none"
     if ":" not in spec:
-        raise ConfigError(f"attack spec {spec!r} must be 'none' or 'H1:...'/'H2:...'")
+        return spec  # 'none'; resolve_attack rejects any other
     kind, _, params = spec.partition(":")
-    kind = kind.upper()
-    if kind == "H1":
-        fields = {}
-        for part in params.split(","):
-            key, _, val = part.partition("=")
-            fields[key.strip()] = val.strip()
-        try:
-            return {"kind": "H1", "n": int(fields["n"]), "k": float(fields["k"])}
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad H1 spec {spec!r}: need n=<int>,k=<float> ({exc})") from None
-    if kind == "H2":
+    attack = {"kind": kind.strip().upper()}
+    if attack["kind"] == "H2":
         body = params.strip()
         if body.startswith(("k=", "ks=")):
             body = body.split("=", 1)[1]
-        try:
-            ks = [float(x) for x in body.split(",") if x.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad H2 spec {spec!r}: {exc}") from None
-        if not ks:
-            raise ConfigError(f"bad H2 spec {spec!r}: no magnitudes")
-        return {"kind": "H2", "ks": ks}
-    raise ConfigError(f"unknown attack kind {kind!r} in {spec!r}")
+        attack["ks"] = [_attack_token(x) for x in body.split(",") if x.strip()]
+        return attack
+    for part in filter(str.strip, params.split(",")):
+        key, _, val = part.partition("=")
+        if key.strip() in attack:
+            raise ConfigError(f"attack field {key.strip()!r} given twice in {spec!r}")
+        attack[key.strip()] = _attack_token(val)
+    return attack
 
 
 def parse_seed_list(spec: str) -> list[int]:
@@ -125,8 +128,9 @@ def topology_entry(flag: str) -> str | dict:
     return {"file": str(Path(flag).absolute())}
 
 
-def resolve_run(args: argparse.Namespace) -> tuple[ResolvedConfig, Path]:
-    """The --config file with its flag overrides applied, resolved, and the output directory."""
+def resolve_run(args: argparse.Namespace) -> tuple[dict, Path]:
+    """The --config file with its flag overrides applied, resolved, and the
+    output directory, created so that an unwritable one fails before any run."""
     raw = load_config_file(args.config)
     if getattr(args, "topology", None):
         raw["topology"] = topology_entry(args.topology)
@@ -134,18 +138,23 @@ def resolve_run(args: argparse.Namespace) -> tuple[ResolvedConfig, Path]:
         raw["allocator"] = args.allocator
     if args.attack:
         raw["attack"] = parse_attack_spec(args.attack)
-    rc = resolve_config(raw, Path(args.config).parent)
+    config = resolve_config(raw, Path(args.config).parent)
+    if getattr(args, "seed", None) is not None:
+        config = with_seed(config, args.seed)
     out = raw.get("out", "reports")
     if not isinstance(out, str):
         raise ConfigError(f"out must be a directory path string, got {out!r}")
-    return rc, Path(args.out or out)
+    out_dir = Path(args.out or out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc}") from None
+    return config, out_dir
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    rc, out_dir = resolve_run(args)
-    if args.seed is not None:
-        rc = rc.with_seed(args.seed)
-    res = run_simulate(rc)
+    config, out_dir = resolve_run(args)
+    res = run_simulate(config)
 
     write_text_atomic(out_dir / "baseline.json", dump_json(res.baseline_doc))
     write_text_atomic(out_dir / "attacked.json", dump_json(res.attacked_doc))
@@ -249,8 +258,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    rc, out_dir = resolve_run(args)
-    rows, csv_text = run_sweep(rc, parse_seed_list(args.seeds))
+    config, out_dir = resolve_run(args)
+    rows, csv_text = run_sweep(config, parse_seed_list(args.seeds))
     write_text_atomic(out_dir / "sweep.csv", csv_text)
     n = len(rows)
     mean = {c: sum(r[c] for r in rows) / n for c in SWEEP_COLUMNS}
@@ -264,8 +273,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_workload(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        raise ConfigError("--count must be positive")
     params = {
         "count": args.count,
         "size_min": args.size_min,

@@ -1,17 +1,17 @@
 """Experiment configuration and the baseline-vs-attack drivers.
 
 A configuration names a topology, a base error model, an allocator, an
-attack, and a workload. Resolution turns every file reference into inline
-content, so the resolved form embedded in each report is self-contained:
-re-running from an embedded config and its seeds reproduces the report byte
-for byte. A resolved workload is the very dict that reports embed, either
+attack, and a workload. resolve_config checks every value (config_number
+checks every number) and returns the very dict that reports embed, with
+each file reference turned into inline content: the topology {"qubits",
+"edges"}, the errors' "cnot"/"readout" maps, the attack {"kind": "none"},
+{"kind": "H1", n, k} or {"kind": "H2", "ks": [...]}, and the workload
 {"kind": "generator", count, size_min, size_max, gate_density, seed} or
-{"kind": "qasm", "circuits": [{"id", "qasm"}, ...]}; ResolvedConfig.build_jobs
-turns it into jobs. So is a resolved attack, {"kind": "none"}, {"kind": "H1",
-n, k} or {"kind": "H2", "ks": [...]}; attack_plan turns it into a
-MisreportPlan. The baseline leg always embeds attack "none", which makes
-baseline reports byte-identical across attack variants sharing a workload and
-topology.
+{"kind": "qasm", "circuits": [{"id", "qasm"}, ...]}. run_simulate reads
+nothing else, so re-running from an embedded config reproduces the report
+byte for byte. The baseline leg always embeds attack "none", which makes
+baseline reports byte-identical across attack variants sharing a workload
+and topology.
 
 The report writers here lay out the per-round CSV, the per-job CSV (whose
 columns are scheduler.JOB_COLUMNS, the same keys as a report's "jobs"), and
@@ -23,7 +23,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -38,7 +38,7 @@ from .calibration import (
     validate_snapshot,
 )
 from .errors import ConfigError
-from .scheduler import JOB_COLUMNS, ExperimentReport, Job, gen_workload, run_queue
+from .scheduler import JOB_COLUMNS, ExperimentReport, Job, check_generator, gen_workload, run_queue
 from .topology import CouplingGraph, hanoi27, load_edge_list
 from .transpile import circuit_to_qasm, parse_qasm_subset
 
@@ -84,6 +84,18 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
+def config_number(value: Any, where: str, kind: type = float) -> int | float:
+    """A number a config holds, as kind: an int field takes a JSON integer, a
+    float field any JSON number. Neither takes a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is out of range, got {value}") from None
+
+
 def resolve_topology(spec: Any, base_dir: Path) -> CouplingGraph:
     if isinstance(spec, str):
         if spec in BUILTIN_TOPOLOGIES:
@@ -94,9 +106,11 @@ def resolve_topology(spec: Any, base_dir: Path) -> CouplingGraph:
     if isinstance(spec, dict) and "file" in spec:
         return load_edge_list(_read_config_file(base_dir, spec["file"]))
     if isinstance(spec, dict) and "qubits" in spec and "edges" in spec:
+        qubits = config_number(spec["qubits"], "topology qubits", int)
         try:
-            edges = frozenset((int(u), int(v)) for u, v in spec["edges"])
-            return CouplingGraph(int(spec["qubits"]), edges)
+            edges = {tuple(config_number(q, "topology edge endpoint", int) for q in (u, v))
+                     for u, v in spec["edges"]}
+            return CouplingGraph(qubits, frozenset(edges))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid inline topology: {exc}") from None
     raise ConfigError(f"topology must be a builtin name, a file, or inline: {spec!r}")
@@ -108,14 +122,13 @@ def resolve_errors(spec: Any, g: CouplingGraph, base_dir: Path) -> CalibrationSn
     if "uniform" in spec:
         u = spec["uniform"]
         try:
-            return uniform_snapshot(g, float(u["cnot"]), float(u["readout"]))
+            rates = [config_number(u[key], f"uniform {key} error") for key in ("cnot", "readout")]
+            return uniform_snapshot(g, *rates)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid uniform error model: {exc}") from None
     if "file" in spec:
         series = load_calibration_csv(_read_config_file(base_dir, spec["file"]), g)
-        cycle = spec.get("cycle", series.cycle_ids[0])
-        if not isinstance(cycle, int) or isinstance(cycle, bool):
-            raise ConfigError(f"errors cycle must be an integer, got {cycle!r}")
+        cycle = config_number(spec.get("cycle", series.cycle_ids[0]), "errors cycle", int)
         rows = series.cycle_slice(cycle, cycle + 1)
         if rows.start == rows.stop:
             raise ConfigError(f"cycle {cycle} not present in {spec['file']}")
@@ -124,11 +137,10 @@ def resolve_errors(spec: Any, g: CouplingGraph, base_dir: Path) -> CalibrationSn
         if not (isinstance(spec["cnot"], dict) and isinstance(spec["readout"], dict)):
             raise ConfigError("inline 'cnot' and 'readout' error models must be objects")
         try:
-            cnot = {}
-            for key, val in spec["cnot"].items():
-                u, v = key.split("-")
-                cnot[(int(u), int(v))] = float(val)
-            readout = {int(q): float(val) for q, val in spec["readout"].items()}
+            cnot = {tuple(map(int, key.split("-"))): config_number(val, f"cnot error {key}")
+                    for key, val in spec["cnot"].items()}
+            readout = {int(q): config_number(val, f"readout error {q}")
+                       for q, val in spec["readout"].items()}
             snap = CalibrationSnapshot(0, cnot, readout)
             validate_snapshot(snap, g)
             return snap
@@ -148,24 +160,23 @@ def attack_plan(attack: dict, g: CouplingGraph) -> MisreportPlan | None:
 
 def resolve_attack(spec: Any, g: CouplingGraph) -> dict:
     """The attack as reports embed it, checked by building its plan on g."""
-    if spec in (None, "none"):
+    if spec in (None, "none", {"kind": "none"}):
         return {"kind": "none"}
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"attack must be 'none' or an object with 'kind': {spec!r}")
-    kind = spec["kind"]
-    if kind == "none":
-        return {"kind": "none"}
+    if not isinstance(spec, dict) or spec.get("kind") not in ("H1", "H2"):
+        raise ConfigError(f"attack must be 'none' or an object of kind 'H1' or 'H2': {spec!r}")
+    kind, fields = spec["kind"], sorted(set(spec) - {"kind"})
+    if fields != (["k", "n"] if kind == "H1" else ["ks"]):
+        raise ConfigError(f"{kind} attack takes {'k and n' if kind == 'H1' else 'ks'}, got {fields}")
+    if kind == "H1":
+        n, k = config_number(spec["n"], "H1 attack n", int), config_number(spec["k"], "H1 attack k")
+        attack = {"kind": "H1", "n": n, "k": k}
+    elif isinstance(spec["ks"], list):
+        attack = {"kind": "H2", "ks": [config_number(k, "H2 attack ks entry") for k in spec["ks"]]}
+    else:
+        raise ConfigError(f"H2 attack ks must be a list, got {spec['ks']!r}")
     try:
-        if kind == "H1":
-            attack = {"kind": "H1", "n": int(spec["n"]), "k": float(spec["k"])}
-        elif kind == "H2":
-            attack = {"kind": "H2", "ks": [float(k) for k in spec["ks"]]}
-        else:
-            raise ConfigError(f"attack kind must be 'none', 'H1', or 'H2', got {kind!r}")
         attack_plan(attack, g)
-    except KeyError as exc:
-        raise ConfigError(f"attack {kind} missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid {kind} attack: {exc}") from None
     return attack
 
@@ -206,64 +217,35 @@ def resolve_workload(spec: Any, base_dir: Path) -> dict:
         if not circuits:
             raise ConfigError("workload lists no circuits")
         return {"kind": "qasm", "circuits": circuits}
-    try:
-        workload = {
-            "kind": "generator",
-            "count": int(spec["count"]),
-            "size_min": int(spec["size_min"]),
-            "size_max": int(spec["size_max"]),
-            "gate_density": float(spec.get("gate_density", DEFAULT_GATE_DENSITY)),
-            "seed": int(spec["seed"]),
-        }
-    except KeyError as exc:
-        raise ConfigError(f"generator workload missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid generator workload: {exc}") from None
-    if workload["count"] < 1:
-        raise ConfigError("generator workload count must be positive")
-    if not (1 <= workload["size_min"] <= workload["size_max"]):
-        raise ConfigError("need 1 <= size_min <= size_max")
+    spec = {"gate_density": DEFAULT_GATE_DENSITY, **spec}
+    workload = {"kind": "generator"}
+    for field in ("count", "size_min", "size_max", "gate_density", "seed"):
+        if field not in spec:
+            raise ConfigError(f"generator workload missing field {field!r}")
+        kind = float if field == "gate_density" else int
+        workload[field] = config_number(spec[field], f"generator workload {field}", kind)
+    check_generator(*(workload[f] for f in ("count", "size_min", "size_max", "gate_density")))
     return workload
 
 
-@dataclass(frozen=True)
-class ResolvedConfig:
-    graph: CouplingGraph
-    snapshot: CalibrationSnapshot
-    allocator: str
-    attack: dict
-    workload: dict
-
-    def with_seed(self, seed: int) -> ResolvedConfig:
-        """This config with its generator workload drawn from another seed."""
-        if self.workload["kind"] != "generator":
-            raise ConfigError("seed overrides require a generator workload")
-        return replace(self, workload={**self.workload, "seed": seed})
-
-    def build_jobs(self) -> list[Job]:
-        w = self.workload
-        if w["kind"] == "qasm":
-            return [Job(id=c["id"], circuit=parse_qasm_subset(c["qasm"])) for c in w["circuits"]]
-        return gen_workload(w["count"], w["size_min"], w["size_max"], w["gate_density"], w["seed"])
-
-    def as_dict(self) -> dict:
-        return {
-            "allocator": self.allocator,
-            "attack": self.attack,
-            "errors": {
-                "cnot": {f"{u}-{v}": val for (u, v), val in sorted(self.snapshot.cnot_error.items())},
-                "readout": {str(q): val for q, val in sorted(self.snapshot.readout_error.items())},
-            },
-            "topology": {
-                "qubits": self.graph.qubit_count,
-                "edges": [[u, v] for u, v in self.graph.edge_list],
-            },
-            "workload": self.workload,
-        }
+def with_seed(config: dict, seed: int) -> dict:
+    """A resolved config with its generator workload drawn from another seed."""
+    if config["workload"]["kind"] != "generator":
+        raise ConfigError("seed overrides require a generator workload")
+    return {**config, "workload": {**config["workload"], "seed": config_number(seed, "seed", int)}}
 
 
-def resolve_config(raw: Any, base_dir: str | Path = ".") -> ResolvedConfig:
-    """Validate a raw config tree and resolve every reference to content."""
+def build_jobs(config: dict) -> list[Job]:
+    """The jobs of a resolved config's workload."""
+    w = config["workload"]
+    if w["kind"] == "qasm":
+        return [Job(id=c["id"], circuit=parse_qasm_subset(c["qasm"])) for c in w["circuits"]]
+    return gen_workload(w["count"], w["size_min"], w["size_max"], w["gate_density"], w["seed"])
+
+
+def resolve_config(raw: Any, base_dir: str | Path = ".") -> dict:
+    """Validate a raw config tree and resolve it to the dict reports embed,
+    with every reference turned into inline content."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     base_dir = Path(base_dir)
@@ -279,9 +261,16 @@ def resolve_config(raw: Any, base_dir: str | Path = ".") -> ResolvedConfig:
     if not isinstance(allocator, str):
         raise ConfigError(f"allocator must be a name, got {allocator!r}")
     get_allocator(allocator)  # rejects unknown names
-    attack = resolve_attack(raw.get("attack", "none"), g)
-    workload = resolve_workload(raw["workload"], base_dir)
-    return ResolvedConfig(g, snapshot, allocator, attack, workload)
+    return {
+        "allocator": allocator,
+        "attack": resolve_attack(raw.get("attack", "none"), g),
+        "errors": {
+            "cnot": {f"{u}-{v}": val for (u, v), val in sorted(snapshot.cnot_error.items())},
+            "readout": {str(q): val for q, val in sorted(snapshot.readout_error.items())},
+        },
+        "topology": {"qubits": g.qubit_count, "edges": [[u, v] for u, v in g.edge_list]},
+        "workload": resolve_workload(raw["workload"], base_dir),
+    }
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -308,29 +297,26 @@ def _pct_change(new: float, old: float) -> float:
     return 100.0 * (new - old) / old if old else 0.0
 
 
-def run_simulate(rc: ResolvedConfig) -> SimulationResult:
+def run_simulate(config: dict) -> SimulationResult:
     """Run the identical workload twice: honest reports, then attacked reports.
 
-    The true snapshot is shared; only the reported snapshot differs between
-    legs, so every metric delta is attributable to the misreport.
+    The graph, true snapshot, jobs and plan are built from resolve_config's
+    dict alone, as a replay builds them. The true snapshot is shared; only the
+    reported snapshot differs between legs, so every metric delta is
+    attributable to the misreport.
     """
-    jobs = rc.build_jobs()
-    snap_true = rc.snapshot
-    plan = attack_plan(rc.attack, rc.graph)
-    snap_attacked = apply_misreport(snap_true, rc.graph, plan)
-    baseline = run_queue(jobs, rc.graph, snap_true, snap_true, rc.allocator)
-    attacked = run_queue(jobs, rc.graph, snap_true, snap_attacked, rc.allocator)
+    g = resolve_topology(config["topology"], Path())
+    snap_true = resolve_errors(config["errors"], g, Path())
+    jobs = build_jobs(config)
+    plan = attack_plan(config["attack"], g)
+    snap_attacked = apply_misreport(snap_true, g, plan)
+    baseline = run_queue(jobs, g, snap_true, snap_true, config["allocator"])
+    attacked = run_queue(jobs, g, snap_true, snap_attacked, config["allocator"])
 
-    baseline_doc = {
-        "config": replace(rc, attack={"kind": "none"}).as_dict(),
-        "report": baseline.to_dict(),
-    }
-    attacked_doc = {
-        "config": rc.as_dict(),
-        "report": attacked.to_dict(),
-    }
+    baseline_doc = {"config": {**config, "attack": {"kind": "none"}}, "report": baseline.to_dict()}
+    attacked_doc = {"config": config, "report": attacked.to_dict()}
     summary_doc = {
-        "config": rc.as_dict(),
+        "config": config,
         "attack_targets": [
             {"qubit": q, "delta": d} for q, d in (plan.targets if plan else ())
         ],
@@ -381,13 +367,13 @@ SWEEP_COLUMNS = {
 }
 
 
-def run_sweep(rc: ResolvedConfig, seeds: list[int]) -> tuple[list[dict], str]:
+def run_sweep(config: dict, seeds: list[int]) -> tuple[list[dict], str]:
     """Per-seed baseline-vs-attack rows plus mean/std aggregate rows, as CSV."""
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
     rows: list[dict] = []
     for seed in seeds:
-        summary = run_simulate(rc.with_seed(seed)).summary_doc
+        summary = run_simulate(with_seed(config, seed)).summary_doc
         rows.append(
             {"seed": seed, **{c: summary[sec][key] for c, (sec, key) in SWEEP_COLUMNS.items()}}
         )

@@ -206,6 +206,22 @@ def run_queue(
 MAX_JOB_GATES = 10**6
 
 
+def check_generator(count: int, size_min: int, size_max: int, gate_density: float) -> None:
+    """gen_workload's range rules: count >= 1, 1 <= size_min <= size_max, and a positive,
+    finite gate_density that gives no size_max job more than MAX_JOB_GATES gates."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    if not (1 <= size_min <= size_max):
+        raise ValueError(f"need 1 <= size_min <= size_max, got {size_min}..{size_max}")
+    if not 0 < gate_density < math.inf:
+        raise ValueError(f"gate_density must be positive and finite, got {gate_density}")
+    if size_max * (size_max - 1) > 2 * MAX_JOB_GATES / gate_density:  # no float product to overflow
+        raise ValueError(
+            f"gate_density {gate_density} gives a {size_max}-qubit job more than "
+            f"{MAX_JOB_GATES} gates"
+        )
+
+
 def gen_workload(
     count: int,
     size_min: int,
@@ -219,20 +235,10 @@ def gen_workload(
     uniform over [size_min, size_max]; then max(1, round(gate_density *
     size*(size-1)/2)) two-qubit gates each draw a control and a distinct
     target uniformly. Every qubit is measured at the end. Single-qubit jobs
-    carry measurements only. A gate_density that would give a size_max job
-    more than MAX_JOB_GATES gates is rejected before anything is drawn.
+    carry measurements only. Parameters that break check_generator's rules
+    are rejected before anything is drawn.
     """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if not (1 <= size_min <= size_max):
-        raise ValueError(f"need 1 <= size_min <= size_max, got {size_min}..{size_max}")
-    if not 0 < gate_density < math.inf:
-        raise ValueError(f"gate_density must be positive and finite, got {gate_density}")
-    if gate_density * size_max * (size_max - 1) / 2 > MAX_JOB_GATES:
-        raise ValueError(
-            f"gate_density {gate_density} gives a {size_max}-qubit job more than "
-            f"{MAX_JOB_GATES} gates"
-        )
+    check_generator(count, size_min, size_max, gate_density)
     rng = np.random.default_rng(seed)
     jobs: list[Job] = []
     for i in range(count):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtqsim import defense
+from mtqsim import cli, defense, experiment
 from mtqsim.adversary import apply_misreport_series, h1_plan
 from mtqsim.calibration import (
     CalibrationSeries,
@@ -53,9 +53,12 @@ def test_parse_attack_spec():
         "ks": [0.15, 0.12, 0.10],
     }
     assert parse_attack_spec("H2:0.2,0.1") == {"kind": "H2", "ks": [0.2, 0.1]}
-    for bad in ("H1", "H1:n=x,k=0.1", "H1:k=0.1", "H2:", "H3:n=1,k=0.1", "sideways"):
-        with pytest.raises(ConfigError):
-            parse_attack_spec(bad)
+    # the text only becomes a config attack; resolve_attack checks it (see REJECTED)
+    assert parse_attack_spec("H1:n=3.5,k=1") == {"kind": "H1", "n": 3.5, "k": 1}
+    assert parse_attack_spec("H1:n=x,k=0.1") == {"kind": "H1", "n": "x", "k": 0.1}
+    assert parse_attack_spec("sideways") == "sideways"
+    with pytest.raises(ConfigError, match="given twice"):
+        parse_attack_spec("H1:n=3,k=0.1,k=0.9")
 
 
 def test_parse_seed_list():
@@ -527,6 +530,15 @@ REJECTED = {
     "h1-k-inf": ["attack-plan", "--attack", "H1:n=3,k=inf"],
     "h2-k-nan": ["attack-plan", "--attack", "H2:k=nan"],
     "h2-k-inf": ["attack-plan", "--attack", "H2:k=inf,0.1"],
+    "h1-n-not-a-number": ["attack-plan", "--attack", "H1:n=x,k=0.1"],
+    "h1-n-fraction": ["attack-plan", "--attack", "H1:n=3.5,k=0.1"],
+    "h1-missing-n": ["attack-plan", "--attack", "H1:k=0.1"],
+    "h1-unknown-field": ["attack-plan", "--attack", "H1:n=3,k=0.1,x=5"],
+    "h1-field-twice": ["attack-plan", "--attack", "H1:n=3,k=0.1,k=0.9"],
+    "h2-no-magnitudes": ["attack-plan", "--attack", "H2:"],
+    "h3-kind": ["attack-plan", "--attack", "H3:n=1,k=0.1"],
+    "h1-no-fields": ["attack-plan", "--attack", "H1"],
+    "attack-sideways": ["attack-plan", "--attack", "sideways"],
     "simulate-h1-k-nan": ["simulate", "--config", "config.json", "--attack", "H1:n=3,k=nan",
                           "--out", "r"],
     "h2-disconnected": ["simulate", "--config", "two_greedy.json", "--attack", "H2:k=0.15,0.12",
@@ -535,6 +547,11 @@ REJECTED = {
     "comdap-disconnected": ["simulate", "--config", "two_comdap.json", "--out", "r"],
     "gen-workload-huge-density": ["gen-workload", "--count", "1", "--density=1e300",
                                   "--seed", "1", "--out", "d"],
+    "gen-workload-count-0": ["gen-workload", "--count", "0", "--seed", "1", "--out", "d"],
+    "gen-workload-size-min-over-max": ["gen-workload", "--count", "1", "--size-min", "7",
+                                       "--size-max", "6", "--seed", "1", "--out", "d"],
+    "gen-workload-size-max-huge": ["gen-workload", "--count", "1", "--size-max", "9" * 400,
+                                   "--seed", "1", "--out", "d"],
     # "taken" is an existing file and "dir" an existing directory
     "simulate-out-under-a-file": ["simulate", "--config", "config.json", "--out", "taken"],
     "gen-workload-out-under-a-file": ["gen-workload", "--count", "1", "--seed", "1",
@@ -561,6 +578,7 @@ def test_invalid_values_exit_2_without_traceback(argv, tmp_path, monkeypatch, ca
     assert err.startswith("config error:")
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("*.tmp"))
+    assert not (tmp_path / "d").exists()  # gen-workload writes nothing
 
 
 @pytest.mark.parametrize("flag", ["--eps", "--tau"])
@@ -576,6 +594,12 @@ BELL = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\ncx q[0],q[1];\nmeasure q[0] -> c[
 
 def bell_circuits(*ids):
     return {"workload": {"circuits": [{"id": jid, "qasm": BELL} for jid in ids]}}
+
+
+def path3(topology):
+    """A three-qubit path topology with a workload and no attack that run on it."""
+    workload = {"count": 2, "size_min": 2, "size_max": 2, "seed": 3}
+    return {"topology": topology, "attack": "none", "workload": workload}
 
 
 # config fields of the right name but the wrong JSON shape or value
@@ -597,11 +621,36 @@ MALFORMED = {
     "circuit-id-line-break": bell_circuits("p\nq"),
     "circuit-ids-duplicate": bell_circuits("p", "q", "p"),
     "qasm-files-same-stem": {"workload": {"qasm_files": ["x/a.qasm", "y/a.qasm"]}},
+    # each number a config holds is checked as it is, never coerced
+    "attack-n-fraction": {"attack": {"kind": "H1", "n": 3.5, "k": 0.15}},
+    "attack-n-bool": {"attack": {"kind": "H1", "n": True, "k": 0.15}},
+    "attack-k-string": {"attack": {"kind": "H1", "n": 3, "k": "0.15"}},
+    "attack-unknown-field": {"attack": {"kind": "H1", "n": 3, "k": 0.15, "x": 5}},
+    "workload-count-string": {"workload": {"count": "6", "size_min": 2, "size_max": 6, "seed": 3}},
+    "workload-seed-fraction": {"workload": {"count": 6, "size_min": 2, "size_max": 6, "seed": 1.9}},
+    "topology-qubits-fraction": path3({"qubits": 3.9, "edges": [[0, 1], [1, 2]]}),
+    "topology-edge-fraction": path3({"qubits": 3, "edges": [[0, 1], [1, 2.7]]}),
+    "errors-cnot-bool": {"errors": {"uniform": {"cnot": True, "readout": 0.02}}},
+    # gen_workload's range rules
+    "workload-count-0": {"workload": {"count": 0, "size_min": 2, "size_max": 6, "seed": 3}},
+    "workload-size-min-over-max": {"workload": {"count": 6, "size_min": 7, "size_max": 6, "seed": 3}},
+    "workload-density-1e300": {
+        "workload": {"count": 6, "size_min": 2, "size_max": 6, "gate_density": 1e300, "seed": 3}
+    },
 }
 
 
+@pytest.fixture
+def run_calls(monkeypatch):
+    """Every run_simulate call that simulate or sweep makes, not run."""
+    calls = []
+    for module in (cli, experiment):
+        monkeypatch.setattr(module, "run_simulate", calls.append)
+    return calls
+
+
 @pytest.mark.parametrize("overrides", list(MALFORMED.values()), ids=list(MALFORMED))
-def test_malformed_config_shapes_exit_2_without_traceback(overrides, tmp_path, capsys):
+def test_malformed_config_shapes_exit_2_without_traceback(overrides, tmp_path, capsys, run_calls):
     write_honest_calib(tmp_path / "cal.csv")
     for sub in ("x", "y"):
         (tmp_path / sub).mkdir()
@@ -612,6 +661,25 @@ def test_malformed_config_shapes_exit_2_without_traceback(overrides, tmp_path, c
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("config error:")
+    assert run_calls == []
+    assert not (tmp_path / "r").exists()
+
+
+def test_attack_flag_and_config_give_one_message(tmp_path, capsys):
+    assert main(["attack-plan", "--attack", "H1:n=3.5,k=0.1"]) == 2
+    flag_err = capsys.readouterr().err
+    cfg = write_config(tmp_path, attack={"kind": "H1", "n": 3.5, "k": 0.1})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == flag_err == "config error: H1 attack n must be an integer, got 3.5\n"
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--seeds", "1..20"]])
+def test_unwritable_out_fails_before_any_run(command, tmp_path, capsys, run_calls):
+    cfg = write_config(tmp_path)
+    (tmp_path / "taken").write_text("")
+    assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "taken" / "r")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {tmp_path / 'taken' / 'r'}")
+    assert run_calls == []
 
 
 def test_simulate_topology_flag_resolves_against_working_directory(tmp_path, monkeypatch):

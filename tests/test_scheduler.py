@@ -1,19 +1,19 @@
 import hashlib
+import json
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import graph_and_snapshot
+from strategies import connected_graph, graph_and_snapshot
 from mtqsim import allocation
 from mtqsim.allocation import ScoringContext
 from mtqsim.calibration import synth_drift, uniform_snapshot
 from mtqsim.experiment import dump_json, resolve_config, run_simulate
 from mtqsim.scheduler import ExperimentReport, Job, gen_workload, run_queue
-from mtqsim.topology import CouplingGraph, hanoi27
+from mtqsim.topology import CouplingGraph, hanoi27, max_degree_qubits
 from mtqsim.transpile import LogicalCircuit, MeasureGate, TwoQubitGate
 
 
@@ -121,7 +121,8 @@ def test_gen_workload_determinism_and_sizes():
         assert a.id == b.id
         assert a.circuit == b.circuit
     assert all(2 <= j.size <= 10 for j in w1)
-    assert gen_workload(0, 2, 10, 2.0, 1) == []
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        gen_workload(0, 2, 10, 2.0, 1)
     assert gen_workload(40, 2, 10, 2.0, 124)[0].circuit != w1[0].circuit
 
 
@@ -173,7 +174,7 @@ def pin_id(key):
 def leg_digests(errors, key):
     """sha256 of the baseline and attacked reports of the preset workload."""
     allocator, attack, seed = key
-    rc = resolve_config(
+    config = resolve_config(
         {
             "topology": "hanoi27",
             "errors": errors,
@@ -184,7 +185,7 @@ def leg_digests(errors, key):
             },
         }
     )
-    res = run_simulate(rc)
+    res = run_simulate(config)
     return tuple(
         hashlib.sha256(dump_json(report.to_dict()).encode()).hexdigest()
         for report in (res.baseline, res.attacked)
@@ -249,12 +250,66 @@ def test_an_attack_set_on_a_resolved_config_replays_from_its_report():
         "errors": {"uniform": {"cnot": 0.02, "readout": 0.02}},
         "workload": {"count": 8, "size_min": 2, "size_max": 6, "seed": 4},
     }
-    rc = replace(resolve_config(raw), attack={"kind": "H1", "n": 2, "k": 0.3})
-    res = run_simulate(rc)
+    config = {**resolve_config(raw), "attack": {"kind": "H1", "n": 2, "k": 0.3}}
+    res = run_simulate(config)
     assert [t["qubit"] for t in res.summary_doc["attack_targets"]] == [12, 14]
     replay = run_simulate(resolve_config(res.attacked_doc["config"]))
     assert dump_json(replay.attacked_doc) == dump_json(res.attacked_doc)
     assert dump_json(replay.summary_doc) == dump_json(res.summary_doc)
+
+
+@st.composite
+def raw_config(draw):
+    """A valid raw config: a builtin or inline topology, uniform or inline
+    errors, no, H1 or H2 attack, and a generator or inline-circuit workload."""
+    if draw(st.booleans()):
+        g, topology = hanoi27(), "hanoi27"
+    else:
+        g = draw(connected_graph())
+        edges = [[v, u] if draw(st.booleans()) else [u, v] for u, v in g.edge_list]
+        topology = {"qubits": g.qubit_count, "edges": draw(st.permutations(edges))}
+    rate = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1]))
+    if draw(st.booleans()):
+        errors = {"uniform": {"cnot": draw(rate), "readout": draw(rate)}}
+    else:
+        errors = {
+            "cnot": {f"{u}-{v}": draw(rate) for u, v in g.edge_list},
+            "readout": {str(q): draw(rate) for q in range(g.qubit_count)},
+        }
+    n = draw(st.integers(1, len(max_degree_qubits(g))))
+    magnitude = st.one_of(st.floats(0.01, 5.0), st.integers(1, 5))
+    attack = draw(st.sampled_from([
+        "none",
+        {"kind": "none"},
+        {"kind": "H1", "n": n, "k": draw(magnitude)},
+        {"kind": "H2", "ks": sorted(draw(st.sets(magnitude, min_size=n, max_size=n)), reverse=True)},
+    ]))
+    if draw(st.booleans()):
+        size_min = draw(st.integers(1, g.qubit_count))
+        workload = {
+            "count": draw(st.integers(1, 6)),
+            "size_min": size_min,
+            "size_max": draw(st.integers(size_min, g.qubit_count)),
+            "seed": draw(st.integers(0, 2**32)),
+        }
+        if draw(st.booleans()):
+            workload["gate_density"] = draw(st.one_of(st.floats(0.1, 4.0), st.integers(1, 4)))
+    else:
+        ids = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4, unique=True))
+        workload = {"circuits": [{"id": jid, "qasm": "OPENQASM 2.0;\nqreg q[1];\nh q[0];\n"} for jid in ids]}
+    raw = {"topology": topology, "errors": errors, "attack": attack, "workload": workload}
+    if draw(st.booleans()):
+        raw["allocator"] = draw(st.sampled_from(["greedy", "comdap"]))
+    return raw
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(raw_config())
+def test_a_resolved_config_resolves_to_itself(raw):
+    config = resolve_config(raw)
+    assert resolve_config(config) == config
+    # and the copy a report embeds, read back from its JSON, to the same bytes
+    assert dump_json(resolve_config(json.loads(dump_json(config)))) == dump_json(config)
 
 
 @st.composite
