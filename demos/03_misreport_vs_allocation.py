@@ -34,7 +34,7 @@ for alloc in ("greedy", "comdap"):
         touched = sum(
             1
             for r in rep.rounds
-            for _, part in r.placed_jobs
+            for _, part in r.placed
             if targets & set(part.members)
         )
         print(

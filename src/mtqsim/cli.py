@@ -35,7 +35,6 @@ from .errors import ConfigError, DataError
 from .experiment import (
     BUILTIN_TOPOLOGIES,
     DEFAULT_GATE_DENSITY,
-    SWEEP_COLUMNS,
     attack_plan,
     dump_json,
     jobs_csv,
@@ -47,6 +46,7 @@ from .experiment import (
     rounds_csv,
     run_simulate,
     run_sweep,
+    sweep_csv,
     with_seed,
     write_text_atomic,
     write_workload,
@@ -154,20 +154,18 @@ def resolve_run(args: argparse.Namespace) -> tuple[dict, Path]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config, out_dir = resolve_run(args)
-    res = run_simulate(config)
+    docs = run_simulate(config)
+    for name, doc in docs.items():
+        write_text_atomic(out_dir / f"{name}.json", dump_json(doc))
+    for leg in ("baseline", "attacked"):
+        write_text_atomic(out_dir / f"{leg}_rounds.csv", rounds_csv(docs[leg]["report"]))
+        write_text_atomic(out_dir / f"{leg}_jobs.csv", jobs_csv(docs[leg]["report"]))
 
-    write_text_atomic(out_dir / "baseline.json", dump_json(res.baseline_doc))
-    write_text_atomic(out_dir / "attacked.json", dump_json(res.attacked_doc))
-    write_text_atomic(out_dir / "summary.json", dump_json(res.summary_doc))
-    write_text_atomic(out_dir / "baseline_rounds.csv", rounds_csv(res.baseline))
-    write_text_atomic(out_dir / "baseline_jobs.csv", jobs_csv(res.baseline))
-    write_text_atomic(out_dir / "attacked_rounds.csv", rounds_csv(res.attacked))
-    write_text_atomic(out_dir / "attacked_jobs.csv", jobs_csv(res.attacked))
-
-    d = res.summary_doc["delta"]
+    summary = docs["summary"]
+    d = summary["delta"]
     print(
-        f"baseline rounds {res.baseline.total_rounds}, attacked rounds "
-        f"{res.attacked.total_rounds} (delta {d['rounds']:+d}); "
+        f"baseline rounds {summary['baseline']['total_rounds']}, attacked rounds "
+        f"{summary['attacked']['total_rounds']} (delta {d['rounds']:+d}); "
         f"utilization delta {d['mean_utilization']:+.4f}; "
         f"depth {d['depth_pct']:+.2f}%; pst {d['pst_pct']:+.2f}%"
     )
@@ -259,14 +257,13 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config, out_dir = resolve_run(args)
-    rows, csv_text = run_sweep(config, parse_seed_list(args.seeds))
-    write_text_atomic(out_dir / "sweep.csv", csv_text)
-    n = len(rows)
-    mean = {c: sum(r[c] for r in rows) / n for c in SWEEP_COLUMNS}
+    rows = run_sweep(config, parse_seed_list(args.seeds))
+    write_text_atomic(out_dir / "sweep.csv", sweep_csv(rows))
+    *per_seed, mean, _std = rows
     print(
-        f"{n} seeds: mean delta rounds {mean['delta_rounds']:+.2f}, mean utilization delta "
-        f"{mean['delta_mean_utilization']:+.4f}, mean depth change {mean['depth_pct']:+.2f}%, "
-        f"mean pst change {mean['pst_pct']:+.2f}%"
+        f"{len(per_seed)} seeds: mean delta rounds {mean['delta_rounds']:+.2f}, "
+        f"mean utilization delta {mean['delta_mean_utilization']:+.4f}, "
+        f"mean depth change {mean['depth_pct']:+.2f}%, mean pst change {mean['pst_pct']:+.2f}%"
     )
     print(f"sweep written to {out_dir / 'sweep.csv'}")
     return 0

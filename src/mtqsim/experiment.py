@@ -13,9 +13,12 @@ byte for byte. The baseline leg always embeds attack "none", which makes
 baseline reports byte-identical across attack variants sharing a workload
 and topology.
 
-The report writers here lay out the per-round CSV, the per-job CSV (whose
-columns are scheduler.JOB_COLUMNS, the same keys as a report's "jobs"), and
-the sweep CSV (SWEEP_COLUMNS).
+run_simulate returns the three documents simulate writes, by file stem:
+"baseline" and "attacked", each {"config", "report"}, and "summary". The CSV
+writers lay out rows of one dict: rounds_csv and jobs_csv a leg's "report"
+(jobs.csv's columns are scheduler.JobMetrics' fields, the keys of its
+"jobs"), and sweep_csv run_sweep's rows (SWEEP_COLUMNS), whose mean and std
+rows are computed once, there.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
@@ -37,8 +40,8 @@ from .calibration import (
     uniform_snapshot,
     validate_snapshot,
 )
-from .errors import ConfigError
-from .scheduler import JOB_COLUMNS, ExperimentReport, Job, check_generator, gen_workload, run_queue
+from .errors import ConfigError, DataError
+from .scheduler import AGGREGATES, Job, JobMetrics, check_generator, gen_workload, run_queue
 from .topology import CouplingGraph, hanoi27, load_edge_list
 from .transpile import circuit_to_qasm, parse_qasm_subset
 
@@ -48,11 +51,14 @@ DEFAULT_GATE_DENSITY = 2.0
 
 
 def read_referenced_file(path: str | Path) -> str:
-    """Read a file named by a config; absence is a configuration error."""
+    """Read a file named by a config or a flag: absence is a configuration
+    error, bytes that are not UTF-8 malformed data; each message names path."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read referenced file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _read_config_file(base_dir: Path, name: Any) -> str:
@@ -274,31 +280,35 @@ def resolve_config(raw: Any, base_dir: str | Path = ".") -> dict:
 
 
 def load_config_file(path: str | Path) -> dict:
-    text = read_referenced_file(path)
+    """A config file's object. Bytes that are not UTF-8, invalid JSON, nesting
+    too deep to parse and a key given twice in one object are ConfigErrors."""
+
+    def one_value_per_key(pairs: list[tuple[str, Any]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k in obj if sum(k == other for other, _ in pairs) > 1)
+            raise ConfigError(f"{path}: key {key!r} given twice in one object")
+        return obj
+
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(read_referenced_file(path), object_pairs_hook=one_value_per_key)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config root must be an object")
     return raw
 
 
-@dataclass(frozen=True)
-class SimulationResult:
-    baseline: ExperimentReport
-    attacked: ExperimentReport
-    baseline_doc: dict
-    attacked_doc: dict
-    summary_doc: dict
-
-
 def _pct_change(new: float, old: float) -> float:
     return 100.0 * (new - old) / old if old else 0.0
 
 
-def run_simulate(config: dict) -> SimulationResult:
-    """Run the identical workload twice: honest reports, then attacked reports.
+def run_simulate(config: dict) -> dict:
+    """Run the identical workload twice, honest reports then attacked reports,
+    and return the three documents simulate writes, by file stem: "baseline"
+    and "attacked", each {"config", "report"}, and "summary".
 
     The graph, true snapshot, jobs and plan are built from resolve_config's
     dict alone, as a replay builds them. The true snapshot is shared; only the
@@ -310,45 +320,46 @@ def run_simulate(config: dict) -> SimulationResult:
     jobs = build_jobs(config)
     plan = attack_plan(config["attack"], g)
     snap_attacked = apply_misreport(snap_true, g, plan)
-    baseline = run_queue(jobs, g, snap_true, snap_true, config["allocator"])
-    attacked = run_queue(jobs, g, snap_true, snap_attacked, config["allocator"])
-
-    baseline_doc = {"config": {**config, "attack": {"kind": "none"}}, "report": baseline.to_dict()}
-    attacked_doc = {"config": config, "report": attacked.to_dict()}
-    summary_doc = {
-        "config": config,
-        "attack_targets": [
-            {"qubit": q, "delta": d} for q, d in (plan.targets if plan else ())
-        ],
-        "baseline": baseline.aggregates(),
-        "attacked": attacked.aggregates(),
-        "delta": {
-            "rounds": attacked.total_rounds - baseline.total_rounds,
-            "mean_utilization": attacked.mean_utilization - baseline.mean_utilization,
-            "depth_pct": _pct_change(attacked.mean_depth, baseline.mean_depth),
-            "pst_pct": _pct_change(attacked.mean_pst, baseline.mean_pst),
-            "swaps": attacked.mean_swap_count - baseline.mean_swap_count,
+    baseline = run_queue(jobs, g, snap_true, snap_true, config["allocator"]).to_dict()
+    attacked = run_queue(jobs, g, snap_true, snap_attacked, config["allocator"]).to_dict()
+    b, a = ({name: report[name] for name in AGGREGATES} for report in (baseline, attacked))
+    return {
+        "baseline": {"config": {**config, "attack": {"kind": "none"}}, "report": baseline},
+        "attacked": {"config": config, "report": attacked},
+        "summary": {
+            "config": config,
+            "attack_targets": [
+                {"qubit": q, "delta": d} for q, d in (plan.targets if plan else ())
+            ],
+            "baseline": b,
+            "attacked": a,
+            "delta": {
+                "rounds": a["total_rounds"] - b["total_rounds"],
+                "mean_utilization": a["mean_utilization"] - b["mean_utilization"],
+                "depth_pct": _pct_change(a["mean_depth"], b["mean_depth"]),
+                "pst_pct": _pct_change(a["mean_pst"], b["mean_pst"]),
+                "swaps": a["mean_swap_count"] - b["mean_swap_count"],
+            },
         },
     }
-    return SimulationResult(baseline, attacked, baseline_doc, attacked_doc, summary_doc)
 
 
-def rounds_csv(r: ExperimentReport) -> str:
+def rounds_csv(report: dict) -> str:
+    """A report's "rounds" as CSV rows, with the number of jobs placed."""
     lines = ["round,placed,active,utilization"]
-    for rd in r.rounds:
-        lines.append(
-            f"{rd.round_index},{len(rd.placed_jobs)},{rd.active_qubits},{rd.utilization!r}"
-        )
+    for r in report["rounds"]:
+        lines.append(f"{r['round']},{len(r['placed'])},{r['active_qubits']},{r['utilization']!r}")
     return "\n".join(lines) + "\n"
 
 
-def jobs_csv(r: ExperimentReport) -> str:
-    lines = [",".join(JOB_COLUMNS)]
-    lines += [",".join(str(getattr(j, field)) for field in JOB_COLUMNS.values()) for j in r.jobs]
+def jobs_csv(report: dict) -> str:
+    """A report's "jobs" as CSV rows, one column per JobMetrics field."""
+    columns = [f.name for f in fields(JobMetrics)]
+    lines = [",".join(columns)] + [",".join(str(j[c]) for c in columns) for j in report["jobs"]]
     return "\n".join(lines) + "\n"
 
 
-# each sweep.csv column after "seed", as its (section, key) in summary_doc
+# each sweep.csv column after "seed", as its (section, key) in a summary
 SWEEP_COLUMNS = {
     "baseline_rounds": ("baseline", "total_rounds"),
     "attacked_rounds": ("attacked", "total_rounds"),
@@ -367,22 +378,27 @@ SWEEP_COLUMNS = {
 }
 
 
-def run_sweep(config: dict, seeds: list[int]) -> tuple[list[dict], str]:
-    """Per-seed baseline-vs-attack rows plus mean/std aggregate rows, as CSV."""
+def run_sweep(config: dict, seeds: list[int]) -> list[dict]:
+    """sweep.csv's rows by column: one baseline-vs-attack row per seed, then
+    the "mean" and "std" rows over them."""
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
     rows: list[dict] = []
     for seed in seeds:
-        summary = run_simulate(with_seed(config, seed)).summary_doc
+        summary = run_simulate(with_seed(config, seed))["summary"]
         rows.append(
             {"seed": seed, **{c: summary[sec][key] for c, (sec, key) in SWEEP_COLUMNS.items()}}
         )
+    return rows + [
+        {"seed": label, **{c: float(fn([row[c] for row in rows])) for c in SWEEP_COLUMNS}}
+        for label, fn in (("mean", np.mean), ("std", np.std))
+    ]
+
+
+def sweep_csv(rows: list[dict]) -> str:
     lines = [",".join(["seed", *SWEEP_COLUMNS])]
     lines += [",".join(str(v) for v in row.values()) for row in rows]
-    for label, fn in (("mean", np.mean), ("std", np.std)):
-        cells = [str(float(fn([row[c] for row in rows]))) for c in SWEEP_COLUMNS]
-        lines.append(",".join([label, *cells]))
-    return rows, "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def workload_manifest(jobs: list[Job], params: dict) -> dict:

@@ -10,6 +10,11 @@ The allocator is a pure function of the scoring context and the request,
 and a rescan repeats a request whenever the free qubits have not changed
 since, so each run computes each distinct request once and reuses the
 answer, failures included.
+
+Each number a run reports has one name from here to the files: the fields of
+RoundReport (round, placed, active_qubits, utilization) and JobMetrics (id,
+round, depth, cnots, swaps, pst) are the keys of a report's "rounds" and
+"jobs", and JobMetrics' fields are also the jobs.csv columns, in order.
 """
 
 from __future__ import annotations
@@ -45,31 +50,21 @@ class Job:
 
 @dataclass(frozen=True)
 class RoundReport:
-    round_index: int
-    placed_jobs: tuple[tuple[str, Partition], ...]
+    round: int
+    placed: tuple[tuple[str, Partition], ...]
     active_qubits: int
     utilization: float
 
 
 @dataclass(frozen=True)
 class JobMetrics:
-    job_id: str
-    round_index: int
+    id: str
+    round: int
     depth: int
-    cnot_count: int
-    swap_count: int
+    cnots: int
+    swaps: int
     pst: float
 
-
-# each per-job report key, in jobs.csv column order, with its JobMetrics field
-JOB_COLUMNS = {
-    "id": "job_id",
-    "round": "round_index",
-    "depth": "depth",
-    "cnots": "cnot_count",
-    "swaps": "swap_count",
-    "pst": "pst",
-}
 
 # the report-level aggregates, by ExperimentReport property name
 AGGREGATES = (
@@ -100,32 +95,26 @@ class ExperimentReport:
         return mean(getattr(j, field) for j in self.jobs) if self.jobs else 0.0
 
     mean_depth = property(lambda self: self._job_mean("depth"))
-    mean_cnot_count = property(lambda self: self._job_mean("cnot_count"))
-    mean_swap_count = property(lambda self: self._job_mean("swap_count"))
+    mean_cnot_count = property(lambda self: self._job_mean("cnots"))
+    mean_swap_count = property(lambda self: self._job_mean("swaps"))
     mean_pst = property(lambda self: self._job_mean("pst"))
 
-    def aggregates(self) -> dict:
-        return {name: getattr(self, name) for name in AGGREGATES}
-
     def to_dict(self) -> dict:
+        """The report as reports embed it: each round and job under its own field names."""
         return {
             "allocator": self.allocator,
-            **self.aggregates(),
+            **{name: getattr(self, name) for name in AGGREGATES},
             "rounds": [
                 {
-                    "round": r.round_index,
+                    **vars(r),
                     "placed": [
                         {"job": jid, "members": list(p.members), "score": p.score}
-                        for jid, p in r.placed_jobs
+                        for jid, p in r.placed
                     ],
-                    "active_qubits": r.active_qubits,
-                    "utilization": r.utilization,
                 }
                 for r in self.rounds
             ],
-            "jobs": [
-                {key: getattr(j, field) for key, field in JOB_COLUMNS.items()} for j in self.jobs
-            ],
+            "jobs": [dict(vars(j)) for j in self.jobs],
         }
 
 
@@ -179,26 +168,11 @@ def run_queue(
         for job, part in placed:
             layout = initial_layout(job.circuit, part.members, ctx)
             routed = route(job.circuit, layout, part.members, g)
-            job_depth, cnots, pst = score(routed, snap_true)
-            metrics.append(
-                JobMetrics(
-                    job_id=job.id,
-                    round_index=len(rounds),
-                    depth=job_depth,
-                    cnot_count=cnots,
-                    swap_count=routed.swap_count,
-                    pst=pst,
-                )
-            )
+            depth, cnots, pst = score(routed, snap_true)
+            metrics.append(JobMetrics(job.id, len(rounds), depth, cnots, routed.swap_count, pst))
         active = sum(len(p.members) for _, p in placed)
-        rounds.append(
-            RoundReport(
-                round_index=len(rounds),
-                placed_jobs=tuple((job.id, part) for job, part in placed),
-                active_qubits=active,
-                utilization=active / g.qubit_count,
-            )
-        )
+        placed_ids = tuple((job.id, part) for job, part in placed)
+        rounds.append(RoundReport(len(rounds), placed_ids, active, active / g.qubit_count))
     return ExperimentReport(allocator, tuple(rounds), tuple(metrics))
 
 

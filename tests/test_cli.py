@@ -261,6 +261,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
     not_json.write_text("not json {")
     assert main(["simulate", "--config", str(not_json)]) == 2
 
+    capsys.readouterr()
+    not_utf8 = tmp_path / "bom.json"
+    not_utf8.write_bytes(b"\xff\xfe{")
+    assert main(["simulate", "--config", str(not_utf8)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {not_utf8} is not UTF-8 text:")
+    assert len(err.splitlines()) == 1
+
 
 def test_malformed_data_exits_3(tmp_path, capsys):
     bad_csv = tmp_path / "bad.csv"
@@ -286,6 +294,21 @@ def test_malformed_data_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, "div0.json", workload={"qasm_files": ["div0.qasm"]})
     assert main(["simulate", "--config", str(cfg)]) == 3
     assert capsys.readouterr().err == "data error: line 3: angle 'pi/0' divides by zero\n"
+
+    # bytes that are not UTF-8 in a calibration CSV, an edge list or a QASM file
+    binary = tmp_path / "binary.dat"
+    binary.write_bytes(b"cycle,kind\n\xff\x00\xfe")
+    (tmp_path / "ff.qasm").write_bytes(b"\xff")
+    cfg = write_config(tmp_path, "ff.json", workload={"qasm_files": ["ff.qasm"]})
+    for argv, path in (
+        (["detect", "--calib", str(binary), "--windows", "0:3,3:6"], binary),
+        (["attack-plan", "--topology", str(binary), "--attack", "H1:n=2,k=0.1"], binary),
+        (["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")], tmp_path / "ff.qasm"),
+    ):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path} is not UTF-8 text:")
+        assert len(err.splitlines()) == 1
 
 
 def test_attack_plan_h1_evidence(tmp_path):
@@ -351,6 +374,21 @@ def test_sweep_csv(tmp_path, capsys):
         cells = row.split(",")
         assert int(cells[3]) == int(cells[2]) - int(cells[1])  # delta_rounds
     assert "3 seeds" in capsys.readouterr().out
+
+
+def test_sweep_prints_its_csv_mean_row(tmp_path, capsys):
+    cfg = write_config(tmp_path, allocator="comdap")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--seeds", "2,4,4,9", "--out", str(out)]) == 0
+    header, *rows = (out / "sweep.csv").read_text().splitlines()
+    mean = dict(zip(header.split(","), rows[-2].split(",")))
+    assert mean["seed"] == "mean"
+    m = {c: float(v) for c, v in mean.items() if c != "seed"}
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"4 seeds: mean delta rounds {m['delta_rounds']:+.2f}, mean utilization delta "
+        f"{m['delta_mean_utilization']:+.4f}, mean depth change {m['depth_pct']:+.2f}%, "
+        f"mean pst change {m['pst_pct']:+.2f}%"
+    )
 
 
 def test_detect_cli_flags_misreported_targets(tmp_path, capsys):
@@ -661,6 +699,40 @@ def test_malformed_config_shapes_exit_2_without_traceback(overrides, tmp_path, c
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("config error:")
+    assert run_calls == []
+    assert not (tmp_path / "r").exists()
+
+
+# config file text that json.dumps cannot write: a key given twice, at any
+# depth, and nesting deeper than the JSON decoder recurses
+REPEATED_OR_DEEP = {
+    "attack-n-twice": (
+        '{"topology": "hanoi27", "errors": {"uniform": {"cnot": 0.02, "readout": 0.02}},'
+        ' "attack": {"kind": "H1", "n": 9, "k": 0.15, "n": 3},'
+        ' "workload": {"count": 6, "size_min": 2, "size_max": 6, "seed": 3}}',
+        "key 'n' given twice in one object",
+    ),
+    "cnot-edge-twice": (
+        '{"topology": {"qubits": 3, "edges": [[0, 1], [1, 2]]},'
+        ' "errors": {"cnot": {"0-1": 0.02, "1-2": 0.02, "0-1": 0.03},'
+        ' "readout": {"0": 0.02, "1": 0.02, "2": 0.02}},'
+        ' "workload": {"count": 2, "size_min": 2, "size_max": 2, "seed": 3}}',
+        "key '0-1' given twice in one object",
+    ),
+    "nested-100000": ("[" * 100_000, "is not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_OR_DEEP))
+def test_repeated_keys_and_deep_nesting_exit_2(case, tmp_path, capsys, run_calls):
+    text, message = REPEATED_OR_DEEP[case]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    for command in (["simulate"], ["sweep", "--seeds", "1"]):
+        assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"config error: {cfg}") and message in err
     assert run_calls == []
     assert not (tmp_path / "r").exists()
 

@@ -11,7 +11,7 @@ from strategies import connected_graph, graph_and_snapshot
 from mtqsim import allocation
 from mtqsim.allocation import ScoringContext
 from mtqsim.calibration import synth_drift, uniform_snapshot
-from mtqsim.experiment import dump_json, resolve_config, run_simulate
+from mtqsim.experiment import dump_json, jobs_csv, resolve_config, rounds_csv, run_simulate
 from mtqsim.scheduler import ExperimentReport, Job, gen_workload, run_queue
 from mtqsim.topology import CouplingGraph, hanoi27, max_degree_qubits
 from mtqsim.transpile import LogicalCircuit, MeasureGate, TwoQubitGate
@@ -40,7 +40,7 @@ def test_skip_ahead_packs_later_jobs(hanoi, flat_snap):
     jobs = [chain_job("big", 15), chain_job("mid", 13), chain_job("small", 6)]
     report = run_queue(jobs, hanoi, flat_snap, flat_snap, "greedy")
     first = report.rounds[0]
-    placed_ids = [jid for jid, _ in first.placed_jobs]
+    placed_ids = [jid for jid, _ in first.placed]
     assert "big" in placed_ids and "small" in placed_ids
     assert "mid" not in placed_ids
     assert report.total_rounds == 2
@@ -51,7 +51,7 @@ def test_rounds_lower_bound_and_conservation(hanoi, flat_snap):
         jobs = gen_workload(40, 2, 10, 2.0, seed)
         for allocator in ("greedy", "comdap"):
             report = run_queue(jobs, hanoi, flat_snap, flat_snap, allocator)
-            placed = [jid for r in report.rounds for jid, _ in r.placed_jobs]
+            placed = [jid for r in report.rounds for jid, _ in r.placed]
             assert sorted(placed) == sorted(j.id for j in jobs)
             assert len(placed) == len(set(placed))
             total = sum(j.size for j in jobs)
@@ -63,7 +63,7 @@ def test_round_disjointness_and_utilization(hanoi, flat_snap):
     report = run_queue(jobs, hanoi, flat_snap, flat_snap, "comdap")
     for r in report.rounds:
         seen = set()
-        for _, part in r.placed_jobs:
+        for _, part in r.placed:
             assert not (seen & set(part.members))
             seen |= set(part.members)
         assert r.active_qubits == len(seen)
@@ -77,7 +77,7 @@ def test_jobs_metrics_present(hanoi, flat_snap):
     assert len(report.jobs) == 10
     for m in report.jobs:
         assert m.depth >= 1
-        assert m.cnot_count >= 3 * m.swap_count
+        assert m.cnots >= 3 * m.swaps
         assert 0.0 <= m.pst <= 1.0
 
 
@@ -132,7 +132,7 @@ def test_gen_workload_measures_every_qubit():
         assert measured == set(range(job.size))
 
 
-# sha256 of dump_json(report.to_dict()) for the baseline and attacked legs of
+# sha256 of dump_json(doc["report"]) for the baseline and attacked documents of
 # the 40-job preset (hanoi27, flat 2% errors, 2-10 qubits at density 2.0)
 ATTACKS = {
     "H1": {"kind": "H1", "n": 3, "k": 0.15},
@@ -187,8 +187,8 @@ def leg_digests(errors, key):
     )
     res = run_simulate(config)
     return tuple(
-        hashlib.sha256(dump_json(report.to_dict()).encode()).hexdigest()
-        for report in (res.baseline, res.attacked)
+        hashlib.sha256(dump_json(res[leg]["report"]).encode()).hexdigest()
+        for leg in ("baseline", "attacked")
     )
 
 
@@ -252,10 +252,10 @@ def test_an_attack_set_on_a_resolved_config_replays_from_its_report():
     }
     config = {**resolve_config(raw), "attack": {"kind": "H1", "n": 2, "k": 0.3}}
     res = run_simulate(config)
-    assert [t["qubit"] for t in res.summary_doc["attack_targets"]] == [12, 14]
-    replay = run_simulate(resolve_config(res.attacked_doc["config"]))
-    assert dump_json(replay.attacked_doc) == dump_json(res.attacked_doc)
-    assert dump_json(replay.summary_doc) == dump_json(res.summary_doc)
+    assert [t["qubit"] for t in res["summary"]["attack_targets"]] == [12, 14]
+    replay = run_simulate(resolve_config(res["attacked"]["config"]))
+    assert dump_json(replay["attacked"]) == dump_json(res["attacked"])
+    assert dump_json(replay["summary"]) == dump_json(res["summary"])
 
 
 @st.composite
@@ -313,6 +313,44 @@ def test_a_resolved_config_resolves_to_itself(raw):
 
 
 @st.composite
+def generator_config(draw):
+    """A resolved hanoi27 config with a generator workload of 1-12 jobs of 1-6 qubits."""
+    size_min = draw(st.integers(1, 6))
+    workload = {
+        "count": draw(st.integers(1, 12)),
+        "size_min": size_min,
+        "size_max": draw(st.integers(size_min, 6)),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+    return resolve_config({
+        "topology": "hanoi27",
+        "errors": {"uniform": {"cnot": 0.02, "readout": 0.02}},
+        "allocator": draw(st.sampled_from(["greedy", "comdap"])),
+        "attack": draw(st.sampled_from(["none", ATTACKS["H1"], ATTACKS["H2"]])),
+        "workload": workload,
+    })
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(generator_config())
+def test_csvs_are_rows_of_the_report(config):
+    docs = run_simulate(config)
+    for leg in ("baseline", "attacked"):
+        report = docs[leg]["report"]
+        header, *rows = rounds_csv(report).splitlines()
+        assert header == "round,placed,active,utilization"
+        assert [row.split(",") for row in rows] == [
+            [str(r["round"]), str(len(r["placed"])), str(r["active_qubits"]), repr(r["utilization"])]
+            for r in report["rounds"]
+        ]
+        header, *rows = jobs_csv(report).splitlines()
+        assert header.split(",") == list(report["jobs"][0])
+        assert [row.split(",") for row in rows] == [
+            [str(v) for v in j.values()] for j in report["jobs"]
+        ]
+
+
+@st.composite
 def queue_case(draw):
     """A random graph and snapshot plus a workload of 1-12 jobs that fit the graph."""
     g, snap = draw(graph_and_snapshot())
@@ -342,7 +380,7 @@ def test_allocator_sees_each_distinct_request_once_per_run(case):
                 assert len(requests) == len(set(requests))
                 contexts.append(calls[0][0])
                 assert all(ctx is contexts[-1] for ctx, _ in calls)
-                placed = sorted(jid for r in report.rounds for jid, _ in r.placed_jobs)
+                placed = sorted(jid for r in report.rounds for jid, _ in r.placed)
                 assert placed == sorted(j.id for j in jobs)
         finally:
             allocation.ALLOCATORS[name] = real
