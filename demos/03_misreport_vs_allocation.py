@@ -17,7 +17,7 @@ from mtqsim.topology import hanoi27
 g = hanoi27()
 snap = uniform_snapshot(g, 0.02, 0.02)
 plan = h1_plan(g, 3, 0.15)
-reported = apply_misreport(snap, g, plan)
+reported = apply_misreport(snap, plan)
 targets = {q for q, _ in plan.targets}
 print(f"attack: +15% reported CNOT error on qubits {sorted(targets)}")
 

@@ -21,7 +21,7 @@ Usage: python3 demos/04_routing_cost.py
 
 from mtqsim.adversary import apply_misreport, h2_plan
 from mtqsim.allocation import AllocationRequest, ScoringContext, comdap_allocate
-from mtqsim.calibration import CalibrationSnapshot, uniform_snapshot
+from mtqsim.calibration import validate_snapshot
 from mtqsim.topology import hanoi27
 from mtqsim.transpile import depth, initial_layout, parse_qasm_subset, pst_estimate, route
 
@@ -47,22 +47,22 @@ g = hanoi27()
 plan = h2_plan(g, [0.85, 0.84, 0.83])
 targets = {q for q, _ in plan.targets}
 
-flat = uniform_snapshot(g, 0.02, 0.02)
-snap_true = CalibrationSnapshot(
-    0,
-    {e: (0.10 if targets & set(e) else val) for e, val in flat.cnot_error.items()},
-    dict(flat.readout_error),
+snap_true = validate_snapshot(
+    g,
+    {e: (0.10 if targets & set(e) else 0.02) for e in g.edge_list},
+    dict.fromkeys(range(g.qubit_count), 0.02),
 )
-reported = apply_misreport(snap_true, g, plan)
+reported = apply_misreport(snap_true, plan)
 
 circuit = parse_qasm_subset(QASM)
 print(f"circuit: {circuit.qubit_count} qubits, {len(circuit.gates)} gates")
 print(f"true CNOT error: 0.10 on edges touching {sorted(targets)}, 0.02 elsewhere")
 lured = sorted(g.incident_edges(14))[0]
+column = g.edge_column[lured]
 print(
     f"under-report scales those edges by up to {1 + plan.targets[0][1]:.2f}x: "
-    f"edge {lured} reads {reported.cnot_error[lured]:.4f} instead of "
-    f"{snap_true.cnot_error[lured]:.4f}\n"
+    f"edge {lured} reads {reported.cnot_error[0, column]:.4f} instead of "
+    f"{snap_true.cnot_error[0, column]:.4f}\n"
 )
 
 for leg, rep_snap in (("honest", snap_true), ("under-reported", reported)):

@@ -18,7 +18,7 @@ naive check drowns in natural drift.
 Usage: python3 demos/05_detection.py
 """
 
-from mtqsim.adversary import apply_misreport_series, h1_plan
+from mtqsim.adversary import apply_misreport, h1_plan
 from mtqsim.calibration import synth_drift, uniform_snapshot
 from mtqsim.defense import calibrate_threshold, detect, naive_threshold_flags
 from mtqsim.topology import hanoi27
@@ -36,12 +36,12 @@ neighbors = sorted(
 print(f"misreport: +15% on qubits {targets}, applied to the last {N2} cycles")
 print(f"qubits sharing an attacked edge: {neighbors}")
 
-honest_runs = (synth_drift(base, g, N1 + N2, CV, 1000 + i) for i in range(60))
+honest_runs = (synth_drift(base, N1 + N2, CV, 1000 + i) for i in range(60))
 tau = calibrate_threshold(honest_runs, (0, N1), (N1, N1 + N2), bins=BINS, eps=EPS)
 print(f"threshold tau = {tau:.4f} (95th percentile of 60 honest runs)\n")
 
-series = synth_drift(base, g, N1 + N2, CV, 55)
-attacked = apply_misreport_series(series, plan, N1, N1 + N2)
+series = synth_drift(base, N1 + N2, CV, 55)
+attacked = apply_misreport(series, plan, (N1, N1 + N2))
 verdict = detect(attacked, (0, N1), (N1, N1 + N2), bins=BINS, eps=EPS, tau=tau)
 
 print("qubit  divergence  flagged")

@@ -7,8 +7,8 @@ honest tenants get pushed into fragmented placements. The second
 under-reports a spread-out set (maximum pairwise separation), luring
 allocations toward distant corners of the device.
 
-Misreports only ever touch the reported snapshot. The true snapshot, and
-hence every PST computed against it, is never modified.
+Misreports only ever touch the reported rates. The true snapshot or series,
+and hence every PST computed against it, is never modified.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CalibrationSeries, CalibrationSnapshot
-from .topology import CouplingGraph, Edge, max_degree_qubits, path_stddev
+from .calibration import CalibrationSeries
+from .topology import CouplingGraph, max_degree_qubits, path_stddev
 
 H1 = "H1"
 H2 = "H2"
@@ -133,55 +133,43 @@ def h2_plan(g: CouplingGraph, ks: list[float]) -> MisreportPlan:
     return MisreportPlan(H2, targets)
 
 
-def _edge_factors(g: CouplingGraph, plan: MisreportPlan) -> dict[Edge, float]:
-    """The multiplier 1 + d of every edge incident to a target with delta d.
+def _edge_factors(g: CouplingGraph, plan: MisreportPlan) -> dict[int, float]:
+    """The multiplier 1 + d of every edge incident to a target with delta d, by column.
 
     An edge incident to two targets takes the larger-magnitude delta. The
     factor is floored at 0, as the [0, 1] clamp would do, so that numpy's
-    clip of a zero rate gives 0.0, as Python's max does, not -0.0.
+    clip of a zero rate gives 0.0, not -0.0.
     """
     for q, _ in plan.targets:
         g._check_index(q)
-    delta: dict[Edge, float] = {}
+    delta: dict[int, float] = {}
     for q, d in plan.targets:
         for e in g.incident_edges(q):
-            if e not in delta or abs(d) > abs(delta[e]):
-                delta[e] = d
-    return {e: max(0.0, 1.0 + d) for e, d in delta.items()}
+            j = g.edge_column[e]
+            if j not in delta or abs(d) > abs(delta[j]):
+                delta[j] = d
+    return {j: max(0.0, 1.0 + d) for j, d in delta.items()}
 
 
 def apply_misreport(
-    true_snap: CalibrationSnapshot, g: CouplingGraph, plan: MisreportPlan | None
-) -> CalibrationSnapshot:
-    """Build the reported snapshot a plan produces from a true snapshot.
-
-    Every edge incident to a target q with perturbation d gets its CNOT error
-    scaled by (1 + d) and clamped to [0, 1]. An edge incident to two targets
-    is perturbed once, by the larger-magnitude delta. Readout errors pass
-    through untouched, and the input snapshot is never modified.
-    """
-    factor = {} if plan is None else _edge_factors(g, plan)
-    cnot = {
-        e: min(1.0, max(0.0, val * factor[e])) if e in factor else val
-        for e, val in true_snap.cnot_error.items()
-    }
-    return CalibrationSnapshot(true_snap.cycle_id, cnot, dict(true_snap.readout_error))
-
-
-def apply_misreport_series(
     series: CalibrationSeries,
-    plan: MisreportPlan,
-    cycle_lo: int,
-    cycle_hi: int,
+    plan: MisreportPlan | None,
+    window: tuple[int, int] | None = None,
 ) -> CalibrationSeries:
-    """Apply a plan to every cycle with cycle_lo <= cycle_id < cycle_hi.
+    """The reported rates a plan produces from true ones: a new snapshot or series.
 
-    Each of those rows equals apply_misreport of its cycle's snapshot.
+    In every cycle of the half-open window [lo, hi) of cycle ids (every cycle
+    when window is None), each edge incident to a target q with perturbation
+    d gets its CNOT error scaled by (1 + d) and clamped to [0, 1]. An edge
+    incident to two targets is perturbed once, by the larger-magnitude delta.
+    Readout errors pass through untouched. With no plan the input, which is
+    immutable, is returned.
     """
+    if plan is None:
+        return series
     g = series.graph
-    rows = series.cycle_slice(cycle_lo, cycle_hi)
+    rows = slice(None) if window is None else series.cycle_slice(*window)
     cnot = series.cnot_error.copy()
-    for e, f in _edge_factors(g, plan).items():
-        j = g.edge_list.index(e)
+    for j, f in _edge_factors(g, plan).items():
         cnot[rows, j] = np.clip(cnot[rows, j] * f, 0.0, 1.0)
     return CalibrationSeries(g, series.cycle_ids, cnot, series.readout_error)

@@ -1,7 +1,8 @@
 """Fidelity-aware qubit allocation: the greedy attractor allocator and the
 community-based allocator.
 
-Both allocators consume the *reported* calibration snapshot. That is the
+Both allocators consume the *reported* calibration snapshot, a one-cycle
+CalibrationSeries whose rates they read by edge column and qubit. That is the
 trust boundary the rest of the toolkit probes: a tenant that misreports error
 rates steers these scores without touching real hardware behavior.
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Collection, Sequence
 
-from .calibration import CalibrationSnapshot, avg_cnot_error
+from .calibration import CalibrationSeries
 from .topology import CouplingGraph, bfs_tree, compactness, degree, density, subset_members
 
 
@@ -48,7 +49,7 @@ class Partition:
     score: float
 
 
-def cfm(g: CouplingGraph, snap: CalibrationSnapshot, q: int) -> float:
+def cfm(g: CouplingGraph, snap: CalibrationSeries, q: int) -> float:
     """Composite fidelity metric: degree(q) + (1 - (E + R)).
 
     Higher is better. E is the mean CNOT error over q's incident edges and R
@@ -57,7 +58,7 @@ def cfm(g: CouplingGraph, snap: CalibrationSnapshot, q: int) -> float:
     d = degree(g, q)
     if d == 0:
         raise ValueError(f"qubit {q} is isolated; CFM undefined")
-    return d + (1.0 - (avg_cnot_error(snap, g, q) + snap.readout_error[q]))
+    return d + (1.0 - (float(snap.mean_cnot_error[0, q]) + float(snap.readout_error[0, q])))
 
 
 def _best_by_cfm(ctx: ScoringContext, qubits) -> int:
@@ -111,7 +112,7 @@ def fidelity_weight(error: float) -> float:
 
 def louvain(
     g: CouplingGraph,
-    snap_reported: CalibrationSnapshot,
+    snap_reported: CalibrationSeries,
     available: Sequence[int],
 ) -> tuple[tuple[int, ...], ...]:
     """Deterministic modularity-maximizing communities on the available region.
@@ -132,8 +133,8 @@ def louvain(
     super_nodes: list[frozenset[int]] = [frozenset([q]) for q in nodes]
     # weights between super-node indices i <= j; i == j is a self-loop
     w: dict[tuple[int, int], float] = {
-        (idx[u], idx[v]): fidelity_weight(snap_reported.cnot_error[(u, v)])
-        for u, v in g.edge_list
+        (idx[u], idx[v]): fidelity_weight(rate)
+        for (u, v), rate in zip(g.edge_list, snap_reported.rates()[0])
         if u in idx and v in idx
     }
 
@@ -210,7 +211,7 @@ def _connected_pieces(g: CouplingGraph, members: Collection[int]) -> list[tuple[
 
 
 def cri(
-    g: CouplingGraph, snap_reported: CalibrationSnapshot, s: Sequence[int]
+    g: CouplingGraph, snap_reported: CalibrationSeries, s: Sequence[int]
 ) -> float:
     """Connectivity and reliability index of a subset, normalized by the device.
 
@@ -221,19 +222,21 @@ def cri(
     above 1.
     """
     members = subset_members(s)
-    num = _cri_term(g, snap_reported, members)
+    rates = snap_reported.rates()
+    num = _cri_term(g, rates, members)
     all_q = tuple(range(g.qubit_count))
-    den = _cri_term(g, snap_reported, all_q)
+    den = _cri_term(g, rates, all_q)
     return num / den
 
 
 def _cri_term(
-    g: CouplingGraph, snap: CalibrationSnapshot, members: tuple[int, ...]
+    g: CouplingGraph, rates: tuple[list[float], list[float]], members: tuple[int, ...]
 ) -> float:
+    cnot, readout = rates
     mset = set(members)
-    intra = [e for e in g.edge_list if e[0] in mset and e[1] in mset]
-    e_p = sum(snap.cnot_error[e] for e in intra) / len(intra) if intra else 0.0
-    r_p = sum(snap.readout_error[q] for q in members) / len(members)
+    intra = [r for (u, v), r in zip(g.edge_list, cnot) if u in mset and v in mset]
+    e_p = sum(intra) / len(intra) if intra else 0.0
+    r_p = sum(readout[q] for q in members) / len(members)
     return density(g, members) / compactness(g, members) + (1.0 - (e_p + r_p))
 
 
@@ -241,35 +244,37 @@ def _cri_term(
 class ScoringContext:
     """The CFM and CRI scores of one snapshot on one graph.
 
-    Each qubit's CFM and the device's CRI denominator are computed once, on
-    first use, and equal what cfm and cri return bit for bit: the same
-    expressions run in the same order. Computing on first use keeps the free
-    functions' errors where they were: a context on a disconnected device
-    raises at its first CRI, and an isolated qubit raises only when its CFM
-    is read.
+    Each qubit's CFM (by cfm itself) and the device's CRI denominator are
+    computed once, on first use, and equal what cfm and cri return bit for
+    bit. Computing on first use keeps errors at first use: a
+    context on a disconnected device raises at its first CRI, and one on a
+    device with an isolated qubit at its first CFM.
     """
 
     graph: CouplingGraph
-    snapshot: CalibrationSnapshot
+    snapshot: CalibrationSeries
+
+    @cached_property
+    def _rates(self) -> tuple[list[float], list[float]]:
+        return self.snapshot.rates()
 
     @cached_property
     def _cfm(self) -> dict[int, float]:
-        g, snap = self.graph, self.snapshot
-        return {q: cfm(g, snap, q) for q in range(g.qubit_count) if degree(g, q)}
+        return {q: cfm(self.graph, self.snapshot, q) for q in range(self.graph.qubit_count)}
 
     @cached_property
     def _device_term(self) -> float:
-        return _cri_term(self.graph, self.snapshot, tuple(range(self.graph.qubit_count)))
+        return _cri_term(self.graph, self._rates, tuple(range(self.graph.qubit_count)))
 
     def cfm(self, q: int) -> float:
         """cfm(graph, snapshot, q)."""
         value = self._cfm.get(q)
-        # only isolated or out-of-range qubits are missing, and cfm rejects both
+        # only out-of-range qubits are missing, and cfm rejects them
         return cfm(self.graph, self.snapshot, q) if value is None else value
 
     def cri(self, s: Sequence[int]) -> float:
         """cri(graph, snapshot, s)."""
-        num = _cri_term(self.graph, self.snapshot, subset_members(s))
+        num = _cri_term(self.graph, self._rates, subset_members(s))
         return num / self._device_term
 
 

@@ -1,22 +1,24 @@
-"""Error-rate data model: snapshots, series, CSV exchange, synthetic drift.
+"""Error-rate data model: calibration series, CSV exchange, synthetic drift.
 
-A calibration snapshot holds one cycle's per-edge CNOT error rates and
-per-qubit readout error rates. Snapshots exist in two roles that must never
-be conflated: the true rates the hardware actually exhibits, and the reported
-rates an allocator consumes. The adversary perturbs only the reported side;
-the scoring side of the simulator always reads the true side.
+A calibration series holds per-edge CNOT error rates and per-qubit readout
+error rates over one or more calibration cycles; a snapshot is a series of
+one cycle. Snapshots exist in two roles that must never be conflated: the
+true rates the hardware actually exhibits, and the reported rates an
+allocator consumes. The adversary perturbs only the reported side; the
+scoring side of the simulator always reads the true side.
 
-A series stores its rates as read-only arrays, one row per cycle, and caches
-the one cycles x qubits matrix of mean incident CNOT error that every
-per-qubit statistic reads. Iterating it yields fresh dict-shaped snapshot
-views. Anything that derives a new snapshot or series builds new values.
+A series stores its rates as read-only arrays, one row per cycle, with the
+CNOT columns in the graph's edge_list order (CouplingGraph.edge_column), and
+caches the one cycles x qubits matrix of mean incident CNOT error that every
+per-qubit statistic reads. Anything that derives a new snapshot or series
+builds new arrays.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,50 +30,15 @@ from .topology import CouplingGraph, Edge
 MAX_DRIFT_CV = 1.5
 
 
-@dataclass(frozen=True, eq=True)
-class CalibrationSnapshot:
-    """One calibration cycle's error rates.
-
-    cnot_error maps normalized edges (u, v), u < v, to rates in [0, 1];
-    readout_error maps qubit indices to rates in [0, 1].
-    """
-
-    cycle_id: int
-    cnot_error: dict[Edge, float]
-    readout_error: dict[int, float]
-
-    def __post_init__(self) -> None:
-        if self.cycle_id < 0:
-            raise ValueError(f"cycle_id must be non-negative, got {self.cycle_id}")
-
-
-def validate_snapshot(snap: CalibrationSnapshot, g: CouplingGraph) -> None:
-    """Check full coverage of the graph and [0, 1] bounds on every rate."""
-    if set(snap.cnot_error) != g.edges:
-        missing = g.edges - set(snap.cnot_error)
-        extra = set(snap.cnot_error) - g.edges
-        raise ValueError(
-            f"cycle {snap.cycle_id}: cnot_error must cover the graph exactly "
-            f"(missing {sorted(missing)}, extra {sorted(extra)})"
-        )
-    if set(snap.readout_error) != set(range(g.qubit_count)):
-        raise ValueError(f"cycle {snap.cycle_id}: readout_error must cover every qubit")
-    for e, val in snap.cnot_error.items():
-        if not (0.0 <= val <= 1.0):
-            raise ValueError(f"cycle {snap.cycle_id}: cnot_error{e} = {val} outside [0, 1]")
-    for q, val in snap.readout_error.items():
-        if not (0.0 <= val <= 1.0):
-            raise ValueError(f"cycle {snap.cycle_id}: readout_error[{q}] = {val} outside [0, 1]")
-
-
 @dataclass(frozen=True, eq=False)
 class CalibrationSeries:
-    """Error rates over strictly increasing calibration cycles of one graph.
+    """Error rates over strictly increasing, non-negative cycle ids of one graph.
 
     Row i of each array belongs to cycle cycle_ids[i]. cnot_error is a
     cycles x edges array whose columns follow graph.edge_list; readout_error
-    is a cycles x qubits array. Both are copied on construction and read-only.
-    Build one from snapshots with from_snapshots.
+    is a cycles x qubits array. Both are copied on construction and read-only,
+    and every rate is in [0, 1]. A snapshot is a series of one cycle:
+    uniform_snapshot, validate_snapshot and snapshot(row) build one.
     """
 
     graph: CouplingGraph
@@ -83,6 +50,8 @@ class CalibrationSeries:
         ids = self.cycle_ids
         if not ids:
             raise ValueError("series must contain at least one snapshot")
+        if ids[0] < 0:
+            raise ValueError(f"cycle_id must be non-negative, got {ids[0]}")
         for a, b in zip(ids, ids[1:]):
             if b <= a:
                 raise ValueError(f"cycle ids must strictly increase, got {a} then {b}")
@@ -96,32 +65,23 @@ class CalibrationSeries:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def from_snapshots(
-        cls, g: CouplingGraph, snapshots: Iterable[CalibrationSnapshot]
-    ) -> CalibrationSeries:
-        """Validate each snapshot against g and stack them, in order, into a series."""
-        snaps = tuple(snapshots)
-        for snap in snaps:
-            validate_snapshot(snap, g)
-        cnot = [[s.cnot_error[e] for e in g.edge_list] for s in snaps]
-        readout = [[s.readout_error[q] for q in range(g.qubit_count)] for s in snaps]
-        return cls(g, tuple(s.cycle_id for s in snaps), cnot, readout)
-
     def __len__(self) -> int:
         return len(self.cycle_ids)
 
-    def __iter__(self) -> Iterator[CalibrationSnapshot]:
-        """One dict-shaped snapshot view per cycle, in cycle order."""
-        return map(self.snapshot, range(len(self)))
-
-    def snapshot(self, row: int) -> CalibrationSnapshot:
-        """A fresh dict-shaped snapshot view of one row."""
-        return CalibrationSnapshot(
-            self.cycle_ids[row],
-            dict(zip(self.graph.edge_list, self.cnot_error[row].tolist())),
-            dict(enumerate(self.readout_error[row].tolist())),
+    def rows(self, rows: slice) -> CalibrationSeries:
+        """The series of the selected rows, such as a cycle_slice."""
+        return CalibrationSeries(
+            self.graph, self.cycle_ids[rows], self.cnot_error[rows], self.readout_error[rows]
         )
+
+    def snapshot(self, row: int) -> CalibrationSeries:
+        """The snapshot of one row, 0 <= row < len(self): the series of its cycle alone."""
+        return self.rows(slice(row, row + 1))
+
+    def rates(self) -> tuple[list[float], list[float]]:
+        """The first row's rates, a snapshot's, as Python floats: CNOT by edge
+        column, readout by qubit."""
+        return self.cnot_error[0].tolist(), self.readout_error[0].tolist()
 
     def cycle_slice(self, lo: int, hi: int) -> slice:
         """The rows whose cycle ids satisfy lo <= cycle_id < hi, as a slice."""
@@ -131,51 +91,67 @@ class CalibrationSeries:
     def mean_cnot_error(self) -> np.ndarray:
         """avg_cnot_error of every cycle (row) and qubit (column), read-only.
 
-        Each column adds the qubit's incident edges in incident_edges order,
-        as avg_cnot_error does, so every entry equals it exactly. Stored
-        column-major, so one qubit's values are contiguous.
+        Stored column-major, so one qubit's values are contiguous.
         """
-        g = self.graph
-        column = {e: j for j, e in enumerate(g.edge_list)}
-        out = np.empty((len(self), g.qubit_count), order="F")
-        for q in range(g.qubit_count):
-            incident = g.incident_edges(q)
-            if not incident:
-                raise ValueError(f"qubit {q} has no incident edges")
-            out[:, q] = sum(self.cnot_error[:, column[e]] for e in incident) / len(incident)
+        out = np.empty((len(self), self.graph.qubit_count), order="F")
+        for q in range(self.graph.qubit_count):
+            out[:, q] = avg_cnot_error(self, q)
         out.setflags(write=False)
         return out
 
 
+def validate_snapshot(
+    g: CouplingGraph,
+    cnot_error: Mapping[Edge, float],
+    readout_error: Mapping[int, float],
+    cycle_id: int = 0,
+) -> CalibrationSeries:
+    """The snapshot of one cycle's rates, given as maps: cnot_error by normalized
+    edge (u, v), u < v, and readout_error by qubit. Both must cover g exactly
+    and every rate must be in [0, 1]; the first fault is named."""
+    if set(cnot_error) != g.edges:
+        missing = g.edges - set(cnot_error)
+        extra = set(cnot_error) - g.edges
+        raise ValueError(
+            f"cycle {cycle_id}: cnot_error must cover the graph exactly "
+            f"(missing {sorted(missing)}, extra {sorted(extra)})"
+        )
+    if set(readout_error) != set(range(g.qubit_count)):
+        raise ValueError(f"cycle {cycle_id}: readout_error must cover every qubit")
+    for e, val in cnot_error.items():
+        if not (0.0 <= val <= 1.0):
+            raise ValueError(f"cycle {cycle_id}: cnot_error{e} = {val} outside [0, 1]")
+    for q, val in readout_error.items():
+        if not (0.0 <= val <= 1.0):
+            raise ValueError(f"cycle {cycle_id}: readout_error[{q}] = {val} outside [0, 1]")
+    readout = [readout_error[q] for q in range(g.qubit_count)]
+    return CalibrationSeries(g, (cycle_id,), [[cnot_error[e] for e in g.edge_list]], [readout])
+
+
 def uniform_snapshot(
     g: CouplingGraph, cnot: float, readout: float, cycle_id: int = 0
-) -> CalibrationSnapshot:
+) -> CalibrationSeries:
     """Every edge at the same CNOT error, every qubit at the same readout error."""
-    snap = CalibrationSnapshot(
-        cycle_id=cycle_id,
-        cnot_error={e: cnot for e in g.edge_list},
-        readout_error={q: readout for q in range(g.qubit_count)},
+    return validate_snapshot(
+        g, dict.fromkeys(g.edge_list, cnot), dict.fromkeys(range(g.qubit_count), readout), cycle_id
     )
-    validate_snapshot(snap, g)
-    return snap
 
 
-def avg_cnot_error(snap: CalibrationSnapshot, g: CouplingGraph, q: int) -> float:
-    """Arithmetic mean CNOT error over the edges incident to q."""
+def avg_cnot_error(series: CalibrationSeries, q: int) -> np.ndarray:
+    """Arithmetic mean CNOT error over the edges incident to q, one entry per cycle.
+
+    The edges are added in incident_edges order.
+    """
+    g = series.graph
     incident = g.incident_edges(q)
     if not incident:
         raise ValueError(f"qubit {q} has no incident edges")
-    return sum(snap.cnot_error[e] for e in incident) / len(incident)
+    column = g.edge_column
+    return sum(series.cnot_error[:, column[e]] for e in incident) / len(incident)
 
 
-def synth_drift(
-    base: CalibrationSnapshot,
-    g: CouplingGraph,
-    cycles: int,
-    cv: float,
-    seed: int,
-) -> CalibrationSeries:
-    """Seeded multiplicative lognormal drift around a base snapshot.
+def synth_drift(base: CalibrationSeries, cycles: int, cv: float, seed: int) -> CalibrationSeries:
+    """Seeded multiplicative lognormal drift around a base snapshot, on its graph.
 
     For each cycle t and edge e (one standard-normal draw per (t, e) pair from
     numpy's default_rng(seed), cycle by cycle, edges in sorted order within a
@@ -192,13 +168,13 @@ def synth_drift(
         raise ValueError(f"cycles must be positive, got {cycles}")
     if not (0.0 <= cv < MAX_DRIFT_CV):
         raise ValueError(f"cv must be in [0, {MAX_DRIFT_CV}), got {cv}")
-    validate_snapshot(base, g)
+    if len(base) != 1:
+        raise ValueError("base must be a snapshot (one cycle)")
     s = math.sqrt(math.log(1.0 + cv * cv))
-    z = np.random.default_rng(seed).standard_normal((cycles, len(g.edge_list)))
-    base_vals = np.array([base.cnot_error[e] for e in g.edge_list])
-    readout = [base.readout_error[q] for q in range(g.qubit_count)]
+    z = np.random.default_rng(seed).standard_normal((cycles, len(base.graph.edge_list)))
+    cnot = np.clip(base.cnot_error * np.exp(s * z), 0.0, 1.0)
     return CalibrationSeries(
-        g, tuple(range(cycles)), np.clip(base_vals * np.exp(s * z), 0.0, 1.0), [readout] * cycles
+        base.graph, tuple(range(cycles)), cnot, np.repeat(base.readout_error, cycles, axis=0)
     )
 
 
@@ -236,7 +212,6 @@ def load_calibration_csv(text: str, g: CouplingGraph) -> CalibrationSeries:
         raise DataError(f"line 1: expected header {CSV_HEADER!r}, got {header!r}")
 
     subjects = [*g.edge_list, *range(g.qubit_count)]  # columns: cnot by edge, then readout by qubit
-    column = {s: j for j, s in enumerate(subjects)}
     ids, rows = [], []  # per cycle: its id, and its rates, nan until the CSV gives one
     for ln, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
@@ -273,20 +248,22 @@ def load_calibration_csv(text: str, g: CouplingGraph) -> CalibrationSeries:
                 raise DataError(f"line {ln}: non-integer edge in {subject!r}") from None
             if key[0] >= key[1]:
                 raise DataError(f"line {ln}: edge subject must have u < v, got {subject!r}")
-            if key not in column:
+            if key not in g.edge_column:
                 raise DataError(f"line {ln}: unknown edge {subject!r} for this topology")
+            j = g.edge_column[key]
         elif kind == "readout":
             try:
                 key = int(subject)
             except ValueError:
                 raise DataError(f"line {ln}: readout subject {subject!r} is not an integer") from None
-            if key not in column:
+            if not 0 <= key < g.qubit_count:
                 raise DataError(f"line {ln}: unknown qubit {key} for this topology")
+            j = len(g.edge_list) + key
         else:
             raise DataError(f"line {ln}: kind must be 'cnot' or 'readout', got {kind!r}")
-        if not math.isnan(rows[-1][column[key]]):
+        if not math.isnan(rows[-1][j]):
             raise DataError(f"line {ln}: duplicate {kind} entry for {subject!r}")
-        rows[-1][column[key]] = value
+        rows[-1][j] = value
 
     if not ids:
         raise DataError("no snapshots: calibration file has a header but no rows")
@@ -300,10 +277,11 @@ def load_calibration_csv(text: str, g: CouplingGraph) -> CalibrationSeries:
 
 def write_calibration_csv(series: CalibrationSeries) -> str:
     """Inverse of load_calibration_csv; loading the output reproduces the series."""
+    edges = series.graph.edge_list
     rows = [CSV_HEADER]
-    for snap in series:
-        for u, v in sorted(snap.cnot_error):
-            rows.append(f"{snap.cycle_id},cnot,{u}-{v},{snap.cnot_error[(u, v)]!r}")
-        for q in sorted(snap.readout_error):
-            rows.append(f"{snap.cycle_id},readout,{q},{snap.readout_error[q]!r}")
+    for cycle, cnot, readout in zip(
+        series.cycle_ids, series.cnot_error.tolist(), series.readout_error.tolist()
+    ):
+        rows += (f"{cycle},cnot,{u}-{v},{val!r}" for (u, v), val in zip(edges, cnot))
+        rows += (f"{cycle},readout,{q},{val!r}" for q, val in enumerate(readout))
     return "\n".join(rows) + "\n"

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .calibration import CalibrationSeries, CalibrationSnapshot, fluctuation_percent, synth_drift
+from .calibration import CalibrationSeries, fluctuation_percent, synth_drift
 
 DEFAULT_BINS = 10
 # the most bins a divergence may use; far more than any window has samples
@@ -229,18 +229,15 @@ def matched_threshold(
     _check_windows(series, window1, window2)
     _check_runs(runs)
     g = series.graph
-    rows = series.cycle_slice(*window1)
-    history = CalibrationSeries(
-        g, series.cycle_ids[rows], series.cnot_error[rows], series.readout_error[rows]
-    )
+    history = series.rows(series.cycle_slice(*window1))
     n1, n2 = len(history), len(series.cycle_ids[series.cycle_slice(*window2)])
-    cnot = {e: sum(col) / n1 for e, col in zip(g.edge_list, history.cnot_error.T.tolist())}
-    base = CalibrationSnapshot(0, cnot, dict(enumerate(history.readout_error[0].tolist())))
+    cnot = [sum(col) / n1 for col in history.cnot_error.T.tolist()]
+    base = CalibrationSeries(g, (0,), [cnot], history.readout_error[:1])
     if cv is None:
         qubits = range(g.qubit_count)
         cv = sum(fluctuation_percent(history, q) for q in qubits) / (100.0 * len(qubits))
     honest_runs = (
-        synth_drift(base, g, n1 + n2, cv, seed)
+        synth_drift(base, n1 + n2, cv, seed)
         for seed in range(CALIBRATION_SEED_BASE, CALIBRATION_SEED_BASE + runs)
     )
     tau = calibrate_threshold(

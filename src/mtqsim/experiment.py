@@ -35,7 +35,7 @@ import numpy as np
 from .adversary import MisreportPlan, apply_misreport, h1_plan, h2_plan
 from .allocation import get_allocator
 from .calibration import (
-    CalibrationSnapshot,
+    CalibrationSeries,
     load_calibration_csv,
     uniform_snapshot,
     validate_snapshot,
@@ -48,6 +48,8 @@ from .transpile import circuit_to_qasm, parse_qasm_subset
 BUILTIN_TOPOLOGIES = {"hanoi27": hanoi27}
 
 DEFAULT_GATE_DENSITY = 2.0
+# a generator workload's fields, in gen_workload's and check_generator's order
+GENERATOR_FIELDS = ("count", "size_min", "size_max", "gate_density", "seed")
 
 
 def read_referenced_file(path: str | Path) -> str:
@@ -122,7 +124,9 @@ def resolve_topology(spec: Any, base_dir: Path) -> CouplingGraph:
     raise ConfigError(f"topology must be a builtin name, a file, or inline: {spec!r}")
 
 
-def resolve_errors(spec: Any, g: CouplingGraph, base_dir: Path) -> CalibrationSnapshot:
+def resolve_errors(spec: Any, g: CouplingGraph, base_dir: Path) -> CalibrationSeries:
+    """The snapshot (a one-cycle series) an errors spec gives: uniform rates,
+    one cycle of a calibration CSV, or inline cnot/readout maps."""
     if not isinstance(spec, dict):
         raise ConfigError(f"errors must be an object, got {spec!r}")
     if "uniform" in spec:
@@ -147,9 +151,7 @@ def resolve_errors(spec: Any, g: CouplingGraph, base_dir: Path) -> CalibrationSn
                     for key, val in spec["cnot"].items()}
             readout = {int(q): config_number(val, f"readout error {q}")
                        for q, val in spec["readout"].items()}
-            snap = CalibrationSnapshot(0, cnot, readout)
-            validate_snapshot(snap, g)
-            return snap
+            return validate_snapshot(g, cnot, readout)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid inline error model: {exc}") from None
     raise ConfigError("errors must give 'uniform', a 'file', or inline 'cnot'/'readout'")
@@ -225,12 +227,12 @@ def resolve_workload(spec: Any, base_dir: Path) -> dict:
         return {"kind": "qasm", "circuits": circuits}
     spec = {"gate_density": DEFAULT_GATE_DENSITY, **spec}
     workload = {"kind": "generator"}
-    for field in ("count", "size_min", "size_max", "gate_density", "seed"):
+    for field in GENERATOR_FIELDS:
         if field not in spec:
             raise ConfigError(f"generator workload missing field {field!r}")
         kind = float if field == "gate_density" else int
         workload[field] = config_number(spec[field], f"generator workload {field}", kind)
-    check_generator(*(workload[f] for f in ("count", "size_min", "size_max", "gate_density")))
+    check_generator(*(workload[f] for f in GENERATOR_FIELDS))
     return workload
 
 
@@ -238,7 +240,9 @@ def with_seed(config: dict, seed: int) -> dict:
     """A resolved config with its generator workload drawn from another seed."""
     if config["workload"]["kind"] != "generator":
         raise ConfigError("seed overrides require a generator workload")
-    return {**config, "workload": {**config["workload"], "seed": config_number(seed, "seed", int)}}
+    workload = {**config["workload"], "seed": config_number(seed, "seed", int)}
+    check_generator(*(workload[f] for f in GENERATOR_FIELDS))
+    return {**config, "workload": workload}
 
 
 def build_jobs(config: dict) -> list[Job]:
@@ -246,7 +250,7 @@ def build_jobs(config: dict) -> list[Job]:
     w = config["workload"]
     if w["kind"] == "qasm":
         return [Job(id=c["id"], circuit=parse_qasm_subset(c["qasm"])) for c in w["circuits"]]
-    return gen_workload(w["count"], w["size_min"], w["size_max"], w["gate_density"], w["seed"])
+    return gen_workload(*(w[f] for f in GENERATOR_FIELDS))
 
 
 def resolve_config(raw: Any, base_dir: str | Path = ".") -> dict:
@@ -263,6 +267,7 @@ def resolve_config(raw: Any, base_dir: str | Path = ".") -> dict:
             raise ConfigError(f"config missing required field {required!r}")
     g = resolve_topology(raw["topology"], base_dir)
     snapshot = resolve_errors(raw["errors"], g, base_dir)
+    cnot, readout = snapshot.rates()
     allocator = raw.get("allocator", "greedy")
     if not isinstance(allocator, str):
         raise ConfigError(f"allocator must be a name, got {allocator!r}")
@@ -271,8 +276,8 @@ def resolve_config(raw: Any, base_dir: str | Path = ".") -> dict:
         "allocator": allocator,
         "attack": resolve_attack(raw.get("attack", "none"), g),
         "errors": {
-            "cnot": {f"{u}-{v}": val for (u, v), val in sorted(snapshot.cnot_error.items())},
-            "readout": {str(q): val for q, val in sorted(snapshot.readout_error.items())},
+            "cnot": {f"{u}-{v}": val for (u, v), val in zip(g.edge_list, cnot)},
+            "readout": {str(q): val for q, val in enumerate(readout)},
         },
         "topology": {"qubits": g.qubit_count, "edges": [[u, v] for u, v in g.edge_list]},
         "workload": resolve_workload(raw["workload"], base_dir),
@@ -319,7 +324,7 @@ def run_simulate(config: dict) -> dict:
     snap_true = resolve_errors(config["errors"], g, Path())
     jobs = build_jobs(config)
     plan = attack_plan(config["attack"], g)
-    snap_attacked = apply_misreport(snap_true, g, plan)
+    snap_attacked = apply_misreport(snap_true, plan)
     baseline = run_queue(jobs, g, snap_true, snap_true, config["allocator"]).to_dict()
     attacked = run_queue(jobs, g, snap_true, snap_attacked, config["allocator"]).to_dict()
     b, a = ({name: report[name] for name in AGGREGATES} for report in (baseline, attacked))
@@ -383,9 +388,10 @@ def run_sweep(config: dict, seeds: list[int]) -> list[dict]:
     the "mean" and "std" rows over them."""
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
+    configs = [with_seed(config, seed) for seed in seeds]  # check every seed before any run
     rows: list[dict] = []
-    for seed in seeds:
-        summary = run_simulate(with_seed(config, seed))["summary"]
+    for seed, seeded in zip(seeds, configs):
+        summary = run_simulate(seeded)["summary"]
         rows.append(
             {"seed": seed, **{c: summary[sec][key] for c, (sec, key) in SWEEP_COLUMNS.items()}}
         )

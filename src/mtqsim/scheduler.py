@@ -26,7 +26,7 @@ from statistics import mean
 import numpy as np
 
 from .allocation import AllocationRequest, Partition, ScoringContext, get_allocator
-from .calibration import CalibrationSnapshot
+from .calibration import CalibrationSeries
 from .topology import CouplingGraph
 from .transpile import (
     LogicalCircuit,
@@ -121,8 +121,8 @@ class ExperimentReport:
 def run_queue(
     jobs: list[Job],
     g: CouplingGraph,
-    snap_true: CalibrationSnapshot,
-    snap_reported: CalibrationSnapshot,
+    snap_true: CalibrationSeries,
+    snap_reported: CalibrationSeries,
     allocator: str = "greedy",
 ) -> ExperimentReport:
     """Drain the queue and report per-round and per-job outcomes.
@@ -180,9 +180,12 @@ def run_queue(
 MAX_JOB_GATES = 10**6
 
 
-def check_generator(count: int, size_min: int, size_max: int, gate_density: float) -> None:
-    """gen_workload's range rules: count >= 1, 1 <= size_min <= size_max, and a positive,
-    finite gate_density that gives no size_max job more than MAX_JOB_GATES gates."""
+def check_generator(
+    count: int, size_min: int, size_max: int, gate_density: float, seed: int
+) -> None:
+    """gen_workload's range rules: count >= 1, 1 <= size_min <= size_max, a positive,
+    finite gate_density that gives no size_max job more than MAX_JOB_GATES gates, and
+    a non-negative seed."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if not (1 <= size_min <= size_max):
@@ -194,6 +197,8 @@ def check_generator(count: int, size_min: int, size_max: int, gate_density: floa
             f"gate_density {gate_density} gives a {size_max}-qubit job more than "
             f"{MAX_JOB_GATES} gates"
         )
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 def gen_workload(
@@ -212,7 +217,7 @@ def gen_workload(
     carry measurements only. Parameters that break check_generator's rules
     are rejected before anything is drawn.
     """
-    check_generator(count, size_min, size_max, gate_density)
+    check_generator(count, size_min, size_max, gate_density, seed)
     rng = np.random.default_rng(seed)
     jobs: list[Job] = []
     for i in range(count):

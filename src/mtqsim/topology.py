@@ -57,6 +57,12 @@ class CouplingGraph:
         return tuple(sorted(self.edges))
 
     @cached_property
+    def edge_column(self) -> dict[Edge, int]:
+        """Each edge's position in edge_list, its column in a calibration row, keyed
+        by (u, v) and by (v, u), so that a gate's qubit pair needs no normalizing."""
+        return {e: j for j, (u, v) in enumerate(self.edge_list) for e in ((u, v), (v, u))}
+
+    @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
         nbrs: list[list[int]] = [[] for _ in range(self.qubit_count)]
         for u, v in self.edge_list:

@@ -9,12 +9,12 @@ scored by ASAP depth, CNOT count, and an analytic success probability against
 the true error rates.
 
 A SWAP is one shared routing-CNOT op listed three times. score computes all
-three measures in one walk over the ops; depth, cnot_count and pst_estimate
-each read one of them.
+three measures in one walk over the ops; depth and pst_estimate each read
+one of them.
 
 Layout consumes the reported snapshot (the allocator's world view); the
-success probability consumes the true snapshot. Keeping those apart is the
-whole point of the toolkit.
+success probability consumes the true snapshot. Both are one-cycle
+CalibrationSeries. Keeping those apart is the whole point of the toolkit.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .allocation import ScoringContext
-from .calibration import CalibrationSnapshot
+from .calibration import CalibrationSeries
 from .errors import DataError
 from .topology import CouplingGraph, bfs_tree, tree_path
 
@@ -334,7 +334,7 @@ def route(
 
 
 def score(
-    r: RoutedCircuit, snap_true: CalibrationSnapshot | None
+    r: RoutedCircuit, snap_true: CalibrationSeries | None
 ) -> tuple[int, int, float | None]:
     """ASAP depth, CNOT count and analytic PST of a routed circuit, in one walk.
 
@@ -346,7 +346,8 @@ def score(
     are error-free. PST is None, and no product is taken, when snap_true is
     None.
     """
-    rates = None if snap_true is None else snap_true.cnot_error
+    if snap_true is not None:
+        (cnot, readout), column = snap_true.rates(), snap_true.graph.edge_column
     ready = dict.fromkeys(r.partition, 0)
     total = cnots = 0
     p = 1.0
@@ -358,8 +359,8 @@ def score(
             t = (ta if ta > tb else tb) + 1
             ready[a] = ready[b] = t
             cnots += 1
-            if rates is not None:
-                p *= 1.0 - rates[(a, b) if a < b else (b, a)]
+            if snap_true is not None:
+                p *= 1.0 - cnot[column[a, b]]
         else:
             (a,) = op.qubits
             t = ready[a] + 1
@@ -368,10 +369,10 @@ def score(
                 measured.add(a)
         if t > total:
             total = t
-    if rates is None:
+    if snap_true is None:
         return total, cnots, None
     for q in sorted(measured):
-        p *= 1.0 - snap_true.readout_error[q]
+        p *= 1.0 - readout[q]
     return total, cnots, p
 
 
@@ -380,11 +381,6 @@ def depth(r: RoutedCircuit) -> int:
     return score(r, None)[0]
 
 
-def cnot_count(r: RoutedCircuit) -> int:
-    """All emitted CNOTs, routing CNOTs included."""
-    return score(r, None)[1]
-
-
-def pst_estimate(r: RoutedCircuit, snap_true: CalibrationSnapshot) -> float:
+def pst_estimate(r: RoutedCircuit, snap_true: CalibrationSeries) -> float:
     """Analytic success probability against the true snapshot (see score)."""
     return score(r, snap_true)[2]

@@ -99,6 +99,46 @@ def maxmin_chain(edges, n, pool, count):
     return selected
 
 
+# --- scoring ----------------------------------------------------------------
+
+def incident_mean(cnot_rates, q):
+    """Mean CNOT rate over the edges touching q, added by ascending neighbor;
+    cnot_rates is a plain dict keyed by (low, high) edge."""
+    neighbors = sorted(v if u == q else u for u, v in cnot_rates if q in (u, v))
+    rates = [cnot_rates[(min(q, n), max(q, n))] for n in neighbors]
+    return sum(rates) / len(rates)
+
+
+def cfm(cnot_rates, readout_rates, q):
+    """degree(q) + (1 - (E + R)): E the mean CNOT rate over q's edges, R its readout rate."""
+    degree = sum(1 for e in cnot_rates if q in e)
+    return degree + (1.0 - (incident_mean(cnot_rates, q) + readout_rates[q]))
+
+
+def cri_term(cnot_rates, readout_rates, members):
+    """D/C + (1 - (E + R)) of a connected subset: D the intra-edge count over
+    |s|(|s|-1)/2, C the induced diameter over |s|-1 (both 1 for a singleton),
+    E the mean intra-edge CNOT rate (0 with no intra edge), R the mean readout rate."""
+    k, mset = len(members), set(members)
+    intra = [e for e in cnot_rates if e[0] in mset and e[1] in mset]
+    if k == 1:
+        ratio = 1.0
+    else:
+        adj = adjacency(intra, len(readout_rates))
+        diameter = max(max(bfs_distances(adj, q).values()) for q in members)
+        ratio = (len(intra) / (k * (k - 1) / 2)) / (diameter / (k - 1))
+    e_p = math.fsum(cnot_rates[e] for e in intra) / len(intra) if intra else 0.0
+    r_p = math.fsum(readout_rates[q] for q in members) / k
+    return ratio + (1.0 - (e_p + r_p))
+
+
+def cri(cnot_rates, readout_rates, members):
+    """A connected subset's cri_term over the whole (connected) device's."""
+    device = range(len(readout_rates))
+    return (cri_term(cnot_rates, readout_rates, members)
+            / cri_term(cnot_rates, readout_rates, device))
+
+
 # --- community detection ---------------------------------------------------
 
 def modularity(assignment, weights, nodes):
@@ -232,6 +272,21 @@ def success_product(ops, cnot_rates, readout_rates):
     for f in factors:
         p *= f
     return p
+
+
+def misreported_rates(edges, rates, targets):
+    """One cycle's CNOT rates, listed in edge order, as a plan with (qubit,
+    delta) targets reports them: an edge touching targets is scaled by 1 + d
+    for its largest-magnitude delta d (the earlier target on a tie) and
+    clamped to [0, 1]; other edges keep their rate."""
+    out = []
+    for (u, v), rate in zip(edges, rates):
+        deltas = [d for q, d in targets if q in (u, v)]
+        if deltas:
+            d = max(deltas, key=abs)
+            rate = min(1.0, max(0.0, rate * (1.0 + d)))
+        out.append(rate)
+    return out
 
 
 # --- statistics --------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from mtqsim.calibration import CalibrationSeries, CalibrationSnapshot
+from mtqsim.calibration import CalibrationSeries, validate_snapshot
 from mtqsim.topology import CouplingGraph
 from mtqsim.transpile import LogicalCircuit, MeasureGate, OneQubitGate, TwoQubitGate
 
@@ -24,8 +24,8 @@ def graph_and_snapshot(draw, graphs=connected_graph()):
     """A random graph (by default connected, of 2-8 qubits) and a random snapshot over it."""
     g = draw(graphs)
     rate = st.floats(0.0, 1.0)
-    snap = CalibrationSnapshot(
-        0, {e: draw(rate) for e in g.edge_list}, {q: draw(rate) for q in range(g.qubit_count)}
+    snap = validate_snapshot(
+        g, {e: draw(rate) for e in g.edge_list}, {q: draw(rate) for q in range(g.qubit_count)}
     )
     return g, snap
 
@@ -102,7 +102,7 @@ def routing_case(draw):
                           max_size=len(g.edge_list), unique=True))
     readout = draw(st.lists(st.floats(0.0, 0.5), min_size=g.qubit_count,
                             max_size=g.qubit_count))
-    snap = CalibrationSnapshot(0, dict(zip(g.edge_list, rates)), dict(enumerate(readout)))
+    snap = validate_snapshot(g, dict(zip(g.edge_list, rates)), dict(enumerate(readout)))
     members = draw(connected_partition(g))
     c = draw(circuit(len(members)))
     layout = dict(enumerate(draw(st.permutations(members))))

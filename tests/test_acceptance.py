@@ -16,7 +16,6 @@ import pytest
 import oracles
 from mtqsim.adversary import (
     apply_misreport,
-    apply_misreport_series,
     h1_plan,
     h2_plan,
     heuristic1_sigma_ranking,
@@ -32,7 +31,7 @@ from mtqsim.allocation import (
     get_allocator,
     louvain,
 )
-from mtqsim.calibration import CalibrationSnapshot, synth_drift, uniform_snapshot
+from mtqsim.calibration import synth_drift, uniform_snapshot, validate_snapshot
 from mtqsim.cli import main
 from mtqsim.defense import (
     build_distribution,
@@ -44,12 +43,12 @@ from mtqsim.defense import (
 from mtqsim.scheduler import gen_workload, run_queue
 from mtqsim.topology import CouplingGraph, hanoi27
 from mtqsim.transpile import (
-    cnot_count,
     depth,
     initial_layout,
     parse_qasm_subset,
     pst_estimate,
     route,
+    score,
 )
 
 RESULTS: list[str] = []
@@ -76,8 +75,8 @@ def hanoi():
 def sweep20(hanoi):
     """Shared 20-seed preset runs: baseline, H1, and H2 legs per allocator."""
     snap = uniform_snapshot(hanoi, 0.02, 0.02)
-    rep_h1 = apply_misreport(snap, hanoi, h1_plan(hanoi, 3, 0.15))
-    rep_h2 = apply_misreport(snap, hanoi, h2_plan(hanoi, [0.15, 0.12, 0.10]))
+    rep_h1 = apply_misreport(snap, h1_plan(hanoi, 3, 0.15))
+    rep_h2 = apply_misreport(snap, h2_plan(hanoi, [0.15, 0.12, 0.10]))
     runs = {}
     for alloc in ("greedy", "comdap"):
         rows = []
@@ -192,16 +191,16 @@ def test_criterion_06_depth_pst_ordering(sweep20):
 
 def test_criterion_07_allocator_exactness(hanoi):
     star = CouplingGraph(4, frozenset({(0, 1), (0, 2), (0, 3)}))
-    star_snap = CalibrationSnapshot(
-        0, {(0, 1): 0.01, (0, 2): 0.01, (0, 3): 0.01}, {0: 0.02, 1: 0.0, 2: 0.0, 3: 0.0}
+    star_snap = validate_snapshot(
+        star, {(0, 1): 0.01, (0, 2): 0.01, (0, 3): 0.01}, {0: 0.02, 1: 0.0, 2: 0.0, 3: 0.0}
     )
     cfm_ok = abs(cfm(star, star_snap, 0) - 3.97) < 1e-12
-    zero = CalibrationSnapshot(0, {e: 0.0 for e in star.edge_list}, {q: 0.0 for q in range(4)})
+    zero = uniform_snapshot(star, 0.0, 0.0)
     cfm_ok &= abs(cfm(star, zero, 1) - 2.0) < 1e-12
 
     fix5 = CouplingGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)}))
-    fix5_snap = CalibrationSnapshot(
-        0,
+    fix5_snap = validate_snapshot(
+        fix5,
         {(0, 1): 0.01, (1, 2): 0.02, (2, 3): 0.03, (3, 4): 0.04, (1, 3): 0.05},
         {q: 0.01 * (q + 1) for q in range(5)},
     )
@@ -219,8 +218,8 @@ def test_criterion_07_allocator_exactness(hanoi):
     instances = returned = 0
     valid = True
     for trial in range(500):
-        s = CalibrationSnapshot(
-            0,
+        s = validate_snapshot(
+            hanoi,
             {e: float(rng.uniform(0.001, 0.2)) for e in hanoi.edge_list},
             {q: float(rng.uniform(0.001, 0.2)) for q in range(27)},
         )
@@ -272,12 +271,12 @@ def test_criterion_08_routing_invariants(hanoi):
                 if op.kind == "cnot":
                     ok &= tuple(sorted(op.qubits)) in edge_set
             logical_cnots = sum(1 for g in job.circuit.gates if hasattr(g, "control"))
-            ok &= cnot_count(r) == logical_cnots + 3 * r.swap_count
+            ok &= score(r, None)[1] == logical_cnots + 3 * r.swap_count
             ok &= oracles.replay_routed(job.circuit, r) == r.swap_count
             checked += 1
 
     p3 = CouplingGraph(3, frozenset({(0, 1), (1, 2)}))
-    s = CalibrationSnapshot(0, {(0, 1): 0.02, (1, 2): 0.02}, {0: 0.01, 1: 0.01, 2: 0.01})
+    s = validate_snapshot(p3, {(0, 1): 0.02, (1, 2): 0.02}, {0: 0.01, 1: 0.01, 2: 0.01})
     c = parse_qasm_subset(
         "qreg q[3]; creg c[2]; cx q[0],q[1]; measure q[0] -> c[0]; measure q[1] -> c[1];"
     )
@@ -312,7 +311,7 @@ def test_criterion_09b_detector_power(hanoi):
     n1, n2 = 336, 84
     w1, w2 = (0, n1), (n1, n1 + n2)
     bins, eps, cv = 3, 0.1, 0.30
-    cal = [synth_drift(base, hanoi, n1 + n2, cv, 1000 + i) for i in range(60)]
+    cal = [synth_drift(base, n1 + n2, cv, 1000 + i) for i in range(60)]
     tau = calibrate_threshold(cal, w1, w2, bins=bins, eps=eps)
     plan = h1_plan(hanoi, 3, 0.15)
     targets = {q for q, _ in plan.targets}
@@ -321,11 +320,11 @@ def test_criterion_09b_detector_power(hanoi):
     honest_tests = 0
     trials = 500
     for t in range(trials):
-        honest = synth_drift(base, hanoi, n1 + n2, cv, 2000 + t)
+        honest = synth_drift(base, n1 + n2, cv, 2000 + t)
         hv = detect(honest, w1, w2, bins=bins, eps=eps, tau=tau)
         fp += len(hv.flagged)
         honest_tests += 27
-        attacked = apply_misreport_series(honest, plan, n1, n1 + n2)
+        attacked = apply_misreport(honest, plan, (n1, n1 + n2))
         av = detect(attacked, w1, w2, bins=bins, eps=eps, tau=tau)
         hits += targets <= av.flagged
     rate = hits / trials
@@ -344,7 +343,7 @@ def test_criterion_09c_naive_detector_fails(hanoi):
     base = uniform_snapshot(hanoi, 0.02, 0.02)
     fracs = []
     for seed in (1, 2, 3, 4, 5):
-        series = synth_drift(base, hanoi, 14, 0.30, seed)
+        series = synth_drift(base, 14, 0.30, seed)
         fracs.append(len(naive_threshold_flags(series, rel_bound=0.15)) / 27)
     ok = all(f > 0.5 for f in fracs)
     assert verdict(

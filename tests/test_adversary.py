@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,6 @@ from strategies import graph_and_series
 from mtqsim.adversary import (
     MisreportPlan,
     apply_misreport,
-    apply_misreport_series,
     h1_plan,
     h2_plan,
     heuristic1_sigma_ranking,
@@ -15,7 +15,7 @@ from mtqsim.adversary import (
     heuristic2_selection,
     heuristic2_targets,
 )
-from mtqsim.calibration import CalibrationSeries, uniform_snapshot, synth_drift
+from mtqsim.calibration import uniform_snapshot, synth_drift
 from mtqsim.topology import CouplingGraph, hanoi27
 
 P3 = CouplingGraph(3, frozenset({(0, 1), (1, 2)}))
@@ -120,64 +120,60 @@ def test_apply_misreport_arithmetic():
     g = hanoi27()
     true = uniform_snapshot(g, 0.02, 0.02)
     plan = MisreportPlan("H1", ((12, 0.15),))
-    reported = apply_misreport(true, g, plan)
-    for e, v in reported.cnot_error.items():
+    reported = apply_misreport(true, plan)
+    for e, v in zip(g.edge_list, reported.cnot_error[0].tolist()):
         if 12 in e:
             assert v == pytest.approx(0.023, abs=1e-15)
         else:
-            assert v == true.cnot_error[e]
-    assert reported.readout_error == true.readout_error
+            assert v == 0.02
+    assert (reported.readout_error == true.readout_error).all()
     # the input snapshot is untouched
-    assert all(v == 0.02 for v in true.cnot_error.values())
+    assert (true.cnot_error == 0.02).all()
 
 
 def test_apply_misreport_clamps():
-    g = P3
-    true = uniform_snapshot(g, 0.95, 0.0)
-    reported = apply_misreport(true, g, MisreportPlan("H1", ((1, 0.15),)))
-    assert all(v == 1.0 for v in reported.cnot_error.values())
+    true = uniform_snapshot(P3, 0.95, 0.0)
+    reported = apply_misreport(true, MisreportPlan("H1", ((1, 0.15),)))
+    assert (reported.cnot_error == 1.0).all()
 
 
 def test_apply_misreport_identity():
-    g = hanoi27()
-    true = uniform_snapshot(g, 0.02, 0.02)
-    assert apply_misreport(true, g, None).cnot_error == true.cnot_error
+    true = uniform_snapshot(hanoi27(), 0.02, 0.02)
+    assert apply_misreport(true, None) is true
 
 
 def test_doubly_targeted_edge_takes_larger_delta():
     g = CouplingGraph(2, frozenset({(0, 1)}))
     true = uniform_snapshot(g, 0.10, 0.0)
     plan = MisreportPlan("H2", ((0, -0.15), (1, -0.12)))
-    reported = apply_misreport(true, g, plan)
-    assert reported.cnot_error[(0, 1)] == pytest.approx(0.10 * 0.85, abs=1e-15)
+    reported = apply_misreport(true, plan)
+    assert reported.cnot_error[0, 0] == pytest.approx(0.10 * 0.85, abs=1e-15)
 
 
 def test_h_directions():
     g = hanoi27()
     true = uniform_snapshot(g, 0.02, 0.02)
-    up = apply_misreport(true, g, h1_plan(g, 3, 0.15))
-    down = apply_misreport(true, g, h2_plan(g, [0.15, 0.12, 0.10]))
+    up = apply_misreport(true, h1_plan(g, 3, 0.15)).cnot_error[0]
+    down = apply_misreport(true, h2_plan(g, [0.15, 0.12, 0.10])).cnot_error[0]
     t1 = set(h1_plan(g, 3, 0.15).target_qubits)
     t2 = set(h2_plan(g, [0.15, 0.12, 0.10]).target_qubits)
-    for e, v in up.cnot_error.items():
+    for j, e in enumerate(g.edge_list):
         if set(e) & t1:
-            assert v > true.cnot_error[e]
-    for e, v in down.cnot_error.items():
+            assert up[j] > true.cnot_error[0, j]
         if set(e) & t2:
-            assert v < true.cnot_error[e]
+            assert down[j] < true.cnot_error[0, j]
 
 
 def test_apply_misreport_series_window():
     g = hanoi27()
     base = uniform_snapshot(g, 0.02, 0.02)
-    series = synth_drift(base, g, 10, 0.2, 5)
+    series = synth_drift(base, 10, 0.2, 5)
     plan = h1_plan(g, 3, 0.15)
-    attacked = apply_misreport_series(series, plan, 6, 10)
-    for before, after in zip(series, attacked):
-        touched = any(
-            after.cnot_error[e] != before.cnot_error[e] for e in g.edge_list
-        )
-        assert touched == (6 <= before.cycle_id < 10)
+    attacked = apply_misreport(series, plan, (6, 10))
+    for cycle, before, after in zip(series.cycle_ids, series.cnot_error, attacked.cnot_error):
+        assert (after != before).any() == (6 <= cycle < 10)
+    whole = apply_misreport(series, plan, (0, 10)).cnot_error
+    assert (apply_misreport(series, plan).cnot_error == whole).all()
 
 
 @st.composite
@@ -194,22 +190,21 @@ def plans(draw, g):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(case=graph_and_series(), data=st.data())
 def test_apply_misreport_series_matches_per_snapshot(case, data):
-    """The column scale equals apply_misreport on each in-range snapshot view,
-    for ranges that cover some, all or none of the cycles."""
+    """Each row in the window equals the documented rule applied to that cycle's
+    rates alone, for windows that cover some, all or none of the cycles."""
     g, series = case
     plan = data.draw(plans(g))
     lo, hi = data.draw(st.integers(-2, 22)), data.draw(st.integers(-2, 22))
     cnot_before, readout_before = series.cnot_error.copy(), series.readout_error.copy()
-    got = apply_misreport_series(series, plan, lo, hi)
-    want = CalibrationSeries.from_snapshots(
-        g, (apply_misreport(s, g, plan) if lo <= s.cycle_id < hi else s for s in series)
-    )
+    got = apply_misreport(series, plan, (lo, hi))
+    want = [
+        oracles.misreported_rates(g.edge_list, row, plan.targets) if lo <= c < hi else row
+        for c, row in zip(series.cycle_ids, series.cnot_error.tolist())
+    ]
     assert got.cycle_ids == series.cycle_ids
-    assert (got.cnot_error == want.cnot_error).all()
+    assert got.cnot_error.tolist() == want
     # bit for bit, so a -0.0 in place of 0.0 would show
-    assert got.cnot_error.tobytes() == want.cnot_error.tobytes()
-    outside = [i for i, c in enumerate(series.cycle_ids) if not lo <= c < hi]
-    assert (got.cnot_error[outside] == series.cnot_error[outside]).all()
+    assert got.cnot_error.tobytes() == np.array(want, dtype=float).tobytes()
     assert (got.readout_error == series.readout_error).all()
     assert (series.cnot_error == cnot_before).all()
     assert (series.readout_error == readout_before).all()

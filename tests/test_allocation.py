@@ -2,11 +2,17 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import disconnected_graph, graph_and_snapshot
+from strategies import (
+    circuit,
+    connected_partition,
+    disconnected_graph,
+    graph_and_series,
+    graph_and_snapshot,
+)
 from mtqsim.allocation import (
     AllocationRequest,
     Partition,
@@ -19,18 +25,17 @@ from mtqsim.allocation import (
     greedy_allocate,
     louvain,
 )
-from mtqsim.calibration import CalibrationSnapshot, synth_drift, uniform_snapshot
+from mtqsim.calibration import synth_drift, uniform_snapshot, validate_snapshot
 from mtqsim.topology import CouplingGraph, hanoi27
+from mtqsim.transpile import route, score
 
 P3 = CouplingGraph(3, frozenset({(0, 1), (1, 2)}))
 
 # path 0-1-2-3-4 plus chord 1-3; hand-checked CRI values below derive from it
 FIX5 = CouplingGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)}))
-FIX5_SNAP = CalibrationSnapshot(
-    0,
-    {(0, 1): 0.01, (1, 2): 0.02, (2, 3): 0.03, (3, 4): 0.04, (1, 3): 0.05},
-    {q: 0.01 * (q + 1) for q in range(5)},
-)
+FIX5_CNOT = {(0, 1): 0.01, (1, 2): 0.02, (2, 3): 0.03, (3, 4): 0.04, (1, 3): 0.05}
+FIX5_READOUT = {q: 0.01 * (q + 1) for q in range(5)}
+FIX5_SNAP = validate_snapshot(FIX5, FIX5_CNOT, FIX5_READOUT)
 
 
 def snap_uniform(g, e=0.02, r=0.02):
@@ -39,22 +44,19 @@ def snap_uniform(g, e=0.02, r=0.02):
 
 def test_cfm_hand_values():
     g = CouplingGraph(4, frozenset({(0, 1), (0, 2), (0, 3)}))
-    s = CalibrationSnapshot(
-        0, {(0, 1): 0.01, (0, 2): 0.01, (0, 3): 0.01}, {0: 0.02, 1: 0.0, 2: 0.0, 3: 0.0}
+    s = validate_snapshot(
+        g, {(0, 1): 0.01, (0, 2): 0.01, (0, 3): 0.01}, {0: 0.02, 1: 0.0, 2: 0.0, 3: 0.0}
     )
     assert cfm(g, s, 0) == pytest.approx(3.97, abs=1e-12)
-    s2 = CalibrationSnapshot(0, {(0, 1): 0.0, (0, 2): 0.0, (0, 3): 0.0}, {q: 0.0 for q in range(4)})
+    s2 = uniform_snapshot(g, 0.0, 0.0)
     assert cfm(g, s2, 1) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_cfm_monotone_under_overreport():
     g = hanoi27()
     s = snap_uniform(g)
-    bumped = CalibrationSnapshot(
-        0,
-        {e: v * 1.15 if 14 in e else v for e, v in s.cnot_error.items()},
-        dict(s.readout_error),
-    )
+    cnot = {e: 0.02 * 1.15 if 14 in e else 0.02 for e in g.edge_list}
+    bumped = validate_snapshot(g, cnot, dict.fromkeys(range(27), 0.02))
     assert cfm(g, bumped, 14) < cfm(g, s, 14)
 
 
@@ -94,8 +96,8 @@ def test_greedy_shift_invariance():
     rng = np.random.default_rng(5)
     cnot = {e: float(rng.uniform(0.001, 0.05)) for e in g.edge_list}
     read = {q: float(rng.uniform(0.001, 0.05)) for q in range(27)}
-    s1 = CalibrationSnapshot(0, cnot, read)
-    s2 = CalibrationSnapshot(0, dict(cnot), {q: v + 0.07 for q, v in read.items()})
+    s1 = validate_snapshot(g, cnot, read)
+    s2 = validate_snapshot(g, cnot, {q: v + 0.07 for q, v in read.items()})
     for size in (3, 6, 9):
         a = greedy_allocate(ScoringContext(g, s1), AllocationRequest(size, tuple(range(27))))
         b = greedy_allocate(ScoringContext(g, s2), AllocationRequest(size, tuple(range(27))))
@@ -133,10 +135,8 @@ def test_louvain_singleton():
 
 def test_louvain_zero_weight_bridge():
     g = CouplingGraph(6, frozenset({(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)}))
-    s = CalibrationSnapshot(
-        0,
-        {e: (1.0 if e == (2, 3) else 0.02) for e in g.edge_list},
-        {q: 0.0 for q in range(6)},
+    s = validate_snapshot(
+        g, {e: (1.0 if e == (2, 3) else 0.02) for e in g.edge_list}, {q: 0.0 for q in range(6)}
     )
     for community in louvain(g, s, tuple(range(6))):
         assert not ({2, 3} <= set(community))
@@ -162,7 +162,7 @@ def louvain_cases():
     """Seeded louvain inputs: drifted hanoi27 snapshots on random available sets,
     then random graphs of 1-12 qubits with all-zero, 0-or-1 or uniform edge weights."""
     g = hanoi27()
-    series = synth_drift(uniform_snapshot(g, 0.02, 0.02), g, 12, 0.30, 11)
+    series = synth_drift(uniform_snapshot(g, 0.02, 0.02), 12, 0.30, 11)
     rng = np.random.default_rng(12)
     for row in range(12):
         snap = series.snapshot(row)
@@ -177,7 +177,7 @@ def louvain_cases():
         cnot = {
             e: (1.0, float(rng.integers(2)), float(rng.uniform()))[kind] for e in small.edge_list
         }
-        snap = CalibrationSnapshot(0, cnot, dict.fromkeys(range(n), 0.02))
+        snap = validate_snapshot(small, cnot, dict.fromkeys(range(n), 0.02))
         size = int(rng.integers(1, n + 1))
         yield small, snap, tuple(rng.choice(n, size=size, replace=False).tolist())
 
@@ -205,10 +205,10 @@ def test_cri_hand_value():
 def test_cri_monotone_in_edge_error():
     # lower an intra-subset edge and raise a non-intra edge by the same amount:
     # the hardware-wide denominator is unchanged, E_p strictly drops
-    better = CalibrationSnapshot(
-        0,
-        {**FIX5_SNAP.cnot_error, (1, 2): 0.001, (3, 4): 0.04 + 0.019},
-        dict(FIX5_SNAP.readout_error),
+    better = validate_snapshot(
+        FIX5,
+        {**FIX5_CNOT, (1, 2): 0.001, (3, 4): 0.04 + 0.019},
+        FIX5_READOUT,
     )
     assert cri(FIX5, better, (1, 2, 3)) > cri(FIX5, FIX5_SNAP, (1, 2, 3))
 
@@ -255,8 +255,8 @@ def test_comdap_merged_allocation():
 def test_comdap_exact_extraction_matches_brute_force(monkeypatch):
     g = CouplingGraph(6, frozenset({(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)}))
     rng = np.random.default_rng(3)
-    s = CalibrationSnapshot(
-        0,
+    s = validate_snapshot(
+        g,
         {e: float(rng.uniform(0.005, 0.08)) for e in g.edge_list},
         {q: float(rng.uniform(0.005, 0.08)) for q in range(6)},
     )
@@ -283,7 +283,7 @@ def test_allocators_valid_on_seeded_instances():
     for trial in range(300):
         cnot = {e: float(rng.uniform(0.001, 0.2)) for e in g.edge_list}
         read = {q: float(rng.uniform(0.001, 0.2)) for q in range(27)}
-        s = CalibrationSnapshot(0, cnot, read)
+        s = validate_snapshot(g, cnot, read)
         n_avail = int(rng.integers(2, 28))
         available = tuple(sorted(rng.choice(27, size=n_avail, replace=False).tolist()))
         size = int(rng.integers(1, n_avail + 1))
@@ -396,6 +396,31 @@ def test_comdap_fails_only_without_a_large_enough_region(case):
     biggest = max(len(oracles.bfs_distances(free, q)) for q in req.available)
     part = comdap_allocate(ScoringContext(g, snap), req)
     assert (part is None) == (biggest < req.size)
+
+
+@PROPERTY_SETTINGS
+@given(case=graph_and_series(), data=st.data())
+def test_scores_match_the_oracles(case, data):
+    """On any row of a random series: the context's CFM of every qubit and CRI of
+    a connected subset agree with the documented formulas, and score's PST of a
+    routed circuit on that subset is the oracle's success product."""
+    g, series = case
+    row = data.draw(st.integers(0, len(series) - 1))
+    snap = series.snapshot(row)
+    cnot = dict(zip(g.edge_list, series.cnot_error[row].tolist()))
+    readout = dict(enumerate(series.readout_error[row].tolist()))
+    ctx = ScoringContext(g, snap)
+    for q in range(g.qubit_count):
+        assert ctx.cfm(q) == pytest.approx(oracles.cfm(cnot, readout, q), abs=1e-12)
+    # a device term near 0 turns rounding into large quotient errors (and 0 into a
+    # ZeroDivisionError in both), so such rows are skipped
+    assume(abs(oracles.cri_term(cnot, readout, range(g.qubit_count))) > 0.01)
+    members = data.draw(connected_partition(g))
+    want = oracles.cri(cnot, readout, members)
+    assert ctx.cri(members) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    c = data.draw(circuit(len(members)))
+    r = route(c, dict(enumerate(members)), members, g)
+    assert score(r, snap)[2] == oracles.success_product(r.physical_ops, cnot, readout)
 
 
 @st.composite

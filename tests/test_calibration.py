@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import oracles
 from mtqsim.calibration import (
     CalibrationSeries,
-    CalibrationSnapshot,
     avg_cnot_error,
     fluctuation_percent,
     load_calibration_csv,
@@ -23,77 +22,79 @@ from mtqsim.topology import CouplingGraph, hanoi27
 P3 = CouplingGraph(3, frozenset({(0, 1), (1, 2)}))
 
 
-def snap(cycle, cnot, readout):
-    return CalibrationSnapshot(cycle, dict(cnot), dict(readout))
-
-
 def test_validate_snapshot():
-    good = snap(0, {(0, 1): 0.01, (1, 2): 0.02}, {0: 0.0, 1: 0.5, 2: 1.0})
-    validate_snapshot(good, P3)
-    missing_edge = snap(0, {(0, 1): 0.01}, {0: 0.0, 1: 0.5, 2: 1.0})
-    with pytest.raises(Exception):
-        validate_snapshot(missing_edge, P3)
-    out_of_range = snap(0, {(0, 1): 1.01, (1, 2): 0.02}, {0: 0.0, 1: 0.5, 2: 1.0})
-    with pytest.raises(Exception):
-        validate_snapshot(out_of_range, P3)
+    good = validate_snapshot(P3, {(0, 1): 0.01, (1, 2): 0.02}, {0: 0.0, 1: 0.5, 2: 1.0}, 4)
+    assert good.cycle_ids == (4,)
+    assert good.cnot_error.tolist() == [[0.01, 0.02]]
+    assert good.readout_error.tolist() == [[0.0, 0.5, 1.0]]
+    with pytest.raises(ValueError, match=r"cycle 0: cnot_error must cover .*missing \[\(1, 2\)\]"):
+        validate_snapshot(P3, {(0, 1): 0.01}, {0: 0.0, 1: 0.5, 2: 1.0})
+    with pytest.raises(ValueError, match="readout_error must cover every qubit"):
+        validate_snapshot(P3, {(0, 1): 0.01, (1, 2): 0.02}, {0: 0.0, 1: 0.5})
+    with pytest.raises(ValueError, match=r"cnot_error\(0, 1\) = 1.01 outside"):
+        validate_snapshot(P3, {(0, 1): 1.01, (1, 2): 0.02}, {0: 0.0, 1: 0.5, 2: 1.0})
+    with pytest.raises(ValueError, match="cycle_id must be non-negative"):
+        validate_snapshot(P3, {(0, 1): 0.01, (1, 2): 0.02}, {0: 0.0, 1: 0.5, 2: 1.0}, -1)
 
 
 def test_avg_cnot_error():
     g = CouplingGraph(4, frozenset({(0, 1), (1, 2), (1, 3)}))
-    s = snap(0, {(0, 1): 0.01, (1, 2): 0.02, (1, 3): 0.03}, {q: 0.0 for q in range(4)})
-    assert avg_cnot_error(s, g, 1) == pytest.approx(0.02, abs=1e-15)
-    assert avg_cnot_error(s, g, 0) == pytest.approx(0.01, abs=1e-15)
+    cnot = {(0, 1): 0.01, (1, 2): 0.02, (1, 3): 0.03}
+    s = validate_snapshot(g, cnot, dict.fromkeys(range(4), 0.0))
+    assert avg_cnot_error(s, 1)[0] == pytest.approx(0.02, abs=1e-15)
+    assert avg_cnot_error(s, 0)[0] == pytest.approx(0.01, abs=1e-15)
     u = uniform_snapshot(hanoi27(), 0.05, 0.0)
     for q in range(27):
-        assert avg_cnot_error(u, hanoi27(), q) == pytest.approx(0.05, abs=1e-15)
+        assert avg_cnot_error(u, q)[0] == pytest.approx(0.05, abs=1e-15)
+    with pytest.raises(ValueError, match="qubit 3 has no incident edges"):
+        avg_cnot_error(uniform_snapshot(CouplingGraph(4, frozenset({(0, 1), (1, 2)})), 0.1, 0.1), 3)
 
 
 def test_series_monotonic_cycles():
-    a = snap(0, {(0, 1): 0.01, (1, 2): 0.02}, {0: 0.1, 1: 0.1, 2: 0.1})
-    b = snap(0, {(0, 1): 0.01, (1, 2): 0.02}, {0: 0.1, 1: 0.1, 2: 0.1})
-    with pytest.raises(Exception):
-        CalibrationSeries.from_snapshots(P3, (a, b))
+    rows = [[0.01, 0.02]] * 2, [[0.1] * 3] * 2
+    with pytest.raises(ValueError, match="strictly increase"):
+        CalibrationSeries(P3, (0, 0), *rows)
+    with pytest.raises(ValueError, match="cycle_id must be non-negative, got -1"):
+        CalibrationSeries(P3, (-1, 0), *rows)
+    with pytest.raises(ValueError, match="outside"):
+        CalibrationSeries(P3, (0, 1), [[0.01, 0.02], [0.01, 1.5]], rows[1])
 
 
 def test_cycle_slice_half_open():
     base = uniform_snapshot(P3, 0.02, 0.02)
-    series = synth_drift(base, P3, 6, 0.1, 7)
+    series = synth_drift(base, 6, 0.1, 7)
     rows = series.cycle_slice(1, 4)
     assert series.cycle_ids[rows] == (1, 2, 3)
 
 
 def test_synth_drift_deterministic():
     base = uniform_snapshot(P3, 0.02, 0.02)
-    s1 = synth_drift(base, P3, 5, 0.3, 42)
-    s2 = synth_drift(base, P3, 5, 0.3, 42)
+    s1 = synth_drift(base, 5, 0.3, 42)
+    s2 = synth_drift(base, 5, 0.3, 42)
     assert write_calibration_csv(s1) == write_calibration_csv(s2)
-    s3 = synth_drift(base, P3, 5, 0.3, 43)
+    s3 = synth_drift(base, 5, 0.3, 43)
     assert write_calibration_csv(s1) != write_calibration_csv(s3)
 
 
 def test_synth_drift_zero_cv_limit():
     base = uniform_snapshot(P3, 0.02, 0.02)
-    series = synth_drift(base, P3, 4, 1e-12, 1)
-    for s in series:
-        for e, v in s.cnot_error.items():
-            assert v == pytest.approx(0.02, abs=1e-9)
+    series = synth_drift(base, 4, 1e-12, 1)
+    assert series.cnot_error == pytest.approx(np.full((4, 2), 0.02), abs=1e-9)
 
 
 def test_synth_drift_bounds_and_readout_held():
     base = uniform_snapshot(P3, 0.9, 0.07)
-    series = synth_drift(base, P3, 50, 1.4, 3)
-    for s in series:
-        for v in s.cnot_error.values():
-            assert 0.0 <= v <= 1.0
-        assert s.readout_error == base.readout_error
+    series = synth_drift(base, 50, 1.4, 3)
+    assert ((series.cnot_error >= 0.0) & (series.cnot_error <= 1.0)).all()
+    assert (series.readout_error == base.readout_error).all()
 
 
 def test_synth_drift_matches_docstring():
     """One draw per (cycle, edge), cycle by cycle, edges in sorted order."""
     g = hanoi27()
     cnot = {e: 0.01 * (1 + j % 7) for j, e in enumerate(g.edge_list)}
-    base = CalibrationSnapshot(0, cnot, {q: 0.03 for q in range(27)})
-    series = synth_drift(base, g, 30, 1.4, 5)
+    base = validate_snapshot(g, cnot, {q: 0.03 for q in range(27)})
+    series = synth_drift(base, 30, 1.4, 5)
     s = math.sqrt(math.log(1.0 + 1.4 * 1.4))
     rng = np.random.default_rng(5)
     base_vals = np.array([cnot[e] for e in g.edge_list])
@@ -109,34 +110,27 @@ def test_synth_drift_matches_docstring():
 def test_synth_drift_cv_validation():
     base = uniform_snapshot(P3, 0.02, 0.02)
     with pytest.raises(Exception):
-        synth_drift(base, P3, 4, 1.5, 1)
+        synth_drift(base, 4, 1.5, 1)
     with pytest.raises(Exception):
-        synth_drift(base, P3, 4, -0.1, 1)
+        synth_drift(base, 4, -0.1, 1)
+    with pytest.raises(ValueError, match="base must be a snapshot"):
+        synth_drift(synth_drift(base, 2, 0.1, 1), 4, 0.1, 1)
 
 
 def test_synth_drift_empirical_cv():
     """Pooled per-edge coefficient of variation lands near the requested cv."""
     base = uniform_snapshot(P3, 0.02, 0.02)
-    pooled = {e: [] for e in P3.edge_list}
-    for seed in range(1000):
-        series = synth_drift(base, P3, 14, 0.30, seed)
-        for s in series:
-            for e, v in s.cnot_error.items():
-                pooled[e].append(v)
-    for e, vals in pooled.items():
-        vals = np.asarray(vals)
+    pooled = np.vstack([synth_drift(base, 14, 0.30, seed).cnot_error for seed in range(1000)])
+    for vals in pooled.T:  # one edge's values
         cv = vals.std() / vals.mean()
         assert 0.30 * 0.8 <= cv <= 0.30 * 1.2
 
 
 def test_fluctuation_percent():
-    a = snap(0, {(0, 1): 0.01, (1, 2): 0.01}, {0: 0.1, 1: 0.1, 2: 0.1})
-    b = snap(1, {(0, 1): 0.03, (1, 2): 0.03}, {0: 0.1, 1: 0.1, 2: 0.1})
-    series = CalibrationSeries.from_snapshots(P3, (a, b))
+    readout = [[0.1] * 3] * 2
+    series = CalibrationSeries(P3, (0, 1), [[0.01, 0.01], [0.03, 0.03]], readout)
     assert fluctuation_percent(series, 1) == pytest.approx(50.0, abs=1e-9)
-    const = CalibrationSeries.from_snapshots(
-        P3, (a, snap(1, {(0, 1): 0.01, (1, 2): 0.01}, {0: 0.1, 1: 0.1, 2: 0.1}))
-    )
+    const = CalibrationSeries(P3, (0, 1), [[0.01, 0.01], [0.01, 0.01]], readout)
     assert fluctuation_percent(const, 0) == 0.0
 
 
@@ -155,7 +149,7 @@ def test_fluctuation_tracks_cv():
     d1_vals = []
     q_means = []
     for seed in (11, 12, 13, 14, 15):
-        series = synth_drift(base, g, 14, 0.30, seed)
+        series = synth_drift(base, 14, 0.30, seed)
         percents = [fluctuation_percent(series, q) for q in range(27)]
         q_means.append(np.mean(percents))
         d1_vals.extend(percents[q] for q in deg1)
@@ -166,14 +160,14 @@ def test_fluctuation_tracks_cv():
 def test_csv_round_trip():
     g = hanoi27()
     base = uniform_snapshot(g, 0.02, 0.02)
-    series = synth_drift(base, g, 3, 0.3, 9)
+    series = synth_drift(base, 3, 0.3, 9)
     text = write_calibration_csv(series)
     assert text.splitlines()[0] == "cycle,kind,subject,value"
     again = load_calibration_csv(text, g)
     assert write_calibration_csv(again) == text
-    for s1, s2 in zip(series, again):
-        assert s1.cnot_error == s2.cnot_error
-        assert s1.readout_error == s2.readout_error
+    assert again.cycle_ids == series.cycle_ids
+    assert np.array_equal(again.cnot_error, series.cnot_error)
+    assert np.array_equal(again.readout_error, series.readout_error)
 
 
 def test_csv_errors_name_lines():
@@ -227,17 +221,31 @@ SERIES_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, dat
 @SERIES_SETTINGS
 @given(graph_and_series())
 def test_mean_cnot_error_is_avg_cnot_error(case):
+    """Both equal the oracle's incident mean of each cycle's rates exactly, and
+    each row's snapshot gives that row."""
     g, series = case
-    for i, snapshot in enumerate(series):
+    for i, rates in enumerate(series.cnot_error.tolist()):
+        cnot = dict(zip(g.edge_list, rates))
+        snapshot = series.snapshot(i)
         for q in range(g.qubit_count):
-            assert series.mean_cnot_error[i, q] == avg_cnot_error(snapshot, g, q)
+            want = oracles.incident_mean(cnot, q)
+            assert series.mean_cnot_error[i, q] == want
+            assert avg_cnot_error(series, q)[i] == want
+            assert snapshot.mean_cnot_error[0, q] == want
 
 
 @SERIES_SETTINGS
 @given(graph_and_series())
-def test_from_snapshots_of_views_rebuilds_arrays(case):
+def test_snapshot_rows_rebuild_arrays(case):
     g, series = case
-    again = CalibrationSeries.from_snapshots(g, series)
+    rows = [series.snapshot(i) for i in range(len(series))]
+    assert all(len(row) == 1 and row.graph is g for row in rows)
+    again = CalibrationSeries(
+        g,
+        tuple(row.cycle_ids[0] for row in rows),
+        np.vstack([row.cnot_error for row in rows]),
+        np.vstack([row.readout_error for row in rows]),
+    )
     assert again.cycle_ids == series.cycle_ids
     assert np.array_equal(again.cnot_error, series.cnot_error)
     assert np.array_equal(again.readout_error, series.readout_error)

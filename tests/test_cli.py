@@ -4,12 +4,13 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtqsim import cli, defense, experiment
-from mtqsim.adversary import apply_misreport_series, h1_plan
+from mtqsim.adversary import apply_misreport, h1_plan
 from mtqsim.calibration import (
     CalibrationSeries,
     load_calibration_csv,
@@ -40,7 +41,7 @@ def write_config(tmp_path, name="config.json", **overrides):
 def write_honest_calib(path):
     """14 cycles of honest drift at cv 0.30 around the flat 2% snapshot."""
     g = hanoi27()
-    series = synth_drift(uniform_snapshot(g, 0.02, 0.02), g, 14, 0.30, 7)
+    series = synth_drift(uniform_snapshot(g, 0.02, 0.02), 14, 0.30, 7)
     path.write_text(write_calibration_csv(series))
     return path
 
@@ -394,17 +395,12 @@ def test_sweep_prints_its_csv_mean_row(tmp_path, capsys):
 def test_detect_cli_flags_misreported_targets(tmp_path, capsys):
     g = hanoi27()
     base = uniform_snapshot(g, 0.02, 0.02)
-    series = synth_drift(base, g, 14, 0.30, 42)
+    series = synth_drift(base, 14, 0.30, 42)
     # inject an over-report on qubit 12's edges in the second window
-    snaps = []
-    for s in series:
-        cnot = dict(s.cnot_error)
-        if s.cycle_id >= 7:
-            for (u, v), val in list(cnot.items()):
-                if 12 in (u, v):
-                    cnot[(u, v)] = min(1.0, val + 0.15)
-        snaps.append(type(s)(s.cycle_id, cnot, dict(s.readout_error)))
-    doctored = CalibrationSeries.from_snapshots(g, snaps)
+    cnot = series.cnot_error.copy()
+    for e in g.incident_edges(12):
+        cnot[7:, g.edge_column[e]] = np.minimum(1.0, cnot[7:, g.edge_column[e]] + 0.15)
+    doctored = CalibrationSeries(g, series.cycle_ids, cnot, series.readout_error)
     calib = tmp_path / "calib.csv"
     calib.write_text(write_calibration_csv(doctored))
     out = tmp_path / "verdict.json"
@@ -452,8 +448,8 @@ def audit_dir(tmp_path_factory):
     """420 cycles of cv 0.30 drift with H1 n=3, k=0.15 on cycles 336-419."""
     d = tmp_path_factory.mktemp("audit")
     g = hanoi27()
-    series = synth_drift(uniform_snapshot(g, 0.02, 0.02), g, 420, 0.30, 5)
-    attacked = apply_misreport_series(series, h1_plan(g, 3, 0.15), 336, 420)
+    series = synth_drift(uniform_snapshot(g, 0.02, 0.02), 420, 0.30, 5)
+    attacked = apply_misreport(series, h1_plan(g, 3, 0.15), (336, 420))
     (d / "audit.csv").write_text(write_calibration_csv(attacked))
     return d
 
@@ -537,9 +533,12 @@ def test_incomplete_cycle_exits_3_naming_the_cycle(tmp_path, capsys):
 def test_errors_file_cycle_selects_that_cycle(tmp_path):
     g = hanoi27()
     calib = write_honest_calib(tmp_path / "cal.csv")
-    views = list(load_calibration_csv(calib.read_text(), g))
-    assert resolve_errors({"file": "cal.csv"}, g, tmp_path) == views[0]
-    assert resolve_errors({"file": "cal.csv", "cycle": 3}, g, tmp_path) == views[3]
+    series = load_calibration_csv(calib.read_text(), g)
+    for spec, row in (({"file": "cal.csv"}, 0), ({"file": "cal.csv", "cycle": 3}, 3)):
+        snap = resolve_errors(spec, g, tmp_path)
+        assert snap.cycle_ids == (series.cycle_ids[row],)
+        assert snap.cnot_error.tolist() == [series.cnot_error[row].tolist()]
+        assert snap.readout_error.tolist() == [series.readout_error[row].tolist()]
     with pytest.raises(ConfigError, match="cycle 14 not present"):
         resolve_errors({"file": "cal.csv", "cycle": 14}, g, tmp_path)
 
@@ -588,6 +587,10 @@ REJECTED = {
     "gen-workload-count-0": ["gen-workload", "--count", "0", "--seed", "1", "--out", "d"],
     "gen-workload-size-min-over-max": ["gen-workload", "--count", "1", "--size-min", "7",
                                        "--size-max", "6", "--seed", "1", "--out", "d"],
+    "gen-workload-seed-negative": ["gen-workload", "--count", "1", "--seed=-1", "--out", "d"],
+    "simulate-seed-negative": ["simulate", "--config", "config.json", "--seed", "-5",
+                               "--out", "r"],
+    "sweep-seed-negative": ["sweep", "--config", "config.json", "--seeds", "1,-2", "--out", "r"],
     "gen-workload-size-max-huge": ["gen-workload", "--count", "1", "--size-max", "9" * 400,
                                    "--seed", "1", "--out", "d"],
     # "taken" is an existing file and "dir" an existing directory
@@ -672,6 +675,7 @@ MALFORMED = {
     # gen_workload's range rules
     "workload-count-0": {"workload": {"count": 0, "size_min": 2, "size_max": 6, "seed": 3}},
     "workload-size-min-over-max": {"workload": {"count": 6, "size_min": 7, "size_max": 6, "seed": 3}},
+    "workload-seed-negative": {"workload": {"count": 6, "size_min": 2, "size_max": 6, "seed": -5}},
     "workload-density-1e300": {
         "workload": {"count": 6, "size_min": 2, "size_max": 6, "gate_density": 1e300, "seed": 3}
     },
@@ -701,6 +705,27 @@ def test_malformed_config_shapes_exit_2_without_traceback(overrides, tmp_path, c
         assert err.startswith("config error:")
     assert run_calls == []
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["simulate", "--config", "config.json", "--seed", "-5", "--out", "r"], -5),
+        (["sweep", "--config", "config.json", "--seeds", "1,-2", "--out", "r"], -2),
+        (["gen-workload", "--count", "1", "--seed=-1", "--out", "d"], -1),
+    ],
+    ids=["simulate", "sweep", "gen-workload"],
+)
+def test_a_negative_seed_is_named_before_any_run(argv, value, tmp_path, monkeypatch, capsys,
+                                                 run_calls):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: seed must be non-negative, got {value}\n"
+    assert run_calls == []
+    assert not (tmp_path / "d").exists()
+    if argv[0] == "simulate":
+        assert not (tmp_path / "r").exists()
 
 
 # config file text that json.dumps cannot write: a key given twice, at any

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from mtqsim.adversary import MisreportPlan, apply_misreport_series, h1_plan
-from mtqsim.calibration import CalibrationSeries, CalibrationSnapshot, synth_drift, uniform_snapshot
+from mtqsim.adversary import MisreportPlan, apply_misreport, h1_plan
+from mtqsim.calibration import CalibrationSeries, synth_drift, uniform_snapshot
 from mtqsim.defense import (
     DEFAULT_PERCENTILE,
     build_distribution,
@@ -70,14 +70,10 @@ def test_kl_nonnegative_random():
 
 def test_detect_identical_windows_all_zero(hanoi):
     base = uniform_snapshot(hanoi, 0.02, 0.02)
-    drift = synth_drift(base, hanoi, 5, 0.3, 21)
+    drift = synth_drift(base, 5, 0.3, 21)
     # duplicate the five drifted cycles so both windows hold identical values
-    snaps = list(drift)
-    mirrored = [
-        CalibrationSnapshot(s.cycle_id + 5, dict(s.cnot_error), dict(s.readout_error))
-        for s in snaps
-    ]
-    series = CalibrationSeries.from_snapshots(hanoi, snaps + mirrored)
+    twice = [np.vstack([rates] * 2) for rates in (drift.cnot_error, drift.readout_error)]
+    series = CalibrationSeries(hanoi, tuple(range(10)), *twice)
     verdict = detect(series, (0, 5), (5, 10), bins=5, eps=1e-9, tau=0.0)
     assert all(d == pytest.approx(0.0, abs=1e-9) for d in verdict.divergence.values())
     assert verdict.flagged == frozenset()
@@ -85,14 +81,14 @@ def test_detect_identical_windows_all_zero(hanoi):
 
 def test_detect_constant_series_zero(hanoi):
     base = uniform_snapshot(hanoi, 0.02, 0.02)
-    series = synth_drift(base, hanoi, 10, 1e-12, 3)
+    series = synth_drift(base, 10, 1e-12, 3)
     verdict = detect(series, (0, 5), (5, 10), bins=5, eps=1e-9, tau=0.0)
     assert all(d == 0.0 for d in verdict.divergence.values())
 
 
 def test_detect_window_validation(hanoi):
     base = uniform_snapshot(hanoi, 0.02, 0.02)
-    series = synth_drift(base, hanoi, 10, 0.3, 3)
+    series = synth_drift(base, 10, 0.3, 3)
     with pytest.raises(ValueError):
         detect(series, (0, 2), (2, 10))  # too short
     with pytest.raises(ValueError):
@@ -102,14 +98,11 @@ def test_detect_window_validation(hanoi):
 def test_detect_order_free_within_window(hanoi):
     """Divergence only sees each window's value multiset, not cycle order."""
     base = uniform_snapshot(hanoi, 0.02, 0.02)
-    series = synth_drift(base, hanoi, 14, 0.3, 17)
-    snaps = list(series)
-    shuffled = (
-        [CalibrationSnapshot(i, dict(s.cnot_error), dict(s.readout_error))
-         for i, s in enumerate(reversed(snaps[:7]))]
-        + snaps[7:]
+    series = synth_drift(base, 14, 0.3, 17)
+    order = [*reversed(range(7)), *range(7, 14)]
+    series2 = CalibrationSeries(
+        hanoi, series.cycle_ids, series.cnot_error[order], series.readout_error[order]
     )
-    series2 = CalibrationSeries.from_snapshots(hanoi, shuffled)
     v1 = detect(series, (0, 7), (7, 14), bins=5, eps=1e-9, tau=0.0)
     v2 = detect(series2, (0, 7), (7, 14), bins=5, eps=1e-9, tau=0.0)
     for q in range(27):
@@ -118,7 +111,7 @@ def test_detect_order_free_within_window(hanoi):
 
 def test_calibrate_threshold_examples(hanoi):
     base = uniform_snapshot(hanoi, 0.02, 0.02)
-    runs = [synth_drift(base, hanoi, 14, 0.30, 3000 + i) for i in range(30)]
+    runs = [synth_drift(base, 14, 0.30, 3000 + i) for i in range(30)]
     tau95 = calibrate_threshold(runs, (0, 7), (7, 14), bins=5, eps=1e-9)
     pool = [
         qubit_divergence(s, q, (0, 7), (7, 14), bins=5, eps=1e-9)
@@ -137,11 +130,11 @@ def test_calibrate_threshold_examples(hanoi):
 def test_honest_false_positive_rate_near_design_point(hanoi):
     """tau at the 95th percentile flags about 5% of honest qubit-tests."""
     base = uniform_snapshot(hanoi, 0.02, 0.02)
-    cal = [synth_drift(base, hanoi, 14, 0.30, 4000 + i) for i in range(40)]
+    cal = [synth_drift(base, 14, 0.30, 4000 + i) for i in range(40)]
     tau = calibrate_threshold(cal, (0, 7), (7, 14), bins=5, eps=1e-9)
     flagged = total = 0
     for t in range(40):
-        s = synth_drift(base, hanoi, 14, 0.30, 6000 + t)
+        s = synth_drift(base, 14, 0.30, 6000 + t)
         v = detect(s, (0, 7), (7, 14), bins=5, eps=1e-9, tau=tau)
         flagged += len(v.flagged)
         total += 27
@@ -151,7 +144,7 @@ def test_honest_false_positive_rate_near_design_point(hanoi):
 def test_detection_rate_monotone_in_shift(hanoi):
     base = uniform_snapshot(hanoi, 0.02, 0.02)
     W = 28
-    cal = [synth_drift(base, hanoi, 2 * W, 0.30, 5000 + i) for i in range(40)]
+    cal = [synth_drift(base, 2 * W, 0.30, 5000 + i) for i in range(40)]
     tau = calibrate_threshold(cal, (0, W), (W, 2 * W), bins=5, eps=0.05)
     rates = []
     for delta in (0.05, 0.10, 0.15):
@@ -161,8 +154,8 @@ def test_detection_rate_monotone_in_shift(hanoi):
         hits = 0
         trials = 60
         for t in range(trials):
-            s = synth_drift(base, hanoi, 2 * W, 0.30, 9000 + t)
-            att = apply_misreport_series(s, plan, W, 2 * W)
+            s = synth_drift(base, 2 * W, 0.30, 9000 + t)
+            att = apply_misreport(s, plan, (W, 2 * W))
             v = detect(att, (0, W), (W, 2 * W), bins=5, eps=0.05, tau=tau)
             hits += all(q in v.flagged for q in (12, 14, 8))
         rates.append(hits / trials)
@@ -174,6 +167,6 @@ def test_naive_threshold_detector_fails_on_honest_drift(hanoi):
     """Per-cycle +-15% bound checks fire on most qubits under 30% natural cv."""
     base = uniform_snapshot(hanoi, 0.02, 0.02)
     for seed in (1, 2, 3):
-        series = synth_drift(base, hanoi, 14, 0.30, seed)
+        series = synth_drift(base, 14, 0.30, seed)
         flagged = naive_threshold_flags(series, rel_bound=0.15)
         assert len(flagged) > 27 / 2

@@ -228,10 +228,10 @@ DRIFT_ATTACKED_DIGESTS = {
 @pytest.fixture(scope="module")
 def drift_errors():
     g = hanoi27()
-    snap = synth_drift(uniform_snapshot(g, 0.02, 0.02), g, 1, 0.30, 7).snapshot(0)
+    snap = synth_drift(uniform_snapshot(g, 0.02, 0.02), 1, 0.30, 7).snapshot(0)
     return {
-        "cnot": {f"{u}-{v}": e for (u, v), e in snap.cnot_error.items()},
-        "readout": {str(q): e for q, e in snap.readout_error.items()},
+        "cnot": {f"{u}-{v}": e for (u, v), e in zip(g.edge_list, snap.cnot_error[0].tolist())},
+        "readout": {str(q): e for q, e in enumerate(snap.readout_error[0].tolist())},
     }
 
 

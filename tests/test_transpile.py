@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import oracles
 from strategies import angled_circuit, routing_case
 from mtqsim.allocation import ScoringContext
-from mtqsim.calibration import CalibrationSnapshot, uniform_snapshot
+from mtqsim.calibration import uniform_snapshot, validate_snapshot
 from mtqsim.errors import DataError
 from mtqsim.topology import CouplingGraph, hanoi27
 from mtqsim.transpile import (
@@ -14,12 +14,12 @@ from mtqsim.transpile import (
     OneQubitGate,
     TwoQubitGate,
     circuit_to_qasm,
-    cnot_count,
     depth,
     initial_layout,
     parse_qasm_subset,
     pst_estimate,
     route,
+    score,
 )
 
 P3 = CouplingGraph(3, frozenset({(0, 1), (1, 2)}))
@@ -183,7 +183,7 @@ def test_route_adjacent_pair():
     c = parse_qasm_subset("qreg q[2]; cx q[0],q[1];")
     r = route(c, {0: 0, 1: 1}, (0, 1), P3)
     assert r.swap_count == 0
-    assert cnot_count(r) == 1
+    assert score(r, None)[1] == 1
     assert depth(r) == 1
 
 
@@ -192,7 +192,7 @@ def test_route_p3_long_range():
     c = parse_qasm_subset("qreg q[3]; cx q[0],q[1];")
     r = route(c, {0: 0, 1: 2, 2: 1}, (0, 1, 2), P3)
     assert r.swap_count == 1
-    assert cnot_count(r) == 4
+    assert score(r, None)[1] == 4
     assert depth(r) == 4
     oracles.replay_routed(c, r)
 
@@ -258,7 +258,7 @@ def test_route_stays_on_edges_and_preserves_interactions():
                 assert set(op.qubits) <= set(members)
         swaps = oracles.replay_routed(c, r)
         assert swaps == r.swap_count
-        assert cnot_count(r) == n_gates + 3 * r.swap_count
+        assert score(r, None)[1] == n_gates + 3 * r.swap_count
 
 
 def test_depth_parallel_pairs():
@@ -286,7 +286,7 @@ def test_depth_lower_bound():
 
 def test_pst_examples():
     g = CouplingGraph(2, frozenset({(0, 1)}))
-    s = CalibrationSnapshot(0, {(0, 1): 0.1}, {0: 0.5, 1: 0.5})
+    s = validate_snapshot(g, {(0, 1): 0.1}, {0: 0.5, 1: 0.5})
     c = parse_qasm_subset("qreg q[2]; cx q[0],q[1];")
     r = route(c, {0: 0, 1: 1}, (0, 1), g)
     assert pst_estimate(r, s) == pytest.approx(0.9, abs=1e-12)
@@ -297,7 +297,7 @@ def test_pst_examples():
 
 
 def test_pst_p3_hand_product():
-    s = CalibrationSnapshot(0, {(0, 1): 0.02, (1, 2): 0.02}, {0: 0.01, 1: 0.01, 2: 0.01})
+    s = validate_snapshot(P3, {(0, 1): 0.02, (1, 2): 0.02}, {0: 0.01, 1: 0.01, 2: 0.01})
     c = parse_qasm_subset(
         "qreg q[3]; creg c[2]; cx q[0],q[1]; measure q[0] -> c[0]; measure q[1] -> c[1];"
     )
@@ -308,7 +308,7 @@ def test_pst_p3_hand_product():
 
 def test_pst_strictly_decreases_per_cnot():
     g = CouplingGraph(2, frozenset({(0, 1)}))
-    s = CalibrationSnapshot(0, {(0, 1): 0.03}, {0: 0.01, 1: 0.01})
+    s = validate_snapshot(g, {(0, 1): 0.03}, {0: 0.01, 1: 0.01})
     last = None
     for n in range(1, 5):
         gates = tuple(TwoQubitGate(0, 1) for _ in range(n))
@@ -327,7 +327,7 @@ def test_no_swap_matches_unrouted_schedule():
     c = parse_qasm_subset("qreg q[2]; cx q[0],q[1]; cx q[0],q[1];")
     r = route(c, {0: 12, 1: 13}, (12, 13), g)
     assert r.swap_count == 0
-    assert cnot_count(r) == 2
+    assert score(r, None)[1] == 2
     assert depth(r) == 2
 
 
@@ -339,6 +339,8 @@ def test_depth_cnots_and_pst_match_the_oracles(case):
     swaps = oracles.replay_routed(c, r)
     assert swaps == r.swap_count
     assert depth(r) == oracles.asap_layers(r.physical_ops)
-    assert cnot_count(r) == len(c.two_qubit_gates) + 3 * swaps
-    expected = oracles.success_product(r.physical_ops, snap.cnot_error, snap.readout_error)
+    assert score(r, None)[1] == len(c.two_qubit_gates) + 3 * swaps
+    cnot = dict(zip(g.edge_list, snap.cnot_error[0].tolist()))
+    readout = dict(enumerate(snap.readout_error[0].tolist()))
+    expected = oracles.success_product(r.physical_ops, cnot, readout)
     assert pst_estimate(r, snap) == expected
