@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from .adversary import H1, heuristic1_sigma_ranking, heuristic2_selection
 from .calibration import load_calibration_csv
@@ -96,7 +97,10 @@ def parse_seed_list(spec: str) -> list[int]:
             if hi_i < lo_i:
                 raise ValueError(f"empty range {spec!r}")
             return list(range(lo_i, hi_i + 1))
-        return [int(s) for s in spec.split(",") if s.strip()]
+        seeds = [int(s) for s in spec.split(",") if s.strip()]
+        if not seeds:
+            raise ValueError("no seeds")
+        return seeds
     except ValueError as exc:
         raise ConfigError(f"bad seed list {spec!r}: {exc}") from None
 
@@ -128,9 +132,11 @@ def topology_entry(flag: str) -> str | dict:
     return {"file": str(Path(flag).absolute())}
 
 
-def resolve_run(args: argparse.Namespace) -> tuple[dict, Path]:
+def resolve_run(args: argparse.Namespace, seeds: Sequence[int] = ()) -> tuple[dict, Path]:
     """The --config file with its flag overrides applied, resolved, and the
-    output directory, created so that an unwritable one fails before any run."""
+    output directory. The directory is created once the config, --seed and
+    every one of seeds check out, so that an unwritable one fails before any
+    run and a rejected run leaves none behind."""
     raw = load_config_file(args.config)
     if getattr(args, "topology", None):
         raw["topology"] = topology_entry(args.topology)
@@ -141,6 +147,8 @@ def resolve_run(args: argparse.Namespace) -> tuple[dict, Path]:
     config = resolve_config(raw, Path(args.config).parent)
     if getattr(args, "seed", None) is not None:
         config = with_seed(config, args.seed)
+    for seed in seeds:
+        with_seed(config, seed)
     out = raw.get("out", "reports")
     if not isinstance(out, str):
         raise ConfigError(f"out must be a directory path string, got {out!r}")
@@ -256,8 +264,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config, out_dir = resolve_run(args)
-    rows = run_sweep(config, parse_seed_list(args.seeds))
+    seeds = parse_seed_list(args.seeds)
+    config, out_dir = resolve_run(args, seeds)
+    rows = run_sweep(config, seeds)
     write_text_atomic(out_dir / "sweep.csv", sweep_csv(rows))
     *per_seed, mean, _std = rows
     print(

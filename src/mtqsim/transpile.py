@@ -8,9 +8,10 @@ SWAP insertion along shortest paths inside the partition, and the result is
 scored by ASAP depth, CNOT count, and an analytic success probability against
 the true error rates.
 
-A SWAP is one shared routing-CNOT op listed three times. score computes all
-three measures in one walk over the ops; depth and pst_estimate each read
-one of them.
+A routed circuit holds one op per logical gate plus one "swap" op per SWAP.
+score prices a swap as the three CNOTs it compiles to and computes all three
+measures in one walk over the ops; depth and pst_estimate each read one of
+them.
 
 Layout consumes the reported snapshot (the allocator's world view); the
 success probability consumes the true snapshot. Both are one-cycle
@@ -19,10 +20,11 @@ CalibrationSeries. Keeping those apart is the whole point of the toolkit.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .allocation import ScoringContext
 from .calibration import CalibrationSeries
@@ -216,15 +218,24 @@ def circuit_to_qasm(c: LogicalCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class PhysOp:
-    """One operation on physical qubits. routing marks SWAP-constituent CNOTs."""
+class PhysOp(NamedTuple):
+    """One operation on physical qubits. A "swap" exchanges the contents of
+    its two qubits and costs three CNOTs on that pair."""
 
-    kind: str  # "1q" | "cnot" | "measure"
+    kind: str  # "1q" | "cnot" | "swap" | "measure"
     qubits: tuple[int, ...]
     name: str | None = None
     clbit: int | None = None
-    routing: bool = False
+
+
+@functools.cache
+def _pair_op(kind: str, a: int, b: int) -> PhysOp:
+    """The "cnot" or "swap" op on (a, b), one shared instance per pair.
+
+    A PhysOp is immutable, so sharing it is safe; route only asks for pairs
+    that are coupling edges, which bounds the cache.
+    """
+    return PhysOp(kind, (a, b))
 
 
 @dataclass(frozen=True)
@@ -284,10 +295,10 @@ def route(
     Gates are processed in circuit order. When a two-qubit gate's carriers
     are not adjacent, the control's carrier walks a shortest path inside the
     partition's induced subgraph, one SWAP per hop, until adjacency; the
-    gate's CNOT is then emitted. A SWAP is one routing-flagged CNOT op,
-    listed three times (the op is frozen, so sharing it is safe). Paths are
+    gate's CNOT is then emitted. Each SWAP is one "swap" op on its hop's
+    pair; equal CNOT and swap ops share one instance (_pair_op). Paths are
     read from one bfs_tree per source qubit, built on first use. Routing
-    never leaves the partition and never emits a CNOT on a non-edge.
+    never leaves the partition and never emits a CNOT or SWAP on a non-edge.
     """
     allowed = set(members)
     l2p = dict(layout)
@@ -316,14 +327,13 @@ def route(
                     f"partition {sorted(allowed)} is disconnected: no path {pc} -> {pt}"
                 )
             for step in tree_path(trees[pc], pt)[1:-1]:
-                swap = PhysOp("cnot", (pc, step), routing=True)
-                ops += (swap, swap, swap)
+                ops.append(_pair_op("swap", pc, step))
                 swap_count += 1
                 lc, ls = p2l[pc], p2l[step]
                 l2p[lc], l2p[ls] = step, pc
                 p2l[pc], p2l[step] = ls, lc
                 pc = step
-            ops.append(PhysOp("cnot", (pc, pt)))
+            ops.append(_pair_op("cnot", pc, pt))
 
     return RoutedCircuit(
         partition=tuple(members),
@@ -338,13 +348,15 @@ def score(
 ) -> tuple[int, int, float | None]:
     """ASAP depth, CNOT count and analytic PST of a routed circuit, in one walk.
 
-    Depth: every physical op occupies its qubits for one layer and starts
-    once all of them are free. CNOTs: every emitted CNOT, routing CNOTs
-    included. PST: the product of (1 - cnot_error) over every CNOT in op
-    order, then of (1 - readout_error) over the distinct measured physical
-    qubits in ascending order, against the true snapshot; one-qubit gates
-    are error-free. PST is None, and no product is taken, when snap_true is
-    None.
+    A swap op is priced as the three CNOTs on its pair that it compiles to.
+    Depth: a one-qubit op or CNOT occupies its qubits for one layer and a
+    swap for three; each starts once all of its qubits are free. CNOTs:
+    every logical CNOT plus three per swap. PST: the product of
+    (1 - cnot_error) over every CNOT in op order, a swap's three taken as
+    three successive factors, then of (1 - readout_error) over the distinct
+    measured physical qubits in ascending order, against the true snapshot;
+    one-qubit gates are error-free. PST is None, and no product is taken,
+    when snap_true is None.
     """
     if snap_true is not None:
         (cnot, readout), column = snap_true.rates(), snap_true.graph.edge_column
@@ -352,21 +364,30 @@ def score(
     total = cnots = 0
     p = 1.0
     measured: set[int] = set()
-    for op in r.physical_ops:
-        if op.kind == "cnot":
-            a, b = op.qubits
-            ta, tb = ready[a], ready[b]
-            t = (ta if ta > tb else tb) + 1
-            ready[a] = ready[b] = t
-            cnots += 1
-            if snap_true is not None:
-                p *= 1.0 - cnot[column[a, b]]
-        else:
-            (a,) = op.qubits
+    for kind, qubits, _, _ in r.physical_ops:
+        if kind == "1q" or kind == "measure":
+            (a,) = qubits
             t = ready[a] + 1
             ready[a] = t
-            if op.kind == "measure":
+            if kind == "measure":
                 measured.add(a)
+        else:
+            a, b = qubits
+            ta, tb = ready[a], ready[b]
+            if kind == "cnot":
+                t = (ta if ta > tb else tb) + 1
+                cnots += 1
+                if snap_true is not None:
+                    p *= 1.0 - cnot[column[a, b]]
+            else:  # "swap": three CNOTs on the pair
+                t = (ta if ta > tb else tb) + 3
+                cnots += 3
+                if snap_true is not None:
+                    f = 1.0 - cnot[column[a, b]]
+                    p *= f
+                    p *= f
+                    p *= f
+            ready[a] = ready[b] = t
         if t > total:
             total = t
     if snap_true is None:
@@ -377,7 +398,8 @@ def score(
 
 
 def depth(r: RoutedCircuit) -> int:
-    """ASAP schedule length; every physical op occupies its qubits one layer."""
+    """ASAP schedule length; a swap op occupies its pair for three layers,
+    every other op its qubits for one (see score)."""
     return score(r, None)[0]
 
 

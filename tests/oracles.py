@@ -7,6 +7,7 @@ two is meaningful.
 """
 
 import math
+from collections import namedtuple
 from itertools import combinations
 
 
@@ -192,17 +193,36 @@ def best_partitions(weights, nodes):
 
 # --- routing ----------------------------------------------------------------
 
+# one gate as the hardware runs it; routing marks the CNOTs a SWAP compiles to
+Entry = namedtuple("Entry", "kind qubits name clbit routing")
+
+
+def expand_swaps(ops):
+    """The routed ops as hardware gates, in order: each "swap" op becomes
+    three routing CNOT entries on its pair, every other op one entry."""
+    out = []
+    for op in ops:
+        assert op.kind in ("1q", "cnot", "swap", "measure"), f"unknown op kind {op.kind!r}"
+        if op.kind == "swap":
+            assert len(op.qubits) == 2 and op.name is None and op.clbit is None
+            out += [Entry("cnot", tuple(op.qubits), None, None, True)] * 3
+        else:
+            out.append(Entry(op.kind, tuple(op.qubits), op.name, op.clbit, False))
+    return out
+
+
 def replay_routed(circuit, routed):
     """Replay physical ops against the logical program, tracking the layout.
 
-    Routing CNOTs come in runs of three identical ops; each run exchanges the
+    Each swap op is expanded into its three routing CNOTs (expand_swaps),
+    which come in runs of three identical entries; each run exchanges the
     logical contents of its two physical qubits. Every other op must line up,
     in order, with the next logical gate once mapped back through the current
     permutation. Returns the number of swap runs consumed.
     """
     phys2log = {p: l for l, p in routed.initial_layout.items()}
     logical = list(circuit.gates)
-    ops = list(routed.physical_ops)
+    ops = expand_swaps(routed.physical_ops)
     swaps = 0
     i = 0
     li = 0
@@ -240,11 +260,12 @@ def replay_routed(circuit, routed):
 def asap_layers(ops):
     """Schedule ops into layers as soon as possible; return the layer count.
 
-    Layers are kept as a list of sets of busy qubits. Each op goes into the
-    layer right after the last one that already uses any of its qubits.
+    Swap ops are first expanded into their three CNOTs (expand_swaps).
+    Layers are kept as a list of sets of busy qubits. Each entry goes into
+    the layer right after the last one that already uses any of its qubits.
     """
     layers = []
-    for op in ops:
+    for op in expand_swaps(ops):
         busy = set(op.qubits)
         slot = len(layers)
         while slot > 0 and not (layers[slot - 1] & busy):
@@ -258,10 +279,11 @@ def asap_layers(ops):
 def success_product(ops, cnot_rates, readout_rates):
     """(1 - rate) over every CNOT in op order, then over each distinct
     measured qubit in ascending order; rates are plain dicts keyed by
-    (low, high) edge and by qubit."""
+    (low, high) edge and by qubit. Swap ops count as their three CNOTs
+    (expand_swaps)."""
     factors = []
     measured = []
-    for op in ops:
+    for op in expand_swaps(ops):
         if op.kind == "cnot":
             a, b = op.qubits
             factors.append(1.0 - cnot_rates[(min(a, b), max(a, b))])

@@ -66,7 +66,7 @@ def test_parse_seed_list():
     assert parse_seed_list("1,2,5") == [1, 2, 5]
     assert parse_seed_list("1..4") == [1, 2, 3, 4]
     assert parse_seed_list("7..7") == [7]
-    for bad in ("5..2", "a,b", "1..x"):
+    for bad in ("5..2", "a,b", "1..x", "", ","):
         with pytest.raises(ConfigError):
             parse_seed_list(bad)
 
@@ -724,8 +724,17 @@ def test_a_negative_seed_is_named_before_any_run(argv, value, tmp_path, monkeypa
     assert capsys.readouterr().err == f"config error: seed must be non-negative, got {value}\n"
     assert run_calls == []
     assert not (tmp_path / "d").exists()
-    if argv[0] == "simulate":
-        assert not (tmp_path / "r").exists()
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("seeds", ["1,x", "", "5..2"])
+def test_a_rejected_seed_list_leaves_no_output_directory(seeds, tmp_path, capsys, run_calls):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "X"
+    assert main(["sweep", "--config", str(cfg), "--seeds", seeds, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert run_calls == []
+    assert not out.exists()
 
 
 # config file text that json.dumps cannot write: a key given twice, at any

@@ -192,9 +192,10 @@ def test_route_p3_long_range():
     c = parse_qasm_subset("qreg q[3]; cx q[0],q[1];")
     r = route(c, {0: 0, 1: 2, 2: 1}, (0, 1, 2), P3)
     assert r.swap_count == 1
+    assert [(op.kind, op.qubits) for op in r.physical_ops] == [("swap", (0, 1)), ("cnot", (1, 2))]
     assert score(r, None)[1] == 4
     assert depth(r) == 4
-    oracles.replay_routed(c, r)
+    assert oracles.replay_routed(c, r) == 1
 
 
 def test_route_rejects_a_disconnected_partition():
@@ -215,7 +216,8 @@ def test_route_takes_the_lowest_shortest_path():
     g = CouplingGraph(4, frozenset({(0, 1), (1, 3), (0, 2), (2, 3)}))
     c = parse_qasm_subset("qreg q[4]; cx q[0],q[1];")
     r = route(c, {0: 0, 1: 3, 2: 1, 3: 2}, (0, 1, 2, 3), g)
-    assert [op.qubits for op in r.physical_ops] == [(0, 1)] * 3 + [(1, 3)]
+    assert [(op.kind, op.qubits) for op in r.physical_ops] == [("swap", (0, 1)), ("cnot", (1, 3))]
+    assert [op.qubits for op in oracles.expand_swaps(r.physical_ops)] == [(0, 1)] * 3 + [(1, 3)]
 
 
 def test_route_stays_on_edges_and_preserves_interactions():
@@ -251,7 +253,7 @@ def test_route_stays_on_edges_and_preserves_interactions():
         c = LogicalCircuit(size, tuple(gates), size)
         lay = initial_layout(c, tuple(members), ScoringContext(g, s))
         r = route(c, lay, tuple(members), g)
-        for op in r.physical_ops:
+        for op in oracles.expand_swaps(r.physical_ops):
             if op.kind == "cnot":
                 u, v = sorted(op.qubits)
                 assert (u, v) in edge_set
@@ -278,7 +280,7 @@ def test_depth_lower_bound():
     lay = initial_layout(c, (11, 14, 16), ScoringContext(g, s))
     r = route(c, lay, (11, 14, 16), g)
     per_qubit = {}
-    for op in r.physical_ops:
+    for op in oracles.expand_swaps(r.physical_ops):
         for q in op.qubits:
             per_qubit[q] = per_qubit.get(q, 0) + 1
     assert depth(r) >= max(per_qubit.values())
@@ -338,6 +340,7 @@ def test_depth_cnots_and_pst_match_the_oracles(case):
     r = route(c, layout, members, g)
     swaps = oracles.replay_routed(c, r)
     assert swaps == r.swap_count
+    assert len(r.physical_ops) == len(c.gates) + r.swap_count
     assert depth(r) == oracles.asap_layers(r.physical_ops)
     assert score(r, None)[1] == len(c.two_qubit_gates) + 3 * swaps
     cnot = dict(zip(g.edge_list, snap.cnot_error[0].tolist()))
