@@ -33,13 +33,13 @@ for alloc in ("greedy", "comdap"):
         # how many placements touched an attacked qubit
         touched = sum(
             1
-            for r in rep.rounds
-            for _, part in r.placed
-            if targets & set(part.members)
+            for r in rep["rounds"]
+            for p in r["placed"]
+            if targets & set(p["members"])
         )
         print(
-            f"{alloc:<10} {leg:<9} {rep.total_rounds:>6} {rep.mean_utilization:>7.4f} "
-            f"{rep.mean_swap_count:>6.2f} {rep.mean_pst:>7.4f} {touched:>7}/40"
+            f"{alloc:<10} {leg:<9} {rep['total_rounds']:>6} {rep['mean_utilization']:>7.4f} "
+            f"{rep['mean_swap_count']:>6.2f} {rep['mean_pst']:>7.4f} {touched:>7}/40"
         )
     print()
 

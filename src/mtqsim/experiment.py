@@ -2,8 +2,9 @@
 
 A configuration names a topology, a base error model, an allocator, an
 attack, and a workload. resolve_config checks every value (config_number
-checks every number) and returns the very dict that reports embed, with
-each file reference turned into inline content: the topology {"qubits",
+checks every number) and every field (check_fields rejects any field an
+object's form does not take), and returns the very dict that reports embed,
+with each file reference turned into inline content: the topology {"qubits",
 "edges"}, the errors' "cnot"/"readout" maps, the attack {"kind": "none"},
 {"kind": "H1", n, k} or {"kind": "H2", "ks": [...]}, and the workload
 {"kind": "generator", count, size_min, size_max, gate_density, seed} or
@@ -14,11 +15,12 @@ baseline reports byte-identical across attack variants sharing a workload
 and topology.
 
 run_simulate returns the three documents simulate writes, by file stem:
-"baseline" and "attacked", each {"config", "report"}, and "summary". The CSV
+"baseline" and "attacked", each {"config", "report"} with the report that
+scheduler.run_queue returns embedded as it is, and "summary". The CSV
 writers lay out rows of one dict: rounds_csv and jobs_csv a leg's "report"
-(jobs.csv's columns are scheduler.JobMetrics' fields, the keys of its
-"jobs"), and sweep_csv run_sweep's rows (SWEEP_COLUMNS), whose mean and std
-rows are computed once, there.
+(jobs.csv's columns are scheduler.JOB_COLUMNS, the keys of its "jobs"), and
+sweep_csv run_sweep's rows (SWEEP_COLUMNS), whose mean and std rows are
+computed once, there.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
@@ -41,7 +42,7 @@ from .calibration import (
     validate_snapshot,
 )
 from .errors import ConfigError, DataError
-from .scheduler import AGGREGATES, Job, JobMetrics, check_generator, gen_workload, run_queue
+from .scheduler import AGGREGATES, JOB_COLUMNS, Job, check_generator, gen_workload, run_queue
 from .topology import CouplingGraph, hanoi27, load_edge_list
 from .transpile import circuit_to_qasm, parse_qasm_subset
 
@@ -104,6 +105,13 @@ def config_number(value: Any, where: str, kind: type = float) -> int | float:
         raise ConfigError(f"{where} is out of range, got {value}") from None
 
 
+def check_fields(spec: dict, allowed: tuple[str, ...], what: str) -> None:
+    """Reject every field of a config object that its form does not take."""
+    unknown = set(spec) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown, key=str)}")
+
+
 def resolve_topology(spec: Any, base_dir: Path) -> CouplingGraph:
     if isinstance(spec, str):
         if spec in BUILTIN_TOPOLOGIES:
@@ -112,8 +120,10 @@ def resolve_topology(spec: Any, base_dir: Path) -> CouplingGraph:
             f"unknown topology {spec!r}; builtins: {sorted(BUILTIN_TOPOLOGIES)}"
         )
     if isinstance(spec, dict) and "file" in spec:
+        check_fields(spec, ("file",), "topology file")
         return load_edge_list(_read_config_file(base_dir, spec["file"]))
     if isinstance(spec, dict) and "qubits" in spec and "edges" in spec:
+        check_fields(spec, ("qubits", "edges"), "inline topology")
         qubits = config_number(spec["qubits"], "topology qubits", int)
         try:
             edges = {tuple(config_number(q, "topology edge endpoint", int) for q in (u, v))
@@ -130,13 +140,18 @@ def resolve_errors(spec: Any, g: CouplingGraph, base_dir: Path) -> CalibrationSe
     if not isinstance(spec, dict):
         raise ConfigError(f"errors must be an object, got {spec!r}")
     if "uniform" in spec:
+        check_fields(spec, ("uniform",), "uniform errors")
         u = spec["uniform"]
+        if not isinstance(u, dict):
+            raise ConfigError(f"uniform error model must be an object, got {u!r}")
+        check_fields(u, ("cnot", "readout"), "uniform error model")
         try:
             rates = [config_number(u[key], f"uniform {key} error") for key in ("cnot", "readout")]
             return uniform_snapshot(g, *rates)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid uniform error model: {exc}") from None
     if "file" in spec:
+        check_fields(spec, ("file", "cycle"), "errors file")
         series = load_calibration_csv(_read_config_file(base_dir, spec["file"]), g)
         cycle = config_number(spec.get("cycle", series.cycle_ids[0]), "errors cycle", int)
         rows = series.cycle_slice(cycle, cycle + 1)
@@ -144,17 +159,33 @@ def resolve_errors(spec: Any, g: CouplingGraph, base_dir: Path) -> CalibrationSe
             raise ConfigError(f"cycle {cycle} not present in {spec['file']}")
         return series.snapshot(rows.start)
     if "cnot" in spec and "readout" in spec:
+        check_fields(spec, ("cnot", "readout"), "inline errors")
         if not (isinstance(spec["cnot"], dict) and isinstance(spec["readout"], dict)):
             raise ConfigError("inline 'cnot' and 'readout' error models must be objects")
         try:
-            cnot = {tuple(map(int, key.split("-"))): config_number(val, f"cnot error {key}")
-                    for key, val in spec["cnot"].items()}
-            readout = {int(q): config_number(val, f"readout error {q}")
-                       for q, val in spec["readout"].items()}
+            cnot, readout = (_inline_rates(spec[kind], kind) for kind in ("cnot", "readout"))
             return validate_snapshot(g, cnot, readout)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid inline error model: {exc}") from None
     raise ConfigError("errors must give 'uniform', a 'file', or inline 'cnot'/'readout'")
+
+
+def _inline_rates(rates: dict, kind: str) -> dict:
+    """An inline "cnot" or "readout" error map by edge or qubit, each rate
+    checked. Two keys that name one edge or qubit, such as "1-2" and "01-2",
+    are a ConfigError."""
+    noun = "edge" if kind == "cnot" else "qubit"
+    out: dict = {}
+    spelled: dict = {}
+    for key, val in rates.items():
+        subject = tuple(map(int, key.split("-"))) if kind == "cnot" else int(key)
+        if subject in spelled:
+            raise ConfigError(
+                f"{kind} error keys {spelled[subject]!r} and {key!r} both name {noun} {subject}"
+            )
+        spelled[subject] = key
+        out[subject] = config_number(val, f"{kind} error {key}")
+    return out
 
 
 def attack_plan(attack: dict, g: CouplingGraph) -> MisreportPlan | None:
@@ -190,10 +221,15 @@ def resolve_attack(spec: Any, g: CouplingGraph) -> dict:
 
 
 def resolve_workload(spec: Any, base_dir: Path) -> dict:
-    """The workload as reports embed it: generator parameters, or QASM circuits."""
+    """The workload as reports embed it: generator parameters, or QASM circuits.
+    Each form takes its own fields and a "kind" that names it."""
     if not isinstance(spec, dict):
         raise ConfigError(f"workload must be an object, got {spec!r}")
+    kind = "qasm" if "qasm_files" in spec or "circuits" in spec else "generator"
+    if spec.get("kind", kind) != kind:
+        raise ConfigError(f"a {kind} workload's kind must be {kind!r}, got {spec['kind']!r}")
     if "qasm_files" in spec:
+        check_fields(spec, ("kind", "qasm_files"), "qasm_files workload")
         if not isinstance(spec["qasm_files"], list):
             raise ConfigError(f"workload qasm_files must be a list, got {spec['qasm_files']!r}")
         circuits = []
@@ -202,6 +238,7 @@ def resolve_workload(spec: Any, base_dir: Path) -> dict:
             circuits.append({"id": Path(p).stem, "qasm": text})
         spec = {"circuits": circuits}
     if "circuits" in spec:
+        check_fields(spec, ("kind", "circuits"), "circuits workload")
         if not isinstance(spec["circuits"], list):
             raise ConfigError(f"workload circuits must be a list, got {spec['circuits']!r}")
         circuits = []
@@ -210,6 +247,7 @@ def resolve_workload(spec: Any, base_dir: Path) -> dict:
                 jid, text = entry["id"], entry["qasm"]
             except (KeyError, TypeError) as exc:
                 raise ConfigError(f"workload circuit entry missing field: {exc}") from None
+            check_fields(entry, ("id", "qasm"), "workload circuit")
             # a jobs.csv cell: splitlines also rejects the empty id
             if not isinstance(jid, str) or "," in jid or jid.splitlines() != [jid]:
                 raise ConfigError(
@@ -225,13 +263,14 @@ def resolve_workload(spec: Any, base_dir: Path) -> dict:
         if not circuits:
             raise ConfigError("workload lists no circuits")
         return {"kind": "qasm", "circuits": circuits}
+    check_fields(spec, ("kind", *GENERATOR_FIELDS), "generator workload")
     spec = {"gate_density": DEFAULT_GATE_DENSITY, **spec}
     workload = {"kind": "generator"}
     for field in GENERATOR_FIELDS:
         if field not in spec:
             raise ConfigError(f"generator workload missing field {field!r}")
-        kind = float if field == "gate_density" else int
-        workload[field] = config_number(spec[field], f"generator workload {field}", kind)
+        number = float if field == "gate_density" else int
+        workload[field] = config_number(spec[field], f"generator workload {field}", number)
     check_generator(*(workload[f] for f in GENERATOR_FIELDS))
     return workload
 
@@ -259,9 +298,7 @@ def resolve_config(raw: Any, base_dir: str | Path = ".") -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     base_dir = Path(base_dir)
-    unknown = set(raw) - {"topology", "errors", "allocator", "attack", "workload", "out"}
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    check_fields(raw, ("topology", "errors", "allocator", "attack", "workload", "out"), "config")
     for required in ("topology", "errors", "workload"):
         if required not in raw:
             raise ConfigError(f"config missing required field {required!r}")
@@ -325,8 +362,8 @@ def run_simulate(config: dict) -> dict:
     jobs = build_jobs(config)
     plan = attack_plan(config["attack"], g)
     snap_attacked = apply_misreport(snap_true, plan)
-    baseline = run_queue(jobs, g, snap_true, snap_true, config["allocator"]).to_dict()
-    attacked = run_queue(jobs, g, snap_true, snap_attacked, config["allocator"]).to_dict()
+    baseline = run_queue(jobs, g, snap_true, snap_true, config["allocator"])
+    attacked = run_queue(jobs, g, snap_true, snap_attacked, config["allocator"])
     b, a = ({name: report[name] for name in AGGREGATES} for report in (baseline, attacked))
     return {
         "baseline": {"config": {**config, "attack": {"kind": "none"}}, "report": baseline},
@@ -358,9 +395,9 @@ def rounds_csv(report: dict) -> str:
 
 
 def jobs_csv(report: dict) -> str:
-    """A report's "jobs" as CSV rows, one column per JobMetrics field."""
-    columns = [f.name for f in fields(JobMetrics)]
-    lines = [",".join(columns)] + [",".join(str(j[c]) for c in columns) for j in report["jobs"]]
+    """A report's "jobs" as CSV rows, one column per JOB_COLUMNS entry."""
+    lines = [",".join(JOB_COLUMNS)]
+    lines += [",".join(str(j[c]) for c in JOB_COLUMNS) for j in report["jobs"]]
     return "\n".join(lines) + "\n"
 
 

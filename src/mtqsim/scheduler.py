@@ -11,10 +11,11 @@ and a rescan repeats a request whenever the free qubits have not changed
 since, so each run computes each distinct request once and reuses the
 answer, failures included.
 
-Each number a run reports has one name from here to the files: the fields of
-RoundReport (round, placed, active_qubits, utilization) and JobMetrics (id,
-round, depth, cnots, swaps, pst) are the keys of a report's "rounds" and
-"jobs", and JobMetrics' fields are also the jobs.csv columns, in order.
+run_queue returns the report as simulate writes it, a dict, and each number
+in it has one name from here to the files: a round's keys are round, placed
+(each {"job", "members", "score"}), active_qubits and utilization; a job's
+keys are JOB_COLUMNS, which are also the jobs.csv columns, in order; and the
+report-level keys are "allocator", AGGREGATES, "rounds" and "jobs".
 """
 
 from __future__ import annotations
@@ -48,25 +49,11 @@ class Job:
         return self.circuit.qubit_count
 
 
-@dataclass(frozen=True)
-class RoundReport:
-    round: int
-    placed: tuple[tuple[str, Partition], ...]
-    active_qubits: int
-    utilization: float
+# a report's per-job fields: the keys of each of its "jobs", in order, and the jobs.csv columns
+JOB_COLUMNS = ("id", "round", "depth", "cnots", "swaps", "pst")
 
-
-@dataclass(frozen=True)
-class JobMetrics:
-    id: str
-    round: int
-    depth: int
-    cnots: int
-    swaps: int
-    pst: float
-
-
-# the report-level aggregates, by ExperimentReport property name
+# a report's aggregates, in order: the round count, then the mean utilization
+# over rounds and the mean depth, cnots, swaps and pst over jobs
 AGGREGATES = (
     "total_rounds",
     "mean_utilization",
@@ -77,55 +64,15 @@ AGGREGATES = (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    allocator: str
-    rounds: tuple[RoundReport, ...]
-    jobs: tuple[JobMetrics, ...]
-
-    @property
-    def total_rounds(self) -> int:
-        return len(self.rounds)
-
-    @property
-    def mean_utilization(self) -> float:
-        return mean(r.utilization for r in self.rounds) if self.rounds else 0.0
-
-    def _job_mean(self, field: str) -> float:
-        return mean(getattr(j, field) for j in self.jobs) if self.jobs else 0.0
-
-    mean_depth = property(lambda self: self._job_mean("depth"))
-    mean_cnot_count = property(lambda self: self._job_mean("cnots"))
-    mean_swap_count = property(lambda self: self._job_mean("swaps"))
-    mean_pst = property(lambda self: self._job_mean("pst"))
-
-    def to_dict(self) -> dict:
-        """The report as reports embed it: each round and job under its own field names."""
-        return {
-            "allocator": self.allocator,
-            **{name: getattr(self, name) for name in AGGREGATES},
-            "rounds": [
-                {
-                    **vars(r),
-                    "placed": [
-                        {"job": jid, "members": list(p.members), "score": p.score}
-                        for jid, p in r.placed
-                    ],
-                }
-                for r in self.rounds
-            ],
-            "jobs": [dict(vars(j)) for j in self.jobs],
-        }
-
-
 def run_queue(
     jobs: list[Job],
     g: CouplingGraph,
     snap_true: CalibrationSeries,
     snap_reported: CalibrationSeries,
     allocator: str = "greedy",
-) -> ExperimentReport:
-    """Drain the queue and report per-round and per-job outcomes.
+) -> dict:
+    """Drain the queue and return the report simulate writes: the allocator,
+    the AGGREGATES, each round's placements and each job's JOB_COLUMNS.
 
     Allocation and layout see only snap_reported, through one ScoringContext;
     PST sees only snap_true. Deterministic: same inputs, same report.
@@ -140,8 +87,8 @@ def run_queue(
     ctx = ScoringContext(g, snap_reported)
     answers: dict[AllocationRequest, Partition | None] = {}
     pending = list(jobs)
-    rounds: list[RoundReport] = []
-    metrics: list[JobMetrics] = []
+    rounds: list[dict] = []
+    metrics: list[dict] = []
     while pending:
         available = set(range(g.qubit_count))
         placed: list[tuple[Job, Partition]] = []
@@ -169,11 +116,34 @@ def run_queue(
             layout = initial_layout(job.circuit, part.members, ctx)
             routed = route(job.circuit, layout, part.members, g)
             depth, cnots, pst = score(routed, snap_true)
-            metrics.append(JobMetrics(job.id, len(rounds), depth, cnots, routed.swap_count, pst))
+            values = (job.id, len(rounds), depth, cnots, routed.swap_count, pst)
+            metrics.append(dict(zip(JOB_COLUMNS, values)))
         active = sum(len(p.members) for _, p in placed)
-        placed_ids = tuple((job.id, part) for job, part in placed)
-        rounds.append(RoundReport(len(rounds), placed_ids, active, active / g.qubit_count))
-    return ExperimentReport(allocator, tuple(rounds), tuple(metrics))
+        rounds.append({
+            "round": len(rounds),
+            "placed": [
+                {"job": job.id, "members": list(part.members), "score": part.score}
+                for job, part in placed
+            ],
+            "active_qubits": active,
+            "utilization": active / g.qubit_count,
+        })
+
+    def job_mean(column: str) -> float:
+        # statistics.mean gives ints a whole-number mean as an int, as reports write it
+        return mean(m[column] for m in metrics) if metrics else 0.0
+
+    aggregates = (
+        len(rounds),
+        mean(r["utilization"] for r in rounds) if rounds else 0.0,
+        *map(job_mean, ("depth", "cnots", "swaps", "pst")),
+    )
+    return {
+        "allocator": allocator,
+        **dict(zip(AGGREGATES, aggregates)),
+        "rounds": rounds,
+        "jobs": metrics,
+    }
 
 
 # the most two-qubit gates gen_workload may give one job

@@ -134,7 +134,7 @@ def test_criterion_03_h1_audit(hanoi):
 
 def test_criterion_04_throughput_direction(sweep20):
     deltas = {
-        alloc: [a1.total_rounds - b.total_rounds for b, a1, _ in rows]
+        alloc: [a1["total_rounds"] - b["total_rounds"] for b, a1, _ in rows]
         for alloc, rows in sweep20.items()
     }
     frac_g = float(np.mean([d >= 0 for d in deltas["greedy"]]))
@@ -151,7 +151,7 @@ def test_criterion_04_throughput_direction(sweep20):
 
 def test_criterion_05_utilization_ordering(sweep20):
     drops = {
-        alloc: float(np.mean([b.mean_utilization - a1.mean_utilization for b, a1, _ in rows]))
+        alloc: float(np.mean([b["mean_utilization"] - a1["mean_utilization"] for b, a1, _ in rows]))
         for alloc, rows in sweep20.items()
     }
     ok = drops["greedy"] > drops["comdap"]
@@ -166,14 +166,10 @@ def test_criterion_05_utilization_ordering(sweep20):
 def test_criterion_06_depth_pst_ordering(sweep20):
     stats = {}
     for alloc, rows in sweep20.items():
-        depth_pct = float(
-            np.mean([100.0 * (a2.mean_depth - b.mean_depth) / b.mean_depth for b, _, a2 in rows])
-        )
-        pst_pct = float(
-            np.mean([100.0 * (a2.mean_pst - b.mean_pst) / b.mean_pst for b, _, a2 in rows])
-        )
-        base_pool = [j.pst for b, _, _ in rows for j in b.jobs]
-        att_pool = [j.pst for _, _, a2 in rows for j in a2.jobs]
+        pct = lambda key: float(np.mean([100.0 * (a2[key] - b[key]) / b[key] for b, _, a2 in rows]))
+        depth_pct, pst_pct = pct("mean_depth"), pct("mean_pst")
+        base_pool = [j["pst"] for b, _, _ in rows for j in b["jobs"]]
+        att_pool = [j["pst"] for _, _, a2 in rows for j in a2["jobs"]]
         gm = lambda xs: math.exp(math.fsum(map(math.log, xs)) / len(xs))
         gm_pct = 100.0 * (gm(att_pool) - gm(base_pool)) / gm(base_pool)
         stats[alloc] = (depth_pct, pst_pct, gm_pct)

@@ -643,6 +643,17 @@ def path3(topology):
     return {"topology": topology, "attack": "none", "workload": workload}
 
 
+def path3_errors(cnot=(), readout=(), **extra):
+    """path3 with inline error maps at 2%, cnot and readout entries added to
+    them, and extra fields beside them."""
+    errors = {
+        "cnot": {"0-1": 0.02, "1-2": 0.02, **dict(cnot)},
+        "readout": {"0": 0.02, "1": 0.02, "2": 0.02, **dict(readout)},
+        **extra,
+    }
+    return {**path3({"qubits": 3, "edges": [[0, 1], [1, 2]]}), "errors": errors}
+
+
 # config fields of the right name but the wrong JSON shape or value
 MALFORMED = {
     "allocator-list": {"allocator": ["greedy"]},
@@ -679,6 +690,24 @@ MALFORMED = {
     "workload-density-1e300": {
         "workload": {"count": 6, "size_min": 2, "size_max": 6, "gate_density": 1e300, "seed": 3}
     },
+    # one edge or qubit spelled twice in an inline error map
+    "errors-cnot-edge-twice": path3_errors(cnot={"01-2": 0.5}),
+    "errors-readout-qubit-twice": path3_errors(readout={"02": 0.5}),
+    # a field that a nested object's form does not take
+    "topology-unknown-field": path3({"qubits": 3, "edges": [[0, 1], [1, 2]], "weights": [1, 1]}),
+    "errors-uniform-cycle": {"errors": {"uniform": {"cnot": 0.02, "readout": 0.02}, "cycle": 3}},
+    "errors-uniform-unknown-field": {"errors": {"uniform": {"cnot": 0.02, "readout": 0.02, "t1": 5}}},
+    "errors-file-unknown-field": {"errors": {"file": "cal.csv", "cylce": 3}},
+    "errors-inline-cycle": path3_errors(cycle=0),
+    "workload-density-typo": {
+        "workload": {"count": 6, "size_min": 2, "size_max": 6, "seed": 3, "gate_densty": 9.0}
+    },
+    "workload-kind-mismatch": {
+        "workload": {"kind": "qasm", "count": 6, "size_min": 2, "size_max": 6, "seed": 3}
+    },
+    "circuits-unknown-field": {"workload": {"circuits": [{"id": "p", "qasm": BELL}], "seed": 3}},
+    "circuit-unknown-field": {"workload": {"circuits": [{"id": "p", "qasm": BELL, "shots": 9}]}},
+    "qasm-files-unknown-field": {"workload": {"qasm_files": ["x/a.qasm"], "count": 3}},
 }
 
 

@@ -12,7 +12,7 @@ from mtqsim import allocation
 from mtqsim.allocation import ScoringContext
 from mtqsim.calibration import synth_drift, uniform_snapshot
 from mtqsim.experiment import dump_json, jobs_csv, resolve_config, rounds_csv, run_simulate
-from mtqsim.scheduler import ExperimentReport, Job, gen_workload, run_queue
+from mtqsim.scheduler import AGGREGATES, JOB_COLUMNS, Job, gen_workload, run_queue
 from mtqsim.topology import CouplingGraph, hanoi27, max_degree_qubits
 from mtqsim.transpile import LogicalCircuit, MeasureGate, TwoQubitGate
 
@@ -25,25 +25,25 @@ def chain_job(jid, size):
 
 def test_single_full_size_job(hanoi, flat_snap):
     report = run_queue([chain_job("whole", 27)], hanoi, flat_snap, flat_snap, "greedy")
-    assert report.total_rounds == 1
-    assert report.rounds[0].utilization == 1.0
+    assert report["total_rounds"] == 1
+    assert report["rounds"][0]["utilization"] == 1.0
 
 
 def test_two_half_size_jobs_pigeonhole(hanoi, flat_snap):
     jobs = [chain_job("a", 14), chain_job("b", 14)]
     report = run_queue(jobs, hanoi, flat_snap, flat_snap, "greedy")
-    assert report.total_rounds == 2
+    assert report["total_rounds"] == 2
 
 
 def test_skip_ahead_packs_later_jobs(hanoi, flat_snap):
     # 15 + 13 can't share the round, but the 6 behind them fits the leftover
     jobs = [chain_job("big", 15), chain_job("mid", 13), chain_job("small", 6)]
     report = run_queue(jobs, hanoi, flat_snap, flat_snap, "greedy")
-    first = report.rounds[0]
-    placed_ids = [jid for jid, _ in first.placed]
+    first = report["rounds"][0]
+    placed_ids = [p["job"] for p in first["placed"]]
     assert "big" in placed_ids and "small" in placed_ids
     assert "mid" not in placed_ids
-    assert report.total_rounds == 2
+    assert report["total_rounds"] == 2
 
 
 def test_rounds_lower_bound_and_conservation(hanoi, flat_snap):
@@ -51,34 +51,34 @@ def test_rounds_lower_bound_and_conservation(hanoi, flat_snap):
         jobs = gen_workload(40, 2, 10, 2.0, seed)
         for allocator in ("greedy", "comdap"):
             report = run_queue(jobs, hanoi, flat_snap, flat_snap, allocator)
-            placed = [jid for r in report.rounds for jid, _ in r.placed]
+            placed = [p["job"] for r in report["rounds"] for p in r["placed"]]
             assert sorted(placed) == sorted(j.id for j in jobs)
             assert len(placed) == len(set(placed))
             total = sum(j.size for j in jobs)
-            assert report.total_rounds >= math.ceil(total / 27)
+            assert report["total_rounds"] >= math.ceil(total / 27)
 
 
 def test_round_disjointness_and_utilization(hanoi, flat_snap):
     jobs = gen_workload(25, 2, 10, 2.0, 3)
     report = run_queue(jobs, hanoi, flat_snap, flat_snap, "comdap")
-    for r in report.rounds:
+    for r in report["rounds"]:
         seen = set()
-        for _, part in r.placed:
-            assert not (seen & set(part.members))
-            seen |= set(part.members)
-        assert r.active_qubits == len(seen)
-        assert r.utilization == pytest.approx(len(seen) / 27)
-        assert r.utilization <= 1.0
+        for p in r["placed"]:
+            assert not (seen & set(p["members"]))
+            seen |= set(p["members"])
+        assert r["active_qubits"] == len(seen)
+        assert r["utilization"] == pytest.approx(len(seen) / 27)
+        assert r["utilization"] <= 1.0
 
 
 def test_jobs_metrics_present(hanoi, flat_snap):
     jobs = gen_workload(10, 2, 6, 2.0, 8)
     report = run_queue(jobs, hanoi, flat_snap, flat_snap, "greedy")
-    assert len(report.jobs) == 10
-    for m in report.jobs:
-        assert m.depth >= 1
-        assert m.cnots >= 3 * m.swaps
-        assert 0.0 <= m.pst <= 1.0
+    assert len(report["jobs"]) == 10
+    for m in report["jobs"]:
+        assert m["depth"] >= 1
+        assert m["cnots"] >= 3 * m["swaps"]
+        assert 0.0 <= m["pst"] <= 1.0
 
 
 def test_monotone_workload(hanoi, flat_snap):
@@ -86,7 +86,7 @@ def test_monotone_workload(hanoi, flat_snap):
     more = base + gen_workload(6, 2, 10, 2.0, 90)
     r1 = run_queue(base, hanoi, flat_snap, flat_snap, "greedy")
     r2 = run_queue(more, hanoi, flat_snap, flat_snap, "greedy")
-    assert r2.total_rounds >= r1.total_rounds
+    assert r2["total_rounds"] >= r1["total_rounds"]
 
 
 def test_oversized_job_rejected(hanoi, flat_snap):
@@ -99,18 +99,33 @@ def test_baseline_sanity_regression(hanoi, flat_snap):
     for allocator in ("greedy", "comdap"):
         jobs = gen_workload(40, 2, 10, 2.0, 7)
         report = run_queue(jobs, hanoi, flat_snap, flat_snap, allocator)
-        assert report.mean_utilization > 0.5
+        assert report["mean_utilization"] > 0.5
     # regression pins for seed 7
     g = run_queue(gen_workload(40, 2, 10, 2.0, 7), hanoi, flat_snap, flat_snap, "greedy")
     c = run_queue(gen_workload(40, 2, 10, 2.0, 7), hanoi, flat_snap, flat_snap, "comdap")
-    assert g.total_rounds == 12
-    assert c.total_rounds == 11
+    assert g["total_rounds"] == 12
+    assert c["total_rounds"] == 11
 
 
 def test_empty_queue(hanoi, flat_snap):
     report = run_queue([], hanoi, flat_snap, flat_snap, "greedy")
-    assert report.total_rounds == 0
-    assert report.mean_utilization == 0.0
+    assert report["total_rounds"] == 0
+    assert report["mean_utilization"] == 0.0
+
+
+def test_report_keys_and_whole_number_means_stay_json_integers(hanoi, flat_snap):
+    report = run_queue([chain_job("pair", 2)], hanoi, flat_snap, flat_snap, "greedy")
+    assert list(report) == ["allocator", *AGGREGATES, "rounds", "jobs"]
+    assert [list(r) for r in report["rounds"]] == [["round", "placed", "active_qubits", "utilization"]]
+    assert list(report["rounds"][0]["placed"][0]) == ["job", "members", "score"]
+    assert [tuple(j) for j in report["jobs"]] == [JOB_COLUMNS]
+    # statistics.mean keeps these means ints, so the report writes 2, not 2.0
+    text = dump_json(report)
+    assert '"mean_depth": 2,' in text and '"mean_swap_count": 0,' in text
+    written = json.loads(text)
+    for name in ("total_rounds", "mean_depth", "mean_cnot_count", "mean_swap_count"):
+        assert type(written[name]) is int, name
+    assert type(written["mean_pst"]) is float
 
 
 def test_gen_workload_determinism_and_sizes():
@@ -380,7 +395,7 @@ def test_allocator_sees_each_distinct_request_once_per_run(case):
                 assert len(requests) == len(set(requests))
                 contexts.append(calls[0][0])
                 assert all(ctx is contexts[-1] for ctx, _ in calls)
-                placed = sorted(jid for r in report.rounds for jid, _ in r.placed)
+                placed = sorted(p["job"] for r in report["rounds"] for p in r["placed"])
                 assert placed == sorted(j.id for j in jobs)
         finally:
             allocation.ALLOCATORS[name] = real
