@@ -87,8 +87,12 @@ def parse_attack_spec(spec: str) -> str | dict:
     return attack
 
 
+# the most seeds a '--seeds' range may give; each seed is a full simulate run
+MAX_SEEDS = 10**5
+
+
 def parse_seed_list(spec: str) -> list[int]:
-    """'1,2,5' or an inclusive range '1..20'."""
+    """'1,2,5' or an inclusive range '1..20' of at most MAX_SEEDS seeds."""
     spec = spec.strip()
     try:
         if ".." in spec:
@@ -96,6 +100,8 @@ def parse_seed_list(spec: str) -> list[int]:
             lo_i, hi_i = int(lo), int(hi)
             if hi_i < lo_i:
                 raise ValueError(f"empty range {spec!r}")
+            if hi_i - lo_i >= MAX_SEEDS:
+                raise ValueError(f"range of {hi_i - lo_i + 1} seeds exceeds {MAX_SEEDS}")
             return list(range(lo_i, hi_i + 1))
         seeds = [int(s) for s in spec.split(",") if s.strip()]
         if not seeds:

@@ -126,8 +126,12 @@ def resolve_topology(spec: Any, base_dir: Path) -> CouplingGraph:
         check_fields(spec, ("qubits", "edges"), "inline topology")
         qubits = config_number(spec["qubits"], "topology qubits", int)
         try:
-            edges = {tuple(config_number(q, "topology edge endpoint", int) for q in (u, v))
-                     for u, v in spec["edges"]}
+            edges: set[tuple[int, int]] = set()
+            for u, v in spec["edges"]:
+                a, b = (config_number(q, "topology edge endpoint", int) for q in (u, v))
+                if (min(a, b), max(a, b)) in edges:  # given before, either way round
+                    raise ValueError(f"duplicate edge ({a}, {b})")
+                edges.add((min(a, b), max(a, b)))
             return CouplingGraph(qubits, frozenset(edges))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid inline topology: {exc}") from None

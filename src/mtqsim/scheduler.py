@@ -29,14 +29,7 @@ import numpy as np
 from .allocation import AllocationRequest, Partition, ScoringContext, get_allocator
 from .calibration import CalibrationSeries
 from .topology import CouplingGraph
-from .transpile import (
-    LogicalCircuit,
-    MeasureGate,
-    TwoQubitGate,
-    initial_layout,
-    route,
-    score,
-)
+from .transpile import LogicalCircuit, Op, initial_layout, route, score
 
 
 @dataclass(frozen=True)
@@ -192,7 +185,7 @@ def gen_workload(
     jobs: list[Job] = []
     for i in range(count):
         size = int(rng.integers(size_min, size_max + 1))
-        gates: list = []
+        gates: list[Op] = []
         if size > 1:
             n_gates = max(1, round(gate_density * size * (size - 1) / 2))
             for _ in range(n_gates):
@@ -200,8 +193,8 @@ def gen_workload(
                 target = int(rng.integers(size - 1))
                 if target >= control:
                     target += 1
-                gates.append(TwoQubitGate(control, target))
-        gates.extend(MeasureGate(q, q) for q in range(size))
+                gates.append(Op("cnot", (control, target)))
+        gates.extend(Op("measure", (q,), clbit=q) for q in range(size))
         circuit = LogicalCircuit(qubit_count=size, gates=tuple(gates), clbit_count=size)
         jobs.append(Job(id=f"job{i:03d}", circuit=circuit))
     return jobs

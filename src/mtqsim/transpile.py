@@ -8,10 +8,12 @@ SWAP insertion along shortest paths inside the partition, and the result is
 scored by ASAP depth, CNOT count, and an analytic success probability against
 the true error rates.
 
-A routed circuit holds one op per logical gate plus one "swap" op per SWAP.
-score prices a swap as the three CNOTs it compiles to and computes all three
-measures in one walk over the ops; depth and pst_estimate each read one of
-them.
+Every gate, before and after routing, is one Op tuple (kind, qubits, name,
+angle, clbit). A LogicalCircuit holds "1q", "cnot" and "measure" ops on
+logical qubits; a routed circuit holds the same ops on physical qubits plus
+one "swap" op per SWAP. score prices a swap as the three CNOTs it compiles to
+and computes all three measures in one walk over the ops; depth and
+pst_estimate each read one of them.
 
 Layout consumes the reported snapshot (the allocator's world view); the
 success probability consumes the true snapshot. Both are one-cycle
@@ -32,59 +34,46 @@ from .errors import DataError
 from .topology import CouplingGraph, bfs_tree, tree_path
 
 
-@dataclass(frozen=True)
-class OneQubitGate:
-    name: str
-    qubit: int
+class Op(NamedTuple):
+    """One gate, logical or physical. kind is "1q" (name, and angle for
+    rx/ry/rz), "cnot" (qubits are control, target), "measure" (into clbit), or
+    "swap", which exchanges the contents of its two qubits, costs three CNOTs
+    on that pair, and appears only in routed circuits."""
+
+    kind: str
+    qubits: tuple[int, ...]
+    name: str | None = None
     angle: float | None = None
+    clbit: int | None = None
 
 
-@dataclass(frozen=True)
-class TwoQubitGate:
-    control: int
-    target: int
-
-
-@dataclass(frozen=True)
-class MeasureGate:
-    qubit: int
-    clbit: int
-
-
-Gate = OneQubitGate | TwoQubitGate | MeasureGate
+# the qubit count of each kind a LogicalCircuit holds; "swap" is not one
+_ARITY = {"1q": 1, "cnot": 2, "measure": 1}
 
 
 @dataclass(frozen=True)
 class LogicalCircuit:
-    """A tenant program: qubit count plus ordered gates on logical indices."""
+    """A tenant program: qubit count plus ordered ops on logical indices."""
 
     qubit_count: int
-    gates: tuple[Gate, ...]
+    gates: tuple[Op, ...]
     clbit_count: int = 0
 
     def __post_init__(self) -> None:
         if self.qubit_count < 1:
             raise ValueError(f"qubit_count must be positive, got {self.qubit_count}")
-        for gate in self.gates:
-            if isinstance(gate, OneQubitGate):
-                self._check(gate.qubit)
-            elif isinstance(gate, TwoQubitGate):
-                self._check(gate.control)
-                self._check(gate.target)
-                if gate.control == gate.target:
-                    raise ValueError(f"two-qubit gate with control == target == {gate.control}")
-            else:
-                self._check(gate.qubit)
-                if not (0 <= gate.clbit < self.clbit_count):
-                    raise ValueError(f"clbit {gate.clbit} out of range")
-
-    def _check(self, q: int) -> None:
-        if not (0 <= q < self.qubit_count):
-            raise ValueError(f"logical qubit {q} out of range for {self.qubit_count} qubits")
-
-    @property
-    def two_qubit_gates(self) -> tuple[TwoQubitGate, ...]:
-        return tuple(g for g in self.gates if isinstance(g, TwoQubitGate))
+        n, clbits = self.qubit_count, range(self.clbit_count)
+        for kind, qubits, _, _, clbit in self.gates:
+            if _ARITY.get(kind) != len(qubits):
+                raise ValueError(f"not a logical gate: {kind!r} op on qubits {qubits}")
+            for q in qubits:
+                if not 0 <= q < n:
+                    raise ValueError(f"logical qubit {q} out of range for {n} qubits")
+            if kind == "cnot":
+                if qubits[0] == qubits[1]:
+                    raise ValueError(f"two-qubit gate with control == target == {qubits[0]}")
+            elif kind == "measure" and clbit not in clbits:
+                raise ValueError(f"clbit {clbit} out of range")
 
 
 ONE_QUBIT_GATES = frozenset({"h", "x", "y", "z", "s", "t"})
@@ -154,7 +143,7 @@ def parse_qasm_subset(text: str) -> LogicalCircuit:
         raise DataError(f"line {buf_line}: unterminated statement (missing ';')")
 
     regs: dict[str, tuple[str, int]] = {}
-    gates: list[Gate] = []
+    gates: list[Op] = []
 
     def index(kind: str, name: str, digits: str, ln: int) -> int:
         if kind not in regs:
@@ -177,17 +166,18 @@ def parse_qasm_subset(text: str) -> LogicalCircuit:
                 raise DataError(f"line {ln}: {kind} size must be positive")
             regs[kind] = (m[2], size)
         elif m := _RE_MEASURE.match(stmt):
-            gates.append(MeasureGate(index("qreg", m[1], m[2], ln), index("creg", m[3], m[4], ln)))
+            q = index("qreg", m[1], m[2], ln)
+            gates.append(Op("measure", (q,), clbit=index("creg", m[3], m[4], ln)))
         elif m := _RE_CX.match(stmt):
             qc, qt = index("qreg", m[1], m[2], ln), index("qreg", m[3], m[4], ln)
             if qc == qt:
                 raise DataError(f"line {ln}: cx control and target are both q[{qc}]")
-            gates.append(TwoQubitGate(qc, qt))
+            gates.append(Op("cnot", (qc, qt)))
         elif m := _RE_1Q.match(stmt):
             if m[1] not in (ONE_QUBIT_GATES if m[2] is None else PARAM_GATES):
                 raise DataError(f"line {ln}: unknown gate {m[1]!r}")
             angle = None if m[2] is None else _parse_angle(m[2], ln)
-            gates.append(OneQubitGate(m[1], index("qreg", m[3], m[4], ln), angle))
+            gates.append(Op("1q", (index("qreg", m[3], m[4], ln),), m[1], angle))
         else:
             raise DataError(f"line {ln}: unsupported statement {stmt!r}")
 
@@ -205,44 +195,33 @@ def circuit_to_qasm(c: LogicalCircuit) -> str:
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.qubit_count}];"]
     if c.clbit_count:
         lines.append(f"creg c[{c.clbit_count}];")
-    for gate in c.gates:
-        if isinstance(gate, OneQubitGate):
-            if gate.angle is None:
-                lines.append(f"{gate.name} q[{gate.qubit}];")
-            else:
-                lines.append(f"{gate.name}({gate.angle!r}) q[{gate.qubit}];")
-        elif isinstance(gate, TwoQubitGate):
-            lines.append(f"cx q[{gate.control}],q[{gate.target}];")
+    for kind, qubits, name, angle, clbit in c.gates:
+        if kind == "cnot":
+            lines.append(f"cx q[{qubits[0]}],q[{qubits[1]}];")
+        elif kind == "measure":
+            lines.append(f"measure q[{qubits[0]}] -> c[{clbit}];")
+        elif angle is None:
+            lines.append(f"{name} q[{qubits[0]}];")
         else:
-            lines.append(f"measure q[{gate.qubit}] -> c[{gate.clbit}];")
+            lines.append(f"{name}({angle!r}) q[{qubits[0]}];")
     return "\n".join(lines) + "\n"
 
 
-class PhysOp(NamedTuple):
-    """One operation on physical qubits. A "swap" exchanges the contents of
-    its two qubits and costs three CNOTs on that pair."""
-
-    kind: str  # "1q" | "cnot" | "swap" | "measure"
-    qubits: tuple[int, ...]
-    name: str | None = None
-    clbit: int | None = None
-
-
 @functools.cache
-def _pair_op(kind: str, a: int, b: int) -> PhysOp:
+def _pair_op(kind: str, a: int, b: int) -> Op:
     """The "cnot" or "swap" op on (a, b), one shared instance per pair.
 
-    A PhysOp is immutable, so sharing it is safe; route only asks for pairs
+    An Op is immutable, so sharing it is safe; route only asks for pairs
     that are coupling edges, which bounds the cache.
     """
-    return PhysOp(kind, (a, b))
+    return Op(kind, (a, b))
 
 
 @dataclass(frozen=True)
 class RoutedCircuit:
     partition: tuple[int, ...]
     initial_layout: dict[int, int]
-    physical_ops: tuple[PhysOp, ...]
+    physical_ops: tuple[Op, ...]
     swap_count: int
 
 
@@ -263,11 +242,13 @@ def initial_layout(
         )
     participation = [0] * c.qubit_count
     partners: list[set[int]] = [set() for _ in range(c.qubit_count)]
-    for gate in c.two_qubit_gates:
-        participation[gate.control] += 1
-        participation[gate.target] += 1
-        partners[gate.control].add(gate.target)
-        partners[gate.target].add(gate.control)
+    for kind, qubits, _, _, _ in c.gates:
+        if kind == "cnot":
+            a, b = qubits
+            participation[a] += 1
+            participation[b] += 1
+            partners[a].add(b)
+            partners[b].add(a)
     order = sorted(range(c.qubit_count), key=lambda l: (-participation[l], l))
 
     layout: dict[int, int] = {}
@@ -292,12 +273,13 @@ def route(
 ) -> RoutedCircuit:
     """Make every two-qubit gate executable by shortest-path SWAP insertion.
 
-    Gates are processed in circuit order. When a two-qubit gate's carriers
-    are not adjacent, the control's carrier walks a shortest path inside the
-    partition's induced subgraph, one SWAP per hop, until adjacency; the
-    gate's CNOT is then emitted. Each SWAP is one "swap" op on its hop's
-    pair; equal CNOT and swap ops share one instance (_pair_op). Paths are
-    read from one bfs_tree per source qubit, built on first use. Routing
+    Ops are processed in circuit order. A one-qubit or measure op moves to
+    its qubit's current carrier, keeping its name, angle and clbit. When a
+    CNOT's carriers are not adjacent, the control's carrier walks a shortest
+    path inside the partition's induced subgraph, one SWAP per hop, until
+    adjacency; the CNOT is then emitted. Each SWAP is one "swap" op on its
+    hop's pair; equal CNOT and swap ops share one instance (_pair_op). Paths
+    are read from one bfs_tree per source qubit, built on first use. Routing
     never leaves the partition and never emits a CNOT or SWAP on a non-edge.
     """
     allowed = set(members)
@@ -310,16 +292,14 @@ def route(
         raise ValueError("layout must be a bijection from logical qubits onto the partition")
     p2l = {p: l for l, p in l2p.items()}
     trees: dict[int, dict[int, int]] = {}
-    ops: list[PhysOp] = []
+    ops: list[Op] = []
     swap_count = 0
 
-    for gate in c.gates:
-        if isinstance(gate, OneQubitGate):
-            ops.append(PhysOp("1q", (l2p[gate.qubit],), name=gate.name))
-        elif isinstance(gate, MeasureGate):
-            ops.append(PhysOp("measure", (l2p[gate.qubit],), clbit=gate.clbit))
+    for kind, qubits, name, angle, clbit in c.gates:
+        if kind != "cnot":
+            ops.append(Op(kind, (l2p[qubits[0]],), name, angle, clbit))
         else:
-            pc, pt = l2p[gate.control], l2p[gate.target]
+            pc, pt = l2p[qubits[0]], l2p[qubits[1]]
             if pc not in trees:
                 trees[pc] = bfs_tree(g, allowed, pc)
             if pt not in trees[pc]:
@@ -346,7 +326,8 @@ def route(
 def score(
     r: RoutedCircuit, snap_true: CalibrationSeries | None
 ) -> tuple[int, int, float | None]:
-    """ASAP depth, CNOT count and analytic PST of a routed circuit, in one walk.
+    """ASAP depth, CNOT count and analytic PST of a routed circuit, in one walk
+    over its ops, each priced by its kind.
 
     A swap op is priced as the three CNOTs on its pair that it compiles to.
     Depth: a one-qubit op or CNOT occupies its qubits for one layer and a
@@ -364,7 +345,7 @@ def score(
     total = cnots = 0
     p = 1.0
     measured: set[int] = set()
-    for kind, qubits, _, _ in r.physical_ops:
+    for kind, qubits, _, _, _ in r.physical_ops:
         if kind == "1q" or kind == "measure":
             (a,) = qubits
             t = ready[a] + 1

@@ -194,7 +194,7 @@ def best_partitions(weights, nodes):
 # --- routing ----------------------------------------------------------------
 
 # one gate as the hardware runs it; routing marks the CNOTs a SWAP compiles to
-Entry = namedtuple("Entry", "kind qubits name clbit routing")
+Entry = namedtuple("Entry", "kind qubits name angle clbit routing")
 
 
 def expand_swaps(ops):
@@ -204,10 +204,11 @@ def expand_swaps(ops):
     for op in ops:
         assert op.kind in ("1q", "cnot", "swap", "measure"), f"unknown op kind {op.kind!r}"
         if op.kind == "swap":
-            assert len(op.qubits) == 2 and op.name is None and op.clbit is None
-            out += [Entry("cnot", tuple(op.qubits), None, None, True)] * 3
+            assert len(op.qubits) == 2
+            assert op.name is None and op.angle is None and op.clbit is None
+            out += [Entry("cnot", tuple(op.qubits), None, None, None, True)] * 3
         else:
-            out.append(Entry(op.kind, tuple(op.qubits), op.name, op.clbit, False))
+            out.append(Entry(op.kind, tuple(op.qubits), op.name, op.angle, op.clbit, False))
     return out
 
 
@@ -217,8 +218,9 @@ def replay_routed(circuit, routed):
     Each swap op is expanded into its three routing CNOTs (expand_swaps),
     which come in runs of three identical entries; each run exchanges the
     logical contents of its two physical qubits. Every other op must line up,
-    in order, with the next logical gate once mapped back through the current
-    permutation. Returns the number of swap runs consumed.
+    in order, with the next logical gate: the same kind, name, angle and
+    clbit, and its qubits, mapped back through the current permutation, the
+    gate's qubits in order. Returns the number of swap runs consumed.
     """
     phys2log = {p: l for l, p in routed.initial_layout.items()}
     logical = list(circuit.gates)
@@ -240,18 +242,12 @@ def replay_routed(circuit, routed):
             continue
         gate = logical[li]
         li += 1
-        if op.kind == "cnot":
-            mapped = (phys2log[op.qubits[0]], phys2log[op.qubits[1]])
-            assert (gate.control, gate.target) == mapped, (
-                f"cnot #{li} maps to {mapped}, expected {(gate.control, gate.target)}"
-            )
-        elif op.kind == "measure":
-            assert phys2log[op.qubits[0]] == gate.qubit
-            assert op.clbit == gate.clbit
-        else:
-            assert op.kind == "1q"
-            assert op.name == gate.name
-            assert phys2log[op.qubits[0]] == gate.qubit
+        assert op.kind == gate.kind, f"op #{li} is a {op.kind}, expected a {gate.kind}"
+        mapped = tuple(phys2log[q] for q in op.qubits)
+        assert mapped == tuple(gate.qubits), (
+            f"{op.kind} #{li} maps to {mapped}, expected {tuple(gate.qubits)}"
+        )
+        assert (op.name, op.angle, op.clbit) == (gate.name, gate.angle, gate.clbit)
         i += 1
     assert li == len(logical), "not every logical gate was emitted"
     return swaps

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from mtqsim.calibration import CalibrationSeries, validate_snapshot
 from mtqsim.topology import CouplingGraph
-from mtqsim.transpile import LogicalCircuit, MeasureGate, OneQubitGate, TwoQubitGate
+from mtqsim.transpile import LogicalCircuit, Op
 
 
 @st.composite
@@ -70,12 +70,12 @@ def connected_partition(draw, g):
 def circuit(draw, size):
     """A random circuit of up to 30 one-qubit, CNOT and measure gates on size qubits."""
     qubit = st.integers(0, size - 1)
-    one = st.builds(OneQubitGate, st.sampled_from("hxyzst"), qubit)
-    measure = st.builds(MeasureGate, qubit, qubit)
+    one = st.builds(lambda n, q: Op("1q", (q,), n), st.sampled_from("hxyzst"), qubit)
+    measure = st.builds(lambda q, c: Op("measure", (q,), clbit=c), qubit, qubit)
     kinds = [one, measure]
     if size > 1:
         pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
-        kinds.append(pair.map(lambda p: TwoQubitGate(*p)))
+        kinds.append(pair.map(lambda p: Op("cnot", tuple(p))))
     gates = draw(st.lists(st.one_of(kinds), max_size=30))
     return LogicalCircuit(size, tuple(gates), size)
 
@@ -87,7 +87,9 @@ def angled_circuit(draw):
     gates = list(draw(circuit(size)).gates)
     angle = st.floats(allow_nan=False, allow_infinity=False)
     qubit = st.integers(0, size - 1)
-    rotation = st.builds(OneQubitGate, st.sampled_from(("rx", "ry", "rz")), qubit, angle)
+    rotation = st.builds(
+        lambda n, q, a: Op("1q", (q,), n, a), st.sampled_from(("rx", "ry", "rz")), qubit, angle
+    )
     for gate in draw(st.lists(rotation, max_size=10)):
         gates.insert(draw(st.integers(0, len(gates))), gate)
     return LogicalCircuit(size, tuple(gates), size)

@@ -66,7 +66,8 @@ def test_parse_seed_list():
     assert parse_seed_list("1,2,5") == [1, 2, 5]
     assert parse_seed_list("1..4") == [1, 2, 3, 4]
     assert parse_seed_list("7..7") == [7]
-    for bad in ("5..2", "a,b", "1..x", "", ","):
+    assert parse_seed_list(f"1..{cli.MAX_SEEDS}") == list(range(1, cli.MAX_SEEDS + 1))
+    for bad in ("5..2", "a,b", "1..x", "", ",", f"0..{cli.MAX_SEEDS}"):
         with pytest.raises(ConfigError):
             parse_seed_list(bad)
 
@@ -591,6 +592,9 @@ REJECTED = {
     "simulate-seed-negative": ["simulate", "--config", "config.json", "--seed", "-5",
                                "--out", "r"],
     "sweep-seed-negative": ["sweep", "--config", "config.json", "--seeds", "1,-2", "--out", "r"],
+    # rejected before any list of its seeds is built
+    "sweep-seeds-range-huge": ["sweep", "--config", "config.json", "--seeds",
+                               "0..100000000000000", "--out", "r"],
     "gen-workload-size-max-huge": ["gen-workload", "--count", "1", "--size-max", "9" * 400,
                                    "--seed", "1", "--out", "d"],
     # "taken" is an existing file and "dir" an existing directory
@@ -695,6 +699,9 @@ MALFORMED = {
     "errors-readout-qubit-twice": path3_errors(readout={"02": 0.5}),
     # a field that a nested object's form does not take
     "topology-unknown-field": path3({"qubits": 3, "edges": [[0, 1], [1, 2]], "weights": [1, 1]}),
+    # one edge listed twice in an inline topology, as it is or reversed
+    "topology-edge-repeated": path3({"qubits": 3, "edges": [[0, 1], [1, 2], [0, 1]]}),
+    "topology-edge-reversed": path3({"qubits": 3, "edges": [[0, 1], [1, 2], [2, 1]]}),
     "errors-uniform-cycle": {"errors": {"uniform": {"cnot": 0.02, "readout": 0.02}, "cycle": 3}},
     "errors-uniform-unknown-field": {"errors": {"uniform": {"cnot": 0.02, "readout": 0.02, "t1": 5}}},
     "errors-file-unknown-field": {"errors": {"file": "cal.csv", "cylce": 3}},
@@ -734,6 +741,17 @@ def test_malformed_config_shapes_exit_2_without_traceback(overrides, tmp_path, c
         assert err.startswith("config error:")
     assert run_calls == []
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "edges, named",
+    [([[0, 1], [1, 2], [0, 1]], "(0, 1)"), ([[0, 1], [1, 0], [1, 2], [0, 1]], "(1, 0)")],
+    ids=["repeated", "reversed"],
+)
+def test_an_inline_topology_names_its_first_duplicate_edge(edges, named, tmp_path):
+    with pytest.raises(ConfigError) as info:
+        experiment.resolve_topology({"qubits": 3, "edges": edges}, tmp_path)
+    assert str(info.value) == f"invalid inline topology: duplicate edge {named}"
 
 
 @pytest.mark.parametrize(

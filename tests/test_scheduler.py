@@ -14,12 +14,12 @@ from mtqsim.calibration import synth_drift, uniform_snapshot
 from mtqsim.experiment import dump_json, jobs_csv, resolve_config, rounds_csv, run_simulate
 from mtqsim.scheduler import AGGREGATES, JOB_COLUMNS, Job, gen_workload, run_queue
 from mtqsim.topology import CouplingGraph, hanoi27, max_degree_qubits
-from mtqsim.transpile import LogicalCircuit, MeasureGate, TwoQubitGate
+from mtqsim.transpile import LogicalCircuit, Op
 
 
 def chain_job(jid, size):
-    gates = [TwoQubitGate(i, i + 1) for i in range(size - 1)]
-    gates += [MeasureGate(q, q) for q in range(size)]
+    gates = [Op("cnot", (i, i + 1)) for i in range(size - 1)]
+    gates += [Op("measure", (q,), clbit=q) for q in range(size)]
     return Job(jid, LogicalCircuit(size, tuple(gates), size))
 
 
@@ -143,7 +143,7 @@ def test_gen_workload_determinism_and_sizes():
 
 def test_gen_workload_measures_every_qubit():
     for job in gen_workload(5, 2, 10, 3.0, 77):
-        measured = {gt.qubit for gt in job.circuit.gates if isinstance(gt, MeasureGate)}
+        measured = {gt.qubits[0] for gt in job.circuit.gates if gt.kind == "measure"}
         assert measured == set(range(job.size))
 
 

@@ -10,9 +10,7 @@ from mtqsim.errors import DataError
 from mtqsim.topology import CouplingGraph, hanoi27
 from mtqsim.transpile import (
     LogicalCircuit,
-    MeasureGate,
-    OneQubitGate,
-    TwoQubitGate,
+    Op,
     circuit_to_qasm,
     depth,
     initial_layout,
@@ -28,12 +26,59 @@ P3 = CouplingGraph(3, frozenset({(0, 1), (1, 2)}))
 def test_parse_minimal():
     c = parse_qasm_subset("qreg q[2]; cx q[0],q[1];")
     assert c.qubit_count == 2
-    assert c.gates == (TwoQubitGate(0, 1),)
+    assert c.gates == (Op("cnot", (0, 1)),)
 
 
 def test_parse_h_measure():
     c = parse_qasm_subset("qreg q[1]; creg c[1]; h q[0]; measure q[0] -> c[0];")
-    assert c.gates == (OneQubitGate("h", 0, None), MeasureGate(0, 0))
+    assert c.gates == (Op("1q", (0,), "h"), Op("measure", (0,), clbit=0))
+
+
+# one op per check LogicalCircuit makes, on 2 qubits and 1 clbit, with its message
+MALFORMED_OPS = {
+    "unknown-kind": (Op("cz", (0, 1)), "not a logical gate: 'cz' op on qubits (0, 1)"),
+    "swap": (Op("swap", (0, 1)), "not a logical gate: 'swap' op on qubits (0, 1)"),
+    "one-qubit-cnot": (Op("cnot", (0,)), "not a logical gate: 'cnot' op on qubits (0,)"),
+    "control-is-target": (Op("cnot", (1, 1)), "two-qubit gate with control == target == 1"),
+    "qubit-out-of-range": (Op("1q", (2,), "h"), "logical qubit 2 out of range for 2 qubits"),
+    "clbit-out-of-range": (Op("measure", (0,), clbit=1), "clbit 1 out of range"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_OPS))
+def test_logical_circuit_rejects_a_malformed_op(name):
+    op, message = MALFORMED_OPS[name]
+    with pytest.raises(ValueError) as info:
+        LogicalCircuit(2, (Op("1q", (0,), "h"), op), 1)
+    assert str(info.value) == message
+
+
+def test_ops_of_different_kinds_compare_unequal():
+    ops = [
+        Op("cnot", (0, 1)),
+        Op("swap", (0, 1)),
+        Op("1q", (0,), "h"),
+        Op("1q", (0,), "rx", 0.5),
+        Op("measure", (0,), clbit=0),
+    ]
+    for i, a in enumerate(ops):
+        assert [a == b for b in ops] == [j == i for j in range(len(ops))]
+
+
+def test_a_routed_rotation_keeps_its_name_and_angle():
+    # the swap moves logical 0 from physical 0 to 1; logical 1 stays on physical 2
+    c = parse_qasm_subset(
+        "qreg q[3]; creg c[1]; rx(pi/4) q[1]; cx q[0],q[1]; rz(-0.5) q[0]; measure q[1] -> c[0];"
+    )
+    r = route(c, {0: 0, 1: 2, 2: 1}, (0, 1, 2), P3)
+    assert r.physical_ops == (
+        Op("1q", (2,), "rx", np.pi / 4),
+        Op("swap", (0, 1)),
+        Op("cnot", (1, 2)),
+        Op("1q", (1,), "rz", -0.5),
+        Op("measure", (2,), clbit=0),
+    )
+    assert oracles.replay_routed(c, r) == 1
 
 
 def test_parse_rejects_self_cx():
@@ -59,11 +104,7 @@ def test_parse_tolerates_header_comments_and_angles():
         "cx q[0],q[1];\n"
     )
     c = parse_qasm_subset(text)
-    assert [type(gt).__name__ for gt in c.gates] == [
-        "OneQubitGate",
-        "OneQubitGate",
-        "TwoQubitGate",
-    ]
+    assert [gt.kind for gt in c.gates] == ["1q", "1q", "cnot"]
     assert c.gates[0].angle == pytest.approx(np.pi / 2)
 
 
@@ -247,9 +288,9 @@ def test_route_stays_on_edges_and_preserves_interactions():
             b = int(rng.integers(0, size - 1))
             if b >= a:
                 b += 1
-            gates.append(TwoQubitGate(a, b))
+            gates.append(Op("cnot", (a, b)))
         for q in range(size):
-            gates.append(MeasureGate(q, q))
+            gates.append(Op("measure", (q,), clbit=q))
         c = LogicalCircuit(size, tuple(gates), size)
         lay = initial_layout(c, tuple(members), ScoringContext(g, s))
         r = route(c, lay, tuple(members), g)
@@ -313,7 +354,7 @@ def test_pst_strictly_decreases_per_cnot():
     s = validate_snapshot(g, {(0, 1): 0.03}, {0: 0.01, 1: 0.01})
     last = None
     for n in range(1, 5):
-        gates = tuple(TwoQubitGate(0, 1) for _ in range(n))
+        gates = tuple(Op("cnot", (0, 1)) for _ in range(n))
         c = LogicalCircuit(2, gates, 0)
         r = route(c, {0: 0, 1: 1}, (0, 1), g)
         p = pst_estimate(r, s)
@@ -342,7 +383,7 @@ def test_depth_cnots_and_pst_match_the_oracles(case):
     assert swaps == r.swap_count
     assert len(r.physical_ops) == len(c.gates) + r.swap_count
     assert depth(r) == oracles.asap_layers(r.physical_ops)
-    assert score(r, None)[1] == len(c.two_qubit_gates) + 3 * swaps
+    assert score(r, None)[1] == sum(op.kind == "cnot" for op in c.gates) + 3 * swaps
     cnot = dict(zip(g.edge_list, snap.cnot_error[0].tolist()))
     readout = dict(enumerate(snap.readout_error[0].tolist()))
     expected = oracles.success_product(r.physical_ops, cnot, readout)
