@@ -24,10 +24,10 @@ from mtqsim.topology import hanoi27
 g = hanoi27()
 snap = uniform_snapshot(g, 0.02, 0.02)
 everything = tuple(range(27))
-ctx = ScoringContext(g, snap)
+ctx = ScoringContext(snap)
 
 print("free-region communities (whole chip):")
-for c in louvain(g, snap, everything):
+for c in louvain(snap, everything):
     print(f"  size {len(c):>2}: {list(c)}")
 
 for size in (4, 6, 9):
@@ -36,7 +36,7 @@ for size in (4, 6, 9):
     b = comdap_allocate(ctx, req)
     print(f"\nrequest size {size}")
     print(f"  greedy : {list(a.members)} (attractor {a.members[0]}, score {a.score:.4f})")
-    print(f"  comdap : {sorted(b.members)} (CRI {cri(g, snap, b.members):.4f})")
+    print(f"  comdap : {sorted(b.members)} (CRI {cri(snap, b.members):.4f})")
 
 # fragment the chip: take the central band offline and retry
 busy = {11, 12, 13, 14, 15}
@@ -48,5 +48,5 @@ print(f"\nwith qubits {sorted(busy)} busy, request size 8")
 print(f"  greedy : {a and list(a.members)}")
 print(f"  comdap : {b and sorted(b.members)}")
 
-best = max(everything, key=lambda q: cfm(g, snap, q))
-print(f"\nbest composite score on the idle chip: qubit {best} ({cfm(g, snap, best):.4f})")
+best = max(everything, key=lambda q: cfm(snap, q))
+print(f"\nbest composite score on the idle chip: qubit {best} ({cfm(snap, best):.4f})")

@@ -29,7 +29,7 @@ print(header)
 print("-" * len(header))
 for alloc in ("greedy", "comdap"):
     for leg, rep_snap in (("honest", snap), ("attacked", reported)):
-        rep = run_queue(jobs, g, snap, rep_snap, alloc)
+        rep = run_queue(jobs, snap, rep_snap, alloc)
         # how many placements touched an attacked qubit
         touched = sum(
             1

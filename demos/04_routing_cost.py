@@ -66,7 +66,7 @@ print(
 )
 
 for leg, rep_snap in (("honest", snap_true), ("under-reported", reported)):
-    ctx = ScoringContext(g, rep_snap)
+    ctx = ScoringContext(rep_snap)
     part = comdap_allocate(ctx, AllocationRequest(5, tuple(range(27))))
     layout = initial_layout(circuit, part.members, ctx)
     routed = route(circuit, layout, part.members, g)

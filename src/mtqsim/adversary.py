@@ -56,14 +56,6 @@ class MisreportPlan:
             if any(a <= b for a, b in zip(mags, mags[1:])):
                 raise ValueError(f"H2 magnitudes must strictly decrease, got {mags}")
 
-    @property
-    def n(self) -> int:
-        return len(self.targets)
-
-    @property
-    def target_qubits(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.targets)
-
 
 def heuristic1_targets(g: CouplingGraph, n: int) -> list[int]:
     """The n most central maximum-degree qubits, by ascending path stddev.

@@ -12,10 +12,11 @@ Scores:
 where D/C are density/compactness, E/R are mean CNOT/readout error, the _p
 terms range over the candidate subset and the _h terms over the whole device.
 
-Both scores depend only on the graph and the snapshot, so the allocators and
-the layout read them from a ScoringContext that computes each qubit's CFM and
-the device's CRI term once. Failure to allocate is reported as None; the
-scheduler treats it as a signal to defer the job to a later round.
+Both scores depend only on the snapshot, which carries its graph, so the
+allocators and the layout read them from a ScoringContext that computes each
+qubit's CFM and the device's CRI term once. Failure to allocate is reported
+as None; the scheduler treats it as a signal to defer the job to a later
+round.
 """
 
 from __future__ import annotations
@@ -49,13 +50,13 @@ class Partition:
     score: float
 
 
-def cfm(g: CouplingGraph, snap: CalibrationSeries, q: int) -> float:
-    """Composite fidelity metric: degree(q) + (1 - (E + R)).
+def cfm(snap: CalibrationSeries, q: int) -> float:
+    """Composite fidelity metric: degree(q) + (1 - (E + R)) on the snapshot's graph.
 
     Higher is better. E is the mean CNOT error over q's incident edges and R
     its readout error, so over-reporting either strictly lowers the score.
     """
-    d = degree(g, q)
+    d = degree(snap.graph, q)
     if d == 0:
         raise ValueError(f"qubit {q} is isolated; CFM undefined")
     return d + (1.0 - (float(snap.mean_cnot_error[0, q]) + float(snap.readout_error[0, q])))
@@ -77,7 +78,7 @@ def _grow(
     """
     if size > len(pool):
         return None
-    g = ctx.graph
+    g = ctx.snapshot.graph
     pool_set = set(pool)
     q = _best_by_cfm(ctx, pool)
     members, chosen, frontier = [q], {q}, set()
@@ -111,21 +112,20 @@ def fidelity_weight(error: float) -> float:
 
 
 def louvain(
-    g: CouplingGraph,
-    snap_reported: CalibrationSeries,
-    available: Sequence[int],
+    snap_reported: CalibrationSeries, available: Sequence[int]
 ) -> tuple[tuple[int, ...], ...]:
     """Deterministic modularity-maximizing communities on the available region.
 
-    Two-phase Louvain on the induced subgraph, with edge weights
-    fidelity_weight(cnot_error). Nodes are visited in ascending index order
-    and each moves to the neighboring community with the largest modularity
-    gain above 1e-12, ties going to the lowest community id; a node with no
-    such gain stays where it is. Communities whose induced
-    subgraph is disconnected are split into connected pieces as a post-pass,
-    so the result is always a disjoint cover of `available` by connected
-    subsets, ordered by smallest member.
+    Two-phase Louvain on the subgraph of the snapshot's graph induced on
+    `available`, with edge weights fidelity_weight(cnot_error). Nodes are
+    visited in ascending index order and each moves to the neighboring
+    community with the largest modularity gain above 1e-12, ties going to
+    the lowest community id; a node with no such gain stays where it is.
+    Communities whose induced subgraph is disconnected are split into
+    connected pieces as a post-pass, so the result is always a disjoint
+    cover of `available` by connected subsets, ordered by smallest member.
     """
+    g = snap_reported.graph
     nodes = sorted(subset_members(available))
     for q in nodes:
         g._check_index(q)
@@ -210,23 +210,18 @@ def _connected_pieces(g: CouplingGraph, members: Collection[int]) -> list[tuple[
     return pieces
 
 
-def cri(
-    g: CouplingGraph, snap_reported: CalibrationSeries, s: Sequence[int]
-) -> float:
+def cri(snap_reported: CalibrationSeries, s: Sequence[int]) -> float:
     """Connectivity and reliability index of a subset, normalized by the device.
 
     Numerator: density/compactness of the subset plus its fidelity term
     1 - (E_p + R_p), with E_p = 0 when the subset has no internal edges.
-    Denominator: the same expression over the full device. The whole device
-    therefore scores exactly 1; a subset beating the device average scores
-    above 1.
+    Denominator: the same expression over the full device, the snapshot's
+    graph. The whole device therefore scores exactly 1; a subset beating the
+    device average scores above 1. A device whose term is 0 has no CRI.
     """
-    members = subset_members(s)
-    rates = snap_reported.rates()
-    num = _cri_term(g, rates, members)
-    all_q = tuple(range(g.qubit_count))
-    den = _cri_term(g, rates, all_q)
-    return num / den
+    g, rates = snap_reported.graph, snap_reported.rates()
+    num = _cri_term(g, rates, subset_members(s))
+    return num / _device_cri_term(g, rates)
 
 
 def _cri_term(
@@ -240,18 +235,25 @@ def _cri_term(
     return density(g, members) / compactness(g, members) + (1.0 - (e_p + r_p))
 
 
+def _device_cri_term(g: CouplingGraph, rates: tuple[list[float], list[float]]) -> float:
+    den = _cri_term(g, rates, tuple(range(g.qubit_count)))
+    if den == 0.0:
+        raise ValueError("the whole-device CRI term is 0; CRI undefined")
+    return den
+
+
 @dataclass(frozen=True)
 class ScoringContext:
-    """The CFM and CRI scores of one snapshot on one graph.
+    """The CFM and CRI scores of one snapshot, on the snapshot's graph.
 
     Each qubit's CFM (by cfm itself) and the device's CRI denominator are
     computed once, on first use, and equal what cfm and cri return bit for
-    bit. Computing on first use keeps errors at first use: a
-    context on a disconnected device raises at its first CRI, and one on a
-    device with an isolated qubit at its first CFM.
+    bit, or raise what they raise. Computing on first use keeps errors at
+    first use: a context on a disconnected device, or on one whose CRI term
+    is 0, raises at its first CRI, and one on a device with an isolated
+    qubit at its first CFM.
     """
 
-    graph: CouplingGraph
     snapshot: CalibrationSeries
 
     @cached_property
@@ -260,21 +262,21 @@ class ScoringContext:
 
     @cached_property
     def _cfm(self) -> dict[int, float]:
-        return {q: cfm(self.graph, self.snapshot, q) for q in range(self.graph.qubit_count)}
+        return {q: cfm(self.snapshot, q) for q in range(self.snapshot.graph.qubit_count)}
 
     @cached_property
     def _device_term(self) -> float:
-        return _cri_term(self.graph, self._rates, tuple(range(self.graph.qubit_count)))
+        return _device_cri_term(self.snapshot.graph, self._rates)
 
     def cfm(self, q: int) -> float:
-        """cfm(graph, snapshot, q)."""
+        """cfm(snapshot, q)."""
         value = self._cfm.get(q)
         # only out-of-range qubits are missing, and cfm rejects them
-        return cfm(self.graph, self.snapshot, q) if value is None else value
+        return cfm(self.snapshot, q) if value is None else value
 
     def cri(self, s: Sequence[int]) -> float:
-        """cri(graph, snapshot, s)."""
-        num = _cri_term(self.graph, self._rates, subset_members(s))
+        """cri(snapshot, s)."""
+        num = _cri_term(self.snapshot.graph, self._rates, subset_members(s))
         return num / self._device_term
 
 
@@ -287,7 +289,7 @@ def _expand_densest(
     contributing the most edges into the current subset (ties: higher CFM,
     then lower index).
     """
-    g = ctx.graph
+    g = ctx.snapshot.graph
 
     def rank(q: int, chosen: set[int]) -> tuple:
         intra = sum(1 for n in g.neighbors(q) if n in chosen)
@@ -312,22 +314,23 @@ def comdap_allocate(ctx: ScoringContext, req: AllocationRequest) -> Partition | 
          set reaches the requested size, and step 2 runs on the merged set.
 
     Size-1 requests return the highest-CFM available qubit. Every CRI is
-    relative to the whole device, so on a disconnected device any request
-    of at most len(available) qubits raises ValueError.
+    relative to the whole device, so on a disconnected device, or one whose
+    CRI term is 0, any request of at most len(available) qubits raises
+    ValueError.
     """
-    g = ctx.graph
+    g = ctx.snapshot.graph
     avail = req.available
     if req.size > len(avail):
         return None
     if req.size == 1:
         q = _best_by_cfm(ctx, avail)
         return Partition((q,), score=ctx.cri((q,)))
-    ctx._device_term  # raises on a disconnected device, feasible request or not
+    ctx._device_term  # raises on a device with no CRI term, feasible request or not
     regions = [p for p in _connected_pieces(g, avail) if len(p) >= req.size]
     if not regions:
         return None
 
-    communities = louvain(g, ctx.snapshot, avail)
+    communities = louvain(ctx.snapshot, avail)
     com_cri = {c: ctx.cri(c) for c in communities}
 
     def by_cri(c: tuple[int, ...]) -> tuple:

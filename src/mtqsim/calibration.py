@@ -104,36 +104,33 @@ def validate_snapshot(
     g: CouplingGraph,
     cnot_error: Mapping[Edge, float],
     readout_error: Mapping[int, float],
-    cycle_id: int = 0,
 ) -> CalibrationSeries:
-    """The snapshot of one cycle's rates, given as maps: cnot_error by normalized
+    """The snapshot of cycle 0's rates, given as maps: cnot_error by normalized
     edge (u, v), u < v, and readout_error by qubit. Both must cover g exactly
     and every rate must be in [0, 1]; the first fault is named."""
     if set(cnot_error) != g.edges:
         missing = g.edges - set(cnot_error)
         extra = set(cnot_error) - g.edges
         raise ValueError(
-            f"cycle {cycle_id}: cnot_error must cover the graph exactly "
+            f"cycle 0: cnot_error must cover the graph exactly "
             f"(missing {sorted(missing)}, extra {sorted(extra)})"
         )
     if set(readout_error) != set(range(g.qubit_count)):
-        raise ValueError(f"cycle {cycle_id}: readout_error must cover every qubit")
+        raise ValueError("cycle 0: readout_error must cover every qubit")
     for e, val in cnot_error.items():
         if not (0.0 <= val <= 1.0):
-            raise ValueError(f"cycle {cycle_id}: cnot_error{e} = {val} outside [0, 1]")
+            raise ValueError(f"cycle 0: cnot_error{e} = {val} outside [0, 1]")
     for q, val in readout_error.items():
         if not (0.0 <= val <= 1.0):
-            raise ValueError(f"cycle {cycle_id}: readout_error[{q}] = {val} outside [0, 1]")
+            raise ValueError(f"cycle 0: readout_error[{q}] = {val} outside [0, 1]")
     readout = [readout_error[q] for q in range(g.qubit_count)]
-    return CalibrationSeries(g, (cycle_id,), [[cnot_error[e] for e in g.edge_list]], [readout])
+    return CalibrationSeries(g, (0,), [[cnot_error[e] for e in g.edge_list]], [readout])
 
 
-def uniform_snapshot(
-    g: CouplingGraph, cnot: float, readout: float, cycle_id: int = 0
-) -> CalibrationSeries:
+def uniform_snapshot(g: CouplingGraph, cnot: float, readout: float) -> CalibrationSeries:
     """Every edge at the same CNOT error, every qubit at the same readout error."""
     return validate_snapshot(
-        g, dict.fromkeys(g.edge_list, cnot), dict.fromkeys(range(g.qubit_count), readout), cycle_id
+        g, dict.fromkeys(g.edge_list, cnot), dict.fromkeys(range(g.qubit_count), readout)
     )
 
 

@@ -192,12 +192,13 @@ def cmd_attack_plan(args: argparse.Namespace) -> int:
     plan = attack_plan(resolve_attack(parse_attack_spec(args.attack), g), g)
     if plan is None:
         raise ConfigError("attack-plan needs an H1 or H2 attack spec")
+    n = len(plan.targets)
     if plan.heuristic == H1:
         ranking = heuristic1_sigma_ranking(g)
         sigma = dict(ranking)
         doc = {
             "heuristic": plan.heuristic,
-            "n": plan.n,
+            "n": n,
             "targets": [
                 {"qubit": q, "delta": d, "sigma": sigma[q]} for q, d in plan.targets
             ],
@@ -211,9 +212,9 @@ def cmd_attack_plan(args: argparse.Namespace) -> int:
                 "min_distance_to_selected": min(profile) if profile else None,
                 "distance_profile": list(profile),
             }
-            for (q, d), (_, profile) in zip(plan.targets, heuristic2_selection(g, plan.n))
+            for (q, d), (_, profile) in zip(plan.targets, heuristic2_selection(g, n))
         ]
-        doc = {"heuristic": plan.heuristic, "n": plan.n, "targets": targets}
+        doc = {"heuristic": plan.heuristic, "n": n, "targets": targets}
     text = dump_json(doc)
     if args.out:
         write_text_atomic(args.out, text)

@@ -366,8 +366,8 @@ def run_simulate(config: dict) -> dict:
     jobs = build_jobs(config)
     plan = attack_plan(config["attack"], g)
     snap_attacked = apply_misreport(snap_true, plan)
-    baseline = run_queue(jobs, g, snap_true, snap_true, config["allocator"])
-    attacked = run_queue(jobs, g, snap_true, snap_attacked, config["allocator"])
+    baseline = run_queue(jobs, snap_true, snap_true, config["allocator"])
+    attacked = run_queue(jobs, snap_true, snap_attacked, config["allocator"])
     b, a = ({name: report[name] for name in AGGREGATES} for report in (baseline, attacked))
     return {
         "baseline": {"config": {**config, "attack": {"kind": "none"}}, "report": baseline},

@@ -4,7 +4,9 @@ Jobs queue FIFO. Each round scans the queue in order and places every job
 the allocator can fit into the qubits still free this round; a job that does
 not fit is skipped, not blocking smaller jobs behind it, and retries next
 round. The round closes when a full scan places nothing. Placed jobs are laid
-out and routed against the reported snapshot and scored against the true one.
+out and routed against the reported snapshot and scored against the true one;
+both snapshots must be of one graph, the device, and the queue reads the
+device from them.
 
 The allocator is a pure function of the scoring context and the request,
 and a rescan repeats a request whenever the free qubits have not changed
@@ -28,7 +30,6 @@ import numpy as np
 
 from .allocation import AllocationRequest, Partition, ScoringContext, get_allocator
 from .calibration import CalibrationSeries
-from .topology import CouplingGraph
 from .transpile import LogicalCircuit, Op, initial_layout, route, score
 
 
@@ -59,7 +60,6 @@ AGGREGATES = (
 
 def run_queue(
     jobs: list[Job],
-    g: CouplingGraph,
     snap_true: CalibrationSeries,
     snap_reported: CalibrationSeries,
     allocator: str = "greedy",
@@ -68,8 +68,12 @@ def run_queue(
     the AGGREGATES, each round's placements and each job's JOB_COLUMNS.
 
     Allocation and layout see only snap_reported, through one ScoringContext;
-    PST sees only snap_true. Deterministic: same inputs, same report.
+    PST sees only snap_true. Both must be of one graph. Deterministic: same
+    inputs, same report.
     """
+    g = snap_true.graph
+    if snap_reported.graph != g:
+        raise ValueError("the true and reported snapshots are of different graphs")
     alloc = get_allocator(allocator)
     for job in jobs:
         if job.size > g.qubit_count:
@@ -77,7 +81,7 @@ def run_queue(
                 f"job {job.id} needs {job.size} qubits; hardware has {g.qubit_count}"
             )
 
-    ctx = ScoringContext(g, snap_reported)
+    ctx = ScoringContext(snap_reported)
     answers: dict[AllocationRequest, Partition | None] = {}
     pending = list(jobs)
     rounds: list[dict] = []

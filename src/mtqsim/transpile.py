@@ -63,9 +63,11 @@ class LogicalCircuit:
         if self.qubit_count < 1:
             raise ValueError(f"qubit_count must be positive, got {self.qubit_count}")
         n, clbits = self.qubit_count, range(self.clbit_count)
-        for kind, qubits, _, _, clbit in self.gates:
+        for kind, qubits, name, angle, clbit in self.gates:
             if _ARITY.get(kind) != len(qubits):
                 raise ValueError(f"not a logical gate: {kind!r} op on qubits {qubits}")
+            if kind == "1q" and name not in (ONE_QUBIT_GATES if angle is None else PARAM_GATES):
+                raise ValueError(f"not a one-qubit gate: {name!r} with angle {angle}")
             for q in qubits:
                 if not 0 <= q < n:
                     raise ValueError(f"logical qubit {q} out of range for {n} qubits")
@@ -252,7 +254,7 @@ def initial_layout(
     order = sorted(range(c.qubit_count), key=lambda l: (-participation[l], l))
 
     layout: dict[int, int] = {}
-    g = ctx.graph
+    g = ctx.snapshot.graph
     unused = set(members)
     for logical in order:
         preferred = {

@@ -82,9 +82,9 @@ def sweep20(hanoi):
         rows = []
         for seed in SEEDS:
             jobs = gen_workload(seed=seed, **PRESET)
-            base = run_queue(jobs, hanoi, snap, snap, alloc)
-            a1 = run_queue(jobs, hanoi, snap, rep_h1, alloc)
-            a2 = run_queue(jobs, hanoi, snap, rep_h2, alloc)
+            base = run_queue(jobs, snap, snap, alloc)
+            a1 = run_queue(jobs, snap, rep_h1, alloc)
+            a2 = run_queue(jobs, snap, rep_h2, alloc)
             rows.append((base, a1, a2))
         runs[alloc] = rows
     return runs
@@ -190,9 +190,9 @@ def test_criterion_07_allocator_exactness(hanoi):
     star_snap = validate_snapshot(
         star, {(0, 1): 0.01, (0, 2): 0.01, (0, 3): 0.01}, {0: 0.02, 1: 0.0, 2: 0.0, 3: 0.0}
     )
-    cfm_ok = abs(cfm(star, star_snap, 0) - 3.97) < 1e-12
+    cfm_ok = abs(cfm(star_snap, 0) - 3.97) < 1e-12
     zero = uniform_snapshot(star, 0.0, 0.0)
-    cfm_ok &= abs(cfm(star, zero, 1) - 2.0) < 1e-12
+    cfm_ok &= abs(cfm(zero, 1) - 2.0) < 1e-12
 
     fix5 = CouplingGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)}))
     fix5_snap = validate_snapshot(
@@ -200,13 +200,13 @@ def test_criterion_07_allocator_exactness(hanoi):
         {(0, 1): 0.01, (1, 2): 0.02, (2, 3): 0.03, (3, 4): 0.04, (1, 3): 0.05},
         {q: 0.01 * (q + 1) for q in range(5)},
     )
-    cri_ok = abs(cri(fix5, fix5_snap, (1, 2, 3)) - 1.8278008298755188) < 1e-12
-    cri_ok &= abs(cri(fix5, fix5_snap, (0, 1, 2, 3, 4)) - 1.0) < 1e-12
+    cri_ok = abs(cri(fix5_snap, (1, 2, 3)) - 1.8278008298755188) < 1e-12
+    cri_ok &= abs(cri(fix5_snap, (0, 1, 2, 3, 4)) - 1.0) < 1e-12
 
     snap = uniform_snapshot(hanoi, 0.02, 0.02)
-    communities = louvain(hanoi, snap, tuple(range(27)))
+    communities = louvain(snap, tuple(range(27)))
     target = communities[0]
-    part = comdap_allocate(ScoringContext(hanoi, snap), AllocationRequest(len(target), tuple(range(27))))
+    part = comdap_allocate(ScoringContext(snap), AllocationRequest(len(target), tuple(range(27))))
     verbatim_ok = tuple(sorted(part.members)) in communities
 
     adj = oracles.adjacency(hanoi.edge_list, 27)
@@ -232,7 +232,7 @@ def test_criterion_07_allocator_exactness(hanoi):
         req = AllocationRequest(size, avail)
         for name in ("greedy", "comdap"):
             instances += 1
-            p = get_allocator(name)(ScoringContext(hanoi, s), req)
+            p = get_allocator(name)(ScoringContext(s), req)
             if p is None:
                 continue
             returned += 1
@@ -259,9 +259,9 @@ def test_criterion_08_routing_invariants(hanoi):
     for seed in range(12):
         for job in gen_workload(5, 2, 6, 2.0, 9000 + seed):
             part = get_allocator("greedy")(
-                ScoringContext(hanoi, snap), AllocationRequest(job.size, tuple(range(27)))
+                ScoringContext(snap), AllocationRequest(job.size, tuple(range(27)))
             )
-            lay = initial_layout(job.circuit, part.members, ScoringContext(hanoi, snap))
+            lay = initial_layout(job.circuit, part.members, ScoringContext(snap))
             r = route(job.circuit, lay, part.members, hanoi)
             for op in oracles.expand_swaps(r.physical_ops):
                 if op.kind == "cnot":

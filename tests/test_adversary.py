@@ -101,18 +101,18 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         MisreportPlan("H1", ((12, 0.15), (12, 0.15)))  # duplicate target
     plan = MisreportPlan("H2", ((1, -0.15), (25, -0.12), (14, -0.10)))
-    assert plan.target_qubits == (1, 25, 14)
+    assert tuple(q for q, _ in plan.targets) == (1, 25, 14)
 
 
 def test_plan_builders():
     g = hanoi27()
     p1 = h1_plan(g, 3, 0.15)
     assert p1.heuristic == "H1"
-    assert p1.target_qubits == (12, 14, 8)
+    assert tuple(q for q, _ in p1.targets) == (12, 14, 8)
     assert all(d == pytest.approx(0.15) for _, d in p1.targets)
     p2 = h2_plan(g, [0.15, 0.12, 0.10])
     assert p2.heuristic == "H2"
-    assert p2.target_qubits == (1, 25, 14)
+    assert tuple(q for q, _ in p2.targets) == (1, 25, 14)
     assert [d for _, d in p2.targets] == pytest.approx([-0.15, -0.12, -0.10])
 
 
@@ -155,8 +155,8 @@ def test_h_directions():
     true = uniform_snapshot(g, 0.02, 0.02)
     up = apply_misreport(true, h1_plan(g, 3, 0.15)).cnot_error[0]
     down = apply_misreport(true, h2_plan(g, [0.15, 0.12, 0.10])).cnot_error[0]
-    t1 = set(h1_plan(g, 3, 0.15).target_qubits)
-    t2 = set(h2_plan(g, [0.15, 0.12, 0.10]).target_qubits)
+    t1 = {q for q, _ in h1_plan(g, 3, 0.15).targets}
+    t2 = {q for q, _ in h2_plan(g, [0.15, 0.12, 0.10]).targets}
     for j, e in enumerate(g.edge_list):
         if set(e) & t1:
             assert up[j] > true.cnot_error[0, j]

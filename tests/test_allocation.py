@@ -47,9 +47,9 @@ def test_cfm_hand_values():
     s = validate_snapshot(
         g, {(0, 1): 0.01, (0, 2): 0.01, (0, 3): 0.01}, {0: 0.02, 1: 0.0, 2: 0.0, 3: 0.0}
     )
-    assert cfm(g, s, 0) == pytest.approx(3.97, abs=1e-12)
+    assert cfm(s, 0) == pytest.approx(3.97, abs=1e-12)
     s2 = uniform_snapshot(g, 0.0, 0.0)
-    assert cfm(g, s2, 1) == pytest.approx(2.0, abs=1e-12)
+    assert cfm(s2, 1) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_cfm_monotone_under_overreport():
@@ -57,25 +57,25 @@ def test_cfm_monotone_under_overreport():
     s = snap_uniform(g)
     cnot = {e: 0.02 * 1.15 if 14 in e else 0.02 for e in g.edge_list}
     bumped = validate_snapshot(g, cnot, dict.fromkeys(range(27), 0.02))
-    assert cfm(g, bumped, 14) < cfm(g, s, 14)
+    assert cfm(bumped, 14) < cfm(s, 14)
 
 
 def test_greedy_degenerate_size():
     g = hanoi27()
-    ctx = ScoringContext(g, snap_uniform(g))
+    ctx = ScoringContext(snap_uniform(g))
     part = greedy_allocate(ctx, AllocationRequest(1, tuple(range(27))))
     assert part.members == (1,)
-    assert part.score == pytest.approx(cfm(g, snap_uniform(g), 1))
+    assert part.score == pytest.approx(cfm(snap_uniform(g), 1))
 
 
 def test_greedy_p3():
-    part = greedy_allocate(ScoringContext(P3, snap_uniform(P3)), AllocationRequest(2, (0, 1, 2)))
+    part = greedy_allocate(ScoringContext(snap_uniform(P3)), AllocationRequest(2, (0, 1, 2)))
     assert part.members == (1, 0)
 
 
 def test_greedy_hanoi_size4():
     g = hanoi27()
-    ctx = ScoringContext(g, snap_uniform(g))
+    ctx = ScoringContext(snap_uniform(g))
     part = greedy_allocate(ctx, AllocationRequest(4, tuple(range(27))))
     assert len(part.members) == 4
     adj = oracles.adjacency(g.edge_list, 27)
@@ -86,7 +86,7 @@ def test_greedy_hanoi_size4():
 
 def test_greedy_failure_is_none():
     # available region around the best attractor too small
-    ctx = ScoringContext(P3, snap_uniform(P3))
+    ctx = ScoringContext(snap_uniform(P3))
     assert greedy_allocate(ctx, AllocationRequest(2, (0, 2))) is None
 
 
@@ -99,15 +99,15 @@ def test_greedy_shift_invariance():
     s1 = validate_snapshot(g, cnot, read)
     s2 = validate_snapshot(g, cnot, {q: v + 0.07 for q, v in read.items()})
     for size in (3, 6, 9):
-        a = greedy_allocate(ScoringContext(g, s1), AllocationRequest(size, tuple(range(27))))
-        b = greedy_allocate(ScoringContext(g, s2), AllocationRequest(size, tuple(range(27))))
+        a = greedy_allocate(ScoringContext(s1), AllocationRequest(size, tuple(range(27))))
+        b = greedy_allocate(ScoringContext(s2), AllocationRequest(size, tuple(range(27))))
         assert a.members == b.members
 
 
 def test_louvain_two_triangles():
     g = CouplingGraph(6, frozenset({(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)}))
     s = snap_uniform(g, 0.02, 0.0)
-    got = louvain(g, s, tuple(range(6)))
+    got = louvain(s, tuple(range(6)))
     assert got == ((0, 1, 2), (3, 4, 5))
     # exhaustive modularity maximization finds the same unique argmax
     weights = {e: fidelity_weight(0.02) for e in g.edge_list}
@@ -121,7 +121,7 @@ def test_louvain_takes_best_gain_move():
     # lets 0's community absorb 2, 3 and 4 and ends in the local optimum
     # ((0, 2, 3, 4), (1, 5)), below the exhaustive argmax.
     g = CouplingGraph(6, frozenset({(0, 1), (0, 2), (0, 4), (1, 5), (2, 3)}))
-    got = louvain(g, snap_uniform(g), tuple(range(6)))
+    got = louvain(snap_uniform(g), tuple(range(6)))
     assert got == ((0, 4), (1, 5), (2, 3))
     weights = {e: fidelity_weight(0.02) for e in g.edge_list}
     _, shapes = oracles.best_partitions(weights, range(6))
@@ -130,7 +130,7 @@ def test_louvain_takes_best_gain_move():
 
 def test_louvain_singleton():
     g = hanoi27()
-    assert louvain(g, snap_uniform(g), (13,)) == ((13,),)
+    assert louvain(snap_uniform(g), (13,)) == ((13,),)
 
 
 def test_louvain_zero_weight_bridge():
@@ -138,7 +138,7 @@ def test_louvain_zero_weight_bridge():
     s = validate_snapshot(
         g, {e: (1.0 if e == (2, 3) else 0.02) for e in g.edge_list}, {q: 0.0 for q in range(6)}
     )
-    for community in louvain(g, s, tuple(range(6))):
+    for community in louvain(s, tuple(range(6))):
         assert not ({2, 3} <= set(community))
 
 
@@ -150,7 +150,7 @@ def test_louvain_partitions_available():
     for _ in range(50):
         size = int(rng.integers(1, 28))
         available = tuple(sorted(rng.choice(27, size=size, replace=False).tolist()))
-        communities = louvain(g, s, available)
+        communities = louvain(s, available)
         seen = [q for c in communities for q in c]
         assert sorted(seen) == sorted(available)
         assert len(seen) == len(set(seen))
@@ -168,7 +168,7 @@ def louvain_cases():
         snap = series.snapshot(row)
         for _ in range(8):
             size = int(rng.integers(1, 28))
-            yield g, snap, tuple(rng.choice(27, size=size, replace=False).tolist())
+            yield snap, tuple(rng.choice(27, size=size, replace=False).tolist())
     for _ in range(150):
         n = int(rng.integers(1, 13))
         pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n + 1)), 2)).tolist()
@@ -179,7 +179,7 @@ def louvain_cases():
         }
         snap = validate_snapshot(small, cnot, dict.fromkeys(range(n), 0.02))
         size = int(rng.integers(1, n + 1))
-        yield small, snap, tuple(rng.choice(n, size=size, replace=False).tolist())
+        yield snap, tuple(rng.choice(n, size=size, replace=False).tolist())
 
 
 # sha256 of the repr of every louvain_cases() result, one per line
@@ -193,13 +193,13 @@ def test_louvain_outputs_are_pinned():
 
 def test_cri_whole_hardware_is_one():
     g = hanoi27()
-    assert cri(g, snap_uniform(g), tuple(range(27))) == pytest.approx(1.0, abs=1e-12)
-    assert cri(FIX5, FIX5_SNAP, (0, 1, 2, 3, 4)) == pytest.approx(1.0, abs=1e-12)
+    assert cri(snap_uniform(g), tuple(range(27))) == pytest.approx(1.0, abs=1e-12)
+    assert cri(FIX5_SNAP, (0, 1, 2, 3, 4)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cri_hand_value():
     # frozen from an independent evaluation of the formula on FIX5
-    assert cri(FIX5, FIX5_SNAP, (1, 2, 3)) == pytest.approx(1.8278008298755188, abs=1e-12)
+    assert cri(FIX5_SNAP, (1, 2, 3)) == pytest.approx(1.8278008298755188, abs=1e-12)
 
 
 def test_cri_monotone_in_edge_error():
@@ -210,21 +210,21 @@ def test_cri_monotone_in_edge_error():
         {**FIX5_CNOT, (1, 2): 0.001, (3, 4): 0.04 + 0.019},
         FIX5_READOUT,
     )
-    assert cri(FIX5, better, (1, 2, 3)) > cri(FIX5, FIX5_SNAP, (1, 2, 3))
+    assert cri(better, (1, 2, 3)) > cri(FIX5_SNAP, (1, 2, 3))
 
 
 def test_cri_disconnected_rejected():
     with pytest.raises(ValueError):
-        cri(FIX5, FIX5_SNAP, (0, 4))
+        cri(FIX5_SNAP, (0, 4))
 
 
 def test_comdap_exact_size_branch():
     g = hanoi27()
     s = snap_uniform(g)
-    communities = louvain(g, s, tuple(range(27)))
+    communities = louvain(s, tuple(range(27)))
     for target in communities:
         req = AllocationRequest(len(target), tuple(range(27)))
-        part = comdap_allocate(ScoringContext(g, s), req)
+        part = comdap_allocate(ScoringContext(s), req)
         assert tuple(sorted(part.members)) in communities
         assert len(part.members) == len(target)
         break
@@ -233,20 +233,20 @@ def test_comdap_exact_size_branch():
 def test_comdap_size_one():
     g = hanoi27()
     s = snap_uniform(g)
-    part = comdap_allocate(ScoringContext(g, s), AllocationRequest(1, tuple(range(27))))
+    part = comdap_allocate(ScoringContext(s), AllocationRequest(1, tuple(range(27))))
     assert len(part.members) == 1
     q = part.members[0]
-    best = max(range(27), key=lambda x: (cfm(g, s, x), -x))
-    assert cfm(g, s, q) == pytest.approx(cfm(g, s, best))
+    best = max(range(27), key=lambda x: (cfm(s, x), -x))
+    assert cfm(s, q) == pytest.approx(cfm(s, best))
 
 
 def test_comdap_merged_allocation():
     g = hanoi27()
     s = snap_uniform(g)
-    communities = louvain(g, s, tuple(range(27)))
+    communities = louvain(s, tuple(range(27)))
     biggest = max(len(c) for c in communities)
     size = biggest + 3
-    part = comdap_allocate(ScoringContext(g, s), AllocationRequest(size, tuple(range(27))))
+    part = comdap_allocate(ScoringContext(s), AllocationRequest(size, tuple(range(27))))
     assert len(part.members) == size
     adj = oracles.adjacency(g.edge_list, 27)
     assert oracles.is_connected(adj, part.members)
@@ -268,12 +268,12 @@ def test_comdap_exact_extraction_matches_brute_force(monkeypatch):
 
     monkeypatch.setattr("mtqsim.allocation._expand_densest", exhaustive)
     for size in (2, 3, 4, 5):
-        part = comdap_allocate(ScoringContext(g, s), AllocationRequest(size, tuple(range(6))))
+        part = comdap_allocate(ScoringContext(s), AllocationRequest(size, tuple(range(6))))
         best = max(
             oracles.connected_subsets(adj, range(6), size),
-            key=lambda sub: cri(g, s, sub),
+            key=lambda sub: cri(s, sub),
         )
-        assert cri(g, s, part.members) == pytest.approx(cri(g, s, best), abs=1e-12)
+        assert cri(s, part.members) == pytest.approx(cri(s, best), abs=1e-12)
 
 
 def test_allocators_valid_on_seeded_instances():
@@ -289,7 +289,7 @@ def test_allocators_valid_on_seeded_instances():
         size = int(rng.integers(1, n_avail + 1))
         req = AllocationRequest(size, available)
         for name in ("greedy", "comdap"):
-            part = get_allocator(name)(ScoringContext(g, s), req)
+            part = get_allocator(name)(ScoringContext(s), req)
             if part is None:
                 continue
             assert len(part.members) == size
@@ -323,7 +323,7 @@ def test_comdap_succeeds_when_region_exists():
         biggest = max(len(c) for c in comps)
         size = int(rng.integers(1, 28))
         part = (
-            comdap_allocate(ScoringContext(g, s), AllocationRequest(min(size, 27), available))
+            comdap_allocate(ScoringContext(s), AllocationRequest(min(size, 27), available))
             if size <= len(available)
             else None
         )
@@ -343,10 +343,10 @@ def test_determinism():
     g = hanoi27()
     s = snap_uniform(g)
     req = AllocationRequest(6, tuple(range(27)))
-    ctx = ScoringContext(g, s)
-    assert greedy_allocate(ctx, req) == greedy_allocate(ScoringContext(g, s), req)
-    assert comdap_allocate(ctx, req) == comdap_allocate(ScoringContext(g, s), req)
-    assert louvain(g, s, tuple(range(27))) == louvain(g, s, tuple(range(27)))
+    ctx = ScoringContext(s)
+    assert greedy_allocate(ctx, req) == greedy_allocate(ScoringContext(s), req)
+    assert comdap_allocate(ctx, req) == comdap_allocate(ScoringContext(s), req)
+    assert louvain(s, tuple(range(27))) == louvain(s, tuple(range(27)))
 
 
 @st.composite
@@ -365,13 +365,33 @@ PROPERTY_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, d
 @given(graph_and_snapshot())
 def test_context_scores_equal_free_functions(case):
     g, snap = case
-    ctx = ScoringContext(g, snap)
+
+    def outcome(score, *args):
+        # the score, or the type and message of the ValueError it raises
+        try:
+            return score(*args)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    ctx = ScoringContext(snap)
     adj = oracles.adjacency(g.edge_list, g.qubit_count)
     for q in range(g.qubit_count):
-        assert ctx.cfm(q) == cfm(g, snap, q)
+        assert outcome(ctx.cfm, q) == outcome(cfm, snap, q)
     for size in range(1, g.qubit_count + 1):
         for sub in oracles.connected_subsets(adj, range(g.qubit_count), size):
-            assert ctx.cri(sub) == cri(g, snap, sub)
+            assert outcome(ctx.cri, sub) == outcome(cri, snap, sub)
+
+
+def test_a_zero_device_term_leaves_cri_undefined():
+    # one edge, every rate 1: density/compactness 1 plus 1 - (1 + 1) is 0
+    g = CouplingGraph(2, frozenset({(0, 1)}))
+    snap = uniform_snapshot(g, 1.0, 1.0)
+    ctx = ScoringContext(snap)
+    for score in (ctx.cri, lambda s: cri(snap, s)):
+        with pytest.raises(ValueError, match="^the whole-device CRI term is 0; CRI undefined$"):
+            score((0, 1))
+    with pytest.raises(ValueError, match="CRI undefined"):
+        comdap_allocate(ctx, AllocationRequest(2, (0, 1)))
 
 
 @PROPERTY_SETTINGS
@@ -380,7 +400,7 @@ def test_allocators_return_connected_available_subsets(case):
     g, snap, req = case
     adj = oracles.adjacency(g.edge_list, g.qubit_count)
     for name in ("greedy", "comdap"):
-        part = get_allocator(name)(ScoringContext(g, snap), req)
+        part = get_allocator(name)(ScoringContext(snap), req)
         if part is not None:
             assert len(part.members) == req.size
             assert set(part.members) <= set(req.available)
@@ -394,7 +414,7 @@ def test_comdap_fails_only_without_a_large_enough_region(case):
     adj = oracles.adjacency(g.edge_list, g.qubit_count)
     free = {q: adj[q] & set(req.available) for q in req.available}
     biggest = max(len(oracles.bfs_distances(free, q)) for q in req.available)
-    part = comdap_allocate(ScoringContext(g, snap), req)
+    part = comdap_allocate(ScoringContext(snap), req)
     assert (part is None) == (biggest < req.size)
 
 
@@ -409,11 +429,11 @@ def test_scores_match_the_oracles(case, data):
     snap = series.snapshot(row)
     cnot = dict(zip(g.edge_list, series.cnot_error[row].tolist()))
     readout = dict(enumerate(series.readout_error[row].tolist()))
-    ctx = ScoringContext(g, snap)
+    ctx = ScoringContext(snap)
     for q in range(g.qubit_count):
         assert ctx.cfm(q) == pytest.approx(oracles.cfm(cnot, readout, q), abs=1e-12)
-    # a device term near 0 turns rounding into large quotient errors (and 0 into a
-    # ZeroDivisionError in both), so such rows are skipped
+    # a device term near 0 turns rounding into large quotient errors (and 0 into an
+    # error in both), so such rows are skipped
     assume(abs(oracles.cri_term(cnot, readout, range(g.qubit_count))) > 0.01)
     members = data.draw(connected_partition(g))
     want = oracles.cri(cnot, readout, members)
@@ -438,16 +458,16 @@ def test_allocators_on_a_disconnected_device(case):
     # comdap scores against the whole device, which has no CRI term
     if req.size <= len(req.available):
         with pytest.raises(ValueError, match="disconnected"):
-            comdap_allocate(ScoringContext(g, snap), req)
+            comdap_allocate(ScoringContext(snap), req)
     else:
-        assert comdap_allocate(ScoringContext(g, snap), req) is None
+        assert comdap_allocate(ScoringContext(snap), req) is None
     # greedy grows inside the attractor's connected piece of the free region
-    ctx = ScoringContext(g, snap)
+    ctx = ScoringContext(snap)
     part = greedy_allocate(ctx, req)
     assert "_device_term" not in vars(ctx)
     adj = oracles.adjacency(g.edge_list, g.qubit_count)
     free = {q: adj[q] & set(req.available) for q in req.available}
-    attractor = min(req.available, key=lambda q: (-cfm(g, snap, q), q))
+    attractor = min(req.available, key=lambda q: (-cfm(snap, q), q))
     piece = set(oracles.bfs_distances(free, attractor))
     if part is None:
         assert len(piece) < req.size
@@ -460,7 +480,7 @@ def test_allocators_on_a_disconnected_device(case):
 def test_greedy_never_reads_the_device_term():
     # two 3-qubit paths: the device is disconnected, so it has no CRI term
     g = CouplingGraph(6, frozenset({(0, 1), (1, 2), (3, 4), (4, 5)}))
-    ctx = ScoringContext(g, snap_uniform(g))
+    ctx = ScoringContext(snap_uniform(g))
     part = greedy_allocate(ctx, AllocationRequest(3, tuple(range(6))))
     assert part.members == (1, 0, 2)
     assert "_device_term" not in vars(ctx)

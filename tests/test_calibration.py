@@ -23,8 +23,8 @@ P3 = CouplingGraph(3, frozenset({(0, 1), (1, 2)}))
 
 
 def test_validate_snapshot():
-    good = validate_snapshot(P3, {(0, 1): 0.01, (1, 2): 0.02}, {0: 0.0, 1: 0.5, 2: 1.0}, 4)
-    assert good.cycle_ids == (4,)
+    good = validate_snapshot(P3, {(0, 1): 0.01, (1, 2): 0.02}, {0: 0.0, 1: 0.5, 2: 1.0})
+    assert good.cycle_ids == (0,)
     assert good.cnot_error.tolist() == [[0.01, 0.02]]
     assert good.readout_error.tolist() == [[0.0, 0.5, 1.0]]
     with pytest.raises(ValueError, match=r"cycle 0: cnot_error must cover .*missing \[\(1, 2\)\]"):
@@ -33,8 +33,6 @@ def test_validate_snapshot():
         validate_snapshot(P3, {(0, 1): 0.01, (1, 2): 0.02}, {0: 0.0, 1: 0.5})
     with pytest.raises(ValueError, match=r"cnot_error\(0, 1\) = 1.01 outside"):
         validate_snapshot(P3, {(0, 1): 1.01, (1, 2): 0.02}, {0: 0.0, 1: 0.5, 2: 1.0})
-    with pytest.raises(ValueError, match="cycle_id must be non-negative"):
-        validate_snapshot(P3, {(0, 1): 0.01, (1, 2): 0.02}, {0: 0.0, 1: 0.5, 2: 1.0}, -1)
 
 
 def test_avg_cnot_error():

@@ -583,6 +583,8 @@ REJECTED = {
                         "--out", "r"],
     "greedy-no-region": ["simulate", "--config", "two_greedy.json", "--out", "r"],
     "comdap-disconnected": ["simulate", "--config", "two_comdap.json", "--out", "r"],
+    # every rate 1 on one edge: the whole-device CRI term is exactly 0
+    "comdap-cri-term-zero": ["simulate", "--config", "cri_zero.json", "--out", "r"],
     "gen-workload-huge-density": ["gen-workload", "--count", "1", "--density=1e300",
                                   "--seed", "1", "--out", "d"],
     "gen-workload-count-0": ["gen-workload", "--count", "0", "--seed", "1", "--out", "d"],
@@ -615,6 +617,9 @@ def test_invalid_values_exit_2_without_traceback(argv, tmp_path, monkeypatch, ca
         workload = {"count": 3, "size_min": size, "size_max": size, "seed": 1}
         write_config(tmp_path, f"two_{allocator}.json", topology=TWO_PATHS,
                      allocator=allocator, attack="none", workload=workload)
+    write_config(tmp_path, "cri_zero.json", topology={"qubits": 2, "edges": [[0, 1]]},
+                 errors={"uniform": {"cnot": 1.0, "readout": 1.0}}, allocator="comdap",
+                 attack="none", workload={"count": 2, "size_min": 2, "size_max": 2, "seed": 1})
     (tmp_path / "taken").write_text("")
     (tmp_path / "dir").mkdir()
     assert main(argv) == 2

@@ -1,7 +1,9 @@
-"""Each script in demos/ runs in its own process and prints its pinned output."""
+"""Each script in demos/ runs in its own process and prints its pinned output,
+and README's library snippets run."""
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +37,13 @@ def test_demo_prints_its_pinned_output(name, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_DIGESTS[name]
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    # in order and in one namespace, as a reader pastes them, each block using the last's names
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

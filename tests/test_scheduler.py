@@ -23,22 +23,22 @@ def chain_job(jid, size):
     return Job(jid, LogicalCircuit(size, tuple(gates), size))
 
 
-def test_single_full_size_job(hanoi, flat_snap):
-    report = run_queue([chain_job("whole", 27)], hanoi, flat_snap, flat_snap, "greedy")
+def test_single_full_size_job(flat_snap):
+    report = run_queue([chain_job("whole", 27)], flat_snap, flat_snap, "greedy")
     assert report["total_rounds"] == 1
     assert report["rounds"][0]["utilization"] == 1.0
 
 
-def test_two_half_size_jobs_pigeonhole(hanoi, flat_snap):
+def test_two_half_size_jobs_pigeonhole(flat_snap):
     jobs = [chain_job("a", 14), chain_job("b", 14)]
-    report = run_queue(jobs, hanoi, flat_snap, flat_snap, "greedy")
+    report = run_queue(jobs, flat_snap, flat_snap, "greedy")
     assert report["total_rounds"] == 2
 
 
-def test_skip_ahead_packs_later_jobs(hanoi, flat_snap):
+def test_skip_ahead_packs_later_jobs(flat_snap):
     # 15 + 13 can't share the round, but the 6 behind them fits the leftover
     jobs = [chain_job("big", 15), chain_job("mid", 13), chain_job("small", 6)]
-    report = run_queue(jobs, hanoi, flat_snap, flat_snap, "greedy")
+    report = run_queue(jobs, flat_snap, flat_snap, "greedy")
     first = report["rounds"][0]
     placed_ids = [p["job"] for p in first["placed"]]
     assert "big" in placed_ids and "small" in placed_ids
@@ -46,11 +46,11 @@ def test_skip_ahead_packs_later_jobs(hanoi, flat_snap):
     assert report["total_rounds"] == 2
 
 
-def test_rounds_lower_bound_and_conservation(hanoi, flat_snap):
+def test_rounds_lower_bound_and_conservation(flat_snap):
     for seed in (1, 5, 9):
         jobs = gen_workload(40, 2, 10, 2.0, seed)
         for allocator in ("greedy", "comdap"):
-            report = run_queue(jobs, hanoi, flat_snap, flat_snap, allocator)
+            report = run_queue(jobs, flat_snap, flat_snap, allocator)
             placed = [p["job"] for r in report["rounds"] for p in r["placed"]]
             assert sorted(placed) == sorted(j.id for j in jobs)
             assert len(placed) == len(set(placed))
@@ -58,9 +58,9 @@ def test_rounds_lower_bound_and_conservation(hanoi, flat_snap):
             assert report["total_rounds"] >= math.ceil(total / 27)
 
 
-def test_round_disjointness_and_utilization(hanoi, flat_snap):
+def test_round_disjointness_and_utilization(flat_snap):
     jobs = gen_workload(25, 2, 10, 2.0, 3)
-    report = run_queue(jobs, hanoi, flat_snap, flat_snap, "comdap")
+    report = run_queue(jobs, flat_snap, flat_snap, "comdap")
     for r in report["rounds"]:
         seen = set()
         for p in r["placed"]:
@@ -71,9 +71,9 @@ def test_round_disjointness_and_utilization(hanoi, flat_snap):
         assert r["utilization"] <= 1.0
 
 
-def test_jobs_metrics_present(hanoi, flat_snap):
+def test_jobs_metrics_present(flat_snap):
     jobs = gen_workload(10, 2, 6, 2.0, 8)
-    report = run_queue(jobs, hanoi, flat_snap, flat_snap, "greedy")
+    report = run_queue(jobs, flat_snap, flat_snap, "greedy")
     assert len(report["jobs"]) == 10
     for m in report["jobs"]:
         assert m["depth"] >= 1
@@ -81,40 +81,51 @@ def test_jobs_metrics_present(hanoi, flat_snap):
         assert 0.0 <= m["pst"] <= 1.0
 
 
-def test_monotone_workload(hanoi, flat_snap):
+def test_monotone_workload(flat_snap):
     base = gen_workload(12, 2, 10, 2.0, 4)
     more = base + gen_workload(6, 2, 10, 2.0, 90)
-    r1 = run_queue(base, hanoi, flat_snap, flat_snap, "greedy")
-    r2 = run_queue(more, hanoi, flat_snap, flat_snap, "greedy")
+    r1 = run_queue(base, flat_snap, flat_snap, "greedy")
+    r2 = run_queue(more, flat_snap, flat_snap, "greedy")
     assert r2["total_rounds"] >= r1["total_rounds"]
 
 
-def test_oversized_job_rejected(hanoi, flat_snap):
+def test_oversized_job_rejected(flat_snap):
     with pytest.raises(ValueError):
-        run_queue([chain_job("big", 28)], hanoi, flat_snap, flat_snap, "greedy")
+        run_queue([chain_job("big", 28)], flat_snap, flat_snap, "greedy")
 
 
-def test_baseline_sanity_regression(hanoi, flat_snap):
+def test_snapshots_of_different_graphs_rejected(flat_snap):
+    # a 27-qubit line: same qubit count as hanoi27, other edges
+    line = CouplingGraph(27, frozenset((q, q + 1) for q in range(26)))
+    line_snap = uniform_snapshot(line, 0.02, 0.02)
+    message = "^the true and reported snapshots are of different graphs$"
+    for snap_true, snap_reported in ((flat_snap, line_snap), (line_snap, flat_snap)):
+        for allocator in ("greedy", "comdap"):
+            with pytest.raises(ValueError, match=message):
+                run_queue([chain_job("pair", 2)], snap_true, snap_reported, allocator)
+
+
+def test_baseline_sanity_regression(flat_snap):
     """Honest reporting completes the 40-job preset with decent utilization."""
     for allocator in ("greedy", "comdap"):
         jobs = gen_workload(40, 2, 10, 2.0, 7)
-        report = run_queue(jobs, hanoi, flat_snap, flat_snap, allocator)
+        report = run_queue(jobs, flat_snap, flat_snap, allocator)
         assert report["mean_utilization"] > 0.5
     # regression pins for seed 7
-    g = run_queue(gen_workload(40, 2, 10, 2.0, 7), hanoi, flat_snap, flat_snap, "greedy")
-    c = run_queue(gen_workload(40, 2, 10, 2.0, 7), hanoi, flat_snap, flat_snap, "comdap")
+    g = run_queue(gen_workload(40, 2, 10, 2.0, 7), flat_snap, flat_snap, "greedy")
+    c = run_queue(gen_workload(40, 2, 10, 2.0, 7), flat_snap, flat_snap, "comdap")
     assert g["total_rounds"] == 12
     assert c["total_rounds"] == 11
 
 
-def test_empty_queue(hanoi, flat_snap):
-    report = run_queue([], hanoi, flat_snap, flat_snap, "greedy")
+def test_empty_queue(flat_snap):
+    report = run_queue([], flat_snap, flat_snap, "greedy")
     assert report["total_rounds"] == 0
     assert report["mean_utilization"] == 0.0
 
 
-def test_report_keys_and_whole_number_means_stay_json_integers(hanoi, flat_snap):
-    report = run_queue([chain_job("pair", 2)], hanoi, flat_snap, flat_snap, "greedy")
+def test_report_keys_and_whole_number_means_stay_json_integers(flat_snap):
+    report = run_queue([chain_job("pair", 2)], flat_snap, flat_snap, "greedy")
     assert list(report) == ["allocator", *AGGREGATES, "rounds", "jobs"]
     assert [list(r) for r in report["rounds"]] == [["round", "placed", "active_qubits", "utilization"]]
     assert list(report["rounds"][0]["placed"][0]) == ["job", "members", "score"]
@@ -376,7 +387,7 @@ def queue_case(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(queue_case())
 def test_allocator_sees_each_distinct_request_once_per_run(case):
-    g, snap, jobs = case
+    _, snap, jobs = case
     for name in ("greedy", "comdap"):
         real = allocation.ALLOCATORS[name]
         calls = []
@@ -390,7 +401,7 @@ def test_allocator_sees_each_distinct_request_once_per_run(case):
         try:
             for _ in range(2):
                 del calls[:]
-                report = run_queue(jobs, g, snap, snap, name)
+                report = run_queue(jobs, snap, snap, name)
                 requests = [req for _, req in calls]
                 assert len(requests) == len(set(requests))
                 contexts.append(calls[0][0])

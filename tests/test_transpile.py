@@ -42,6 +42,11 @@ MALFORMED_OPS = {
     "control-is-target": (Op("cnot", (1, 1)), "two-qubit gate with control == target == 1"),
     "qubit-out-of-range": (Op("1q", (2,), "h"), "logical qubit 2 out of range for 2 qubits"),
     "clbit-out-of-range": (Op("measure", (0,), clbit=1), "clbit 1 out of range"),
+    # one-qubit ops that circuit_to_qasm would write as text parse_qasm_subset rejects
+    "1q-no-name": (Op("1q", (0,)), "not a one-qubit gate: None with angle None"),
+    "1q-unknown-name": (Op("1q", (0,), "u", 0.5), "not a one-qubit gate: 'u' with angle 0.5"),
+    "1q-angled-h": (Op("1q", (0,), "h", 0.5), "not a one-qubit gate: 'h' with angle 0.5"),
+    "1q-rx-no-angle": (Op("1q", (0,), "rx"), "not a one-qubit gate: 'rx' with angle None"),
 }
 
 
@@ -200,10 +205,10 @@ def test_qasm_round_trip_holds_for_any_circuit(c):
 def test_initial_layout_trivial_and_busiest():
     s = uniform_snapshot(P3, 0.02, 0.01)
     one = parse_qasm_subset("qreg q[1];")
-    assert initial_layout(one, (2,), ScoringContext(P3, s)) == {0: 2}
+    assert initial_layout(one, (2,), ScoringContext(s)) == {0: 2}
     # logical 0 participates in both cnots; physical 1 has the highest CFM
     c = parse_qasm_subset("qreg q[2]; cx q[0],q[1]; cx q[0],q[1];")
-    lay = initial_layout(c, (0, 1), ScoringContext(P3, s))
+    lay = initial_layout(c, (0, 1), ScoringContext(s))
     assert lay[0] == 1
     assert sorted(lay.values()) == [0, 1]
 
@@ -212,11 +217,11 @@ def test_initial_layout_bijection_and_mismatch():
     g = hanoi27()
     s = uniform_snapshot(g, 0.02, 0.02)
     c = parse_qasm_subset("qreg q[4]; cx q[0],q[1]; cx q[2],q[3];")
-    lay = initial_layout(c, (1, 2, 3, 4), ScoringContext(g, s))
+    lay = initial_layout(c, (1, 2, 3, 4), ScoringContext(s))
     assert sorted(lay.keys()) == [0, 1, 2, 3]
     assert sorted(lay.values()) == [1, 2, 3, 4]
     with pytest.raises(ValueError):
-        initial_layout(c, (1, 2, 3), ScoringContext(g, s))
+        initial_layout(c, (1, 2, 3), ScoringContext(s))
 
 
 def test_route_adjacent_pair():
@@ -292,7 +297,7 @@ def test_route_stays_on_edges_and_preserves_interactions():
         for q in range(size):
             gates.append(Op("measure", (q,), clbit=q))
         c = LogicalCircuit(size, tuple(gates), size)
-        lay = initial_layout(c, tuple(members), ScoringContext(g, s))
+        lay = initial_layout(c, tuple(members), ScoringContext(s))
         r = route(c, lay, tuple(members), g)
         for op in oracles.expand_swaps(r.physical_ops):
             if op.kind == "cnot":
@@ -318,7 +323,7 @@ def test_depth_lower_bound():
     c = parse_qasm_subset(
         "qreg q[3]; cx q[0],q[1]; cx q[0],q[2]; cx q[0],q[1]; cx q[1],q[2];"
     )
-    lay = initial_layout(c, (11, 14, 16), ScoringContext(g, s))
+    lay = initial_layout(c, (11, 14, 16), ScoringContext(s))
     r = route(c, lay, (11, 14, 16), g)
     per_qubit = {}
     for op in oracles.expand_swaps(r.physical_ops):
