@@ -134,7 +134,7 @@ def louvain(
     # weights between super-node indices i <= j; i == j is a self-loop
     w: dict[tuple[int, int], float] = {
         (idx[u], idx[v]): fidelity_weight(rate)
-        for (u, v), rate in zip(g.edge_list, snap_reported.rates()[0])
+        for (u, v), rate in zip(g.edge_list, snap_reported.rates[0])
         if u in idx and v in idx
     }
 
@@ -217,15 +217,16 @@ def cri(snap_reported: CalibrationSeries, s: Sequence[int]) -> float:
     1 - (E_p + R_p), with E_p = 0 when the subset has no internal edges.
     Denominator: the same expression over the full device, the snapshot's
     graph. The whole device therefore scores exactly 1; a subset beating the
-    device average scores above 1. A device whose term is 0 has no CRI.
+    device average scores above 1. A device whose term is not positive has no
+    CRI: a negative term would invert every ranking.
     """
-    g, rates = snap_reported.graph, snap_reported.rates()
+    g, rates = snap_reported.graph, snap_reported.rates
     num = _cri_term(g, rates, subset_members(s))
     return num / _device_cri_term(g, rates)
 
 
 def _cri_term(
-    g: CouplingGraph, rates: tuple[list[float], list[float]], members: tuple[int, ...]
+    g: CouplingGraph, rates: tuple[Sequence[float], Sequence[float]], members: tuple[int, ...]
 ) -> float:
     cnot, readout = rates
     mset = set(members)
@@ -235,10 +236,10 @@ def _cri_term(
     return density(g, members) / compactness(g, members) + (1.0 - (e_p + r_p))
 
 
-def _device_cri_term(g: CouplingGraph, rates: tuple[list[float], list[float]]) -> float:
+def _device_cri_term(g: CouplingGraph, rates: tuple[Sequence[float], Sequence[float]]) -> float:
     den = _cri_term(g, rates, tuple(range(g.qubit_count)))
-    if den == 0.0:
-        raise ValueError("the whole-device CRI term is 0; CRI undefined")
+    if den <= 0.0:
+        raise ValueError(f"the whole-device CRI term is {den!r}, not positive; CRI undefined")
     return den
 
 
@@ -250,15 +251,11 @@ class ScoringContext:
     computed once, on first use, and equal what cfm and cri return bit for
     bit, or raise what they raise. Computing on first use keeps errors at
     first use: a context on a disconnected device, or on one whose CRI term
-    is 0, raises at its first CRI, and one on a device with an isolated
-    qubit at its first CFM.
+    is not positive, raises at its first CRI, and one on a device with an
+    isolated qubit at its first CFM.
     """
 
     snapshot: CalibrationSeries
-
-    @cached_property
-    def _rates(self) -> tuple[list[float], list[float]]:
-        return self.snapshot.rates()
 
     @cached_property
     def _cfm(self) -> dict[int, float]:
@@ -266,7 +263,7 @@ class ScoringContext:
 
     @cached_property
     def _device_term(self) -> float:
-        return _device_cri_term(self.snapshot.graph, self._rates)
+        return _device_cri_term(self.snapshot.graph, self.snapshot.rates)
 
     def cfm(self, q: int) -> float:
         """cfm(snapshot, q)."""
@@ -276,7 +273,7 @@ class ScoringContext:
 
     def cri(self, s: Sequence[int]) -> float:
         """cri(snapshot, s)."""
-        num = _cri_term(self.snapshot.graph, self._rates, subset_members(s))
+        num = _cri_term(self.snapshot.graph, self.snapshot.rates, subset_members(s))
         return num / self._device_term
 
 
@@ -315,8 +312,8 @@ def comdap_allocate(ctx: ScoringContext, req: AllocationRequest) -> Partition | 
 
     Size-1 requests return the highest-CFM available qubit. Every CRI is
     relative to the whole device, so on a disconnected device, or one whose
-    CRI term is 0, any request of at most len(available) qubits raises
-    ValueError.
+    CRI term is not positive, any request of at most len(available) qubits
+    raises ValueError.
     """
     g = ctx.snapshot.graph
     avail = req.available

@@ -10,8 +10,8 @@ scoring side of the simulator always reads the true side.
 A series stores its rates as read-only arrays, one row per cycle, with the
 CNOT columns in the graph's edge_list order (CouplingGraph.edge_column), and
 caches the one cycles x qubits matrix of mean incident CNOT error that every
-per-qubit statistic reads. Anything that derives a new snapshot or series
-builds new arrays.
+per-qubit statistic reads, and a snapshot's rates as tuples that scoring
+reads. Anything that derives a new snapshot or series builds new arrays.
 """
 
 from __future__ import annotations
@@ -78,14 +78,15 @@ class CalibrationSeries:
         """The snapshot of one row, 0 <= row < len(self): the series of its cycle alone."""
         return self.rows(slice(row, row + 1))
 
-    def rates(self) -> tuple[list[float], list[float]]:
-        """The first row's rates, a snapshot's, as Python floats: CNOT by edge
-        column, readout by qubit."""
-        return self.cnot_error[0].tolist(), self.readout_error[0].tolist()
-
     def cycle_slice(self, lo: int, hi: int) -> slice:
         """The rows whose cycle ids satisfy lo <= cycle_id < hi, as a slice."""
         return slice(bisect_left(self.cycle_ids, lo), bisect_left(self.cycle_ids, hi))
+
+    @cached_property
+    def rates(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The first row's rates, a snapshot's, as tuples of Python floats:
+        CNOT by edge column, readout by qubit."""
+        return tuple(self.cnot_error[0].tolist()), tuple(self.readout_error[0].tolist())
 
     @cached_property
     def mean_cnot_error(self) -> np.ndarray:

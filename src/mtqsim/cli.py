@@ -20,7 +20,6 @@ import argparse
 import contextlib
 import sys
 from pathlib import Path
-from typing import Sequence
 
 from .adversary import H1, heuristic1_sigma_ranking, heuristic2_selection
 from .calibration import load_calibration_csv
@@ -36,7 +35,7 @@ from .errors import ConfigError, DataError
 from .experiment import (
     BUILTIN_TOPOLOGIES,
     DEFAULT_GATE_DENSITY,
-    attack_plan,
+    Run,
     dump_json,
     jobs_csv,
     load_config_file,
@@ -138,11 +137,13 @@ def topology_entry(flag: str) -> str | dict:
     return {"file": str(Path(flag).absolute())}
 
 
-def resolve_run(args: argparse.Namespace, seeds: Sequence[int] = ()) -> tuple[dict, Path]:
-    """The --config file with its flag overrides applied, resolved, and the
-    output directory. The directory is created once the config, --seed and
-    every one of seeds check out, so that an unwritable one fails before any
-    run and a rejected run leaves none behind."""
+def resolve_run(args: argparse.Namespace, seeds: list[int]) -> tuple[list[Run], Path]:
+    """The runs of the --config file with its flag overrides applied, one per
+    seed, or the config's own run when seeds is empty, and the output
+    directory. Each seed is checked once, as its run is made. The directory
+    is created once the config and every seed check out, so that an
+    unwritable one fails before any run and a rejected run leaves none
+    behind."""
     raw = load_config_file(args.config)
     if getattr(args, "topology", None):
         raw["topology"] = topology_entry(args.topology)
@@ -150,11 +151,8 @@ def resolve_run(args: argparse.Namespace, seeds: Sequence[int] = ()) -> tuple[di
         raw["allocator"] = args.allocator
     if args.attack:
         raw["attack"] = parse_attack_spec(args.attack)
-    config = resolve_config(raw, Path(args.config).parent)
-    if getattr(args, "seed", None) is not None:
-        config = with_seed(config, args.seed)
-    for seed in seeds:
-        with_seed(config, seed)
+    run = resolve_config(raw, Path(args.config).parent)
+    runs = [with_seed(run, seed) for seed in seeds] or [run]
     out = raw.get("out", "reports")
     if not isinstance(out, str):
         raise ConfigError(f"out must be a directory path string, got {out!r}")
@@ -163,12 +161,12 @@ def resolve_run(args: argparse.Namespace, seeds: Sequence[int] = ()) -> tuple[di
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot write {out_dir}: {exc}") from None
-    return config, out_dir
+    return runs, out_dir
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config, out_dir = resolve_run(args)
-    docs = run_simulate(config)
+    (run,), out_dir = resolve_run(args, [] if args.seed is None else [args.seed])
+    docs = run_simulate(run)
     for name, doc in docs.items():
         write_text_atomic(out_dir / f"{name}.json", dump_json(doc))
     for leg in ("baseline", "attacked"):
@@ -189,7 +187,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_attack_plan(args: argparse.Namespace) -> int:
     g = resolve_topology(topology_entry(args.topology), Path("."))
-    plan = attack_plan(resolve_attack(parse_attack_spec(args.attack), g), g)
+    _, plan = resolve_attack(parse_attack_spec(args.attack), g)
     if plan is None:
         raise ConfigError("attack-plan needs an H1 or H2 attack spec")
     n = len(plan.targets)
@@ -271,9 +269,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    seeds = parse_seed_list(args.seeds)
-    config, out_dir = resolve_run(args, seeds)
-    rows = run_sweep(config, seeds)
+    runs, out_dir = resolve_run(args, parse_seed_list(args.seeds))
+    rows = run_sweep(runs)
     write_text_atomic(out_dir / "sweep.csv", sweep_csv(rows))
     *per_seed, mean, _std = rows
     print(

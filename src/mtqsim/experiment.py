@@ -3,16 +3,16 @@
 A configuration names a topology, a base error model, an allocator, an
 attack, and a workload. resolve_config checks every value (config_number
 checks every number) and every field (check_fields rejects any field an
-object's form does not take), and returns the very dict that reports embed,
-with each file reference turned into inline content: the topology {"qubits",
-"edges"}, the errors' "cnot"/"readout" maps, the attack {"kind": "none"},
-{"kind": "H1", n, k} or {"kind": "H2", "ks": [...]}, and the workload
-{"kind": "generator", count, size_min, size_max, gate_density, seed} or
-{"kind": "qasm", "circuits": [{"id", "qasm"}, ...]}. run_simulate reads
-nothing else, so re-running from an embedded config reproduces the report
-byte for byte. The baseline leg always embeds attack "none", which makes
-baseline reports byte-identical across attack variants sharing a workload
-and topology.
+object's form does not take), and returns a Run: the true snapshot and the
+attack plan it built, and the config, the very dict that reports embed,
+with each file reference turned into inline content: the topology
+{"qubits", "edges"}, the errors' "cnot"/"readout" maps, the attack {"kind":
+"none"}, {"kind": "H1", n, k} or {"kind": "H2", "ks": [...]}, and the
+workload {"kind": "generator", count, size_min, size_max, gate_density,
+seed} or {"kind": "qasm", "circuits": [{"id", "qasm"}, ...]}. A replay,
+run_simulate(resolve_config(config)), reproduces the report byte for byte.
+The baseline leg always embeds attack "none", which makes baseline reports
+byte-identical across attack variants sharing a workload and topology.
 
 run_simulate returns the three documents simulate writes, by file stem:
 "baseline" and "attacked", each {"config", "report"} with the report that
@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -192,19 +193,11 @@ def _inline_rates(rates: dict, kind: str) -> dict:
     return out
 
 
-def attack_plan(attack: dict, g: CouplingGraph) -> MisreportPlan | None:
-    """The misreport plan of a resolved attack on g; None for no attack."""
-    if attack["kind"] == "H1":
-        return h1_plan(g, attack["n"], attack["k"])
-    if attack["kind"] == "H2":
-        return h2_plan(g, attack["ks"])
-    return None
-
-
-def resolve_attack(spec: Any, g: CouplingGraph) -> dict:
-    """The attack as reports embed it, checked by building its plan on g."""
+def resolve_attack(spec: Any, g: CouplingGraph) -> tuple[dict, MisreportPlan | None]:
+    """The attack as reports embed it and its misreport plan on g, None for no
+    attack; building the plan checks the attack against g."""
     if spec in (None, "none", {"kind": "none"}):
-        return {"kind": "none"}
+        return {"kind": "none"}, None
     if not isinstance(spec, dict) or spec.get("kind") not in ("H1", "H2"):
         raise ConfigError(f"attack must be 'none' or an object of kind 'H1' or 'H2': {spec!r}")
     kind, fields = spec["kind"], sorted(set(spec) - {"kind"})
@@ -218,10 +211,10 @@ def resolve_attack(spec: Any, g: CouplingGraph) -> dict:
     else:
         raise ConfigError(f"H2 attack ks must be a list, got {spec['ks']!r}")
     try:
-        attack_plan(attack, g)
+        plan = h1_plan(g, attack["n"], attack["k"]) if kind == "H1" else h2_plan(g, attack["ks"])
     except ValueError as exc:
         raise ConfigError(f"invalid {kind} attack: {exc}") from None
-    return attack
+    return attack, plan
 
 
 def resolve_workload(spec: Any, base_dir: Path) -> dict:
@@ -279,13 +272,24 @@ def resolve_workload(spec: Any, base_dir: Path) -> dict:
     return workload
 
 
-def with_seed(config: dict, seed: int) -> dict:
-    """A resolved config with its generator workload drawn from another seed."""
-    if config["workload"]["kind"] != "generator":
+@dataclass(frozen=True)
+class Run:
+    """A resolved config and what resolving it checked and built: the true
+    snapshot, which carries the graph, and the attack's misreport plan, None
+    for no attack. Only resolve_config and with_seed make one."""
+
+    config: dict
+    snapshot: CalibrationSeries
+    plan: MisreportPlan | None
+
+
+def with_seed(run: Run, seed: int) -> Run:
+    """The run with its generator workload drawn from another seed."""
+    if run.config["workload"]["kind"] != "generator":
         raise ConfigError("seed overrides require a generator workload")
-    workload = {**config["workload"], "seed": config_number(seed, "seed", int)}
+    workload = {**run.config["workload"], "seed": config_number(seed, "seed", int)}
     check_generator(*(workload[f] for f in GENERATOR_FIELDS))
-    return {**config, "workload": workload}
+    return replace(run, config={**run.config, "workload": workload})
 
 
 def build_jobs(config: dict) -> list[Job]:
@@ -296,9 +300,10 @@ def build_jobs(config: dict) -> list[Job]:
     return gen_workload(*(w[f] for f in GENERATOR_FIELDS))
 
 
-def resolve_config(raw: Any, base_dir: str | Path = ".") -> dict:
-    """Validate a raw config tree and resolve it to the dict reports embed,
-    with every reference turned into inline content."""
+def resolve_config(raw: Any, base_dir: str | Path = ".") -> Run:
+    """Validate a raw config tree and resolve it to a Run: the dict reports
+    embed, with every reference turned into inline content, its true
+    snapshot and its attack's plan."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     base_dir = Path(base_dir)
@@ -308,14 +313,15 @@ def resolve_config(raw: Any, base_dir: str | Path = ".") -> dict:
             raise ConfigError(f"config missing required field {required!r}")
     g = resolve_topology(raw["topology"], base_dir)
     snapshot = resolve_errors(raw["errors"], g, base_dir)
-    cnot, readout = snapshot.rates()
+    cnot, readout = snapshot.rates
     allocator = raw.get("allocator", "greedy")
     if not isinstance(allocator, str):
         raise ConfigError(f"allocator must be a name, got {allocator!r}")
     get_allocator(allocator)  # rejects unknown names
-    return {
+    attack, plan = resolve_attack(raw.get("attack", "none"), g)
+    config = {
         "allocator": allocator,
-        "attack": resolve_attack(raw.get("attack", "none"), g),
+        "attack": attack,
         "errors": {
             "cnot": {f"{u}-{v}": val for (u, v), val in zip(g.edge_list, cnot)},
             "readout": {str(q): val for q, val in enumerate(readout)},
@@ -323,6 +329,7 @@ def resolve_config(raw: Any, base_dir: str | Path = ".") -> dict:
         "topology": {"qubits": g.qubit_count, "edges": [[u, v] for u, v in g.edge_list]},
         "workload": resolve_workload(raw["workload"], base_dir),
     }
+    return Run(config, snapshot, plan)
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -351,20 +358,18 @@ def _pct_change(new: float, old: float) -> float:
     return 100.0 * (new - old) / old if old else 0.0
 
 
-def run_simulate(config: dict) -> dict:
+def run_simulate(run: Run) -> dict:
     """Run the identical workload twice, honest reports then attacked reports,
     and return the three documents simulate writes, by file stem: "baseline"
     and "attacked", each {"config", "report"}, and "summary".
 
-    The graph, true snapshot, jobs and plan are built from resolve_config's
-    dict alone, as a replay builds them. The true snapshot is shared; only the
-    reported snapshot differs between legs, so every metric delta is
-    attributable to the misreport.
+    The run's true snapshot and plan are used as resolve_config built them;
+    only the jobs are built here, from the config's workload. The true
+    snapshot is shared; only the reported snapshot differs between legs, so
+    every metric delta is attributable to the misreport.
     """
-    g = resolve_topology(config["topology"], Path())
-    snap_true = resolve_errors(config["errors"], g, Path())
+    config, snap_true, plan = run.config, run.snapshot, run.plan
     jobs = build_jobs(config)
-    plan = attack_plan(config["attack"], g)
     snap_attacked = apply_misreport(snap_true, plan)
     baseline = run_queue(jobs, snap_true, snap_true, config["allocator"])
     attacked = run_queue(jobs, snap_true, snap_attacked, config["allocator"])
@@ -424,18 +429,14 @@ SWEEP_COLUMNS = {
 }
 
 
-def run_sweep(config: dict, seeds: list[int]) -> list[dict]:
-    """sweep.csv's rows by column: one baseline-vs-attack row per seed, then
-    the "mean" and "std" rows over them."""
-    if not seeds:
-        raise ConfigError("sweep needs at least one seed")
-    configs = [with_seed(config, seed) for seed in seeds]  # check every seed before any run
+def run_sweep(runs: list[Run]) -> list[dict]:
+    """sweep.csv's rows by column: one baseline-vs-attack row per run, by its
+    workload seed, then the "mean" and "std" rows over them."""
     rows: list[dict] = []
-    for seed, seeded in zip(seeds, configs):
-        summary = run_simulate(seeded)["summary"]
-        rows.append(
-            {"seed": seed, **{c: summary[sec][key] for c, (sec, key) in SWEEP_COLUMNS.items()}}
-        )
+    for run in runs:
+        summary = run_simulate(run)["summary"]
+        row = {c: summary[sec][key] for c, (sec, key) in SWEEP_COLUMNS.items()}
+        rows.append({"seed": run.config["workload"]["seed"], **row})
     return rows + [
         {"seed": label, **{c: float(fn([row[c] for row in rows])) for c in SWEEP_COLUMNS}}
         for label, fn in (("mean", np.mean), ("std", np.std))

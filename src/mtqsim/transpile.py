@@ -342,7 +342,7 @@ def score(
     when snap_true is None.
     """
     if snap_true is not None:
-        (cnot, readout), column = snap_true.rates(), snap_true.graph.edge_column
+        (cnot, readout), column = snap_true.rates, snap_true.graph.edge_column
     ready = dict.fromkeys(r.partition, 0)
     total = cnots = 0
     p = 1.0

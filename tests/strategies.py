@@ -31,6 +31,20 @@ def graph_and_snapshot(draw, graphs=connected_graph()):
 
 
 @st.composite
+def graph_and_sign_boundary_snapshot(draw):
+    """A random connected graph of 2-8 qubits and a snapshot whose rates come
+    from a pool of 1-3 values, each 0, 0.5, 1 or any rate, so that the
+    whole-device CRI term is often exactly 0 or negative."""
+    g = draw(connected_graph())
+    pool = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    rate = st.sampled_from(draw(st.lists(pool, min_size=1, max_size=3, unique=True)))
+    snap = validate_snapshot(
+        g, {e: draw(rate) for e in g.edge_list}, {q: draw(rate) for q in range(g.qubit_count)}
+    )
+    return g, snap
+
+
+@st.composite
 def graph_and_series(draw):
     """A random connected graph and a series of 1-6 cycles, ids in 0..20, over it.
 

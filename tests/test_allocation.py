@@ -12,6 +12,7 @@ from strategies import (
     disconnected_graph,
     graph_and_series,
     graph_and_snapshot,
+    graph_and_sign_boundary_snapshot,
 )
 from mtqsim.allocation import (
     AllocationRequest,
@@ -362,7 +363,7 @@ PROPERTY_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, d
 
 
 @PROPERTY_SETTINGS
-@given(graph_and_snapshot())
+@given(graph_and_sign_boundary_snapshot())
 def test_context_scores_equal_free_functions(case):
     g, snap = case
 
@@ -388,10 +389,27 @@ def test_a_zero_device_term_leaves_cri_undefined():
     snap = uniform_snapshot(g, 1.0, 1.0)
     ctx = ScoringContext(snap)
     for score in (ctx.cri, lambda s: cri(snap, s)):
-        with pytest.raises(ValueError, match="^the whole-device CRI term is 0; CRI undefined$"):
+        with pytest.raises(
+            ValueError, match=r"^the whole-device CRI term is 0\.0, not positive; CRI undefined$"
+        ):
             score((0, 1))
     with pytest.raises(ValueError, match="CRI undefined"):
         comdap_allocate(ctx, AllocationRequest(2, (0, 1)))
+
+
+def test_a_negative_device_term_leaves_cri_undefined():
+    # a 4-qubit path whose mean error exceeds 1 + D/C: every CRI would flip sign,
+    # so the pair with the lowest errors would score the worst
+    g = CouplingGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+    snap = validate_snapshot(
+        g, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 0.5}, {0: 1.0, 1: 1.0, 2: 0.5, 3: 0.5}
+    )
+    ctx = ScoringContext(snap)
+    for score in (ctx.cri, lambda s: cri(snap, s)):
+        with pytest.raises(ValueError, match=r"^the whole-device CRI term is -0\.0833"):
+            score((2, 3))
+    with pytest.raises(ValueError, match="not positive; CRI undefined"):
+        comdap_allocate(ctx, AllocationRequest(2, (0, 1, 2, 3)))
 
 
 @PROPERTY_SETTINGS
@@ -432,9 +450,9 @@ def test_scores_match_the_oracles(case, data):
     ctx = ScoringContext(snap)
     for q in range(g.qubit_count):
         assert ctx.cfm(q) == pytest.approx(oracles.cfm(cnot, readout, q), abs=1e-12)
-    # a device term near 0 turns rounding into large quotient errors (and 0 into an
-    # error in both), so such rows are skipped
-    assume(abs(oracles.cri_term(cnot, readout, range(g.qubit_count))) > 0.01)
+    # a device term near 0 turns rounding into large quotient errors, and one of 0
+    # or below leaves CRI undefined (tested apart), so such rows are skipped
+    assume(oracles.cri_term(cnot, readout, range(g.qubit_count)) > 0.01)
     members = data.draw(connected_partition(g))
     want = oracles.cri(cnot, readout, members)
     assert ctx.cri(members) == pytest.approx(want, rel=1e-12, abs=1e-12)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtqsim import cli, defense, experiment
+from mtqsim import calibration, cli, defense, experiment
 from mtqsim.adversary import apply_misreport, h1_plan
 from mtqsim.calibration import (
     CalibrationSeries,
@@ -585,6 +585,8 @@ REJECTED = {
     "comdap-disconnected": ["simulate", "--config", "two_comdap.json", "--out", "r"],
     # every rate 1 on one edge: the whole-device CRI term is exactly 0
     "comdap-cri-term-zero": ["simulate", "--config", "cri_zero.json", "--out", "r"],
+    # a 4-qubit path whose mean error exceeds 1 + D/C: the term is negative
+    "comdap-cri-term-negative": ["simulate", "--config", "cri_negative.json", "--out", "r"],
     "gen-workload-huge-density": ["gen-workload", "--count", "1", "--density=1e300",
                                   "--seed", "1", "--out", "d"],
     "gen-workload-count-0": ["gen-workload", "--count", "0", "--seed", "1", "--out", "d"],
@@ -620,6 +622,12 @@ def test_invalid_values_exit_2_without_traceback(argv, tmp_path, monkeypatch, ca
     write_config(tmp_path, "cri_zero.json", topology={"qubits": 2, "edges": [[0, 1]]},
                  errors={"uniform": {"cnot": 1.0, "readout": 1.0}}, allocator="comdap",
                  attack="none", workload={"count": 2, "size_min": 2, "size_max": 2, "seed": 1})
+    write_config(tmp_path, "cri_negative.json",
+                 topology={"qubits": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+                 errors={"cnot": {"0-1": 1.0, "1-2": 1.0, "2-3": 0.5},
+                         "readout": {"0": 1.0, "1": 1.0, "2": 0.5, "3": 0.5}},
+                 allocator="comdap", attack="none",
+                 workload={"count": 2, "size_min": 2, "size_max": 2, "seed": 1})
     (tmp_path / "taken").write_text("")
     (tmp_path / "dir").mkdir()
     assert main(argv) == 2
@@ -787,6 +795,45 @@ def test_a_rejected_seed_list_leaves_no_output_directory(seeds, tmp_path, capsys
     assert capsys.readouterr().err.startswith("config error:")
     assert run_calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["simulate", "--seed", "3"], ["sweep", "--seeds", "1..2"]], ids=["simulate", "sweep"]
+)
+def test_a_seed_override_needs_a_generator_workload(command, tmp_path, capsys, run_calls):
+    (tmp_path / "a.qasm").write_text(BELL)
+    cfg = write_config(tmp_path, workload={"qasm_files": ["a.qasm"]})
+    out = tmp_path / "r"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: seed overrides require a generator workload\n"
+    assert run_calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("attack", ["H1:n=3,k=0.15", "H2:k=0.15,0.12,0.10"])
+@pytest.mark.parametrize(
+    "command", [["simulate"], ["sweep", "--seeds", "1..3"]], ids=["simulate", "sweep"]
+)
+def test_a_run_builds_its_snapshot_and_plan_once(command, attack, tmp_path, monkeypatch):
+    """resolve_config builds the true snapshot and the plan, and every seed's
+    run uses them as built."""
+    calls = {"snapshot": 0, "plan": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    validate = counted("snapshot", calibration.validate_snapshot)
+    for module in (calibration, experiment):
+        monkeypatch.setattr(module, "validate_snapshot", validate)
+    for name in ("h1_plan", "h2_plan"):
+        monkeypatch.setattr(experiment, name, counted("plan", getattr(experiment, name)))
+    cfg = write_config(tmp_path)
+    out = tmp_path / "r"
+    assert main([*command, "--config", str(cfg), "--attack", attack, "--out", str(out)]) == 0
+    assert calls == {"snapshot": 1, "plan": 1}
 
 
 # config file text that json.dumps cannot write: a key given twice, at any

@@ -276,8 +276,8 @@ def test_an_attack_set_on_a_resolved_config_replays_from_its_report():
         "errors": {"uniform": {"cnot": 0.02, "readout": 0.02}},
         "workload": {"count": 8, "size_min": 2, "size_max": 6, "seed": 4},
     }
-    config = {**resolve_config(raw), "attack": {"kind": "H1", "n": 2, "k": 0.3}}
-    res = run_simulate(config)
+    config = {**resolve_config(raw).config, "attack": {"kind": "H1", "n": 2, "k": 0.3}}
+    res = run_simulate(resolve_config(config))
     assert [t["qubit"] for t in res["summary"]["attack_targets"]] == [12, 14]
     replay = run_simulate(resolve_config(res["attacked"]["config"]))
     assert dump_json(replay["attacked"]) == dump_json(res["attacked"])
@@ -332,10 +332,15 @@ def raw_config(draw):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(raw_config())
 def test_a_resolved_config_resolves_to_itself(raw):
-    config = resolve_config(raw)
-    assert resolve_config(config) == config
+    run = resolve_config(raw)
+    config = run.config
+    again = resolve_config(config)
+    assert again.config == config
+    # with the same true rates and the same attack plan
+    assert again.snapshot.rates == run.snapshot.rates
+    assert again.plan == run.plan
     # and the copy a report embeds, read back from its JSON, to the same bytes
-    assert dump_json(resolve_config(json.loads(dump_json(config)))) == dump_json(config)
+    assert dump_json(resolve_config(json.loads(dump_json(config))).config) == dump_json(config)
 
 
 @st.composite
