@@ -92,11 +92,22 @@ class CalibrationSeries:
     def mean_cnot_error(self) -> np.ndarray:
         """avg_cnot_error of every cycle (row) and qubit (column), read-only.
 
-        Stored column-major, so one qubit's values are contiguous.
+        Stored column-major, so one qubit's values are contiguous. Gathered in
+        one pass per incident-edge slot: slot k adds every qubit's k-th edge in
+        incident_edges order, or an appended zero column past its degree. Adding
+        0.0 is exact, so each entry equals avg_cnot_error's bit for bit.
         """
-        out = np.empty((len(self), self.graph.qubit_count), order="F")
-        for q in range(self.graph.qubit_count):
-            out[:, q] = avg_cnot_error(self, q)
+        g = self.graph
+        width = len(g.edge_list)
+        columns = [[g.edge_column[e] for e in g.incident_edges(q)] for q in range(g.qubit_count)]
+        degree = [len(c) for c in columns]
+        if 0 in degree:
+            avg_cnot_error(self, degree.index(0))  # raises: an isolated qubit has no mean
+        padded = np.hstack((self.cnot_error, np.zeros((len(self), 1))))
+        out = np.zeros((len(self), g.qubit_count), order="F")
+        for k in range(max(degree)):
+            out += padded[:, [c[k] if k < len(c) else width for c in columns]]
+        out /= degree
         out.setflags(write=False)
         return out
 

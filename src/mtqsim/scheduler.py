@@ -183,6 +183,10 @@ def gen_workload(
     target uniformly. Every qubit is measured at the end. Single-qubit jobs
     carry measurements only. Parameters that break check_generator's rules
     are rejected before anything is drawn.
+
+    A job's gates come from one rng.integers call over the bounds (size,
+    size - 1) repeated per gate, which draws the same values in the same
+    order, and leaves the generator in the same state, as one call per bound.
     """
     check_generator(count, size_min, size_max, gate_density, seed)
     rng = np.random.default_rng(seed)
@@ -192,12 +196,9 @@ def gen_workload(
         gates: list[Op] = []
         if size > 1:
             n_gates = max(1, round(gate_density * size * (size - 1) / 2))
-            for _ in range(n_gates):
-                control = int(rng.integers(size))
-                target = int(rng.integers(size - 1))
-                if target >= control:
-                    target += 1
-                gates.append(Op("cnot", (control, target)))
+            draws = iter(rng.integers(0, np.tile((size, size - 1), n_gates)).tolist())
+            # a target drawn from the size - 1 qubits other than the control
+            gates = [Op("cnot", (c, t + (t >= c))) for c, t in zip(draws, draws)]
         gates.extend(Op("measure", (q,), clbit=q) for q in range(size))
         circuit = LogicalCircuit(qubit_count=size, gates=tuple(gates), clbit_count=size)
         jobs.append(Job(id=f"job{i:03d}", circuit=circuit))

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 from .allocation import ScoringContext
 from .calibration import CalibrationSeries
 from .errors import DataError
-from .topology import CouplingGraph, bfs_tree, tree_path
+from .topology import CouplingGraph, bfs_tree
 
 
 class Op(NamedTuple):
@@ -281,8 +281,10 @@ def route(
     path inside the partition's induced subgraph, one SWAP per hop, until
     adjacency; the CNOT is then emitted. Each SWAP is one "swap" op on its
     hop's pair; equal CNOT and swap ops share one instance (_pair_op). Paths
-    are read from one bfs_tree per source qubit, built on first use. Routing
-    never leaves the partition and never emits a CNOT or SWAP on a non-edge.
+    are read from one bfs_tree per source qubit, built on first use, by
+    walking the target's parents back to the source: the path tree_path
+    gives. Routing never leaves the partition and never emits a CNOT or SWAP
+    on a non-edge.
     """
     allowed = set(members)
     l2p = dict(layout)
@@ -304,11 +306,17 @@ def route(
             pc, pt = l2p[qubits[0]], l2p[qubits[1]]
             if pc not in trees:
                 trees[pc] = bfs_tree(g, allowed, pc)
-            if pt not in trees[pc]:
+            tree = trees[pc]
+            if pt not in tree:
                 raise ValueError(
                     f"partition {sorted(allowed)} is disconnected: no path {pc} -> {pt}"
                 )
-            for step in tree_path(trees[pc], pt)[1:-1]:
+            hops = []  # the path's inner qubits, from pt's end
+            q = tree[pt]
+            while q != pc:
+                hops.append(q)
+                q = tree[q]
+            for step in reversed(hops):
                 ops.append(_pair_op("swap", pc, step))
                 swap_count += 1
                 lc, ls = p2l[pc], p2l[step]
@@ -361,12 +369,12 @@ def score(
                 t = (ta if ta > tb else tb) + 1
                 cnots += 1
                 if snap_true is not None:
-                    p *= 1.0 - cnot[column[a, b]]
+                    p *= 1.0 - cnot[column[qubits]]
             else:  # "swap": three CNOTs on the pair
                 t = (ta if ta > tb else tb) + 3
                 cnots += 3
                 if snap_true is not None:
-                    f = 1.0 - cnot[column[a, b]]
+                    f = 1.0 - cnot[column[qubits]]
                     p *= f
                     p *= f
                     p *= f

@@ -292,6 +292,50 @@ def success_product(ops, cnot_rates, readout_rates):
     return p
 
 
+def routed_pairs(adj, members, gates, layout):
+    """The (kind, pair) of every "swap" and "cnot" op routing emits, in order.
+
+    gates are the logical (kind, qubits) in circuit order and layout maps
+    logical to physical qubits. For each CNOT, a breadth-first search inside
+    members from the control's carrier, level by level with each qubit's
+    neighbours in ascending order, finds a shortest path to the target's
+    carrier; the control's contents walk it one swap per hop until they sit
+    next to the target, and the CNOT then acts on the two carriers.
+    """
+    members = set(members)
+    at = dict(layout)  # logical -> physical
+    holds = {p: l for l, p in layout.items()}  # physical -> logical
+    out = []
+    for kind, qubits in gates:
+        if kind != "cnot":
+            continue
+        src, dst = at[qubits[0]], at[qubits[1]]
+        came_from = {src: None}
+        frontier = [src]
+        while dst not in came_from:
+            assert frontier, f"no path {src} -> {dst} inside {sorted(members)}"
+            level = []
+            for x in frontier:
+                for y in sorted(adj[x]):
+                    if y in members and y not in came_from:
+                        came_from[y] = x
+                        level.append(y)
+            frontier = level
+        path = [dst]
+        while came_from[path[-1]] is not None:
+            path.append(came_from[path[-1]])
+        path.reverse()
+        here = src
+        for hop in path[1:-1]:
+            out.append(("swap", (here, hop)))
+            a, b = holds[here], holds[hop]
+            holds[here], holds[hop] = b, a
+            at[a], at[b] = hop, here
+            here = hop
+        out.append(("cnot", (here, dst)))
+    return out
+
+
 def misreported_rates(edges, rates, targets):
     """One cycle's CNOT rates, listed in edge order, as a plan with (qubit,
     delta) targets reports them: an edge touching targets is scaled by 1 + d
@@ -305,6 +349,29 @@ def misreported_rates(edges, rates, targets):
             rate = min(1.0, max(0.0, rate * (1.0 + d)))
         out.append(rate)
     return out
+
+
+# --- workload ---------------------------------------------------------------
+
+def scalar_workload(rng, count, size_min, size_max, gate_density):
+    """The documented draws of a seeded generator workload, one rng.integers
+    call per value: each job draws its size from [size_min, size_max], then
+    each of its max(1, round(gate_density * size * (size - 1) / 2)) gates a
+    control from [0, size) and a target from [0, size - 1), where a target at
+    or above the control names the qubit one higher. rng is a fresh numpy
+    default_rng(seed), passed in so that this module stays free of library
+    imports. Returns each job's (size, [(control, target), ...])."""
+    jobs = []
+    for _ in range(count):
+        size = int(rng.integers(size_min, size_max + 1))
+        pairs = []
+        if size > 1:
+            for _ in range(max(1, round(gate_density * size * (size - 1) / 2))):
+                control = int(rng.integers(size))
+                target = int(rng.integers(size - 1))
+                pairs.append((control, target + 1 if target >= control else target))
+        jobs.append((size, pairs))
+    return jobs
 
 
 # --- statistics --------------------------------------------------------------

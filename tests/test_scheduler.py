@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,6 +157,27 @@ def test_gen_workload_measures_every_qubit():
     for job in gen_workload(5, 2, 10, 3.0, 77):
         measured = {gt.qubits[0] for gt in job.circuit.gates if gt.kind == "measure"}
         assert measured == set(range(job.size))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 8), st.integers(1, 12), st.integers(0, 11),
+    st.floats(0.01, 4.0), st.integers(0, 2**32),
+)
+def test_gen_workload_draws_as_the_scalar_oracle(count, size_min, extra, density, seed):
+    """The one-call draw per job gives the jobs of one scalar draw per value."""
+    size_max = size_min + extra
+    rng = np.random.default_rng(seed)
+    expected = [
+        Job(f"job{i:03d}", LogicalCircuit(size, tuple(
+            [Op("cnot", pair) for pair in pairs]
+            + [Op("measure", (q,), clbit=q) for q in range(size)]
+        ), size))
+        for i, (size, pairs) in enumerate(
+            oracles.scalar_workload(rng, count, size_min, size_max, density)
+        )
+    ]
+    assert gen_workload(count, size_min, size_max, density, seed) == expected
 
 
 # sha256 of dump_json(doc["report"]) for the baseline and attacked documents of

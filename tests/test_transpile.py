@@ -266,6 +266,19 @@ def test_route_takes_the_lowest_shortest_path():
     assert [op.qubits for op in oracles.expand_swaps(r.physical_ops)] == [(0, 1)] * 3 + [(1, 3)]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(routing_case())
+def test_route_emits_the_oracle_swaps_and_cnots(case):
+    """Every SWAP and CNOT route emits, in order, is the oracle's: the shortest
+    path that a breadth-first search from the control's carrier finds first."""
+    g, _, members, c, layout = case
+    r = route(c, layout, members, g)
+    adj = oracles.adjacency(g.edge_list, g.qubit_count)
+    gates = [(op.kind, op.qubits) for op in c.gates]
+    expected = oracles.routed_pairs(adj, members, gates, layout)
+    assert [(op.kind, op.qubits) for op in r.physical_ops if op.kind in ("swap", "cnot")] == expected
+
+
 def test_route_stays_on_edges_and_preserves_interactions():
     g = hanoi27()
     s = uniform_snapshot(g, 0.02, 0.02)
