@@ -11,7 +11,6 @@ Usage: python3 demos/02_allocators_side_by_side.py
 
 from mtqsim.allocation import (
     AllocationRequest,
-    ScoringContext,
     cfm,
     comdap_allocate,
     cri,
@@ -24,7 +23,6 @@ from mtqsim.topology import hanoi27
 g = hanoi27()
 snap = uniform_snapshot(g, 0.02, 0.02)
 everything = tuple(range(27))
-ctx = ScoringContext(snap)
 
 print("free-region communities (whole chip):")
 for c in louvain(snap, everything):
@@ -32,8 +30,8 @@ for c in louvain(snap, everything):
 
 for size in (4, 6, 9):
     req = AllocationRequest(size, everything)
-    a = greedy_allocate(ctx, req)
-    b = comdap_allocate(ctx, req)
+    a = greedy_allocate(snap, req)
+    b = comdap_allocate(snap, req)
     print(f"\nrequest size {size}")
     print(f"  greedy : {list(a.members)} (attractor {a.members[0]}, score {a.score:.4f})")
     print(f"  comdap : {sorted(b.members)} (CRI {cri(snap, b.members):.4f})")
@@ -42,8 +40,8 @@ for size in (4, 6, 9):
 busy = {11, 12, 13, 14, 15}
 available = tuple(q for q in everything if q not in busy)
 req = AllocationRequest(8, available)
-a = greedy_allocate(ctx, req)
-b = comdap_allocate(ctx, req)
+a = greedy_allocate(snap, req)
+b = comdap_allocate(snap, req)
 print(f"\nwith qubits {sorted(busy)} busy, request size 8")
 print(f"  greedy : {a and list(a.members)}")
 print(f"  comdap : {b and sorted(b.members)}")

@@ -20,7 +20,7 @@ Usage: python3 demos/04_routing_cost.py
 """
 
 from mtqsim.adversary import apply_misreport, h2_plan
-from mtqsim.allocation import AllocationRequest, ScoringContext, comdap_allocate
+from mtqsim.allocation import AllocationRequest, comdap_allocate
 from mtqsim.calibration import validate_snapshot
 from mtqsim.topology import hanoi27
 from mtqsim.transpile import depth, initial_layout, parse_qasm_subset, pst_estimate, route
@@ -66,9 +66,8 @@ print(
 )
 
 for leg, rep_snap in (("honest", snap_true), ("under-reported", reported)):
-    ctx = ScoringContext(rep_snap)
-    part = comdap_allocate(ctx, AllocationRequest(5, tuple(range(27))))
-    layout = initial_layout(circuit, part.members, ctx)
+    part = comdap_allocate(rep_snap, AllocationRequest(5, tuple(range(27))))
+    layout = initial_layout(circuit, part.members, rep_snap)
     routed = route(circuit, layout, part.members, g)
     hit = targets & set(part.members)
     print(f"{leg} reports")

@@ -13,16 +13,17 @@ where D/C are density/compactness, E/R are mean CNOT/readout error, the _p
 terms range over the candidate subset and the _h terms over the whole device.
 
 Both scores depend only on the snapshot, which carries its graph, so the
-allocators and the layout read them from a ScoringContext that computes each
-qubit's CFM and the device's CRI term once. Failure to allocate is reported
-as None; the scheduler treats it as a signal to defer the job to a later
-round.
+allocators and the layout take the snapshot itself. A snapshot's arrays are
+read-only and it hashes by identity, so each qubit's CFM and the device's CRI
+term are remembered per snapshot, in caches bounded to a few snapshots.
+Failure to allocate is reported as None; the scheduler treats it as a signal
+to defer the job to a later round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from typing import Callable, Collection, Sequence
 
 from .calibration import CalibrationSeries
@@ -50,6 +51,7 @@ class Partition:
     score: float
 
 
+@lru_cache(maxsize=256)
 def cfm(snap: CalibrationSeries, q: int) -> float:
     """Composite fidelity metric: degree(q) + (1 - (E + R)) on the snapshot's graph.
 
@@ -62,13 +64,13 @@ def cfm(snap: CalibrationSeries, q: int) -> float:
     return d + (1.0 - (float(snap.mean_cnot_error[0, q]) + float(snap.readout_error[0, q])))
 
 
-def _best_by_cfm(ctx: ScoringContext, qubits) -> int:
+def _best_by_cfm(snap: CalibrationSeries, qubits) -> int:
     """Highest-CFM qubit, ties broken toward the lowest index."""
-    return min(qubits, key=lambda q: (-ctx.cfm(q), q))
+    return min(qubits, key=lambda q: (-cfm(snap, q), q))
 
 
 def _grow(
-    ctx: ScoringContext, pool: Sequence[int], size: int, rank: Callable[[int, set[int]], tuple]
+    snap: CalibrationSeries, pool: Sequence[int], size: int, rank: Callable[[int, set[int]], tuple]
 ) -> tuple[int, ...] | None:
     """Grow a connected subset of `size` pool qubits from the pool's highest-CFM qubit.
 
@@ -78,9 +80,9 @@ def _grow(
     """
     if size > len(pool):
         return None
-    g = ctx.snapshot.graph
+    g = snap.graph
     pool_set = set(pool)
-    q = _best_by_cfm(ctx, pool)
+    q = _best_by_cfm(snap, pool)
     members, chosen, frontier = [q], {q}, set()
     while len(members) < size:
         frontier.update(n for n in g.neighbors(q) if n in pool_set and n not in chosen)
@@ -93,7 +95,7 @@ def _grow(
     return tuple(members)
 
 
-def greedy_allocate(ctx: ScoringContext, req: AllocationRequest) -> Partition | None:
+def greedy_allocate(snap: CalibrationSeries, req: AllocationRequest) -> Partition | None:
     """Attractor-seeded best-first expansion.
 
     The attractor is the available qubit with the highest CFM. The partition
@@ -102,8 +104,8 @@ def greedy_allocate(ctx: ScoringContext, req: AllocationRequest) -> Partition | 
     attractor: if the attractor's available region runs out of neighbors
     before the partition reaches the requested size, the request fails.
     """
-    members = _grow(ctx, req.available, req.size, lambda q, chosen: (-ctx.cfm(q), q))
-    return None if members is None else Partition(members, score=ctx.cfm(members[0]))
+    members = _grow(snap, req.available, req.size, lambda q, chosen: (-cfm(snap, q), q))
+    return None if members is None else Partition(members, score=cfm(snap, members[0]))
 
 
 def fidelity_weight(error: float) -> float:
@@ -220,9 +222,8 @@ def cri(snap_reported: CalibrationSeries, s: Sequence[int]) -> float:
     device average scores above 1. A device whose term is not positive has no
     CRI: a negative term would invert every ranking.
     """
-    g, rates = snap_reported.graph, snap_reported.rates
-    num = _cri_term(g, rates, subset_members(s))
-    return num / _device_cri_term(g, rates)
+    num = _cri_term(snap_reported.graph, snap_reported.rates, subset_members(s))
+    return num / _device_cri_term(snap_reported)
 
 
 def _cri_term(
@@ -236,49 +237,17 @@ def _cri_term(
     return density(g, members) / compactness(g, members) + (1.0 - (e_p + r_p))
 
 
-def _device_cri_term(g: CouplingGraph, rates: tuple[Sequence[float], Sequence[float]]) -> float:
-    den = _cri_term(g, rates, tuple(range(g.qubit_count)))
+@lru_cache(maxsize=8)
+def _device_cri_term(snap: CalibrationSeries) -> float:
+    g = snap.graph
+    den = _cri_term(g, snap.rates, tuple(range(g.qubit_count)))
     if den <= 0.0:
         raise ValueError(f"the whole-device CRI term is {den!r}, not positive; CRI undefined")
     return den
 
 
-@dataclass(frozen=True)
-class ScoringContext:
-    """The CFM and CRI scores of one snapshot, on the snapshot's graph.
-
-    Each qubit's CFM (by cfm itself) and the device's CRI denominator are
-    computed once, on first use, and equal what cfm and cri return bit for
-    bit, or raise what they raise. Computing on first use keeps errors at
-    first use: a context on a disconnected device, or on one whose CRI term
-    is not positive, raises at its first CRI, and one on a device with an
-    isolated qubit at its first CFM.
-    """
-
-    snapshot: CalibrationSeries
-
-    @cached_property
-    def _cfm(self) -> dict[int, float]:
-        return {q: cfm(self.snapshot, q) for q in range(self.snapshot.graph.qubit_count)}
-
-    @cached_property
-    def _device_term(self) -> float:
-        return _device_cri_term(self.snapshot.graph, self.snapshot.rates)
-
-    def cfm(self, q: int) -> float:
-        """cfm(snapshot, q)."""
-        value = self._cfm.get(q)
-        # only out-of-range qubits are missing, and cfm rejects them
-        return cfm(self.snapshot, q) if value is None else value
-
-    def cri(self, s: Sequence[int]) -> float:
-        """cri(snapshot, s)."""
-        num = _cri_term(self.snapshot.graph, self.snapshot.rates, subset_members(s))
-        return num / self._device_term
-
-
 def _expand_densest(
-    ctx: ScoringContext, pool: tuple[int, ...], size: int
+    snap: CalibrationSeries, pool: tuple[int, ...], size: int
 ) -> tuple[int, ...] | None:
     """Greedy dense-subset extraction from a connected pool.
 
@@ -286,16 +255,16 @@ def _expand_densest(
     contributing the most edges into the current subset (ties: higher CFM,
     then lower index).
     """
-    g = ctx.snapshot.graph
+    g = snap.graph
 
     def rank(q: int, chosen: set[int]) -> tuple:
         intra = sum(1 for n in g.neighbors(q) if n in chosen)
-        return (-intra, -ctx.cfm(q), q)
+        return (-intra, -cfm(snap, q), q)
 
-    return _grow(ctx, pool, size, rank)
+    return _grow(snap, pool, size, rank)
 
 
-def comdap_allocate(ctx: ScoringContext, req: AllocationRequest) -> Partition | None:
+def comdap_allocate(snap: CalibrationSeries, req: AllocationRequest) -> Partition | None:
     """Community-based allocation.
 
     A request that no connected region of the available qubits can hold
@@ -315,20 +284,20 @@ def comdap_allocate(ctx: ScoringContext, req: AllocationRequest) -> Partition | 
     CRI term is not positive, any request of at most len(available) qubits
     raises ValueError.
     """
-    g = ctx.snapshot.graph
+    g = snap.graph
     avail = req.available
     if req.size > len(avail):
         return None
     if req.size == 1:
-        q = _best_by_cfm(ctx, avail)
-        return Partition((q,), score=ctx.cri((q,)))
-    ctx._device_term  # raises on a device with no CRI term, feasible request or not
+        q = _best_by_cfm(snap, avail)
+        return Partition((q,), score=cri(snap, (q,)))
+    _device_cri_term(snap)  # raises on a device with no CRI term, feasible request or not
     regions = [p for p in _connected_pieces(g, avail) if len(p) >= req.size]
     if not regions:
         return None
 
-    communities = louvain(ctx.snapshot, avail)
-    com_cri = {c: ctx.cri(c) for c in communities}
+    communities = louvain(snap, avail)
+    com_cri = {c: cri(snap, c) for c in communities}
 
     def by_cri(c: tuple[int, ...]) -> tuple:
         return (-com_cri[c], c)
@@ -343,8 +312,8 @@ def comdap_allocate(ctx: ScoringContext, req: AllocationRequest) -> Partition | 
         best_sub: tuple[int, ...] | None = None
         best_score = 0.0
         for c in sorted(larger, key=by_cri):
-            sub = _expand_densest(ctx, c, req.size)
-            score = ctx.cri(sub)
+            sub = _expand_densest(snap, c, req.size)
+            score = cri(snap, sub)
             if best_sub is None or score > best_score + 1e-15:
                 best_sub, best_score = sub, score
         return Partition(best_sub, score=best_score)
@@ -359,11 +328,11 @@ def comdap_allocate(ctx: ScoringContext, req: AllocationRequest) -> Partition | 
             if c[0] not in merged and any(n in merged for q in c for n in g.neighbors(q))
         )
         merged |= set(min(adjacent, key=by_cri))
-    sub = _expand_densest(ctx, tuple(sorted(merged)), req.size)
-    return Partition(sub, score=ctx.cri(sub))
+    sub = _expand_densest(snap, tuple(sorted(merged)), req.size)
+    return Partition(sub, score=cri(snap, sub))
 
 
-Allocator = Callable[[ScoringContext, AllocationRequest], Partition | None]
+Allocator = Callable[[CalibrationSeries, AllocationRequest], Partition | None]
 
 ALLOCATORS: dict[str, Allocator] = {
     "greedy": greedy_allocate,

@@ -8,7 +8,7 @@ out and routed against the reported snapshot and scored against the true one;
 both snapshots must be of one graph, the device, and the queue reads the
 device from them.
 
-The allocator is a pure function of the scoring context and the request,
+The allocator is a pure function of the reported snapshot and the request,
 and a rescan repeats a request whenever the free qubits have not changed
 since, so each run computes each distinct request once and reuses the
 answer, failures included.
@@ -28,7 +28,7 @@ from statistics import mean
 
 import numpy as np
 
-from .allocation import AllocationRequest, Partition, ScoringContext, get_allocator
+from .allocation import AllocationRequest, Partition, get_allocator
 from .calibration import CalibrationSeries
 from .transpile import LogicalCircuit, Op, initial_layout, route, score
 
@@ -67,9 +67,8 @@ def run_queue(
     """Drain the queue and return the report simulate writes: the allocator,
     the AGGREGATES, each round's placements and each job's JOB_COLUMNS.
 
-    Allocation and layout see only snap_reported, through one ScoringContext;
-    PST sees only snap_true. Both must be of one graph. Deterministic: same
-    inputs, same report.
+    Allocation and layout see only snap_reported; PST sees only snap_true.
+    Both must be of one graph. Deterministic: same inputs, same report.
     """
     g = snap_true.graph
     if snap_reported.graph != g:
@@ -81,7 +80,6 @@ def run_queue(
                 f"job {job.id} needs {job.size} qubits; hardware has {g.qubit_count}"
             )
 
-    ctx = ScoringContext(snap_reported)
     answers: dict[AllocationRequest, Partition | None] = {}
     pending = list(jobs)
     rounds: list[dict] = []
@@ -94,7 +92,7 @@ def run_queue(
             for job in list(pending):
                 req = AllocationRequest(job.size, tuple(sorted(available)))
                 if req not in answers:
-                    answers[req] = alloc(ctx, req)
+                    answers[req] = alloc(snap_reported, req)
                 part = answers[req]
                 if part is None:
                     continue
@@ -110,7 +108,7 @@ def run_queue(
             stuck = ", ".join(j.id for j in pending)
             raise ValueError(f"jobs cannot be placed even on idle hardware: {stuck}")
         for job, part in placed:
-            layout = initial_layout(job.circuit, part.members, ctx)
+            layout = initial_layout(job.circuit, part.members, snap_reported)
             routed = route(job.circuit, layout, part.members, g)
             depth, cnots, pst = score(routed, snap_true)
             values = (job.id, len(rounds), depth, cnots, routed.swap_count, pst)

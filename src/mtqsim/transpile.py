@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .allocation import ScoringContext
+from .allocation import cfm
 from .calibration import CalibrationSeries
 from .errors import DataError
 from .topology import CouplingGraph, bfs_tree
@@ -228,15 +228,16 @@ class RoutedCircuit:
 
 
 def initial_layout(
-    c: LogicalCircuit, members: Sequence[int], ctx: ScoringContext
+    c: LogicalCircuit, members: Sequence[int], snap: CalibrationSeries
 ) -> dict[int, int]:
     """Deterministic fidelity-greedy placement of logical onto physical qubits.
 
     Logical qubits are placed in descending order of two-qubit-gate
     participation (ties toward the lower logical index). Each is put on the
-    unused partition qubit with the highest reported CFM, restricted to
-    qubits adjacent to an already-placed interaction partner whenever that
-    set is non-empty. Ties break toward the lower physical index.
+    unused partition qubit with the highest CFM on snap, the reported
+    snapshot, restricted to qubits adjacent to an already-placed interaction
+    partner whenever that set is non-empty. Ties break toward the lower
+    physical index.
     """
     if len(members) != c.qubit_count:
         raise ValueError(
@@ -254,14 +255,14 @@ def initial_layout(
     order = sorted(range(c.qubit_count), key=lambda l: (-participation[l], l))
 
     layout: dict[int, int] = {}
-    g = ctx.snapshot.graph
+    g = snap.graph
     unused = set(members)
     for logical in order:
         preferred = {
             q for p in partners[logical] if p in layout for q in g.neighbors(layout[p])
         }
         preferred &= unused
-        chosen = min(preferred or unused, key=lambda p: (-ctx.cfm(p), p))
+        chosen = min(preferred or unused, key=lambda p: (-cfm(snap, p), p))
         layout[logical] = chosen
         unused.discard(chosen)
     return layout

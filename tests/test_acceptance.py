@@ -24,7 +24,6 @@ from mtqsim.adversary import (
 )
 from mtqsim.allocation import (
     AllocationRequest,
-    ScoringContext,
     cfm,
     comdap_allocate,
     cri,
@@ -206,7 +205,7 @@ def test_criterion_07_allocator_exactness(hanoi):
     snap = uniform_snapshot(hanoi, 0.02, 0.02)
     communities = louvain(snap, tuple(range(27)))
     target = communities[0]
-    part = comdap_allocate(ScoringContext(snap), AllocationRequest(len(target), tuple(range(27))))
+    part = comdap_allocate(snap, AllocationRequest(len(target), tuple(range(27))))
     verbatim_ok = tuple(sorted(part.members)) in communities
 
     adj = oracles.adjacency(hanoi.edge_list, 27)
@@ -232,7 +231,7 @@ def test_criterion_07_allocator_exactness(hanoi):
         req = AllocationRequest(size, avail)
         for name in ("greedy", "comdap"):
             instances += 1
-            p = get_allocator(name)(ScoringContext(s), req)
+            p = get_allocator(name)(s, req)
             if p is None:
                 continue
             returned += 1
@@ -258,10 +257,8 @@ def test_criterion_08_routing_invariants(hanoi):
     ok = True
     for seed in range(12):
         for job in gen_workload(5, 2, 6, 2.0, 9000 + seed):
-            part = get_allocator("greedy")(
-                ScoringContext(snap), AllocationRequest(job.size, tuple(range(27)))
-            )
-            lay = initial_layout(job.circuit, part.members, ScoringContext(snap))
+            part = get_allocator("greedy")(snap, AllocationRequest(job.size, tuple(range(27))))
+            lay = initial_layout(job.circuit, part.members, snap)
             r = route(job.circuit, lay, part.members, hanoi)
             for op in oracles.expand_swaps(r.physical_ops):
                 if op.kind == "cnot":

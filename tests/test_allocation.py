@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from strategies import (
 from mtqsim.allocation import (
     AllocationRequest,
     Partition,
-    ScoringContext,
     cfm,
     comdap_allocate,
     cri,
@@ -63,21 +64,19 @@ def test_cfm_monotone_under_overreport():
 
 def test_greedy_degenerate_size():
     g = hanoi27()
-    ctx = ScoringContext(snap_uniform(g))
-    part = greedy_allocate(ctx, AllocationRequest(1, tuple(range(27))))
+    part = greedy_allocate(snap_uniform(g), AllocationRequest(1, tuple(range(27))))
     assert part.members == (1,)
     assert part.score == pytest.approx(cfm(snap_uniform(g), 1))
 
 
 def test_greedy_p3():
-    part = greedy_allocate(ScoringContext(snap_uniform(P3)), AllocationRequest(2, (0, 1, 2)))
+    part = greedy_allocate(snap_uniform(P3), AllocationRequest(2, (0, 1, 2)))
     assert part.members == (1, 0)
 
 
 def test_greedy_hanoi_size4():
     g = hanoi27()
-    ctx = ScoringContext(snap_uniform(g))
-    part = greedy_allocate(ctx, AllocationRequest(4, tuple(range(27))))
+    part = greedy_allocate(snap_uniform(g), AllocationRequest(4, tuple(range(27))))
     assert len(part.members) == 4
     adj = oracles.adjacency(g.edge_list, 27)
     assert oracles.is_connected(adj, part.members)
@@ -87,8 +86,7 @@ def test_greedy_hanoi_size4():
 
 def test_greedy_failure_is_none():
     # available region around the best attractor too small
-    ctx = ScoringContext(snap_uniform(P3))
-    assert greedy_allocate(ctx, AllocationRequest(2, (0, 2))) is None
+    assert greedy_allocate(snap_uniform(P3), AllocationRequest(2, (0, 2))) is None
 
 
 def test_greedy_shift_invariance():
@@ -100,8 +98,8 @@ def test_greedy_shift_invariance():
     s1 = validate_snapshot(g, cnot, read)
     s2 = validate_snapshot(g, cnot, {q: v + 0.07 for q, v in read.items()})
     for size in (3, 6, 9):
-        a = greedy_allocate(ScoringContext(s1), AllocationRequest(size, tuple(range(27))))
-        b = greedy_allocate(ScoringContext(s2), AllocationRequest(size, tuple(range(27))))
+        a = greedy_allocate(s1, AllocationRequest(size, tuple(range(27))))
+        b = greedy_allocate(s2, AllocationRequest(size, tuple(range(27))))
         assert a.members == b.members
 
 
@@ -225,7 +223,7 @@ def test_comdap_exact_size_branch():
     communities = louvain(s, tuple(range(27)))
     for target in communities:
         req = AllocationRequest(len(target), tuple(range(27)))
-        part = comdap_allocate(ScoringContext(s), req)
+        part = comdap_allocate(s, req)
         assert tuple(sorted(part.members)) in communities
         assert len(part.members) == len(target)
         break
@@ -234,7 +232,7 @@ def test_comdap_exact_size_branch():
 def test_comdap_size_one():
     g = hanoi27()
     s = snap_uniform(g)
-    part = comdap_allocate(ScoringContext(s), AllocationRequest(1, tuple(range(27))))
+    part = comdap_allocate(s, AllocationRequest(1, tuple(range(27))))
     assert len(part.members) == 1
     q = part.members[0]
     best = max(range(27), key=lambda x: (cfm(s, x), -x))
@@ -247,7 +245,7 @@ def test_comdap_merged_allocation():
     communities = louvain(s, tuple(range(27)))
     biggest = max(len(c) for c in communities)
     size = biggest + 3
-    part = comdap_allocate(ScoringContext(s), AllocationRequest(size, tuple(range(27))))
+    part = comdap_allocate(s, AllocationRequest(size, tuple(range(27))))
     assert len(part.members) == size
     adj = oracles.adjacency(g.edge_list, 27)
     assert oracles.is_connected(adj, part.members)
@@ -264,12 +262,12 @@ def test_comdap_exact_extraction_matches_brute_force(monkeypatch):
     adj = oracles.adjacency(g.edge_list, 6)
 
     # comdap with its greedy extraction swapped for the exhaustive one
-    def exhaustive(ctx, pool, size):
-        return oracles.best_connected_subset(adj, pool, size, ctx.cri)
+    def exhaustive(snap, pool, size):
+        return oracles.best_connected_subset(adj, pool, size, lambda sub: cri(snap, sub))
 
     monkeypatch.setattr("mtqsim.allocation._expand_densest", exhaustive)
     for size in (2, 3, 4, 5):
-        part = comdap_allocate(ScoringContext(s), AllocationRequest(size, tuple(range(6))))
+        part = comdap_allocate(s, AllocationRequest(size, tuple(range(6))))
         best = max(
             oracles.connected_subsets(adj, range(6), size),
             key=lambda sub: cri(s, sub),
@@ -290,7 +288,7 @@ def test_allocators_valid_on_seeded_instances():
         size = int(rng.integers(1, n_avail + 1))
         req = AllocationRequest(size, available)
         for name in ("greedy", "comdap"):
-            part = get_allocator(name)(ScoringContext(s), req)
+            part = get_allocator(name)(s, req)
             if part is None:
                 continue
             assert len(part.members) == size
@@ -324,7 +322,7 @@ def test_comdap_succeeds_when_region_exists():
         biggest = max(len(c) for c in comps)
         size = int(rng.integers(1, 28))
         part = (
-            comdap_allocate(ScoringContext(s), AllocationRequest(min(size, 27), available))
+            comdap_allocate(s, AllocationRequest(min(size, 27), available))
             if size <= len(available)
             else None
         )
@@ -344,9 +342,9 @@ def test_determinism():
     g = hanoi27()
     s = snap_uniform(g)
     req = AllocationRequest(6, tuple(range(27)))
-    ctx = ScoringContext(s)
-    assert greedy_allocate(ctx, req) == greedy_allocate(ScoringContext(s), req)
-    assert comdap_allocate(ctx, req) == comdap_allocate(ScoringContext(s), req)
+    # a second snapshot of the same rates is scored afresh and answers the same
+    for allocate in (greedy_allocate, comdap_allocate):
+        assert allocate(s, req) == allocate(s, req) == allocate(snap_uniform(g), req)
     assert louvain(s, tuple(range(27))) == louvain(s, tuple(range(27)))
 
 
@@ -364,37 +362,67 @@ PROPERTY_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, d
 
 @PROPERTY_SETTINGS
 @given(graph_and_sign_boundary_snapshot())
-def test_context_scores_equal_free_functions(case):
+def test_cri_matches_the_oracle_or_is_undefined(case):
+    """Where the device term is clear of 0, every connected subset's CRI is the
+    oracle's; where it is 0 or below, every CRI raises. A second call gives the
+    same outcome, so a remembered answer never stands in for a raise."""
     g, snap = case
-
-    def outcome(score, *args):
-        # the score, or the type and message of the ValueError it raises
-        try:
-            return score(*args)
-        except ValueError as exc:
-            return type(exc), str(exc)
-
-    ctx = ScoringContext(snap)
+    cnot = dict(zip(g.edge_list, snap.cnot_error[0].tolist()))
+    readout = dict(enumerate(snap.readout_error[0].tolist()))
+    term = oracles.cri_term(cnot, readout, range(g.qubit_count))
     adj = oracles.adjacency(g.edge_list, g.qubit_count)
-    for q in range(g.qubit_count):
-        assert outcome(ctx.cfm, q) == outcome(cfm, snap, q)
-    for size in range(1, g.qubit_count + 1):
-        for sub in oracles.connected_subsets(adj, range(g.qubit_count), size):
-            assert outcome(ctx.cri, sub) == outcome(cri, snap, sub)
+    for _ in range(2):
+        for q in range(g.qubit_count):
+            assert cfm(snap, q) == pytest.approx(oracles.cfm(cnot, readout, q), abs=1e-12)
+        for size in range(1, g.qubit_count + 1):
+            for sub in oracles.connected_subsets(adj, range(g.qubit_count), size):
+                if term > 0.01:
+                    want = oracles.cri(cnot, readout, sub)
+                    assert cri(snap, sub) == pytest.approx(want, rel=1e-12, abs=1e-12)
+                elif term <= 0.0:
+                    with pytest.raises(ValueError, match="not positive; CRI undefined$"):
+                        cri(snap, sub)
+
+
+def test_scores_are_remembered_per_snapshot():
+    # two snapshots of one graph with different rates, scored alternately
+    a, b = snap_uniform(FIX5, 0.01, 0.01), FIX5_SNAP
+    cnot_a, readout_a = dict.fromkeys(FIX5.edge_list, 0.01), dict.fromkeys(range(5), 0.01)
+    for _ in range(3):
+        for snap, cnot, readout in ((a, cnot_a, readout_a), (b, FIX5_CNOT, FIX5_READOUT)):
+            for q in range(5):
+                assert cfm(snap, q) == pytest.approx(oracles.cfm(cnot, readout, q), abs=1e-12)
+            want = oracles.cri(cnot, readout, (1, 2, 3))
+            assert cri(snap, (1, 2, 3)) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert cri(b, (1, 2, 3)) != cri(a, (1, 2, 3))
+
+
+def test_remembered_scores_do_not_keep_a_snapshot_alive():
+    def score(snap):
+        cfm(snap, 1)
+        cri(snap, (1, 2, 3))
+
+    snap = uniform_snapshot(FIX5, 0.01, 0.01)
+    score(snap)
+    ref = weakref.ref(snap)
+    del snap
+    for _ in range(1000):
+        score(uniform_snapshot(FIX5, 0.01, 0.01))
+    gc.collect()
+    assert ref() is None
 
 
 def test_a_zero_device_term_leaves_cri_undefined():
     # one edge, every rate 1: density/compactness 1 plus 1 - (1 + 1) is 0
     g = CouplingGraph(2, frozenset({(0, 1)}))
     snap = uniform_snapshot(g, 1.0, 1.0)
-    ctx = ScoringContext(snap)
-    for score in (ctx.cri, lambda s: cri(snap, s)):
+    for _ in range(2):  # a raise is never remembered as an answer
         with pytest.raises(
             ValueError, match=r"^the whole-device CRI term is 0\.0, not positive; CRI undefined$"
         ):
-            score((0, 1))
+            cri(snap, (0, 1))
     with pytest.raises(ValueError, match="CRI undefined"):
-        comdap_allocate(ctx, AllocationRequest(2, (0, 1)))
+        comdap_allocate(snap, AllocationRequest(2, (0, 1)))
 
 
 def test_a_negative_device_term_leaves_cri_undefined():
@@ -404,12 +432,11 @@ def test_a_negative_device_term_leaves_cri_undefined():
     snap = validate_snapshot(
         g, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 0.5}, {0: 1.0, 1: 1.0, 2: 0.5, 3: 0.5}
     )
-    ctx = ScoringContext(snap)
-    for score in (ctx.cri, lambda s: cri(snap, s)):
+    for _ in range(2):  # a raise is never remembered as an answer
         with pytest.raises(ValueError, match=r"^the whole-device CRI term is -0\.0833"):
-            score((2, 3))
+            cri(snap, (2, 3))
     with pytest.raises(ValueError, match="not positive; CRI undefined"):
-        comdap_allocate(ctx, AllocationRequest(2, (0, 1, 2, 3)))
+        comdap_allocate(snap, AllocationRequest(2, (0, 1, 2, 3)))
 
 
 @PROPERTY_SETTINGS
@@ -418,7 +445,7 @@ def test_allocators_return_connected_available_subsets(case):
     g, snap, req = case
     adj = oracles.adjacency(g.edge_list, g.qubit_count)
     for name in ("greedy", "comdap"):
-        part = get_allocator(name)(ScoringContext(snap), req)
+        part = get_allocator(name)(snap, req)
         if part is not None:
             assert len(part.members) == req.size
             assert set(part.members) <= set(req.available)
@@ -432,14 +459,14 @@ def test_comdap_fails_only_without_a_large_enough_region(case):
     adj = oracles.adjacency(g.edge_list, g.qubit_count)
     free = {q: adj[q] & set(req.available) for q in req.available}
     biggest = max(len(oracles.bfs_distances(free, q)) for q in req.available)
-    part = comdap_allocate(ScoringContext(snap), req)
+    part = comdap_allocate(snap, req)
     assert (part is None) == (biggest < req.size)
 
 
 @PROPERTY_SETTINGS
 @given(case=graph_and_series(), data=st.data())
 def test_scores_match_the_oracles(case, data):
-    """On any row of a random series: the context's CFM of every qubit and CRI of
+    """On any row of a random series: the CFM of every qubit and CRI of
     a connected subset agree with the documented formulas, and score's PST of a
     routed circuit on that subset is the oracle's success product."""
     g, series = case
@@ -447,15 +474,14 @@ def test_scores_match_the_oracles(case, data):
     snap = series.snapshot(row)
     cnot = dict(zip(g.edge_list, series.cnot_error[row].tolist()))
     readout = dict(enumerate(series.readout_error[row].tolist()))
-    ctx = ScoringContext(snap)
     for q in range(g.qubit_count):
-        assert ctx.cfm(q) == pytest.approx(oracles.cfm(cnot, readout, q), abs=1e-12)
+        assert cfm(snap, q) == pytest.approx(oracles.cfm(cnot, readout, q), abs=1e-12)
     # a device term near 0 turns rounding into large quotient errors, and one of 0
     # or below leaves CRI undefined (tested apart), so such rows are skipped
     assume(oracles.cri_term(cnot, readout, range(g.qubit_count)) > 0.01)
     members = data.draw(connected_partition(g))
     want = oracles.cri(cnot, readout, members)
-    assert ctx.cri(members) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert cri(snap, members) == pytest.approx(want, rel=1e-12, abs=1e-12)
     c = data.draw(circuit(len(members)))
     r = route(c, dict(enumerate(members)), members, g)
     assert score(r, snap)[2] == oracles.success_product(r.physical_ops, cnot, readout)
@@ -476,13 +502,12 @@ def test_allocators_on_a_disconnected_device(case):
     # comdap scores against the whole device, which has no CRI term
     if req.size <= len(req.available):
         with pytest.raises(ValueError, match="disconnected"):
-            comdap_allocate(ScoringContext(snap), req)
+            comdap_allocate(snap, req)
     else:
-        assert comdap_allocate(ScoringContext(snap), req) is None
-    # greedy grows inside the attractor's connected piece of the free region
-    ctx = ScoringContext(snap)
-    part = greedy_allocate(ctx, req)
-    assert "_device_term" not in vars(ctx)
+        assert comdap_allocate(snap, req) is None
+    # greedy grows inside the attractor's connected piece of the free region:
+    # it never reads the device term, so it answers where comdap raises
+    part = greedy_allocate(snap, req)
     adj = oracles.adjacency(g.edge_list, g.qubit_count)
     free = {q: adj[q] & set(req.available) for q in req.available}
     attractor = min(req.available, key=lambda q: (-cfm(snap, q), q))
@@ -498,9 +523,11 @@ def test_allocators_on_a_disconnected_device(case):
 def test_greedy_never_reads_the_device_term():
     # two 3-qubit paths: the device is disconnected, so it has no CRI term
     g = CouplingGraph(6, frozenset({(0, 1), (1, 2), (3, 4), (4, 5)}))
-    ctx = ScoringContext(snap_uniform(g))
-    part = greedy_allocate(ctx, AllocationRequest(3, tuple(range(6))))
-    assert part.members == (1, 0, 2)
-    assert "_device_term" not in vars(ctx)
+    snap = snap_uniform(g)
     with pytest.raises(ValueError, match="disconnected"):
-        ctx.cri((0, 1, 2))
+        cri(snap, (0, 1, 2))
+    # a raise is not remembered, so greedy would raise too if it read the term
+    part = greedy_allocate(snap, AllocationRequest(3, tuple(range(6))))
+    assert part.members == (1, 0, 2)
+    with pytest.raises(ValueError, match="disconnected"):
+        cri(snap, (0, 1, 2))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import oracles
 from strategies import connected_graph, graph_and_snapshot
 from mtqsim import allocation
-from mtqsim.allocation import ScoringContext
 from mtqsim.calibration import synth_drift, uniform_snapshot
 from mtqsim.experiment import dump_json, jobs_csv, resolve_config, rounds_csv, run_simulate
 from mtqsim.scheduler import AGGREGATES, JOB_COLUMNS, Job, gen_workload, run_queue
@@ -419,24 +418,20 @@ def test_allocator_sees_each_distinct_request_once_per_run(case):
         real = allocation.ALLOCATORS[name]
         calls = []
 
-        def spy(ctx, req):
-            calls.append((ctx, req))
-            return real(ctx, req)
+        def spy(reported, req):
+            calls.append((reported, req))
+            return real(reported, req)
 
         allocation.ALLOCATORS[name] = spy
-        contexts = []
         try:
             for _ in range(2):
                 del calls[:]
-                report = run_queue(jobs, snap, snap, name)
+                # the true snapshot is an equal copy: every call must get the reported one
+                report = run_queue(jobs, snap.rows(slice(None)), snap, name)
                 requests = [req for _, req in calls]
                 assert len(requests) == len(set(requests))
-                contexts.append(calls[0][0])
-                assert all(ctx is contexts[-1] for ctx, _ in calls)
+                assert all(seen is snap for seen, _ in calls)
                 placed = sorted(p["job"] for r in report["rounds"] for p in r["placed"])
                 assert placed == sorted(j.id for j in jobs)
         finally:
             allocation.ALLOCATORS[name] = real
-        # each run scores through its own context
-        assert isinstance(contexts[0], ScoringContext)
-        assert contexts[0] is not contexts[1]

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 
 import oracles
 from strategies import angled_circuit, routing_case
-from mtqsim.allocation import ScoringContext
 from mtqsim.calibration import uniform_snapshot, validate_snapshot
 from mtqsim.errors import DataError
 from mtqsim.topology import CouplingGraph, hanoi27
@@ -205,10 +204,10 @@ def test_qasm_round_trip_holds_for_any_circuit(c):
 def test_initial_layout_trivial_and_busiest():
     s = uniform_snapshot(P3, 0.02, 0.01)
     one = parse_qasm_subset("qreg q[1];")
-    assert initial_layout(one, (2,), ScoringContext(s)) == {0: 2}
+    assert initial_layout(one, (2,), s) == {0: 2}
     # logical 0 participates in both cnots; physical 1 has the highest CFM
     c = parse_qasm_subset("qreg q[2]; cx q[0],q[1]; cx q[0],q[1];")
-    lay = initial_layout(c, (0, 1), ScoringContext(s))
+    lay = initial_layout(c, (0, 1), s)
     assert lay[0] == 1
     assert sorted(lay.values()) == [0, 1]
 
@@ -217,11 +216,11 @@ def test_initial_layout_bijection_and_mismatch():
     g = hanoi27()
     s = uniform_snapshot(g, 0.02, 0.02)
     c = parse_qasm_subset("qreg q[4]; cx q[0],q[1]; cx q[2],q[3];")
-    lay = initial_layout(c, (1, 2, 3, 4), ScoringContext(s))
+    lay = initial_layout(c, (1, 2, 3, 4), s)
     assert sorted(lay.keys()) == [0, 1, 2, 3]
     assert sorted(lay.values()) == [1, 2, 3, 4]
     with pytest.raises(ValueError):
-        initial_layout(c, (1, 2, 3), ScoringContext(s))
+        initial_layout(c, (1, 2, 3), s)
 
 
 def test_route_adjacent_pair():
@@ -310,7 +309,7 @@ def test_route_stays_on_edges_and_preserves_interactions():
         for q in range(size):
             gates.append(Op("measure", (q,), clbit=q))
         c = LogicalCircuit(size, tuple(gates), size)
-        lay = initial_layout(c, tuple(members), ScoringContext(s))
+        lay = initial_layout(c, tuple(members), s)
         r = route(c, lay, tuple(members), g)
         for op in oracles.expand_swaps(r.physical_ops):
             if op.kind == "cnot":
@@ -336,7 +335,7 @@ def test_depth_lower_bound():
     c = parse_qasm_subset(
         "qreg q[3]; cx q[0],q[1]; cx q[0],q[2]; cx q[0],q[1]; cx q[1],q[2];"
     )
-    lay = initial_layout(c, (11, 14, 16), ScoringContext(s))
+    lay = initial_layout(c, (11, 14, 16), s)
     r = route(c, lay, (11, 14, 16), g)
     per_qubit = {}
     for op in oracles.expand_swaps(r.physical_ops):
