@@ -229,12 +229,14 @@ def cri(snap_reported: CalibrationSeries, s: Sequence[int]) -> float:
 def _cri_term(
     g: CouplingGraph, rates: tuple[Sequence[float], Sequence[float]], members: tuple[int, ...]
 ) -> float:
+    # the shape term first: density checks every index before a rate is read
+    shape = density(g, members) / compactness(g, members)
     cnot, readout = rates
     mset = set(members)
     intra = [r for (u, v), r in zip(g.edge_list, cnot) if u in mset and v in mset]
     e_p = sum(intra) / len(intra) if intra else 0.0
     r_p = sum(readout[q] for q in members) / len(members)
-    return density(g, members) / compactness(g, members) + (1.0 - (e_p + r_p))
+    return shape + (1.0 - (e_p + r_p))
 
 
 @lru_cache(maxsize=8)

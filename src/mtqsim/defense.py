@@ -133,6 +133,8 @@ def qubit_divergence(
     """
     if not 1 <= bins <= MAX_BINS:
         raise ValueError(f"bins must be in [1, {MAX_BINS}], got {bins}")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and non-negative, got {eps}")
     series.graph._check_index(q)
     errors = series.mean_cnot_error[:, q]
     s1 = errors[series.cycle_slice(*window1)]

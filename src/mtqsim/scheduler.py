@@ -9,9 +9,9 @@ both snapshots must be of one graph, the device, and the queue reads the
 device from them.
 
 The allocator is a pure function of the reported snapshot and the request,
-and a rescan repeats a request whenever the free qubits have not changed
-since, so each run computes each distinct request once and reuses the
-answer, failures included.
+and a rescan repeats a request while the round's free qubits, an ascending
+tuple, are unchanged; each run asks through a cache keyed by the job size
+and that tuple, so each distinct request is asked once, failures included.
 
 run_queue returns the report as simulate writes it, a dict, and each number
 in it has one name from here to the files: a round's keys are round, placed
@@ -22,6 +22,7 @@ report-level keys are "allocator", AGGREGATES, "rounds" and "jobs".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from statistics import mean
@@ -80,30 +81,27 @@ def run_queue(
                 f"job {job.id} needs {job.size} qubits; hardware has {g.qubit_count}"
             )
 
-    answers: dict[AllocationRequest, Partition | None] = {}
+    ask = functools.cache(lambda size, free: alloc(snap_reported, AllocationRequest(size, free)))
     pending = list(jobs)
     rounds: list[dict] = []
     metrics: list[dict] = []
     while pending:
-        available = set(range(g.qubit_count))
+        free = tuple(range(g.qubit_count))
         placed: list[tuple[Job, Partition]] = []
-        while True:
-            placed_in_scan = False
+        progress = True
+        while progress and free:
+            progress = False
             for job in list(pending):
-                req = AllocationRequest(job.size, tuple(sorted(available)))
-                if req not in answers:
-                    answers[req] = alloc(snap_reported, req)
-                part = answers[req]
+                part = ask(job.size, free)
                 if part is None:
                     continue
-                available -= set(part.members)
+                taken = set(part.members)
+                free = tuple(q for q in free if q not in taken)
                 pending.remove(job)
                 placed.append((job, part))
-                placed_in_scan = True
-                if not available:
+                progress = True
+                if not free:
                     break
-            if not placed_in_scan or not available:
-                break
         if not placed:
             stuck = ", ".join(j.id for j in pending)
             raise ValueError(f"jobs cannot be placed even on idle hardware: {stuck}")
@@ -113,7 +111,7 @@ def run_queue(
             depth, cnots, pst = score(routed, snap_true)
             values = (job.id, len(rounds), depth, cnots, routed.swap_count, pst)
             metrics.append(dict(zip(JOB_COLUMNS, values)))
-        active = sum(len(p.members) for _, p in placed)
+        active = g.qubit_count - len(free)
         rounds.append({
             "round": len(rounds),
             "placed": [

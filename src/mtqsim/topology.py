@@ -184,14 +184,6 @@ def bfs_tree(g: CouplingGraph, allowed: Collection[int], src: int) -> dict[int, 
     return parent
 
 
-def tree_path(parent: dict[int, int], dst: int) -> list[int]:
-    """The path from a bfs_tree's source to dst, a shortest one inside its subset."""
-    path = [dst]
-    while parent[path[-1]] != path[-1]:
-        path.append(parent[path[-1]])
-    return path[::-1]
-
-
 def induced_diameter(g: CouplingGraph, members: tuple[int, ...]) -> int:
     """Diameter of the subgraph induced on members, by BFS within the subset."""
     mset = set(members)
@@ -200,8 +192,11 @@ def induced_diameter(g: CouplingGraph, members: tuple[int, ...]) -> int:
         parent = bfs_tree(g, mset, src)
         if len(parent) != len(members):
             raise ValueError(f"induced subgraph on {sorted(members)} is disconnected")
-        # the last qubit visited is the farthest from src
-        best = max(best, len(tree_path(parent, next(reversed(parent)))) - 1)
+        # the last qubit visited is the farthest from src: count its hops back
+        q, hops = next(reversed(parent)), 0
+        while q != src:
+            q, hops = parent[q], hops + 1
+        best = max(best, hops)
     return best
 
 

@@ -283,9 +283,8 @@ def route(
     adjacency; the CNOT is then emitted. Each SWAP is one "swap" op on its
     hop's pair; equal CNOT and swap ops share one instance (_pair_op). Paths
     are read from one bfs_tree per source qubit, built on first use, by
-    walking the target's parents back to the source: the path tree_path
-    gives. Routing never leaves the partition and never emits a CNOT or SWAP
-    on a non-edge.
+    walking the target's parents back to the source. Routing never leaves
+    the partition and never emits a CNOT or SWAP on a non-edge.
     """
     allowed = set(members)
     l2p = dict(layout)
@@ -296,7 +295,7 @@ def route(
     ):
         raise ValueError("layout must be a bijection from logical qubits onto the partition")
     p2l = {p: l for l, p in l2p.items()}
-    trees: dict[int, dict[int, int]] = {}
+    tree_from = functools.cache(lambda src: bfs_tree(g, allowed, src))
     ops: list[Op] = []
     swap_count = 0
 
@@ -305,9 +304,7 @@ def route(
             ops.append(Op(kind, (l2p[qubits[0]],), name, angle, clbit))
         else:
             pc, pt = l2p[qubits[0]], l2p[qubits[1]]
-            if pc not in trees:
-                trees[pc] = bfs_tree(g, allowed, pc)
-            tree = trees[pc]
+            tree = tree_from(pc)
             if pt not in tree:
                 raise ValueError(
                     f"partition {sorted(allowed)} is disconnected: no path {pc} -> {pt}"

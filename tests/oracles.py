@@ -417,3 +417,43 @@ def best_connected_subset(adj, pool, size, score):
     if not found:
         return None
     return min(found, key=lambda members: (-score(members), members))
+
+
+def round_asks(sizes, qubit_count, answer):
+    """The scheduler's documented rounds, replayed with a set of free qubits.
+
+    sizes are the queued jobs' sizes in FIFO order, and answer(size, free)
+    gives the qubits a job of that size takes from the ascending tuple free,
+    or None when it does not fit. A round scans the pending jobs in order,
+    placing each one that fits and skipping the rest, stops early once no
+    qubit is free, and rescans until a scan places nothing. Returns the
+    distinct (size, free) requests in the order first asked, and each
+    round's (job index, members) placements.
+    """
+    asked = []
+    rounds = []
+    pending = list(range(len(sizes)))
+    while pending:
+        available = set(range(qubit_count))
+        placed = []
+        while True:
+            placed_in_scan = False
+            for job in list(pending):
+                request = (sizes[job], tuple(sorted(available)))
+                if request not in asked:
+                    asked.append(request)
+                members = answer(*request)
+                if members is None:
+                    continue
+                available -= set(members)
+                pending.remove(job)
+                placed.append((job, tuple(members)))
+                placed_in_scan = True
+                if not available:
+                    break
+            if not placed_in_scan or not available:
+                break
+        if not placed:
+            raise ValueError("a job cannot be placed even on idle hardware")
+        rounds.append(placed)
+    return asked, rounds

@@ -384,6 +384,13 @@ def test_cri_matches_the_oracle_or_is_undefined(case):
                         cri(snap, sub)
 
 
+@pytest.mark.parametrize("members", [(27,), (0, 27), (-1,)])
+def test_cri_names_an_out_of_range_member(members):
+    snap = uniform_snapshot(hanoi27(), 0.02, 0.02)
+    with pytest.raises(ValueError, match="out of range for 27 qubits"):
+        cri(snap, members)
+
+
 def test_scores_are_remembered_per_snapshot():
     # two snapshots of one graph with different rates, scored alternately
     a, b = snap_uniform(FIX5, 0.01, 0.01), FIX5_SNAP

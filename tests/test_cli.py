@@ -647,6 +647,20 @@ def test_detect_names_a_nan_parameter(flag, tmp_path, monkeypatch, capsys):
     assert f"{flag[2:]} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--eps", "nan", "--out", "v.json"], ["--eps", "-5", "--bins", "3", "--tau", "0.1"]]
+)
+def test_detect_checks_eps_on_a_series_with_no_spread(flags, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    flat = synth_drift(uniform_snapshot(hanoi27(), 0.02, 0.02), 14, 0.0, 1)
+    (tmp_path / "c.csv").write_text(write_calibration_csv(flat))
+    assert main(["detect", "--calib", "c.csv", "--windows", "0:7,7:14", *flags]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "eps must be finite" in err
+    assert not (tmp_path / "v.json").exists()
+
+
 BELL = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\ncx q[0],q[1];\nmeasure q[0] -> c[0];\n"
 
 

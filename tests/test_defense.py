@@ -86,6 +86,14 @@ def test_detect_constant_series_zero(hanoi):
     assert all(d == 0.0 for d in verdict.divergence.values())
 
 
+@pytest.mark.parametrize("eps", [math.nan, -5.0, math.inf])
+def test_qubit_divergence_checks_eps_on_a_constant_series(hanoi, eps):
+    series = synth_drift(uniform_snapshot(hanoi, 0.02, 0.02), 14, 0.0, 1)
+    assert qubit_divergence(series, 0, (0, 7), (7, 14), bins=3, eps=0.1) == 0.0
+    with pytest.raises(ValueError, match="eps must be finite and non-negative"):
+        qubit_divergence(series, 0, (0, 7), (7, 14), bins=3, eps=eps)
+
+
 def test_detect_window_validation(hanoi):
     base = uniform_snapshot(hanoi, 0.02, 0.02)
     series = synth_drift(base, 10, 0.3, 3)

@@ -435,3 +435,50 @@ def test_allocator_sees_each_distinct_request_once_per_run(case):
                 assert placed == sorted(j.id for j in jobs)
         finally:
             allocation.ALLOCATORS[name] = real
+
+
+@st.composite
+def fake_allocator_case(draw):
+    """A complete graph of 2-7 qubits, where every subset is connected, a
+    workload that fits it, and a fake allocator's answer(size, free): a pure
+    function of the request that sometimes refuses a fitting job, but never
+    on idle hardware, and otherwise takes the job's qubits in a drawn order."""
+    n = draw(st.integers(2, 7))
+    g = CouplingGraph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
+    jobs = gen_workload(draw(st.integers(1, 12)), 1, n, 1.0, draw(st.integers(0, 2**16)))
+    rank = draw(st.permutations(range(n))).index
+    refuses = draw(st.functions(like=lambda size, free: None, returns=st.booleans(), pure=True))
+
+    def answer(size, free):
+        if size > len(free) or (len(free) < n and refuses(size, free)):
+            return None
+        return tuple(sorted(free, key=rank)[:size])
+
+    return g, jobs, answer
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(fake_allocator_case())
+def test_rounds_ask_what_the_oracle_asks(case):
+    g, jobs, answer = case
+    want_asks, want_rounds = oracles.round_asks([j.size for j in jobs], g.qubit_count, answer)
+    asks = []
+
+    def fake(reported, req):
+        asks.append((req.size, req.available))
+        members = answer(req.size, req.available)
+        return None if members is None else allocation.Partition(members, 0.0)
+
+    allocation.ALLOCATORS["fake"] = fake
+    try:
+        snap = uniform_snapshot(g, 0.02, 0.02)
+        report = run_queue(jobs, snap, snap, "fake")
+    finally:
+        del allocation.ALLOCATORS["fake"]
+    assert asks == want_asks
+    assert [
+        [(p["job"], tuple(p["members"])) for p in r["placed"]] for r in report["rounds"]
+    ] == [[(jobs[i].id, members) for i, members in placed] for placed in want_rounds]
+    assert [r["active_qubits"] for r in report["rounds"]] == [
+        sum(len(members) for _, members in placed) for placed in want_rounds
+    ]
