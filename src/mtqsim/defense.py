@@ -7,6 +7,14 @@ range, smoothed, and compared by KL divergence with the historical window as
 the reference distribution. Qubits whose divergence exceeds a threshold
 calibrated on honest runs are flagged.
 
+divergences scores every qubit of a series in one pass over whole arrays,
+and detect and calibrate_threshold call it once per series: each window is
+sorted along cycles once, every qubit's edges come from one linspace, and
+each qubit's bins are counted by one searchsorted of its inner edges. Only
+the KL sums run in Python floats. qubit_divergence scores one qubit through
+build_distribution and kl_divergence; it is the per-qubit reference that
+divergences equals bit for bit, error messages included.
+
 matched_threshold calibrates that threshold on synthetic honest drift
 matched to the historical window of the series under audit.
 
@@ -117,6 +125,27 @@ def _check_windows(
         raise ValueError(f"windows [{lo1},{hi1}) and [{lo2},{hi2}) overlap")
 
 
+def _check_smoothing(bins: int, eps: float) -> None:
+    """The one bins and eps rule of both divergence paths, read before any rate.
+
+    eps 0 leaves an empty bin empty, which kl_divergence rejects on the Q
+    side. A positive eps must keep 1 + eps*bins finite, and the largest ratio
+    it can leave, a full P bin over an empty Q bin, finite, so that every
+    divergence is finite.
+    """
+    if not 1 <= bins <= MAX_BINS:
+        raise ValueError(f"bins must be in [1, {MAX_BINS}], got {bins}")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and non-negative, got {eps}")
+    if eps > 0:
+        scale = 1.0 + eps * bins
+        if not (math.isfinite(scale) and math.isfinite((1.0 + eps) / scale / (eps / scale))):
+            raise ValueError(
+                f"eps {eps} with bins {bins} smooths to a divergence that is not finite; "
+                f"use 0 or an eps that keeps 1 + eps*bins and 1/eps finite"
+            )
+
+
 def qubit_divergence(
     series: CalibrationSeries,
     q: int,
@@ -131,10 +160,7 @@ def qubit_divergence(
     are 1 to MAX_BINS of them. A constant pooled series has no spread to
     bin; its divergence is 0.
     """
-    if not 1 <= bins <= MAX_BINS:
-        raise ValueError(f"bins must be in [1, {MAX_BINS}], got {bins}")
-    if not 0 <= eps < math.inf:
-        raise ValueError(f"eps must be finite and non-negative, got {eps}")
+    _check_smoothing(bins, eps)
     series.graph._check_index(q)
     errors = series.mean_cnot_error[:, q]
     s1 = errors[series.cycle_slice(*window1)]
@@ -147,6 +173,74 @@ def qubit_divergence(
     d1 = build_distribution(s1, edges, eps)
     d2 = build_distribution(s2, edges, eps)
     return kl_divergence(d1, d2)
+
+
+def divergences(
+    series: CalibrationSeries,
+    window1: tuple[int, int],
+    window2: tuple[int, int],
+    bins: int = DEFAULT_BINS,
+    eps: float = DEFAULT_EPS,
+) -> list[float]:
+    """qubit_divergence of every qubit, in qubit order, from whole arrays.
+
+    Equal bit for bit to one qubit_divergence call per qubit, and raises what
+    the first failing qubit would. Each window is sorted along cycles once,
+    and each qubit's bins are counted by one searchsorted of its inner edges,
+    which gives np.histogram's counts, a sample equal to the top edge
+    included. Only the KL sums run in Python floats, in bin order.
+    """
+    _check_smoothing(bins, eps)
+    errors = series.mean_cnot_error.T  # one contiguous row per qubit
+    s1 = np.sort(errors[:, series.cycle_slice(*window1)])
+    s2 = np.sort(errors[:, series.cycle_slice(*window2)])
+    lo = np.minimum(s1[:, 0], s2[:, 0])
+    hi = np.maximum(s1[:, -1], s2[:, -1])
+    varying = np.flatnonzero(hi > lo)  # a constant qubit's divergence is 0
+    edges = _bin_edges(lo[varying], hi[varying], bins)
+    p = _smoothed(s1[varying], edges, eps)
+    q = _smoothed(s2[varying], edges, eps)
+    ragged = (np.diff(edges) <= 0).any(axis=1)
+    failing = np.flatnonzero(ragged | (q <= 0).any(axis=1))
+    if len(failing):
+        if ragged[failing[0]]:
+            raise ValueError("bin edges must be strictly ascending")
+        raise ValueError("Q must be strictly positive everywhere (smooth it)")
+    out = [0.0] * len(lo)
+    for qubit, p_row, q_row in zip(varying.tolist(), p.tolist(), q.tolist()):
+        total = 0.0
+        for pi, qi in zip(p_row, q_row):
+            if pi > 0.0:
+                total += pi * math.log(pi / qi)
+        out[qubit] = total
+    return out
+
+
+def _bin_edges(lo: np.ndarray, hi: np.ndarray, bins: int) -> np.ndarray:
+    """np.linspace(lo[i], hi[i], bins + 1) as row i, bit for bit.
+
+    linspace spaces a whole array by its subnormal rule once any row's step
+    (hi - lo) / bins is 0, so rows whose step underflows are spaced apart.
+    """
+    edges = np.empty((len(lo), bins + 1))
+    underflow = (hi - lo) / bins == 0
+    for rows in (underflow, ~underflow):
+        edges[rows] = np.linspace(lo[rows], hi[rows], bins + 1, axis=1)
+    return edges
+
+
+def _smoothed(samples: np.ndarray, edges: np.ndarray, eps: float) -> np.ndarray:
+    """build_distribution's probabilities of each row of sorted samples on its
+    row of edges."""
+    n = samples.shape[1]
+    cumulative = np.empty(edges.shape, dtype=np.intp)
+    cumulative[:, 0], cumulative[:, -1] = 0, n
+    for row, (values, row_edges) in enumerate(zip(samples, edges)):
+        cumulative[row, 1:-1] = values.searchsorted(row_edges[1:-1])
+    probs = np.diff(cumulative).astype(float) / n
+    if eps > 0:
+        probs = (probs + eps) / (1.0 + eps * probs.shape[1])
+    return probs
 
 
 def detect(
@@ -167,10 +261,7 @@ def detect(
     if not 0 <= tau < math.inf:
         raise ValueError(f"tau must be finite and non-negative, got {tau}")
     _check_windows(series, window1, window2)
-    divergence = {
-        q: qubit_divergence(series, q, window1, window2, bins, eps)
-        for q in range(series.graph.qubit_count)
-    }
+    divergence = dict(enumerate(divergences(series, window1, window2, bins, eps)))
     flagged = frozenset(q for q, d in divergence.items() if d > tau)
     return DetectionVerdict(divergence=divergence, tau=tau, flagged=flagged)
 
@@ -196,8 +287,7 @@ def calibrate_threshold(
     for series in honest_runs:
         _check_windows(series, window1, window2)
         n_runs += 1
-        for q in range(series.graph.qubit_count):
-            pool.append(qubit_divergence(series, q, window1, window2, bins, eps))
+        pool += divergences(series, window1, window2, bins, eps)
     _check_runs(n_runs)
     return float(np.percentile(np.asarray(pool), percentile))
 

@@ -661,6 +661,20 @@ def test_detect_checks_eps_on_a_series_with_no_spread(flags, tmp_path, monkeypat
     assert not (tmp_path / "v.json").exists()
 
 
+@pytest.mark.parametrize("eps", ["1e-320", "1e308"])
+@pytest.mark.parametrize("tau", [[], ["--tau", "0.1"]], ids=["calibrated", "explicit-tau"])
+def test_detect_rejects_an_eps_that_cannot_smooth(eps, tau, tmp_path, monkeypatch, capsys):
+    """1e-320 once wrote "divergence": Infinity for every qubit, and 1e308
+    failed on a probability sum that named neither eps nor bins."""
+    monkeypatch.chdir(tmp_path)
+    write_honest_calib(tmp_path / "c14.csv")
+    assert main(DETECT + ["--eps", eps, *tau, "--out", "v.json"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"config error: eps {float(eps)} with bins 10 smooths to a divergence")
+    assert not (tmp_path / "v.json").exists()
+
+
 BELL = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\ncx q[0],q[1];\nmeasure q[0] -> c[0];\n"
 
 

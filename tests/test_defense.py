@@ -1,16 +1,22 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
+import strategies
 from mtqsim.adversary import MisreportPlan, apply_misreport, h1_plan
 from mtqsim.calibration import CalibrationSeries, synth_drift, uniform_snapshot
 from mtqsim.defense import (
     DEFAULT_PERCENTILE,
+    MAX_BINS,
     build_distribution,
     calibrate_threshold,
     detect,
+    divergences,
     kl_divergence,
     naive_threshold_flags,
     qubit_divergence,
@@ -86,12 +92,105 @@ def test_detect_constant_series_zero(hanoi):
     assert all(d == 0.0 for d in verdict.divergence.values())
 
 
-@pytest.mark.parametrize("eps", [math.nan, -5.0, math.inf])
-def test_qubit_divergence_checks_eps_on_a_constant_series(hanoi, eps):
+# eps values refused before any rate is read, with the message each gets at
+# bins 3: 1e-320 and 5e-309 leave a full-over-empty ratio that overflows, and
+# 1e308 and 6e307 overflow 1 + eps*3
+EPS_REJECTED = [(eps, "eps must be finite and non-negative") for eps in (math.nan, -5.0, math.inf)]
+EPS_REJECTED += [
+    (eps, f"eps {eps} with bins 3 smooths to a divergence that is not finite")
+    for eps in (1e-320, 5e-309, 1e308, 6e307)
+]
+
+
+@pytest.mark.parametrize("eps, message", EPS_REJECTED, ids=[str(eps) for eps, _ in EPS_REJECTED])
+def test_qubit_divergence_checks_eps_on_a_constant_series(hanoi, eps, message):
     series = synth_drift(uniform_snapshot(hanoi, 0.02, 0.02), 14, 0.0, 1)
     assert qubit_divergence(series, 0, (0, 7), (7, 14), bins=3, eps=0.1) == 0.0
-    with pytest.raises(ValueError, match="eps must be finite and non-negative"):
+    with pytest.raises(ValueError, match=re.escape(message)):
         qubit_divergence(series, 0, (0, 7), (7, 14), bins=3, eps=eps)
+
+
+@pytest.mark.parametrize("eps, message", EPS_REJECTED, ids=[str(eps) for eps, _ in EPS_REJECTED])
+def test_detect_and_calibration_check_eps_on_a_constant_series(hanoi, eps, message):
+    series = synth_drift(uniform_snapshot(hanoi, 0.02, 0.02), 14, 0.0, 1)
+    runs = [series] * 30
+    assert set(detect(series, (0, 7), (7, 14), bins=3, eps=0.1).divergence.values()) == {0.0}
+    assert calibrate_threshold(runs, (0, 7), (7, 14), bins=3, eps=0.1) == 0.0
+    with pytest.raises(ValueError, match=re.escape(message)):
+        detect(series, (0, 7), (7, 14), bins=3, eps=eps)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        calibrate_threshold(runs, (0, 7), (7, 14), bins=3, eps=eps)
+
+
+@pytest.mark.parametrize("eps", [2.3e-308, 1e300])
+def test_an_eps_that_smooths_gives_finite_divergences(eps):
+    """The eps rule refuses no eps that smooths: near either end of the range
+    every divergence stays finite."""
+    series = synth_drift(uniform_snapshot(P3, 0.02, 0.02), 14, 0.3, 2)
+    values = divergences(series, (0, 7), (7, 14), bins=3, eps=eps)
+    assert all(math.isfinite(d) and d >= 0.0 for d in values)
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _per_qubit(series, window1, window2, bins, eps):
+    qubits = range(series.graph.qubit_count)
+    return _outcome(lambda: [qubit_divergence(series, q, window1, window2, bins, eps) for q in qubits])
+
+
+@st.composite
+def drift_and_windows(draw):
+    """A synth_drift series on a random connected graph, at cv 0, 1e-12 or
+    any cv in [0, 1], and two disjoint windows of at least one cycle each.
+    Half the series are rounded to eighths, so that samples sit on bin edges."""
+    g, base = draw(strategies.graph_and_snapshot())
+    cv = draw(st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0.0, 1.0)))
+    cycles = draw(st.integers(3, 40))
+    series = synth_drift(base, cycles, cv, draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        eighths = np.round(series.cnot_error * 8) / 8
+        series = CalibrationSeries(g, series.cycle_ids, eighths, series.readout_error)
+    a, b, c, d = sorted(draw(st.lists(st.integers(0, cycles), min_size=4, max_size=4, unique=True)))
+    windows = ((a, b), (c, d)) if draw(st.booleans()) else ((c, d), (a, b))
+    return series, *windows
+
+
+AUDIT_LIKE = (synth_drift(uniform_snapshot(hanoi27(), 0.02, 0.02), 420, 0.3, 1), (0, 336), (336, 420))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    case=drift_and_windows(),
+    bins=st.integers(1, 50),
+    eps=st.sampled_from([0.0, 1e-9, 0.1]),
+)
+@example(case=AUDIT_LIKE, bins=MAX_BINS, eps=1e-9)
+def test_divergences_equal_the_per_qubit_reference(case, bins, eps):
+    series, window1, window2 = case
+    expected = _per_qubit(series, window1, window2, bins, eps)
+    assert _outcome(lambda: divergences(series, window1, window2, bins, eps)) == expected
+
+
+def test_divergences_space_an_underflowing_step_apart():
+    """linspace takes a subnormal rule for a whole array once one row's step
+    underflows; the other rows must keep their own edges. Qubits 0 and 1 span
+    [0.01, 0.04], whose own second edge is 0.02 (the subnormal rule gives
+    0.019999999999999997, a window-2 sample), so with eps 0 qubit 0 fails on an
+    empty Q bin before qubits 2 and 3, one subnormal step wide, fail on edges
+    that repeat. Smoothed, only the repeated edges fail."""
+    two_edges = CouplingGraph(4, frozenset({(0, 1), (2, 3)}))
+    e01 = [0.01, 0.025, 0.04, 0.01, 0.019999999999999997, 0.04]
+    e23 = [0.0, 5e-324, 0.0, 5e-324, 0.0, 5e-324]
+    series = CalibrationSeries(two_edges, tuple(range(6)), list(zip(e01, e23)), [[0.0] * 4] * 6)
+    for eps, message in ((0.0, "Q must be strictly positive"), (0.1, "bin edges must be strictly")):
+        expected = _per_qubit(series, (0, 3), (3, 6), 3, eps)
+        assert expected.startswith(f"ValueError: {message}")
+        assert _outcome(lambda: divergences(series, (0, 3), (3, 6), 3, eps)) == expected
 
 
 def test_detect_window_validation(hanoi):
