@@ -23,7 +23,7 @@ from mtqsim.adversary import apply_misreport, h2_plan
 from mtqsim.allocation import AllocationRequest, comdap_allocate
 from mtqsim.calibration import validate_snapshot
 from mtqsim.topology import hanoi27
-from mtqsim.transpile import depth, initial_layout, parse_qasm_subset, pst_estimate, route
+from mtqsim.transpile import cost, initial_layout, parse_qasm_subset
 
 QASM = """
 OPENQASM 2.0;
@@ -67,12 +67,13 @@ print(
 
 for leg, rep_snap in (("honest", snap_true), ("under-reported", reported)):
     part = comdap_allocate(rep_snap, AllocationRequest(5, tuple(range(27))))
+    # laid out on what the device reports, priced on what it does, as the scheduler does
     layout = initial_layout(circuit, part.members, rep_snap)
-    routed = route(circuit, layout, part.members, g)
+    depth, _, swaps, pst = cost(circuit, layout, part.members, snap_true)
     hit = targets & set(part.members)
     print(f"{leg} reports")
     print(f"  region   : {sorted(part.members)}"
           + (f" (contains attacked qubits {sorted(hit)})" if hit else ""))
-    print(f"  swaps    : {routed.swap_count} (3 CNOTs each)")
-    print(f"  depth    : {depth(routed)}")
-    print(f"  PST(true): {pst_estimate(routed, snap_true):.6f}\n")
+    print(f"  swaps    : {swaps} (3 CNOTs each)")
+    print(f"  depth    : {depth}")
+    print(f"  PST(true): {pst:.6f}\n")

@@ -125,6 +125,20 @@ def _check_windows(
         raise ValueError(f"windows [{lo1},{hi1}) and [{lo2},{hi2}) overlap")
 
 
+def _window_rows(
+    series: CalibrationSeries, window1: tuple[int, int], window2: tuple[int, int]
+) -> tuple[slice, slice]:
+    """Each window's rows of series, for both divergence paths; a window that
+    covers no cycle of the series has nothing to histogram and is refused."""
+    rows = []
+    for name, (lo, hi) in (("window1", window1), ("window2", window2)):
+        window = series.cycle_slice(lo, hi)
+        if window.start >= window.stop:
+            raise ValueError(f"{name} [{lo},{hi}) covers no cycle of the series")
+        rows.append(window)
+    return rows[0], rows[1]
+
+
 def _check_smoothing(bins: int, eps: float) -> None:
     """The one bins and eps rule of both divergence paths, read before any rate.
 
@@ -162,9 +176,10 @@ def qubit_divergence(
     """
     _check_smoothing(bins, eps)
     series.graph._check_index(q)
+    rows1, rows2 = _window_rows(series, window1, window2)
     errors = series.mean_cnot_error[:, q]
-    s1 = errors[series.cycle_slice(*window1)]
-    s2 = errors[series.cycle_slice(*window2)]
+    s1 = errors[rows1]
+    s2 = errors[rows2]
     lo = min(s1.min(), s2.min())
     hi = max(s1.max(), s2.max())
     if hi <= lo:
@@ -191,9 +206,10 @@ def divergences(
     included. Only the KL sums run in Python floats, in bin order.
     """
     _check_smoothing(bins, eps)
+    rows1, rows2 = _window_rows(series, window1, window2)
     errors = series.mean_cnot_error.T  # one contiguous row per qubit
-    s1 = np.sort(errors[:, series.cycle_slice(*window1)])
-    s2 = np.sort(errors[:, series.cycle_slice(*window2)])
+    s1 = np.sort(errors[:, rows1])
+    s2 = np.sort(errors[:, rows2])
     lo = np.minimum(s1[:, 0], s2[:, 0])
     hi = np.maximum(s1[:, -1], s2[:, -1])
     varying = np.flatnonzero(hi > lo)  # a constant qubit's divergence is 0

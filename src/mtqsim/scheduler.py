@@ -4,9 +4,9 @@ Jobs queue FIFO. Each round scans the queue in order and places every job
 the allocator can fit into the qubits still free this round; a job that does
 not fit is skipped, not blocking smaller jobs behind it, and retries next
 round. The round closes when a full scan places nothing. Placed jobs are laid
-out and routed against the reported snapshot and scored against the true one;
-both snapshots must be of one graph, the device, and the queue reads the
-device from them.
+out against the reported snapshot, then routed and priced against the true one
+in one walk (transpile.cost); both snapshots must be of one graph, the device,
+and the queue reads the device from them.
 
 The allocator is a pure function of the reported snapshot and the request,
 and a rescan repeats a request while the round's free qubits, an ascending
@@ -31,7 +31,7 @@ import numpy as np
 
 from .allocation import AllocationRequest, Partition, get_allocator
 from .calibration import CalibrationSeries
-from .transpile import LogicalCircuit, Op, initial_layout, route, score
+from .transpile import LogicalCircuit, Op, cost, initial_layout
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,8 @@ def run_queue(
             raise ValueError(f"jobs cannot be placed even on idle hardware: {stuck}")
         for job, part in placed:
             layout = initial_layout(job.circuit, part.members, snap_reported)
-            routed = route(job.circuit, layout, part.members, g)
-            depth, cnots, pst = score(routed, snap_true)
-            values = (job.id, len(rounds), depth, cnots, routed.swap_count, pst)
-            metrics.append(dict(zip(JOB_COLUMNS, values)))
+            values = cost(job.circuit, layout, part.members, snap_true)
+            metrics.append(dict(zip(JOB_COLUMNS, (job.id, len(rounds), *values))))
         active = g.qubit_count - len(free)
         rounds.append({
             "round": len(rounds),

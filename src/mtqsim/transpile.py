@@ -8,12 +8,15 @@ SWAP insertion along shortest paths inside the partition, and the result is
 scored by ASAP depth, CNOT count, and an analytic success probability against
 the true error rates.
 
-Every gate, before and after routing, is one Op tuple (kind, qubits, name,
-angle, clbit). A LogicalCircuit holds "1q", "cnot" and "measure" ops on
-logical qubits; a routed circuit holds the same ops on physical qubits plus
-one "swap" op per SWAP. score prices a swap as the three CNOTs it compiles to
-and computes all three measures in one walk over the ops; depth and
-pst_estimate each read one of them.
+Every gate is one Op tuple (kind, qubits, name, angle, clbit). A
+LogicalCircuit holds "1q", "cnot" and "measure" ops on logical qubits. The
+scheduler prices a job with cost: one walk over the logical ops that inserts
+SWAPs and prices each SWAP (as the three CNOTs it compiles to) and each CNOT
+as it makes them, and builds no routed op. route and score are the op-level
+view of the same walk, kept for tests and the benchmark's tracer: route
+returns the ops on physical qubits plus one "swap" op per SWAP, and score
+prices them to cost's numbers; depth and pst_estimate each read one of
+score's. route and cost share one routing rule (_router).
 
 Layout consumes the reported snapshot (the allocator's world view); the
 success probability consumes the true snapshot. Both are one-cycle
@@ -26,7 +29,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .allocation import cfm
 from .calibration import CalibrationSeries
@@ -268,6 +271,44 @@ def initial_layout(
     return layout
 
 
+class _Paths(dict):
+    """The shortest paths from one source qubit inside a partition: each reached
+    qubit maps to the inner qubits of its path, in walking order, read from one
+    bfs_tree (a qubit's path is its parent's plus the parent). Looking up a
+    qubit the source does not reach raises the "no path" ValueError."""
+
+    def __init__(self, g: CouplingGraph, allowed: set[int], src: int) -> None:
+        super().__init__()
+        self.allowed, self.src = allowed, src
+        for q, parent in bfs_tree(g, allowed, src).items():  # a parent before its children
+            self[q] = () if parent == src else self[parent] + (parent,)
+
+    def __missing__(self, q: int) -> tuple[int, ...]:
+        raise ValueError(
+            f"partition {sorted(self.allowed)} is disconnected: no path {self.src} -> {q}"
+        )
+
+
+def _router(
+    c: LogicalCircuit, layout: dict[int, int], members: Sequence[int], g: CouplingGraph
+) -> tuple[dict[int, int], dict[int, int], Callable[[int], _Paths]]:
+    """The routing rule that route and cost share: the logical-to-physical and
+    physical-to-logical maps to update as SWAPs move qubits, and paths_from(a),
+    whose [b] is the inner qubits of the shortest path from a to b inside the
+    partition's induced subgraph, built once per source qubit on first use.
+    """
+    allowed = set(members)
+    l2p = dict(layout)
+    if (
+        len(allowed) != c.qubit_count
+        or set(l2p) != set(range(c.qubit_count))
+        or set(l2p.values()) != allowed
+    ):
+        raise ValueError("layout must be a bijection from logical qubits onto the partition")
+    paths_from = functools.cache(lambda src: _Paths(g, allowed, src))
+    return l2p, {p: l for l, p in l2p.items()}, paths_from
+
+
 def route(
     c: LogicalCircuit,
     layout: dict[int, int],
@@ -279,23 +320,13 @@ def route(
     Ops are processed in circuit order. A one-qubit or measure op moves to
     its qubit's current carrier, keeping its name, angle and clbit. When a
     CNOT's carriers are not adjacent, the control's carrier walks a shortest
-    path inside the partition's induced subgraph, one SWAP per hop, until
-    adjacency; the CNOT is then emitted. Each SWAP is one "swap" op on its
-    hop's pair; equal CNOT and swap ops share one instance (_pair_op). Paths
-    are read from one bfs_tree per source qubit, built on first use, by
-    walking the target's parents back to the source. Routing never leaves
-    the partition and never emits a CNOT or SWAP on a non-edge.
+    path inside the partition's induced subgraph (_router), one SWAP per hop,
+    until adjacency; the CNOT is then emitted. Each SWAP is one "swap" op on
+    its hop's pair; equal CNOT and swap ops share one instance (_pair_op).
+    Routing never leaves the partition and never emits a CNOT or SWAP on a
+    non-edge.
     """
-    allowed = set(members)
-    l2p = dict(layout)
-    if (
-        len(allowed) != c.qubit_count
-        or set(l2p) != set(range(c.qubit_count))
-        or set(l2p.values()) != allowed
-    ):
-        raise ValueError("layout must be a bijection from logical qubits onto the partition")
-    p2l = {p: l for l, p in l2p.items()}
-    tree_from = functools.cache(lambda src: bfs_tree(g, allowed, src))
+    l2p, p2l, paths_from = _router(c, layout, members, g)
     ops: list[Op] = []
     swap_count = 0
 
@@ -304,17 +335,7 @@ def route(
             ops.append(Op(kind, (l2p[qubits[0]],), name, angle, clbit))
         else:
             pc, pt = l2p[qubits[0]], l2p[qubits[1]]
-            tree = tree_from(pc)
-            if pt not in tree:
-                raise ValueError(
-                    f"partition {sorted(allowed)} is disconnected: no path {pc} -> {pt}"
-                )
-            hops = []  # the path's inner qubits, from pt's end
-            q = tree[pt]
-            while q != pc:
-                hops.append(q)
-                q = tree[q]
-            for step in reversed(hops):
+            for step in paths_from(pc)[pt]:
                 ops.append(_pair_op("swap", pc, step))
                 swap_count += 1
                 lc, ls = p2l[pc], p2l[step]
@@ -329,6 +350,61 @@ def route(
         physical_ops=tuple(ops),
         swap_count=swap_count,
     )
+
+
+def cost(
+    c: LogicalCircuit,
+    layout: dict[int, int],
+    members: Sequence[int],
+    snap_true: CalibrationSeries,
+) -> tuple[int, int, int, float]:
+    """Depth, CNOT count, SWAP count and PST of c as route routes it on
+    snap_true's graph and score prices it against snap_true, in one walk that
+    builds no op.
+
+    Each SWAP and CNOT is priced as route makes it, by score's rules, so PST
+    takes the same factors in the same order: three per SWAP, one per CNOT,
+    then one readout per distinct measured qubit in ascending order. route's
+    ValueErrors are raised as route raises them.
+    """
+    g = snap_true.graph
+    l2p, p2l, paths_from = _router(c, layout, members, g)
+    (cnot, readout), column = snap_true.rates, g.edge_column
+    ready = dict.fromkeys(members, 0)
+    total = cnots = swaps = 0
+    p = 1.0
+    measured: set[int] = set()
+    for kind, qubits, _, _, _ in c.gates:
+        if kind != "cnot":
+            a = l2p[qubits[0]]
+            t = ready[a] + 1
+            ready[a] = t
+            if kind == "measure":
+                measured.add(a)
+        else:
+            pc, pt = l2p[qubits[0]], l2p[qubits[1]]
+            for step in paths_from(pc)[pt]:
+                ta, tb = ready[pc], ready[step]
+                ready[pc] = ready[step] = (ta if ta > tb else tb) + 3
+                f = 1.0 - cnot[column[pc, step]]
+                p *= f
+                p *= f
+                p *= f
+                lc, ls = p2l[pc], p2l[step]
+                l2p[lc], l2p[ls] = step, pc
+                p2l[pc], p2l[step] = ls, lc
+                pc = step
+                swaps += 1
+            ta, tb = ready[pc], ready[pt]
+            t = (ta if ta > tb else tb) + 1  # later than every SWAP that moved pc
+            ready[pc] = ready[pt] = t
+            p *= 1.0 - cnot[column[pc, pt]]
+            cnots += 1
+        if t > total:
+            total = t
+    for q in sorted(measured):
+        p *= 1.0 - readout[q]
+    return total, cnots + 3 * swaps, swaps, p
 
 
 def score(

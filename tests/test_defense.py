@@ -193,6 +193,21 @@ def test_divergences_space_an_underflowing_step_apart():
         assert _outcome(lambda: divergences(series, (0, 3), (3, 6), 3, eps)) == expected
 
 
+@pytest.mark.parametrize(
+    "window1, window2, message",
+    [
+        ((0, 7), (20, 30), "window2 [20,30) covers no cycle of the series"),
+        ((5, 2), (7, 14), "window1 [5,2) covers no cycle of the series"),
+    ],
+)
+def test_an_empty_window_is_named_by_both_divergence_paths(hanoi, window1, window2, message):
+    series = synth_drift(uniform_snapshot(hanoi, 0.02, 0.02), 14, 0.3, 7)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        divergences(series, window1, window2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        qubit_divergence(series, 0, window1, window2)
+
+
 def test_detect_window_validation(hanoi):
     base = uniform_snapshot(hanoi, 0.02, 0.02)
     series = synth_drift(base, 10, 0.3, 3)

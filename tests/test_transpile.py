@@ -11,6 +11,7 @@ from mtqsim.transpile import (
     LogicalCircuit,
     Op,
     circuit_to_qasm,
+    cost,
     depth,
     initial_layout,
     parse_qasm_subset,
@@ -247,6 +248,8 @@ def test_route_rejects_a_disconnected_partition():
     c = parse_qasm_subset("qreg q[2]; cx q[0],q[1];")
     with pytest.raises(ValueError, match="no path 0 -> 2"):
         route(c, {0: 0, 1: 2}, (0, 2), P3)
+    with pytest.raises(ValueError, match="no path 0 -> 2"):
+        cost(c, {0: 0, 1: 2}, (0, 2), uniform_snapshot(P3, 0.01, 0.01))
 
 
 def test_route_rejects_a_many_to_one_layout():
@@ -254,6 +257,8 @@ def test_route_rejects_a_many_to_one_layout():
     c = parse_qasm_subset("qreg q[2]; cx q[0],q[1];")
     with pytest.raises(ValueError, match="layout must be a bijection"):
         route(c, {0: 1, 1: 1}, (1,), P3)
+    with pytest.raises(ValueError, match="layout must be a bijection"):
+        cost(c, {0: 1, 1: 1}, (1,), uniform_snapshot(P3, 0.01, 0.01))
 
 
 def test_route_takes_the_lowest_shortest_path():
@@ -399,9 +404,13 @@ def test_depth_cnots_and_pst_match_the_oracles(case):
     swaps = oracles.replay_routed(c, r)
     assert swaps == r.swap_count
     assert len(r.physical_ops) == len(c.gates) + r.swap_count
-    assert depth(r) == oracles.asap_layers(r.physical_ops)
-    assert score(r, None)[1] == sum(op.kind == "cnot" for op in c.gates) + 3 * swaps
+    layers = oracles.asap_layers(r.physical_ops)
+    assert depth(r) == layers
+    cnots = sum(op.kind == "cnot" for op in c.gates) + 3 * swaps
+    assert score(r, None)[1] == cnots
     cnot = dict(zip(g.edge_list, snap.cnot_error[0].tolist()))
     readout = dict(enumerate(snap.readout_error[0].tolist()))
     expected = oracles.success_product(r.physical_ops, cnot, readout)
     assert pst_estimate(r, snap) == expected
+    # the one walk the scheduler prices with: the same four numbers, PST bit for bit
+    assert cost(c, layout, members, snap) == (layers, cnots, swaps, expected)
