@@ -7,13 +7,14 @@ range, smoothed, and compared by KL divergence with the historical window as
 the reference distribution. Qubits whose divergence exceeds a threshold
 calibrated on honest runs are flagged.
 
-divergences scores every qubit of a series in one pass over whole arrays,
-and detect and calibrate_threshold call it once per series: each window is
-sorted along cycles once, every qubit's edges come from one linspace, and
-each qubit's bins are counted by one searchsorted of its inner edges. Only
-the KL sums run in Python floats. qubit_divergence scores one qubit through
-build_distribution and kl_divergence; it is the per-qubit reference that
-divergences equals bit for bit, error messages included.
+One pass over whole arrays computes every histogram and KL sum of the
+module: each window is sorted along cycles once, every qubit's edges come
+from one linspace, and each qubit's bins are counted by one searchsorted of
+its inner edges; only the KL sums run in Python floats. divergences runs it
+over every qubit, and detect and calibrate_threshold call that once per
+series; qubit_divergence runs it over one qubit. The tests check both, bit
+for bit and error messages included, against a per-qubit numpy reference
+built on np.histogram (tests/oracles.py).
 
 matched_threshold calibrates that threshold on synthetic honest drift
 matched to the historical window of the series under audit.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -46,68 +47,10 @@ CALIBRATION_SEED_BASE = 1000
 
 
 @dataclass(frozen=True)
-class ErrorDistribution:
-    """A binned probability distribution over error values."""
-
-    bin_edges: tuple[float, ...]
-    probabilities: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.probabilities) != len(self.bin_edges) - 1:
-            raise ValueError("need exactly one probability per bin")
-        total = sum(self.probabilities)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
-
-
-@dataclass(frozen=True)
 class DetectionVerdict:
     divergence: dict[int, float]
     tau: float
     flagged: frozenset[int]
-
-
-def build_distribution(
-    samples: Sequence[float], bin_edges: Sequence[float], eps: float
-) -> ErrorDistribution:
-    """Histogram samples on the given edges, normalize, smooth by eps, renormalize.
-
-    With eps > 0 no bin probability is exactly zero, which keeps the
-    distribution usable on the denominator side of a KL divergence.
-    """
-    edges = tuple(float(e) for e in bin_edges)
-    if len(edges) < 2:
-        raise ValueError("need at least 2 bin edges")
-    if any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ValueError("bin edges must be strictly ascending")
-    if len(samples) == 0:
-        raise ValueError("samples must be non-empty")
-    arr = np.asarray(samples, dtype=float)
-    if arr.min() < edges[0] or arr.max() > edges[-1]:
-        raise ValueError(
-            f"samples outside bin range [{edges[0]}, {edges[-1]}]: "
-            f"min {arr.min()}, max {arr.max()}"
-        )
-    if not 0 <= eps < math.inf:
-        raise ValueError(f"eps must be finite and non-negative, got {eps}")
-    counts, _ = np.histogram(arr, bins=np.asarray(edges))
-    probs = counts.astype(float) / counts.sum()
-    if eps > 0:
-        probs = (probs + eps) / (1.0 + eps * len(probs))
-    return ErrorDistribution(edges, tuple(float(p) for p in probs))
-
-
-def kl_divergence(p: ErrorDistribution, q: ErrorDistribution) -> float:
-    """D(P || Q) = sum P ln(P/Q), natural log; zero-probability P bins contribute 0."""
-    if p.bin_edges != q.bin_edges:
-        raise ValueError("distributions must share bin edges")
-    if any(qi <= 0.0 for qi in q.probabilities):
-        raise ValueError("Q must be strictly positive everywhere (smooth it)")
-    total = 0.0
-    for pi, qi in zip(p.probabilities, q.probabilities):
-        if pi > 0.0:
-            total += pi * math.log(pi / qi)
-    return total
 
 
 def _check_windows(
@@ -128,8 +71,8 @@ def _check_windows(
 def _window_rows(
     series: CalibrationSeries, window1: tuple[int, int], window2: tuple[int, int]
 ) -> tuple[slice, slice]:
-    """Each window's rows of series, for both divergence paths; a window that
-    covers no cycle of the series has nothing to histogram and is refused."""
+    """Each window's rows of series; a window that covers no cycle of the
+    series has nothing to histogram and is refused."""
     rows = []
     for name, (lo, hi) in (("window1", window1), ("window2", window2)):
         window = series.cycle_slice(lo, hi)
@@ -140,11 +83,11 @@ def _window_rows(
 
 
 def _check_smoothing(bins: int, eps: float) -> None:
-    """The one bins and eps rule of both divergence paths, read before any rate.
+    """The one bins and eps rule of every divergence, read before any rate.
 
-    eps 0 leaves an empty bin empty, which kl_divergence rejects on the Q
-    side. A positive eps must keep 1 + eps*bins finite, and the largest ratio
-    it can leave, a full P bin over an empty Q bin, finite, so that every
+    eps 0 leaves an empty bin empty, which the KL sum rejects on the Q side.
+    A positive eps must keep 1 + eps*bins finite, and the largest ratio it
+    can leave, a full P bin over an empty Q bin, finite, so that every
     divergence is finite.
     """
     if not 1 <= bins <= MAX_BINS:
@@ -172,22 +115,12 @@ def qubit_divergence(
 
     Bins are equal-width over the pooled min and max of both windows; there
     are 1 to MAX_BINS of them. A constant pooled series has no spread to
-    bin; its divergence is 0.
+    bin; its divergence is 0. Only qubit q is read, so another qubit's
+    failure does not reach it.
     """
     _check_smoothing(bins, eps)
     series.graph._check_index(q)
-    rows1, rows2 = _window_rows(series, window1, window2)
-    errors = series.mean_cnot_error[:, q]
-    s1 = errors[rows1]
-    s2 = errors[rows2]
-    lo = min(s1.min(), s2.min())
-    hi = max(s1.max(), s2.max())
-    if hi <= lo:
-        return 0.0
-    edges = np.linspace(lo, hi, bins + 1)
-    d1 = build_distribution(s1, edges, eps)
-    d2 = build_distribution(s2, edges, eps)
-    return kl_divergence(d1, d2)
+    return _divergences(series, [q], window1, window2, bins, eps)[0]
 
 
 def divergences(
@@ -197,17 +130,32 @@ def divergences(
     bins: int = DEFAULT_BINS,
     eps: float = DEFAULT_EPS,
 ) -> list[float]:
-    """qubit_divergence of every qubit, in qubit order, from whole arrays.
+    """qubit_divergence of every qubit, in qubit order, in one pass.
 
-    Equal bit for bit to one qubit_divergence call per qubit, and raises what
-    the first failing qubit would. Each window is sorted along cycles once,
-    and each qubit's bins are counted by one searchsorted of its inner edges,
-    which gives np.histogram's counts, a sample equal to the top edge
-    included. Only the KL sums run in Python floats, in bin order.
+    Raises what the first failing qubit's qubit_divergence would.
     """
     _check_smoothing(bins, eps)
+    return _divergences(series, slice(None), window1, window2, bins, eps)
+
+
+def _divergences(
+    series: CalibrationSeries,
+    qubits: slice | list[int],
+    window1: tuple[int, int],
+    window2: tuple[int, int],
+    bins: int,
+    eps: float,
+) -> list[float]:
+    """The divergence of each qubit that qubits indexes, in order, from whole
+    arrays: the one histogram-and-KL pass of the module.
+
+    Each window is sorted along cycles once, and each qubit's bins are counted
+    by one searchsorted of its inner edges, which gives np.histogram's counts,
+    a sample equal to the top edge included. Only the KL sums run in Python
+    floats, in bin order.
+    """
     rows1, rows2 = _window_rows(series, window1, window2)
-    errors = series.mean_cnot_error.T  # one contiguous row per qubit
+    errors = series.mean_cnot_error.T[qubits]  # one contiguous row per qubit
     s1 = np.sort(errors[:, rows1])
     s2 = np.sort(errors[:, rows2])
     lo = np.minimum(s1[:, 0], s2[:, 0])
@@ -246,8 +194,8 @@ def _bin_edges(lo: np.ndarray, hi: np.ndarray, bins: int) -> np.ndarray:
 
 
 def _smoothed(samples: np.ndarray, edges: np.ndarray, eps: float) -> np.ndarray:
-    """build_distribution's probabilities of each row of sorted samples on its
-    row of edges."""
+    """Each row of sorted samples histogrammed on its row of edges, normalized,
+    and smoothed by eps: (p + eps) / (1 + eps*bins) when eps > 0."""
     n = samples.shape[1]
     cumulative = np.empty(edges.shape, dtype=np.intp)
     cumulative[:, 0], cumulative[:, -1] = 0, n

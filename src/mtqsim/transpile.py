@@ -9,14 +9,15 @@ scored by ASAP depth, CNOT count, and an analytic success probability against
 the true error rates.
 
 Every gate is one Op tuple (kind, qubits, name, angle, clbit). A
-LogicalCircuit holds "1q", "cnot" and "measure" ops on logical qubits. The
-scheduler prices a job with cost: one walk over the logical ops that inserts
-SWAPs and prices each SWAP (as the three CNOTs it compiles to) and each CNOT
-as it makes them, and builds no routed op. route and score are the op-level
-view of the same walk, kept for tests and the benchmark's tracer: route
-returns the ops on physical qubits plus one "swap" op per SWAP, and score
-prices them to cost's numbers; depth and pst_estimate each read one of
-score's. route and cost share one routing rule (_router).
+LogicalCircuit holds "1q", "cnot" and "measure" ops on logical qubits. cost
+is the one pricer: one walk over the logical ops that inserts SWAPs and
+prices each SWAP (as the three CNOTs it compiles to) and each CNOT as it
+makes them, and builds no routed op; the scheduler prices every placed job
+with it. route is the op-level view of the same routing, for tests and the
+benchmark's tracer: it returns the ops on physical qubits plus one "swap" op
+per SWAP, which the tests replay and price with the reference schedulers in
+tests/oracles.py. route and cost share one routing rule (_router). depth and
+pst_estimate each return one of cost's numbers.
 
 Layout consumes the reported snapshot (the allocator's world view); the
 success probability consumes the true snapshot. Both are one-cycle
@@ -212,19 +213,8 @@ def circuit_to_qasm(c: LogicalCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-@functools.cache
-def _pair_op(kind: str, a: int, b: int) -> Op:
-    """The "cnot" or "swap" op on (a, b), one shared instance per pair.
-
-    An Op is immutable, so sharing it is safe; route only asks for pairs
-    that are coupling edges, which bounds the cache.
-    """
-    return Op(kind, (a, b))
-
-
 @dataclass(frozen=True)
 class RoutedCircuit:
-    partition: tuple[int, ...]
     initial_layout: dict[int, int]
     physical_ops: tuple[Op, ...]
     swap_count: int
@@ -322,9 +312,8 @@ def route(
     CNOT's carriers are not adjacent, the control's carrier walks a shortest
     path inside the partition's induced subgraph (_router), one SWAP per hop,
     until adjacency; the CNOT is then emitted. Each SWAP is one "swap" op on
-    its hop's pair; equal CNOT and swap ops share one instance (_pair_op).
-    Routing never leaves the partition and never emits a CNOT or SWAP on a
-    non-edge.
+    its hop's pair. Routing never leaves the partition and never emits a
+    CNOT or SWAP on a non-edge.
     """
     l2p, p2l, paths_from = _router(c, layout, members, g)
     ops: list[Op] = []
@@ -336,16 +325,15 @@ def route(
         else:
             pc, pt = l2p[qubits[0]], l2p[qubits[1]]
             for step in paths_from(pc)[pt]:
-                ops.append(_pair_op("swap", pc, step))
+                ops.append(Op("swap", (pc, step)))
                 swap_count += 1
                 lc, ls = p2l[pc], p2l[step]
                 l2p[lc], l2p[ls] = step, pc
                 p2l[pc], p2l[step] = ls, lc
                 pc = step
-            ops.append(_pair_op("cnot", pc, pt))
+            ops.append(Op("cnot", (pc, pt)))
 
     return RoutedCircuit(
-        partition=tuple(members),
         initial_layout=dict(layout),
         physical_ops=tuple(ops),
         swap_count=swap_count,
@@ -359,13 +347,17 @@ def cost(
     snap_true: CalibrationSeries,
 ) -> tuple[int, int, int, float]:
     """Depth, CNOT count, SWAP count and PST of c as route routes it on
-    snap_true's graph and score prices it against snap_true, in one walk that
-    builds no op.
+    snap_true's graph, priced against snap_true in one walk that builds no op.
 
-    Each SWAP and CNOT is priced as route makes it, by score's rules, so PST
-    takes the same factors in the same order: three per SWAP, one per CNOT,
-    then one readout per distinct measured qubit in ascending order. route's
-    ValueErrors are raised as route raises them.
+    Each SWAP and CNOT is priced as it is made, a SWAP as the three CNOTs on
+    its pair that it compiles to. Depth: a one-qubit op, measure or CNOT
+    occupies its qubits for one layer and a SWAP for three; each starts once
+    all of its qubits are free. CNOTs: every logical CNOT plus three per
+    SWAP. PST: the product of (1 - cnot_error) over every CNOT in routed
+    order, a SWAP's three taken as three successive factors, then of
+    (1 - readout_error) over the distinct measured physical qubits in
+    ascending order; one-qubit gates are error-free. route's ValueErrors are
+    raised as route raises them.
     """
     g = snap_true.graph
     l2p, p2l, paths_from = _router(c, layout, members, g)
@@ -407,67 +399,25 @@ def cost(
     return total, cnots + 3 * swaps, swaps, p
 
 
-def score(
-    r: RoutedCircuit, snap_true: CalibrationSeries | None
-) -> tuple[int, int, float | None]:
-    """ASAP depth, CNOT count and analytic PST of a routed circuit, in one walk
-    over its ops, each priced by its kind.
-
-    A swap op is priced as the three CNOTs on its pair that it compiles to.
-    Depth: a one-qubit op or CNOT occupies its qubits for one layer and a
-    swap for three; each starts once all of its qubits are free. CNOTs:
-    every logical CNOT plus three per swap. PST: the product of
-    (1 - cnot_error) over every CNOT in op order, a swap's three taken as
-    three successive factors, then of (1 - readout_error) over the distinct
-    measured physical qubits in ascending order, against the true snapshot;
-    one-qubit gates are error-free. PST is None, and no product is taken,
-    when snap_true is None.
-    """
-    if snap_true is not None:
-        (cnot, readout), column = snap_true.rates, snap_true.graph.edge_column
-    ready = dict.fromkeys(r.partition, 0)
-    total = cnots = 0
-    p = 1.0
-    measured: set[int] = set()
-    for kind, qubits, _, _, _ in r.physical_ops:
-        if kind == "1q" or kind == "measure":
-            (a,) = qubits
-            t = ready[a] + 1
-            ready[a] = t
-            if kind == "measure":
-                measured.add(a)
-        else:
-            a, b = qubits
-            ta, tb = ready[a], ready[b]
-            if kind == "cnot":
-                t = (ta if ta > tb else tb) + 1
-                cnots += 1
-                if snap_true is not None:
-                    p *= 1.0 - cnot[column[qubits]]
-            else:  # "swap": three CNOTs on the pair
-                t = (ta if ta > tb else tb) + 3
-                cnots += 3
-                if snap_true is not None:
-                    f = 1.0 - cnot[column[qubits]]
-                    p *= f
-                    p *= f
-                    p *= f
-            ready[a] = ready[b] = t
-        if t > total:
-            total = t
-    if snap_true is None:
-        return total, cnots, None
-    for q in sorted(measured):
-        p *= 1.0 - readout[q]
-    return total, cnots, p
+def depth(
+    c: LogicalCircuit,
+    layout: dict[int, int],
+    members: Sequence[int],
+    snap_true: CalibrationSeries,
+) -> int:
+    """cost's depth. Kept only because bench/tracing.py's TRACED names it; it
+    goes with the next change to the benchmark's definition (ROADMAP items 1
+    Step 3 and 5)."""
+    return cost(c, layout, members, snap_true)[0]
 
 
-def depth(r: RoutedCircuit) -> int:
-    """ASAP schedule length; a swap op occupies its pair for three layers,
-    every other op its qubits for one (see score)."""
-    return score(r, None)[0]
-
-
-def pst_estimate(r: RoutedCircuit, snap_true: CalibrationSeries) -> float:
-    """Analytic success probability against the true snapshot (see score)."""
-    return score(r, snap_true)[2]
+def pst_estimate(
+    c: LogicalCircuit,
+    layout: dict[int, int],
+    members: Sequence[int],
+    snap_true: CalibrationSeries,
+) -> float:
+    """cost's PST. Kept only because bench/tracing.py's TRACED names it; it
+    goes with the next change to the benchmark's definition (ROADMAP items 1
+    Step 3 and 5)."""
+    return cost(c, layout, members, snap_true)[3]

@@ -3,12 +3,19 @@
 Everything here is deliberately written from scratch against the documented
 rules, using different algorithms and data structures than the library
 (plain dicts and math.fsum instead of numpy), so agreement between the
-two is meaningful.
+two is meaningful. The one numpy reference is the detector's: a per-qubit
+KL divergence built on np.histogram and one distribution object per window
+(build_distribution, kl_divergence, window_divergence), against which the
+library's whole-array pass is checked bit for bit. No mtqsim module is
+imported here.
 """
 
 import math
 from collections import namedtuple
+from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 
 def adjacency(edges, n):
@@ -389,14 +396,6 @@ def percentile_linear(values, pct):
     return xs[lo] * (1 - frac) + xs[hi] * frac
 
 
-def kl_direct(p, q):
-    total = 0.0
-    for pi, qi in zip(p, q):
-        if pi > 0.0:
-            total += pi * math.log(pi / qi)
-    return total
-
-
 def connected_subsets(adj, nodes, size):
     """All connected subsets of the given size (small graphs only)."""
     out = set()
@@ -457,3 +456,78 @@ def round_asks(sizes, qubit_count, answer):
             raise ValueError("a job cannot be placed even on idle hardware")
         rounds.append(placed)
     return asked, rounds
+
+
+# --- detection ---------------------------------------------------------------
+# The per-qubit KL reference: np.histogram and a dataclass per distribution,
+# where the library counts every qubit's bins at once with searchsorted.
+
+
+@dataclass(frozen=True)
+class ErrorDistribution:
+    """A binned probability distribution over error values."""
+
+    bin_edges: tuple
+    probabilities: tuple
+
+    def __post_init__(self):
+        if len(self.probabilities) != len(self.bin_edges) - 1:
+            raise ValueError("need exactly one probability per bin")
+        total = sum(self.probabilities)
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"probabilities sum to {total}, expected 1")
+
+
+def build_distribution(samples, bin_edges, eps):
+    """Histogram samples on the given edges, normalize, smooth by eps, renormalize.
+
+    With eps > 0 no bin probability is exactly zero, which keeps the
+    distribution usable on the denominator side of a KL divergence.
+    """
+    edges = tuple(float(e) for e in bin_edges)
+    if len(edges) < 2:
+        raise ValueError("need at least 2 bin edges")
+    if any(b <= a for a, b in zip(edges, edges[1:])):
+        raise ValueError("bin edges must be strictly ascending")
+    if len(samples) == 0:
+        raise ValueError("samples must be non-empty")
+    arr = np.asarray(samples, dtype=float)
+    if arr.min() < edges[0] or arr.max() > edges[-1]:
+        raise ValueError(
+            f"samples outside bin range [{edges[0]}, {edges[-1]}]: "
+            f"min {arr.min()}, max {arr.max()}"
+        )
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and non-negative, got {eps}")
+    counts, _ = np.histogram(arr, bins=np.asarray(edges))
+    probs = counts.astype(float) / counts.sum()
+    if eps > 0:
+        probs = (probs + eps) / (1.0 + eps * len(probs))
+    return ErrorDistribution(edges, tuple(float(p) for p in probs))
+
+
+def kl_divergence(p, q):
+    """D(P || Q) = sum P ln(P/Q), natural log; zero-probability P bins contribute 0."""
+    if p.bin_edges != q.bin_edges:
+        raise ValueError("distributions must share bin edges")
+    if any(qi <= 0.0 for qi in q.probabilities):
+        raise ValueError("Q must be strictly positive everywhere (smooth it)")
+    total = 0.0
+    for pi, qi in zip(p.probabilities, q.probabilities):
+        if pi > 0.0:
+            total += pi * math.log(pi / qi)
+    return total
+
+
+def window_divergence(s1, s2, bins, eps):
+    """KL divergence of one qubit's window-2 samples s2 from its window-1
+    samples s1 (numpy arrays), on bins equal-width bins over their pooled
+    range; 0 when the pooled samples are constant."""
+    lo = min(s1.min(), s2.min())
+    hi = max(s1.max(), s2.max())
+    if hi <= lo:
+        return 0.0
+    edges = np.linspace(lo, hi, bins + 1)
+    d1 = build_distribution(s1, edges, eps)
+    d2 = build_distribution(s2, edges, eps)
+    return kl_divergence(d1, d2)

@@ -30,25 +30,17 @@ from mtqsim.allocation import (
     get_allocator,
     louvain,
 )
-from mtqsim.calibration import synth_drift, uniform_snapshot, validate_snapshot
+from mtqsim.calibration import CalibrationSeries, synth_drift, uniform_snapshot, validate_snapshot
 from mtqsim.cli import main
 from mtqsim.defense import (
-    build_distribution,
     calibrate_threshold,
     detect,
-    kl_divergence,
+    divergences,
     naive_threshold_flags,
 )
 from mtqsim.scheduler import gen_workload, run_queue
 from mtqsim.topology import CouplingGraph, hanoi27
-from mtqsim.transpile import (
-    depth,
-    initial_layout,
-    parse_qasm_subset,
-    pst_estimate,
-    route,
-    score,
-)
+from mtqsim.transpile import cost, initial_layout, parse_qasm_subset, route
 
 RESULTS: list[str] = []
 
@@ -264,7 +256,7 @@ def test_criterion_08_routing_invariants(hanoi):
                 if op.kind == "cnot":
                     ok &= tuple(sorted(op.qubits)) in edge_set
             logical_cnots = sum(1 for g in job.circuit.gates if g.kind == "cnot")
-            ok &= score(r, None)[1] == logical_cnots + 3 * r.swap_count
+            ok &= cost(job.circuit, lay, part.members, snap)[1] == logical_cnots + 3 * r.swap_count
             ok &= oracles.replay_routed(job.circuit, r) == r.swap_count
             checked += 1
 
@@ -273,8 +265,7 @@ def test_criterion_08_routing_invariants(hanoi):
     c = parse_qasm_subset(
         "qreg q[3]; creg c[2]; cx q[0],q[1]; measure q[0] -> c[0]; measure q[1] -> c[1];"
     )
-    r = route(c, {0: 0, 1: 2, 2: 1}, (0, 1, 2), p3)
-    pst_ok = abs(pst_estimate(r, s) - 0.98**4 * 0.99**2) < 1e-12
+    pst_ok = abs(cost(c, {0: 0, 1: 2, 2: 1}, (0, 1, 2), s)[3] - 0.98**4 * 0.99**2) < 1e-12
     ok = ok and pst_ok and checked == 60
     assert verdict(
         8,
@@ -285,16 +276,25 @@ def test_criterion_08_routing_invariants(hanoi):
 
 
 def test_criterion_09a_kl_exactness():
-    p = build_distribution([0.1, 0.3], [0.0, 0.2, 0.4], 0.0)
-    q = build_distribution([0.1, 0.3, 0.3, 0.3], [0.0, 0.2, 0.4], 0.0)
+    # one edge, so both qubits' samples are its rates: P's in window 1, Q's in window 2
+    one_edge = CouplingGraph(2, frozenset({(0, 1)}))
+
+    def kl(p_samples, q_samples):
+        rates = [[r] for r in (*p_samples, *q_samples)]
+        n, n1 = len(rates), len(p_samples)
+        series = CalibrationSeries(one_edge, tuple(range(n)), rates, [[0.0, 0.0]] * n)
+        return divergences(series, (0, n1), (n1, n), bins=2, eps=0.0)
+
+    p, q = [0.1, 0.1, 0.3, 0.3], [0.1, 0.3, 0.3, 0.3]
+    d_pq = kl(p, q)[0]
     expected = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
-    self_ok = kl_divergence(p, p) == 0.0
-    ex_ok = abs(kl_divergence(p, q) - expected) < 1e-6
+    self_ok = kl(p, p) == [0.0, 0.0]
+    ex_ok = abs(d_pq - expected) < 1e-6
     ok = self_ok and ex_ok
     assert verdict(
         "9a",
         ok,
-        f"D(P,P)=0 {self_ok}; worked example {kl_divergence(p, q):.6f} nats "
+        f"D(P,P)=0 {self_ok}; worked example {d_pq:.6f} nats "
         f"vs {expected:.6f} at 1e-6 {ex_ok}",
     )
 

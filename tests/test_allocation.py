@@ -29,7 +29,7 @@ from mtqsim.allocation import (
 )
 from mtqsim.calibration import synth_drift, uniform_snapshot, validate_snapshot
 from mtqsim.topology import CouplingGraph, hanoi27
-from mtqsim.transpile import route, score
+from mtqsim.transpile import cost, route
 
 P3 = CouplingGraph(3, frozenset({(0, 1), (1, 2)}))
 
@@ -474,8 +474,8 @@ def test_comdap_fails_only_without_a_large_enough_region(case):
 @given(case=graph_and_series(), data=st.data())
 def test_scores_match_the_oracles(case, data):
     """On any row of a random series: the CFM of every qubit and CRI of
-    a connected subset agree with the documented formulas, and score's PST of a
-    routed circuit on that subset is the oracle's success product."""
+    a connected subset agree with the documented formulas, and cost's PST of a
+    circuit routed on that subset is the oracle's success product."""
     g, series = case
     row = data.draw(st.integers(0, len(series) - 1))
     snap = series.snapshot(row)
@@ -491,7 +491,8 @@ def test_scores_match_the_oracles(case, data):
     assert cri(snap, members) == pytest.approx(want, rel=1e-12, abs=1e-12)
     c = data.draw(circuit(len(members)))
     r = route(c, dict(enumerate(members)), members, g)
-    assert score(r, snap)[2] == oracles.success_product(r.physical_ops, cnot, readout)
+    pst = cost(c, dict(enumerate(members)), members, snap)[3]
+    assert pst == oracles.success_product(r.physical_ops, cnot, readout)
 
 
 @st.composite

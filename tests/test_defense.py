@@ -13,64 +13,70 @@ from mtqsim.calibration import CalibrationSeries, synth_drift, uniform_snapshot
 from mtqsim.defense import (
     DEFAULT_PERCENTILE,
     MAX_BINS,
-    build_distribution,
     calibrate_threshold,
     detect,
     divergences,
-    kl_divergence,
     naive_threshold_flags,
     qubit_divergence,
 )
 from mtqsim.topology import CouplingGraph, hanoi27
 
 P3 = CouplingGraph(3, frozenset({(0, 1), (1, 2)}))
+ONE_EDGE = CouplingGraph(2, frozenset({(0, 1)}))
+
+
+def one_edge_series(rates):
+    """A series on one edge whose CNOT error at cycle i is rates[i], so each
+    qubit's samples are rates."""
+    n = len(rates)
+    return CalibrationSeries(ONE_EDGE, tuple(range(n)), [[float(r)] for r in rates], [[0.0, 0.0]] * n)
 
 
 def test_build_distribution_examples():
-    d = build_distribution([0.1, 0.15, 0.12], [0.0, 0.2, 0.4], 0.0)
+    d = oracles.build_distribution([0.1, 0.15, 0.12], [0.0, 0.2, 0.4], 0.0)
     assert list(d.probabilities) == [1.0, 0.0]
-    u = build_distribution([0.05, 0.15, 0.25, 0.35], [0.0, 0.1, 0.2, 0.3, 0.4], 0.0)
+    u = oracles.build_distribution([0.05, 0.15, 0.25, 0.35], [0.0, 0.1, 0.2, 0.3, 0.4], 0.0)
     assert list(u.probabilities) == pytest.approx([0.25] * 4)
-    s = build_distribution([0.1], [0.0, 0.2, 0.4, 0.6], 1e-6)
+    s = oracles.build_distribution([0.1], [0.0, 0.2, 0.4, 0.6], 1e-6)
     assert all(p > 0 for p in s.probabilities)
     assert sum(s.probabilities) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_build_distribution_errors():
     with pytest.raises(Exception):
-        build_distribution([0.5], [0.0, 0.2], 0.0)  # sample outside range
+        oracles.build_distribution([0.5], [0.0, 0.2], 0.0)  # sample outside range
     with pytest.raises(Exception):
-        build_distribution([0.1], [0.0], 0.0)  # fewer than 2 edges
+        oracles.build_distribution([0.1], [0.0], 0.0)  # fewer than 2 edges
     with pytest.raises(Exception):
-        build_distribution([], [0.0, 1.0], 0.0)
+        oracles.build_distribution([], [0.0, 1.0], 0.0)
 
 
 def test_kl_worked_example():
-    p = build_distribution([0.1, 0.3], [0.0, 0.2, 0.4], 0.0)
-    q = build_distribution([0.1, 0.3, 0.3, 0.3], [0.0, 0.2, 0.4], 0.0)
-    assert list(p.probabilities) == pytest.approx([0.5, 0.5])
-    assert list(q.probabilities) == pytest.approx([0.25, 0.75])
+    # window 1 holds P's samples and window 2 Q's; two bins split [0.1, 0.3]
+    series = one_edge_series([0.1, 0.3, 0.1, 0.3, 0.3, 0.3])
+    (d,) = set(divergences(series, (0, 2), (2, 6), bins=2, eps=0.0))
     expected = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
-    assert kl_divergence(p, q) == pytest.approx(expected, abs=1e-6)
-    assert kl_divergence(p, q) == pytest.approx(0.1438, abs=5e-4)
-    assert kl_divergence(p, p) == 0.0
+    assert d == pytest.approx(expected, abs=1e-6)
+    assert d == pytest.approx(0.1438, abs=5e-4)
+    assert divergences(one_edge_series([0.1, 0.3] * 2), (0, 2), (2, 4), 2, 0.0) == [0.0, 0.0]
     # asymmetry
-    assert kl_divergence(q, p) != pytest.approx(kl_divergence(p, q), abs=1e-6)
+    (reverse,) = set(divergences(series, (2, 6), (0, 2), bins=2, eps=0.0))
+    assert reverse != pytest.approx(d, abs=1e-6)
 
 
 def test_kl_nonnegative_random():
     rng = np.random.default_rng(8)
-    edges = [0.0, 0.25, 0.5, 0.75, 1.0]
     for _ in range(200):
-        a = build_distribution(rng.uniform(0, 1, size=12).tolist(), edges, 1e-9)
-        b = build_distribution(rng.uniform(0, 1, size=12).tolist(), edges, 1e-9)
-        d = kl_divergence(a, b)
-        assert d >= 0.0
-        assert kl_divergence(a, a) <= 1e-9
+        a = rng.uniform(0, 1, size=12)
+        b = rng.uniform(0, 1, size=12)
+        for d in divergences(one_edge_series([*a, *b]), (0, 12), (12, 24), 4, 1e-9):
+            assert d >= 0.0
+        for d in divergences(one_edge_series([*a, *a]), (0, 12), (12, 24), 4, 1e-9):
+            assert d <= 1e-9
     with pytest.raises(Exception):
-        kl_divergence(
-            build_distribution([0.1], [0.0, 1.0], 1e-9),
-            build_distribution([0.1], [0.0, 0.5, 1.0], 1e-9),
+        oracles.kl_divergence(
+            oracles.build_distribution([0.1], [0.0, 1.0], 1e-9),
+            oracles.build_distribution([0.1], [0.0, 0.5, 1.0], 1e-9),
         )
 
 
@@ -138,9 +144,16 @@ def _outcome(compute):
         return f"ValueError: {exc}"
 
 
+def _reference(series, q, window1, window2, bins, eps):
+    """The oracle's divergence of qubit q, from its column of the series."""
+    errors = series.mean_cnot_error[:, q]
+    rows1, rows2 = series.cycle_slice(*window1), series.cycle_slice(*window2)
+    return oracles.window_divergence(errors[rows1], errors[rows2], bins, eps)
+
+
 def _per_qubit(series, window1, window2, bins, eps):
     qubits = range(series.graph.qubit_count)
-    return _outcome(lambda: [qubit_divergence(series, q, window1, window2, bins, eps) for q in qubits])
+    return _outcome(lambda: [_reference(series, q, window1, window2, bins, eps) for q in qubits])
 
 
 @st.composite
@@ -174,6 +187,9 @@ def test_divergences_equal_the_per_qubit_reference(case, bins, eps):
     series, window1, window2 = case
     expected = _per_qubit(series, window1, window2, bins, eps)
     assert _outcome(lambda: divergences(series, window1, window2, bins, eps)) == expected
+    for q in range(series.graph.qubit_count):
+        expected = _outcome(lambda: _reference(series, q, window1, window2, bins, eps))
+        assert _outcome(lambda: qubit_divergence(series, q, window1, window2, bins, eps)) == expected
 
 
 def test_divergences_space_an_underflowing_step_apart():
@@ -191,6 +207,22 @@ def test_divergences_space_an_underflowing_step_apart():
         expected = _per_qubit(series, (0, 3), (3, 6), 3, eps)
         assert expected.startswith(f"ValueError: {message}")
         assert _outcome(lambda: divergences(series, (0, 3), (3, 6), 3, eps)) == expected
+
+
+def test_one_qubit_is_scored_without_the_others():
+    """qubit_divergence reads only its own qubit: at eps 0, qubit 0's equal
+    windows score 0 while qubit 2's window 2 leaves a bin empty, which fails
+    divergences over the whole series."""
+    two_edges = CouplingGraph(4, frozenset({(0, 1), (2, 3)}))
+    e01 = [0.01, 0.02, 0.03, 0.01, 0.02, 0.03]
+    e23 = [0.01, 0.02, 0.03, 0.03, 0.03, 0.03]
+    series = CalibrationSeries(two_edges, tuple(range(6)), list(zip(e01, e23)), [[0.0] * 4] * 6)
+    empty_q_bin = re.escape("Q must be strictly positive everywhere (smooth it)")
+    assert qubit_divergence(series, 0, (0, 3), (3, 6), 3, 0.0) == 0.0
+    with pytest.raises(ValueError, match=empty_q_bin):
+        divergences(series, (0, 3), (3, 6), 3, 0.0)
+    with pytest.raises(ValueError, match=empty_q_bin):
+        qubit_divergence(series, 2, (0, 3), (3, 6), 3, 0.0)
 
 
 @pytest.mark.parametrize(

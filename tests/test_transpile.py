@@ -12,12 +12,9 @@ from mtqsim.transpile import (
     Op,
     circuit_to_qasm,
     cost,
-    depth,
     initial_layout,
     parse_qasm_subset,
-    pst_estimate,
     route,
-    score,
 )
 
 P3 = CouplingGraph(3, frozenset({(0, 1), (1, 2)}))
@@ -229,8 +226,9 @@ def test_route_adjacent_pair():
     c = parse_qasm_subset("qreg q[2]; cx q[0],q[1];")
     r = route(c, {0: 0, 1: 1}, (0, 1), P3)
     assert r.swap_count == 0
-    assert score(r, None)[1] == 1
-    assert depth(r) == 1
+    d, cnots, _, _ = cost(c, {0: 0, 1: 1}, (0, 1), s)
+    assert cnots == 1
+    assert d == 1
 
 
 def test_route_p3_long_range():
@@ -239,8 +237,9 @@ def test_route_p3_long_range():
     r = route(c, {0: 0, 1: 2, 2: 1}, (0, 1, 2), P3)
     assert r.swap_count == 1
     assert [(op.kind, op.qubits) for op in r.physical_ops] == [("swap", (0, 1)), ("cnot", (1, 2))]
-    assert score(r, None)[1] == 4
-    assert depth(r) == 4
+    d, cnots, _, _ = cost(c, {0: 0, 1: 2, 2: 1}, (0, 1, 2), uniform_snapshot(P3, 0.02, 0.01))
+    assert cnots == 4
+    assert d == 4
     assert oracles.replay_routed(c, r) == 1
 
 
@@ -323,15 +322,16 @@ def test_route_stays_on_edges_and_preserves_interactions():
                 assert set(op.qubits) <= set(members)
         swaps = oracles.replay_routed(c, r)
         assert swaps == r.swap_count
-        assert score(r, None)[1] == n_gates + 3 * r.swap_count
+        assert cost(c, lay, tuple(members), s)[1] == n_gates + 3 * r.swap_count
 
 
 def test_depth_parallel_pairs():
     g = CouplingGraph(4, frozenset({(0, 1), (2, 3), (1, 2)}))
     c = parse_qasm_subset("qreg q[4]; cx q[0],q[1]; cx q[2],q[3];")
-    r = route(c, {0: 0, 1: 1, 2: 2, 3: 3}, (0, 1, 2, 3), g)
-    assert r.swap_count == 0
-    assert depth(r) == 1
+    s = uniform_snapshot(g, 0.02, 0.02)
+    d, _, swaps, _ = cost(c, {0: 0, 1: 1, 2: 2, 3: 3}, (0, 1, 2, 3), s)
+    assert swaps == 0
+    assert d == 1
 
 
 def test_depth_lower_bound():
@@ -346,19 +346,17 @@ def test_depth_lower_bound():
     for op in oracles.expand_swaps(r.physical_ops):
         for q in op.qubits:
             per_qubit[q] = per_qubit.get(q, 0) + 1
-    assert depth(r) >= max(per_qubit.values())
+    assert cost(c, lay, (11, 14, 16), s)[0] >= max(per_qubit.values())
 
 
 def test_pst_examples():
     g = CouplingGraph(2, frozenset({(0, 1)}))
     s = validate_snapshot(g, {(0, 1): 0.1}, {0: 0.5, 1: 0.5})
     c = parse_qasm_subset("qreg q[2]; cx q[0],q[1];")
-    r = route(c, {0: 0, 1: 1}, (0, 1), g)
-    assert pst_estimate(r, s) == pytest.approx(0.9, abs=1e-12)
+    assert cost(c, {0: 0, 1: 1}, (0, 1), s)[3] == pytest.approx(0.9, abs=1e-12)
 
     empty = LogicalCircuit(2, (), 0)
-    r0 = route(empty, {0: 0, 1: 1}, (0, 1), g)
-    assert pst_estimate(r0, s) == 1.0
+    assert cost(empty, {0: 0, 1: 1}, (0, 1), s)[3] == 1.0
 
 
 def test_pst_p3_hand_product():
@@ -366,9 +364,9 @@ def test_pst_p3_hand_product():
     c = parse_qasm_subset(
         "qreg q[3]; creg c[2]; cx q[0],q[1]; measure q[0] -> c[0]; measure q[1] -> c[1];"
     )
-    r = route(c, {0: 0, 1: 2, 2: 1}, (0, 1, 2), P3)
-    assert r.swap_count == 1
-    assert pst_estimate(r, s) == pytest.approx(0.98**4 * 0.99**2, abs=1e-12)
+    _, _, swaps, pst = cost(c, {0: 0, 1: 2, 2: 1}, (0, 1, 2), s)
+    assert swaps == 1
+    assert pst == pytest.approx(0.98**4 * 0.99**2, abs=1e-12)
 
 
 def test_pst_strictly_decreases_per_cnot():
@@ -378,8 +376,7 @@ def test_pst_strictly_decreases_per_cnot():
     for n in range(1, 5):
         gates = tuple(Op("cnot", (0, 1)) for _ in range(n))
         c = LogicalCircuit(2, gates, 0)
-        r = route(c, {0: 0, 1: 1}, (0, 1), g)
-        p = pst_estimate(r, s)
+        p = cost(c, {0: 0, 1: 1}, (0, 1), s)[3]
         if last is not None:
             assert p < last
         last = p
@@ -390,10 +387,10 @@ def test_no_swap_matches_unrouted_schedule():
     g = hanoi27()
     s = uniform_snapshot(g, 0.02, 0.02)
     c = parse_qasm_subset("qreg q[2]; cx q[0],q[1]; cx q[0],q[1];")
-    r = route(c, {0: 12, 1: 13}, (12, 13), g)
-    assert r.swap_count == 0
-    assert score(r, None)[1] == 2
-    assert depth(r) == 2
+    d, cnots, swaps, _ = cost(c, {0: 12, 1: 13}, (12, 13), s)
+    assert swaps == 0
+    assert cnots == 2
+    assert d == 2
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -405,12 +402,9 @@ def test_depth_cnots_and_pst_match_the_oracles(case):
     assert swaps == r.swap_count
     assert len(r.physical_ops) == len(c.gates) + r.swap_count
     layers = oracles.asap_layers(r.physical_ops)
-    assert depth(r) == layers
     cnots = sum(op.kind == "cnot" for op in c.gates) + 3 * swaps
-    assert score(r, None)[1] == cnots
     cnot = dict(zip(g.edge_list, snap.cnot_error[0].tolist()))
     readout = dict(enumerate(snap.readout_error[0].tolist()))
     expected = oracles.success_product(r.physical_ops, cnot, readout)
-    assert pst_estimate(r, snap) == expected
-    # the one walk the scheduler prices with: the same four numbers, PST bit for bit
+    # the one walk that prices every job: the oracles' four numbers, PST bit for bit
     assert cost(c, layout, members, snap) == (layers, cnots, swaps, expected)
