@@ -15,7 +15,10 @@ terms range over the candidate subset and the _h terms over the whole device.
 Both scores depend only on the snapshot, which carries its graph, so the
 allocators and the layout take the snapshot itself. A snapshot's arrays are
 read-only and it hashes by identity, so each qubit's CFM and the device's CRI
-term are remembered per snapshot, in caches bounded to a few snapshots.
+term are remembered per snapshot, in caches bounded to a few snapshots. So are
+a subset's CRI, keyed by the snapshot and the members in the order given (256
+entries), and the Louvain communities of an available region, keyed by the
+snapshot and the region as given (64 entries). A raise is never remembered.
 Failure to allocate is reported as None; the scheduler treats it as a signal
 to defer the job to a later round.
 """
@@ -127,8 +130,13 @@ def louvain(
     connected pieces as a post-pass, so the result is always a disjoint
     cover of `available` by connected subsets, ordered by smallest member.
     """
-    g = snap_reported.graph
-    nodes = sorted(subset_members(available))
+    return _louvain(snap_reported, subset_members(available))
+
+
+@lru_cache(maxsize=64)
+def _louvain(snap: CalibrationSeries, available: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    g = snap.graph
+    nodes = sorted(available)
     for q in nodes:
         g._check_index(q)
     idx = {q: i for i, q in enumerate(nodes)}
@@ -136,7 +144,7 @@ def louvain(
     # weights between super-node indices i <= j; i == j is a self-loop
     w: dict[tuple[int, int], float] = {
         (idx[u], idx[v]): fidelity_weight(rate)
-        for (u, v), rate in zip(g.edge_list, snap_reported.rates[0])
+        for (u, v), rate in zip(g.edge_list, snap.rates[0])
         if u in idx and v in idx
     }
 
@@ -222,8 +230,14 @@ def cri(snap_reported: CalibrationSeries, s: Sequence[int]) -> float:
     device average scores above 1. A device whose term is not positive has no
     CRI: a negative term would invert every ranking.
     """
-    num = _cri_term(snap_reported.graph, snap_reported.rates, subset_members(s))
-    return num / _device_cri_term(snap_reported)
+    return _subset_cri(snap_reported, subset_members(s))
+
+
+@lru_cache(maxsize=256)
+def _subset_cri(snap: CalibrationSeries, members: tuple[int, ...]) -> float:
+    # keyed by the members in the order given: _cri_term sums readout errors in
+    # that order, so a reordered subset may differ in its last bit
+    return _cri_term(snap.graph, snap.rates, members) / _device_cri_term(snap)
 
 
 def _cri_term(

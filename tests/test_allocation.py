@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from strategies import (
     circuit,
+    connected_graph,
     connected_partition,
     disconnected_graph,
     graph_and_series,
@@ -19,6 +20,10 @@ from strategies import (
 from mtqsim.allocation import (
     AllocationRequest,
     Partition,
+    _cri_term,
+    _device_cri_term,
+    _louvain,
+    _subset_cri,
     cfm,
     comdap_allocate,
     cri,
@@ -408,6 +413,7 @@ def test_remembered_scores_do_not_keep_a_snapshot_alive():
     def score(snap):
         cfm(snap, 1)
         cri(snap, (1, 2, 3))
+        comdap_allocate(snap, AllocationRequest(2, tuple(range(5))))  # runs louvain
 
     snap = uniform_snapshot(FIX5, 0.01, 0.01)
     score(snap)
@@ -417,6 +423,37 @@ def test_remembered_scores_do_not_keep_a_snapshot_alive():
         score(uniform_snapshot(FIX5, 0.01, 0.01))
     gc.collect()
     assert ref() is None
+
+
+@PROPERTY_SETTINGS
+@given(g=connected_graph(), data=st.data())
+def test_remembered_scores_equal_fresh_ones(g, data):
+    """Two snapshots of one graph, scored with cold caches and then again,
+    interleaved, with warm ones: CRI of a subset and of a reordered copy is
+    the uncached arithmetic bit for bit, louvain answers a list as it does a
+    tuple, and a sequence of comdap requests gives equal partitions."""
+    everything = tuple(range(g.qubit_count))
+    snaps = [data.draw(graph_and_snapshot(st.just(g)))[1] for _ in range(2)]
+    assume(all(_cri_term(g, snap.rates, everything) > 0.0 for snap in snaps))
+    members = data.draw(connected_partition(g))
+    subsets = (members, tuple(data.draw(st.permutations(members))))
+    available = tuple(sorted(data.draw(st.sets(st.sampled_from(everything), min_size=1))))
+    sizes = data.draw(st.lists(st.integers(1, g.qubit_count), min_size=1, max_size=4))
+
+    def answers(snap):
+        fresh = [_cri_term(g, snap.rates, s) / _cri_term(g, snap.rates, everything) for s in subsets]
+        assert [cri(snap, s) for s in subsets] == fresh
+        communities = louvain(snap, list(available))
+        assert louvain(snap, available) == communities
+        return communities, [comdap_allocate(snap, AllocationRequest(n, available)) for n in sizes]
+
+    cold = []
+    for snap in snaps:
+        for remembered in (cfm, _device_cri_term, _subset_cri, _louvain):
+            remembered.cache_clear()
+        cold.append(answers(snap))
+    for _ in range(2):
+        assert [answers(snap) for snap in snaps] == cold
 
 
 def test_a_zero_device_term_leaves_cri_undefined():
