@@ -10,8 +10,12 @@ scoring side of the simulator always reads the true side.
 A series stores its rates as read-only arrays, one row per cycle, with the
 CNOT columns in the graph's edge_list order (CouplingGraph.edge_column), and
 caches the one cycles x qubits matrix of mean incident CNOT error that every
-per-qubit statistic reads, and a snapshot's rates as tuples that scoring
-reads. Anything that derives a new snapshot or series builds new arrays.
+per-qubit statistic reads, gathered through the graph's per-qubit column
+table (CouplingGraph.incident_columns), and a snapshot's rates as tuples that
+scoring reads. Anything that derives a new snapshot or series builds new
+arrays. The CSV loader looks each row's subject up in a table of the
+spellings write_calibration_csv writes, built once per call, and checks any
+other spelling field by field.
 """
 
 from __future__ import annotations
@@ -93,16 +97,16 @@ class CalibrationSeries:
         """avg_cnot_error of every cycle (row) and qubit (column), read-only.
 
         Stored column-major, so one qubit's values are contiguous. Gathered in
-        one pass per incident-edge slot: slot k adds every qubit's k-th edge in
-        incident_edges order, or an appended zero column past its degree. Adding
-        0.0 is exact, so each entry equals avg_cnot_error's bit for bit.
+        one pass per incident-edge slot from the graph's incident_columns: slot k
+        adds every qubit's k-th edge, or an appended zero column past its degree.
+        Adding 0.0 is exact, so each entry equals avg_cnot_error's bit for bit.
         """
         g = self.graph
         width = len(g.edge_list)
-        columns = [[g.edge_column[e] for e in g.incident_edges(q)] for q in range(g.qubit_count)]
+        columns = g.incident_columns
         degree = [len(c) for c in columns]
         if 0 in degree:
-            avg_cnot_error(self, degree.index(0))  # raises: an isolated qubit has no mean
+            raise ValueError(f"qubit {degree.index(0)} has no incident edges")
         padded = np.hstack((self.cnot_error, np.zeros((len(self), 1))))
         out = np.zeros((len(self), g.qubit_count), order="F")
         for k in range(max(degree)):
@@ -149,7 +153,10 @@ def uniform_snapshot(g: CouplingGraph, cnot: float, readout: float) -> Calibrati
 def avg_cnot_error(series: CalibrationSeries, q: int) -> np.ndarray:
     """Arithmetic mean CNOT error over the edges incident to q, one entry per cycle.
 
-    The edges are added in incident_edges order.
+    The edges are added in incident_edges order. The library reads
+    series.mean_cnot_error instead; this is kept only because
+    bench/tracing.py's TRACED names it, and goes with the next change to the
+    benchmark's definition (ROADMAP items 1 Step 3 and 5).
     """
     g = series.graph
     incident = g.incident_edges(q)
@@ -205,13 +212,42 @@ def fluctuation_percent(series: CalibrationSeries, q: int) -> float:
 CSV_HEADER = "cycle,kind,subject,value"
 
 
+def _subject_column(g: CouplingGraph, kind: str, subject: str, ln: int) -> int:
+    """The calibration-row column of a stripped (kind, subject) pair, or a
+    DataError naming line ln and the first fault."""
+    if kind == "cnot":
+        m = subject.split("-")
+        if len(m) != 2:
+            raise DataError(f"line {ln}: cnot subject must be 'u-v', got {subject!r}")
+        try:
+            key = int(m[0]), int(m[1])
+        except ValueError:
+            raise DataError(f"line {ln}: non-integer edge in {subject!r}") from None
+        if key[0] >= key[1]:
+            raise DataError(f"line {ln}: edge subject must have u < v, got {subject!r}")
+        if key not in g.edge_column:
+            raise DataError(f"line {ln}: unknown edge {subject!r} for this topology")
+        return g.edge_column[key]
+    if kind == "readout":
+        try:
+            key = int(subject)
+        except ValueError:
+            raise DataError(f"line {ln}: readout subject {subject!r} is not an integer") from None
+        if not 0 <= key < g.qubit_count:
+            raise DataError(f"line {ln}: unknown qubit {key} for this topology")
+        return len(g.edge_list) + key
+    raise DataError(f"line {ln}: kind must be 'cnot' or 'readout', got {kind!r}")
+
+
 def load_calibration_csv(text: str, g: CouplingGraph) -> CalibrationSeries:
     """Parse the calibration CSV schema against a known graph.
 
     Schema: header `cycle,kind,subject,value`; kind is `cnot` with subject
     "u-v" (u < v) or `readout` with subject "q"; values are decimals in
-    [0, 1]; rows grouped by ascending cycle. A malformed row raises DataError
-    naming the line; a cycle missing an edge or qubit, one naming the cycle.
+    [0, 1]; rows grouped by ascending cycle. Whitespace around a field and
+    blank lines are ignored, and a subject may spell its integers any way
+    int accepts. A malformed row raises DataError naming the line; a cycle
+    missing an edge or qubit, one naming the cycle.
     """
     lines = text.splitlines()
     if not lines or not any(ln.strip() for ln in lines):
@@ -221,25 +257,26 @@ def load_calibration_csv(text: str, g: CouplingGraph) -> CalibrationSeries:
         raise DataError(f"line 1: expected header {CSV_HEADER!r}, got {header!r}")
 
     subjects = [*g.edge_list, *range(g.qubit_count)]  # columns: cnot by edge, then readout by qubit
+    columns = {("cnot", f"{u}-{v}"): j for j, (u, v) in enumerate(g.edge_list)}
+    columns.update((("readout", str(q)), len(g.edge_list) + q) for q in range(g.qubit_count))
     ids, rows = [], []  # per cycle: its id, and its rates, nan until the CSV gives one
-    for ln, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
+    for ln, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 4:
+            if not line.strip():
+                continue
             raise DataError(f"line {ln}: expected 4 fields, got {len(parts)}")
-        cyc_s, kind, subject, val_s = (p.strip() for p in parts)
+        cyc_s, kind, subject, val_s = parts  # int and float skip the whitespace strip would
         try:
             cycle = int(cyc_s)
         except ValueError:
-            raise DataError(f"line {ln}: cycle {cyc_s!r} is not an integer") from None
+            raise DataError(f"line {ln}: cycle {cyc_s.strip()!r} is not an integer") from None
         if cycle < 0:
             raise DataError(f"line {ln}: cycle {cycle} is negative")
         try:
             value = float(val_s)
         except ValueError:
-            raise DataError(f"line {ln}: value {val_s!r} is not a number") from None
+            raise DataError(f"line {ln}: value {val_s.strip()!r} is not a number") from None
         if not (0.0 <= value <= 1.0):
             raise DataError(f"line {ln}: value {value} outside [0, 1]")
         if not ids or cycle != ids[-1]:
@@ -247,32 +284,13 @@ def load_calibration_csv(text: str, g: CouplingGraph) -> CalibrationSeries:
                 raise DataError(f"line {ln}: cycle {cycle} breaks ascending cycle order")
             ids.append(cycle)
             rows.append([math.nan] * len(subjects))
-        if kind == "cnot":
-            m = subject.split("-")
-            if len(m) != 2:
-                raise DataError(f"line {ln}: cnot subject must be 'u-v', got {subject!r}")
-            try:
-                key = int(m[0]), int(m[1])
-            except ValueError:
-                raise DataError(f"line {ln}: non-integer edge in {subject!r}") from None
-            if key[0] >= key[1]:
-                raise DataError(f"line {ln}: edge subject must have u < v, got {subject!r}")
-            if key not in g.edge_column:
-                raise DataError(f"line {ln}: unknown edge {subject!r} for this topology")
-            j = g.edge_column[key]
-        elif kind == "readout":
-            try:
-                key = int(subject)
-            except ValueError:
-                raise DataError(f"line {ln}: readout subject {subject!r} is not an integer") from None
-            if not 0 <= key < g.qubit_count:
-                raise DataError(f"line {ln}: unknown qubit {key} for this topology")
-            j = len(g.edge_list) + key
-        else:
-            raise DataError(f"line {ln}: kind must be 'cnot' or 'readout', got {kind!r}")
-        if not math.isnan(rows[-1][j]):
-            raise DataError(f"line {ln}: duplicate {kind} entry for {subject!r}")
-        rows[-1][j] = value
+            row = rows[-1]
+        j = columns.get((kind, subject))
+        if j is None:
+            j = _subject_column(g, kind.strip(), subject.strip(), ln)
+        if row[j] == row[j]:  # only nan, the unset mark, differs from itself
+            raise DataError(f"line {ln}: duplicate {kind.strip()} entry for {subject.strip()!r}")
+        row[j] = value
 
     if not ids:
         raise DataError("no snapshots: calibration file has a header but no rows")

@@ -31,9 +31,10 @@ def _normalize_edge(u: int, v: int) -> Edge:
 class CouplingGraph:
     """Undirected physical-qubit connectivity.
 
-    Edges are stored normalized as (u, v) with u < v. The adjacency table and
-    the all-pairs hop-distance matrix are built lazily and cached; instances
-    are immutable after construction and safe to share between threads.
+    Edges are stored normalized as (u, v) with u < v. The adjacency table,
+    each qubit's incident-edge columns and the all-pairs hop-distance matrix
+    are built lazily and cached; instances are immutable after construction
+    and safe to share between threads.
     """
 
     qubit_count: int
@@ -77,6 +78,14 @@ class CouplingGraph:
     def incident_edges(self, q: int) -> tuple[Edge, ...]:
         self._check_index(q)
         return tuple(_normalize_edge(q, n) for n in self._adjacency[q])
+
+    @cached_property
+    def incident_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Each qubit's incident edges as edge_list columns, in incident_edges order."""
+        column = self.edge_column
+        return tuple(
+            tuple(column[e] for e in self.incident_edges(q)) for q in range(self.qubit_count)
+        )
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:

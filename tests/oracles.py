@@ -6,8 +6,9 @@ rules, using different algorithms and data structures than the library
 two is meaningful. The one numpy reference is the detector's: a per-qubit
 KL divergence built on np.histogram and one distribution object per window
 (build_distribution, kl_divergence, window_divergence), against which the
-library's whole-array pass is checked bit for bit. No mtqsim module is
-imported here.
+library's whole-array pass is checked bit for bit. The calibration CSV
+reference strips every line and field before it checks them, where the
+library looks the raw fields up first. No mtqsim module is imported here.
 """
 
 import math
@@ -379,6 +380,88 @@ def scalar_workload(rng, count, size_min, size_max, gate_density):
                 pairs.append((control, target + 1 if target >= control else target))
         jobs.append((size, pairs))
     return jobs
+
+
+# --- calibration CSV ----------------------------------------------------------
+
+CSV_HEADER = "cycle,kind,subject,value"
+
+
+def load_calibration_rows(text, edges, qubit_count):
+    """The calibration CSV read line by line: each line and each of its four
+    fields stripped, then checked in the documented order. edges are the
+    graph's edges, sorted, whose positions are the CNOT columns. Returns the
+    cycle ids and each cycle's CNOT and readout rows as lists, or raises
+    ValueError naming the line, or the cycle with a missing rate."""
+    lines = text.splitlines()
+    if not lines or not any(ln.strip() for ln in lines):
+        raise ValueError("no snapshots: calibration file is empty")
+    header = lines[0].strip()
+    if header != CSV_HEADER:
+        raise ValueError(f"line 1: expected header {CSV_HEADER!r}, got {header!r}")
+
+    edge_column = {e: j for j, e in enumerate(edges)}
+    subjects = [*edges, *range(qubit_count)]
+    ids, rows = [], []
+    for ln, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"line {ln}: expected 4 fields, got {len(parts)}")
+        cyc_s, kind, subject, val_s = (p.strip() for p in parts)
+        try:
+            cycle = int(cyc_s)
+        except ValueError:
+            raise ValueError(f"line {ln}: cycle {cyc_s!r} is not an integer") from None
+        if cycle < 0:
+            raise ValueError(f"line {ln}: cycle {cycle} is negative")
+        try:
+            value = float(val_s)
+        except ValueError:
+            raise ValueError(f"line {ln}: value {val_s!r} is not a number") from None
+        if not (0.0 <= value <= 1.0):
+            raise ValueError(f"line {ln}: value {value} outside [0, 1]")
+        if not ids or cycle != ids[-1]:
+            if ids and cycle < ids[-1]:
+                raise ValueError(f"line {ln}: cycle {cycle} breaks ascending cycle order")
+            ids.append(cycle)
+            rows.append([None] * len(subjects))
+        if kind == "cnot":
+            m = subject.split("-")
+            if len(m) != 2:
+                raise ValueError(f"line {ln}: cnot subject must be 'u-v', got {subject!r}")
+            try:
+                key = int(m[0]), int(m[1])
+            except ValueError:
+                raise ValueError(f"line {ln}: non-integer edge in {subject!r}") from None
+            if key[0] >= key[1]:
+                raise ValueError(f"line {ln}: edge subject must have u < v, got {subject!r}")
+            if key not in edge_column:
+                raise ValueError(f"line {ln}: unknown edge {subject!r} for this topology")
+            j = edge_column[key]
+        elif kind == "readout":
+            try:
+                key = int(subject)
+            except ValueError:
+                raise ValueError(f"line {ln}: readout subject {subject!r} is not an integer") from None
+            if not 0 <= key < qubit_count:
+                raise ValueError(f"line {ln}: unknown qubit {key} for this topology")
+            j = len(edges) + key
+        else:
+            raise ValueError(f"line {ln}: kind must be 'cnot' or 'readout', got {kind!r}")
+        if rows[-1][j] is not None:
+            raise ValueError(f"line {ln}: duplicate {kind} entry for {subject!r}")
+        rows[-1][j] = value
+
+    if not ids:
+        raise ValueError("no snapshots: calibration file has a header but no rows")
+    for cycle, row in zip(ids, rows):
+        missing = [subjects[j] for j, x in enumerate(row) if x is None]
+        if missing:
+            raise ValueError(f"cycle {cycle}: no rate for these edges and qubits: {missing}")
+    return ids, [row[:len(edges)] for row in rows], [row[len(edges):] for row in rows]
 
 
 # --- statistics --------------------------------------------------------------

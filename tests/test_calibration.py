@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import strategies
 from mtqsim.calibration import (
     CalibrationSeries,
     avg_cnot_error,
@@ -44,8 +45,11 @@ def test_avg_cnot_error():
     u = uniform_snapshot(hanoi27(), 0.05, 0.0)
     for q in range(27):
         assert avg_cnot_error(u, q)[0] == pytest.approx(0.05, abs=1e-15)
+    isolated = uniform_snapshot(CouplingGraph(4, frozenset({(0, 1), (1, 2)})), 0.1, 0.1)
     with pytest.raises(ValueError, match="qubit 3 has no incident edges"):
-        avg_cnot_error(uniform_snapshot(CouplingGraph(4, frozenset({(0, 1), (1, 2)})), 0.1, 0.1), 3)
+        avg_cnot_error(isolated, 3)
+    with pytest.raises(ValueError, match="qubit 3 has no incident edges"):
+        isolated.mean_cnot_error
 
 
 def test_series_monotonic_cycles():
@@ -257,3 +261,80 @@ def test_csv_round_trip_keeps_arrays(case):
     assert again.cycle_ids == series.cycle_ids
     assert np.array_equal(again.cnot_error, series.cnot_error)
     assert np.array_equal(again.readout_error, series.readout_error)
+
+
+PAD = st.text(alphabet=" \t\u00a0", max_size=3)  # whitespace that strip, int and float all skip
+BAD_SUBJECTS = ["00-01", "1-0", "0-x", "0-1-2", "-1", "x", "", "07"]
+BAD_VALUES = ["nan", "1.5", "-0.0", "1e-3", "1_0", "inf", "", "0x1"]
+
+
+@st.composite
+def corrupted_csv(draw):
+    """A graph and a CSV that write_calibration_csv wrote for a series over it,
+    after 0-5 random corruptions: whitespace around a field, blank lines, 3 or 5
+    fields, odd subjects and kinds, a duplicated or dropped row, negative or
+    out-of-order cycles, odd values."""
+    g, series = draw(strategies.graph_and_series())
+    n = g.qubit_count
+    subject = st.one_of(
+        st.sampled_from(BAD_SUBJECTS),
+        st.integers(-1, n).map(str),
+        st.integers(0, n).map(lambda q: f"{q:02d}"),
+        st.tuples(st.integers(0, n), st.integers(0, n)).map(lambda e: f"{e[0]}-{e[1]}"),
+        st.tuples(st.integers(0, n), st.integers(0, n)).map(lambda e: f"{e[0]:02d}-{e[1]:02d}"),
+    )
+    lines = write_calibration_csv(series).splitlines()
+    for _ in range(draw(st.integers(0, 5))):
+        op = draw(st.sampled_from(
+            ["pad", "blank", "fields", "subject", "kind", "duplicate", "drop", "cycle", "value"]
+        ))
+        if op == "blank":
+            lines.insert(draw(st.integers(1, len(lines))), draw(PAD))
+            continue
+        if len(lines) == 1:
+            continue
+        i = draw(st.integers(1, len(lines) - 1))
+        if op == "duplicate":
+            lines.insert(draw(st.integers(1, len(lines))), lines[i])
+            continue
+        if op == "drop":
+            del lines[i]
+            continue
+        fields = lines[i].split(",")
+        k = draw(st.integers(0, len(fields) - 1))
+        if op == "pad":
+            fields[k] = draw(PAD) + fields[k] + draw(PAD)
+        elif op == "fields":
+            if draw(st.booleans()):
+                del fields[k]
+            else:
+                fields.insert(k, draw(st.sampled_from(["", "0", "cnot"])))
+        elif len(fields) == 4:
+            if op == "subject":
+                fields[2] = draw(subject)
+            elif op == "kind":
+                fields[1] = draw(st.sampled_from(["cnot", "readout", "CNOT", "cnot "]))
+            elif op == "cycle":
+                fields[0] = draw(st.sampled_from(["-1", "x", " 1 ", "01"]) | st.integers(0, 25).map(str))
+            else:
+                fields[3] = draw(st.sampled_from(BAD_VALUES))
+        lines[i] = ",".join(fields)
+    return g, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(corrupted_csv())
+def test_csv_loader_matches_line_by_line_reference(case):
+    """The loader gives the reference's arrays, or a DataError with its text."""
+    g, text = case
+    try:
+        ids, cnot, readout = oracles.load_calibration_rows(text, g.edge_list, g.qubit_count)
+    except ValueError as e:
+        with pytest.raises(DataError) as got:
+            load_calibration_csv(text, g)
+        assert str(got.value) == str(e)
+        return
+    series = load_calibration_csv(text, g)
+    assert series.cycle_ids == tuple(ids)
+    assert np.array_equal(series.cnot_error, cnot)
+    assert np.array_equal(series.readout_error, readout)
