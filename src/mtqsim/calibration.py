@@ -41,7 +41,8 @@ class CalibrationSeries:
     Row i of each array belongs to cycle cycle_ids[i]. cnot_error is a
     cycles x edges array whose columns follow graph.edge_list; readout_error
     is a cycles x qubits array. Both are copied on construction and read-only,
-    and every rate is in [0, 1]. A snapshot is a series of one cycle:
+    and every rate is in [0, 1]; the first rate outside is named by its cycle
+    id and its edge or qubit. A snapshot is a series of one cycle:
     uniform_snapshot, validate_snapshot and snapshot(row) build one.
     """
 
@@ -64,8 +65,11 @@ class CalibrationSeries:
             arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != (len(ids), width):
                 raise ValueError(f"{name} must have shape {(len(ids), width)}, got {arr.shape}")
-            if not ((arr >= 0.0) & (arr <= 1.0)).all():
-                raise ValueError(f"{name} has a rate outside [0, 1]")
+            outside = ~((arr >= 0.0) & (arr <= 1.0))  # nan too
+            if outside.any():
+                i, j = np.argwhere(outside)[0].tolist()
+                cell = g.edge_list[j] if name == "cnot_error" else [j]
+                raise ValueError(f"cycle {ids[i]}: {name}{cell} = {arr[i, j]} outside [0, 1]")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -133,12 +137,6 @@ def validate_snapshot(
         )
     if set(readout_error) != set(range(g.qubit_count)):
         raise ValueError("cycle 0: readout_error must cover every qubit")
-    for e, val in cnot_error.items():
-        if not (0.0 <= val <= 1.0):
-            raise ValueError(f"cycle 0: cnot_error{e} = {val} outside [0, 1]")
-    for q, val in readout_error.items():
-        if not (0.0 <= val <= 1.0):
-            raise ValueError(f"cycle 0: readout_error[{q}] = {val} outside [0, 1]")
     readout = [readout_error[q] for q in range(g.qubit_count)]
     return CalibrationSeries(g, (0,), [[cnot_error[e] for e in g.edge_list]], [readout])
 

@@ -55,9 +55,13 @@ class DetectionVerdict:
 
 def _check_windows(
     series: CalibrationSeries, window1: tuple[int, int], window2: tuple[int, int]
-) -> None:
-    for name, (lo, hi) in (("window1", window1), ("window2", window2)):
-        n = len(series.cycle_ids[series.cycle_slice(lo, hi)])
+) -> tuple[slice, slice]:
+    """Each window's rows of series, by the module's one window rule: each
+    window covers at least MIN_WINDOW_CYCLES cycles of the series, and the
+    two are disjoint."""
+    rows = series.cycle_slice(*window1), series.cycle_slice(*window2)
+    for name, window in zip(("window1", "window2"), rows):
+        n = len(series.cycle_ids[window])
         if n < MIN_WINDOW_CYCLES:
             raise ValueError(
                 f"{name} covers {n} cycles; need at least {MIN_WINDOW_CYCLES}"
@@ -66,20 +70,7 @@ def _check_windows(
     lo2, hi2 = window2
     if lo1 < hi2 and lo2 < hi1:
         raise ValueError(f"windows [{lo1},{hi1}) and [{lo2},{hi2}) overlap")
-
-
-def _window_rows(
-    series: CalibrationSeries, window1: tuple[int, int], window2: tuple[int, int]
-) -> tuple[slice, slice]:
-    """Each window's rows of series; a window that covers no cycle of the
-    series has nothing to histogram and is refused."""
-    rows = []
-    for name, (lo, hi) in (("window1", window1), ("window2", window2)):
-        window = series.cycle_slice(lo, hi)
-        if window.start >= window.stop:
-            raise ValueError(f"{name} [{lo},{hi}) covers no cycle of the series")
-        rows.append(window)
-    return rows[0], rows[1]
+    return rows
 
 
 def _check_smoothing(bins: int, eps: float) -> None:
@@ -116,9 +107,8 @@ def qubit_divergence(
     Bins are equal-width over the pooled min and max of both windows; there
     are 1 to MAX_BINS of them. A constant pooled series has no spread to
     bin; its divergence is 0. Only qubit q is read, so another qubit's
-    failure does not reach it.
+    failure does not reach it. The windows follow detect's rule.
     """
-    _check_smoothing(bins, eps)
     series.graph._check_index(q)
     return _divergences(series, [q], window1, window2, bins, eps)[0]
 
@@ -134,7 +124,6 @@ def divergences(
 
     Raises what the first failing qubit's qubit_divergence would.
     """
-    _check_smoothing(bins, eps)
     return _divergences(series, slice(None), window1, window2, bins, eps)
 
 
@@ -147,14 +136,16 @@ def _divergences(
     eps: float,
 ) -> list[float]:
     """The divergence of each qubit that qubits indexes, in order, from whole
-    arrays: the one histogram-and-KL pass of the module.
+    arrays: the one histogram-and-KL pass of the module. The windows are
+    checked first, then bins and eps, as detect checks them.
 
     Each window is sorted along cycles once, and each qubit's bins are counted
     by one searchsorted of its inner edges, which gives np.histogram's counts,
     a sample equal to the top edge included. Only the KL sums run in Python
     floats, in bin order.
     """
-    rows1, rows2 = _window_rows(series, window1, window2)
+    rows1, rows2 = _check_windows(series, window1, window2)
+    _check_smoothing(bins, eps)
     errors = series.mean_cnot_error.T[qubits]  # one contiguous row per qubit
     s1 = np.sort(errors[:, rows1])
     s2 = np.sort(errors[:, rows2])
@@ -224,7 +215,6 @@ def detect(
     """
     if not 0 <= tau < math.inf:
         raise ValueError(f"tau must be finite and non-negative, got {tau}")
-    _check_windows(series, window1, window2)
     divergence = dict(enumerate(divergences(series, window1, window2, bins, eps)))
     flagged = frozenset(q for q, d in divergence.items() if d > tau)
     return DetectionVerdict(divergence=divergence, tau=tau, flagged=flagged)
@@ -249,7 +239,6 @@ def calibrate_threshold(
     pool: list[float] = []
     n_runs = 0
     for series in honest_runs:
-        _check_windows(series, window1, window2)
         n_runs += 1
         pool += divergences(series, window1, window2, bins, eps)
     _check_runs(n_runs)
@@ -282,11 +271,11 @@ def matched_threshold(
     CALIBRATION_SEED_BASE + i and spans window1's cycle count, then
     window2's. tau is calibrate_threshold over the runs.
     """
-    _check_windows(series, window1, window2)
+    rows1, rows2 = _check_windows(series, window1, window2)
     _check_runs(runs)
     g = series.graph
-    history = series.rows(series.cycle_slice(*window1))
-    n1, n2 = len(history), len(series.cycle_ids[series.cycle_slice(*window2)])
+    history = series.rows(rows1)
+    n1, n2 = len(history), len(series.cycle_ids[rows2])
     cnot = [sum(col) / n1 for col in history.cnot_error.T.tolist()]
     base = CalibrationSeries(g, (0,), [cnot], history.readout_error[:1])
     if cv is None:

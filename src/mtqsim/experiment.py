@@ -56,9 +56,10 @@ GENERATOR_FIELDS = ("count", "size_min", "size_max", "gate_density", "seed")
 
 def read_referenced_file(path: str | Path) -> str:
     """Read a file named by a config or a flag: absence is a configuration
-    error, bytes that are not UTF-8 malformed data; each message names path."""
+    error, bytes that are not UTF-8 malformed data; each message names path.
+    A leading UTF-8 byte-order mark is dropped."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read referenced file {path}: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -261,6 +262,38 @@ def test_csv_round_trip_keeps_arrays(case):
     assert again.cycle_ids == series.cycle_ids
     assert np.array_equal(again.cnot_error, series.cnot_error)
     assert np.array_equal(again.readout_error, series.readout_error)
+
+
+@SERIES_SETTINGS
+@given(st.data())
+def test_a_rate_outside_the_unit_range_is_named(data):
+    """One rate of a multi-cycle series set to nan or just outside [0, 1]:
+    CalibrationSeries names its cycle id and its edge or qubit, and the CSV
+    loader the line that holds it."""
+    g = data.draw(strategies.connected_graph())
+    ids = tuple(sorted(data.draw(st.sets(st.integers(0, 500), min_size=2, max_size=6))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cnot = rng.uniform(0.0, 1.0, (len(ids), len(g.edge_list)))
+    readout = rng.uniform(0.0, 1.0, (len(ids), g.qubit_count))
+    text = write_calibration_csv(CalibrationSeries(g, ids, cnot, readout)).splitlines()
+    row = data.draw(st.integers(0, len(ids) - 1))
+    bad = data.draw(st.sampled_from([math.nan, -1e-9, 1.0 + 1e-9]))
+    if data.draw(st.booleans()):
+        j = data.draw(st.integers(0, len(g.edge_list) - 1))
+        cnot[row, j] = bad
+        cell, column = f"cnot_error{g.edge_list[j]}", j
+    else:
+        q = data.draw(st.integers(0, g.qubit_count - 1))
+        readout[row, q] = bad
+        cell, column = f"readout_error[{q}]", len(g.edge_list) + q
+    message = f"cycle {ids[row]}: {cell} = {bad} outside [0, 1]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CalibrationSeries(g, ids, cnot, readout)
+    ln = 2 + row * (len(g.edge_list) + g.qubit_count) + column
+    text[ln - 1] = f"{text[ln - 1].rsplit(',', 1)[0]},{bad!r}"
+    message = f"line {ln}: value {bad} outside [0, 1]"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        load_calibration_csv("\n".join(text) + "\n", g)
 
 
 PAD = st.text(alphabet=" \t\u00a0", max_size=3)  # whitespace that strip, int and float all skip

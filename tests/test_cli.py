@@ -531,6 +531,45 @@ def test_incomplete_cycle_exits_3_naming_the_cycle(tmp_path, capsys):
     assert "(0, 1)" in err
 
 
+BOM = "\ufeff".encode()
+
+
+def test_a_leading_byte_order_mark_is_read_as_if_absent(tmp_path, capsys):
+    """A UTF-8 byte-order mark before a calibration CSV or a config changes no
+    output; bytes after it that are not UTF-8 still exit 3 naming the file."""
+    calib = write_honest_calib(tmp_path / "c14.csv")
+    (tmp_path / "bom.csv").write_bytes(BOM + calib.read_bytes())
+    for name in ("c14", "bom"):
+        argv = ["detect", "--calib", str(tmp_path / f"{name}.csv"), "--windows", "0:7,7:14",
+                "--calibration-runs", "30", "--out", str(tmp_path / f"{name}-verdict.json")]
+        assert main(argv) == 0
+    assert (tmp_path / "bom-verdict.json").read_bytes() == (tmp_path / "c14-verdict.json").read_bytes()
+
+    cfg = write_config(tmp_path)
+    (tmp_path / "bom.json").write_bytes(BOM + cfg.read_bytes())
+    for name in ("config", "bom"):
+        assert main(["simulate", "--config", str(tmp_path / f"{name}.json"),
+                     "--out", str(tmp_path / f"{name}-out")]) == 0
+    plain, marked = (sorted((tmp_path / f"{name}-out").iterdir()) for name in ("config", "bom"))
+    assert [p.name for p in plain] == [p.name for p in marked] and plain
+    assert all(p.read_bytes() == m.read_bytes() for p, m in zip(plain, marked))
+
+    binary = tmp_path / "bom-binary.csv"
+    binary.write_bytes(BOM + b"cycle,kind\n\xff\x00\xfe")
+    capsys.readouterr()
+    assert main(["detect", "--calib", str(binary), "--windows", "0:3,3:6"]) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {binary} is not UTF-8 text:")
+
+
+def test_a_rate_outside_the_unit_range_exits_3_naming_its_line(tmp_path, capsys):
+    calib = write_honest_calib(tmp_path / "c14.csv")
+    lines = calib.read_text().splitlines(keepends=True)
+    lines[4] = lines[4].rsplit(",", 1)[0] + ",1.000000001\n"
+    calib.write_text("".join(lines))
+    assert main(["detect", "--calib", str(calib), "--windows", "0:7,7:14"]) == 3
+    assert capsys.readouterr().err == "data error: line 5: value 1.000000001 outside [0, 1]\n"
+
+
 def test_errors_file_cycle_selects_that_cycle(tmp_path):
     g = hanoi27()
     calib = write_honest_calib(tmp_path / "cal.csv")

@@ -52,15 +52,16 @@ def test_build_distribution_errors():
 
 
 def test_kl_worked_example():
-    # window 1 holds P's samples and window 2 Q's; two bins split [0.1, 0.3]
-    series = one_edge_series([0.1, 0.3, 0.1, 0.3, 0.3, 0.3])
-    (d,) = set(divergences(series, (0, 2), (2, 6), bins=2, eps=0.0))
+    # window 1 holds P's samples and window 2 Q's, each of at least 3 cycles;
+    # two bins split [0.1, 0.3]
+    series = one_edge_series([0.1, 0.1, 0.3, 0.3, 0.1, 0.3, 0.3, 0.3])
+    (d,) = set(divergences(series, (0, 4), (4, 8), bins=2, eps=0.0))
     expected = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
     assert d == pytest.approx(expected, abs=1e-6)
     assert d == pytest.approx(0.1438, abs=5e-4)
-    assert divergences(one_edge_series([0.1, 0.3] * 2), (0, 2), (2, 4), 2, 0.0) == [0.0, 0.0]
+    assert divergences(one_edge_series([0.1, 0.3] * 4), (0, 4), (4, 8), 2, 0.0) == [0.0, 0.0]
     # asymmetry
-    (reverse,) = set(divergences(series, (2, 6), (0, 2), bins=2, eps=0.0))
+    (reverse,) = set(divergences(series, (4, 8), (0, 4), bins=2, eps=0.0))
     assert reverse != pytest.approx(d, abs=1e-6)
 
 
@@ -144,10 +145,24 @@ def _outcome(compute):
         return f"ValueError: {exc}"
 
 
+def _reference_rows(series, window1, window2):
+    """Each window's rows of series by detect's rule, read from the cycle ids
+    alone: every window covers at least 3 cycles, and the two are disjoint."""
+    rows = []
+    for name, (lo, hi) in (("window1", window1), ("window2", window2)):
+        rows.append([i for i, cycle in enumerate(series.cycle_ids) if lo <= cycle < hi])
+        if len(rows[-1]) < 3:
+            raise ValueError(f"{name} covers {len(rows[-1])} cycles; need at least 3")
+    (lo1, hi1), (lo2, hi2) = window1, window2
+    if max(lo1, lo2) < min(hi1, hi2):
+        raise ValueError(f"windows [{lo1},{hi1}) and [{lo2},{hi2}) overlap")
+    return rows
+
+
 def _reference(series, q, window1, window2, bins, eps):
     """The oracle's divergence of qubit q, from its column of the series."""
     errors = series.mean_cnot_error[:, q]
-    rows1, rows2 = series.cycle_slice(*window1), series.cycle_slice(*window2)
+    rows1, rows2 = _reference_rows(series, window1, window2)
     return oracles.window_divergence(errors[rows1], errors[rows2], bins, eps)
 
 
@@ -159,17 +174,28 @@ def _per_qubit(series, window1, window2, bins, eps):
 @st.composite
 def drift_and_windows(draw):
     """A synth_drift series on a random connected graph, at cv 0, 1e-12 or
-    any cv in [0, 1], and two disjoint windows of at least one cycle each.
-    Half the series are rounded to eighths, so that samples sit on bin edges."""
+    any cv in [0, 1], and two windows of 1 to 16 cycles inside it, in either
+    order. Most pairs pass detect's window rule; a drawn fault breaks it with
+    a window of 1 or 2 cycles or a one-cycle overlap. Half the series are
+    rounded to eighths, so that samples sit on bin edges."""
     g, base = draw(strategies.graph_and_snapshot())
     cv = draw(st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0.0, 1.0)))
-    cycles = draw(st.integers(3, 40))
+    lo, gap = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    n1, n2 = draw(st.integers(3, 16)), draw(st.integers(3, 16))
+    fault = draw(st.sampled_from([None, None, None, None, "short1", "short2", "overlap"]))
+    if fault == "short1":
+        n1 = draw(st.integers(1, 2))
+    elif fault == "short2":
+        n2 = draw(st.integers(1, 2))
+    elif fault == "overlap":
+        gap = -1
+    cycles = draw(st.integers(max(3, lo + n1 + gap + n2), 40))
     series = synth_drift(base, cycles, cv, draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         eighths = np.round(series.cnot_error * 8) / 8
         series = CalibrationSeries(g, series.cycle_ids, eighths, series.readout_error)
-    a, b, c, d = sorted(draw(st.lists(st.integers(0, cycles), min_size=4, max_size=4, unique=True)))
-    windows = ((a, b), (c, d)) if draw(st.booleans()) else ((c, d), (a, b))
+    a, b = (lo, lo + n1), (lo + n1 + gap, lo + n1 + gap + n2)
+    windows = (a, b) if draw(st.booleans()) else (b, a)
     return series, *windows
 
 
@@ -228,16 +254,24 @@ def test_one_qubit_is_scored_without_the_others():
 @pytest.mark.parametrize(
     "window1, window2, message",
     [
-        ((0, 7), (20, 30), "window2 [20,30) covers no cycle of the series"),
-        ((5, 2), (7, 14), "window1 [5,2) covers no cycle of the series"),
+        ((0, 7), (20, 30), "window2 covers 0 cycles; need at least 3"),
+        ((5, 2), (7, 14), "window1 covers 0 cycles; need at least 3"),
+        ((0, 7), (7, 9), "window2 covers 2 cycles; need at least 3"),
+        ((0, 7), (5, 14), "windows [0,7) and [5,14) overlap"),
     ],
 )
 def test_an_empty_window_is_named_by_both_divergence_paths(hanoi, window1, window2, message):
+    """Both divergence paths refuse an empty, short or overlapping window
+    with detect's message, before they read a bad eps."""
     series = synth_drift(uniform_snapshot(hanoi, 0.02, 0.02), 14, 0.3, 7)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        divergences(series, window1, window2)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        qubit_divergence(series, 0, window1, window2)
+    for eps in (0.1, math.nan):
+        for refuse in (
+            lambda: detect(series, window1, window2, eps=eps),
+            lambda: divergences(series, window1, window2, eps=eps),
+            lambda: qubit_divergence(series, 0, window1, window2, eps=eps),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                refuse()
 
 
 def test_detect_window_validation(hanoi):
