@@ -15,16 +15,20 @@ terms range over the candidate subset and the _h terms over the whole device.
 Both scores depend only on the snapshot, which carries its graph, so the
 allocators and the layout take the snapshot itself. A snapshot's arrays are
 read-only and it hashes by identity, so each qubit's CFM and the device's CRI
-term are remembered per snapshot, in caches bounded to a few snapshots. So are
-a subset's CRI, keyed by the snapshot and the members in the order given (256
-entries), and the Louvain communities of an available region, keyed by the
-snapshot and the region as given (64 entries). A raise is never remembered.
+term are remembered per snapshot, in caches bounded to a few snapshots. So is
+cfm_rank, each qubit's position in (-CFM, index) order (8 snapshots), which
+every CFM-ranked choice reads: the attractor, each greedy step and each step of
+a dense extraction. So are a subset's CRI, keyed by the snapshot and the
+members in the order given (256 entries), and the Louvain communities of an
+available region, keyed by the snapshot and the region as given (64 entries).
+A raise is never remembered.
 Failure to allocate is reported as None; the scheduler treats it as a signal
 to defer the job to a later round.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Collection, Sequence
@@ -67,31 +71,60 @@ def cfm(snap: CalibrationSeries, q: int) -> float:
     return d + (1.0 - (float(snap.mean_cnot_error[0, q]) + float(snap.readout_error[0, q])))
 
 
-def _best_by_cfm(snap: CalibrationSeries, qubits) -> int:
-    """Highest-CFM qubit, ties broken toward the lowest index."""
-    return min(qubits, key=lambda q: (-cfm(snap, q), q))
+class _Rank(dict):
+    """cfm_rank's table. It holds the qubits whose CFM is defined; looking up
+    any other (an index outside [0, n), or any qubit of a device with an
+    isolated qubit) raises the ValueError that cfm raises for it."""
+
+    def __init__(self, snap: CalibrationSeries) -> None:
+        scores = {}
+        for q in range(snap.graph.qubit_count):
+            with suppress(ValueError):  # raised again when q is looked up
+                scores[q] = cfm(snap, q)
+        order = sorted(scores, key=lambda q: (-scores[q], q))
+        super().__init__((q, i) for i, q in enumerate(order))
+        self.snap = snap
+
+    def __missing__(self, q: int) -> int:
+        cfm(self.snap, q)  # raises for every qubit the table leaves out
+        raise KeyError(q)
+
+
+@lru_cache(maxsize=8)
+def cfm_rank(snap: CalibrationSeries) -> _Rank:
+    """Each qubit's position in (-CFM, index) order on snap: min over rank[q]
+    picks the highest-CFM qubit, ties toward the lower index."""
+    return _Rank(snap)
 
 
 def _grow(
-    snap: CalibrationSeries, pool: Sequence[int], size: int, rank: Callable[[int, set[int]], tuple]
+    snap: CalibrationSeries, pool: Sequence[int], size: int, densest: bool
 ) -> tuple[int, ...] | None:
     """Grow a connected subset of `size` pool qubits from the pool's highest-CFM qubit.
 
     Each step adds the frontier qubit (a pool qubit adjacent to the subset)
-    with the least rank(q, chosen). Members are returned in the order they
-    joined; None if the seed's connected region of the pool is too small.
+    with the highest CFM, ties toward the lower index; if densest, the one
+    with the most edges into the subset comes first. Members are returned in
+    the order they joined; None if the seed's connected region of the pool is
+    too small.
     """
     if size > len(pool):
         return None
     g = snap.graph
     pool_set = set(pool)
-    q = _best_by_cfm(snap, pool)
+    rank = cfm_rank(snap)
+    q = min(pool, key=rank.__getitem__)
     members, chosen, frontier = [q], {q}, set()
+    if densest:
+        def key(n: int) -> tuple[int, int]:
+            return (-sum(1 for m in g.neighbors(n) if m in chosen), rank[n])
+    else:
+        key = rank.__getitem__
     while len(members) < size:
         frontier.update(n for n in g.neighbors(q) if n in pool_set and n not in chosen)
         if not frontier:
             return None
-        q = min(frontier, key=lambda n: rank(n, chosen))
+        q = min(frontier, key=key)
         frontier.discard(q)
         members.append(q)
         chosen.add(q)
@@ -107,7 +140,7 @@ def greedy_allocate(snap: CalibrationSeries, req: AllocationRequest) -> Partitio
     attractor: if the attractor's available region runs out of neighbors
     before the partition reaches the requested size, the request fails.
     """
-    members = _grow(snap, req.available, req.size, lambda q, chosen: (-cfm(snap, q), q))
+    members = _grow(snap, req.available, req.size, densest=False)
     return None if members is None else Partition(members, score=cfm(snap, members[0]))
 
 
@@ -271,13 +304,7 @@ def _expand_densest(
     contributing the most edges into the current subset (ties: higher CFM,
     then lower index).
     """
-    g = snap.graph
-
-    def rank(q: int, chosen: set[int]) -> tuple:
-        intra = sum(1 for n in g.neighbors(q) if n in chosen)
-        return (-intra, -cfm(snap, q), q)
-
-    return _grow(snap, pool, size, rank)
+    return _grow(snap, pool, size, densest=True)
 
 
 def comdap_allocate(snap: CalibrationSeries, req: AllocationRequest) -> Partition | None:
@@ -305,7 +332,7 @@ def comdap_allocate(snap: CalibrationSeries, req: AllocationRequest) -> Partitio
     if req.size > len(avail):
         return None
     if req.size == 1:
-        q = _best_by_cfm(snap, avail)
+        q = min(avail, key=cfm_rank(snap).__getitem__)
         return Partition((q,), score=cri(snap, (q,)))
     _device_cri_term(snap)  # raises on a device with no CRI term, feasible request or not
     regions = [p for p in _connected_pieces(g, avail) if len(p) >= req.size]

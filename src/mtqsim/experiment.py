@@ -57,9 +57,10 @@ GENERATOR_FIELDS = ("count", "size_min", "size_max", "gate_density", "seed")
 def read_referenced_file(path: str | Path) -> str:
     """Read a file named by a config or a flag: absence is a configuration
     error, bytes that are not UTF-8 malformed data; each message names path.
-    A leading UTF-8 byte-order mark is dropped."""
+    A leading UTF-8 byte-order mark is dropped after decoding, so that a
+    byte the message names sits at its offset in the file."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise ConfigError(f"cannot read referenced file {path}: {exc}") from None
     except UnicodeDecodeError as exc:

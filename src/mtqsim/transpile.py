@@ -19,6 +19,14 @@ per SWAP, which the tests replay and price with the reference schedulers in
 tests/oracles.py. route and cost share one routing rule (_router). depth and
 pst_estimate each return one of cost's numbers.
 
+Routing reads a path table that is built once per partition, not once per
+call. It is a bounded cache of the last 64 partitions routed on, keyed by the
+graph (which compares by value) and the partition's member set, and each
+entry holds at most one shortest-path tree per member, built when that member
+is first a source. So the jobs of a run, and the seeds of a sweep, that land
+on one partition share its trees. Layout ranks qubits by allocation's
+per-snapshot CFM order (cfm_rank).
+
 Layout consumes the reported snapshot (the allocator's world view); the
 success probability consumes the true snapshot. Both are one-cycle
 CalibrationSeries. Keeping those apart is the whole point of the toolkit.
@@ -32,7 +40,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .allocation import cfm
+from .allocation import cfm_rank
 from .calibration import CalibrationSeries
 from .errors import DataError
 from .topology import CouplingGraph, bfs_tree
@@ -249,13 +257,14 @@ def initial_layout(
 
     layout: dict[int, int] = {}
     g = snap.graph
+    rank = cfm_rank(snap)
     unused = set(members)
     for logical in order:
         preferred = {
             q for p in partners[logical] if p in layout for q in g.neighbors(layout[p])
         }
         preferred &= unused
-        chosen = min(preferred or unused, key=lambda p: (-cfm(snap, p), p))
+        chosen = min(preferred or unused, key=rank.__getitem__)
         layout[logical] = chosen
         unused.discard(chosen)
     return layout
@@ -267,7 +276,7 @@ class _Paths(dict):
     bfs_tree (a qubit's path is its parent's plus the parent). Looking up a
     qubit the source does not reach raises the "no path" ValueError."""
 
-    def __init__(self, g: CouplingGraph, allowed: set[int], src: int) -> None:
+    def __init__(self, g: CouplingGraph, allowed: frozenset[int], src: int) -> None:
         super().__init__()
         self.allowed, self.src = allowed, src
         for q, parent in bfs_tree(g, allowed, src).items():  # a parent before its children
@@ -279,15 +288,24 @@ class _Paths(dict):
         )
 
 
+@functools.lru_cache(maxsize=64)
+def _path_table(g: CouplingGraph, allowed: frozenset[int]) -> Callable[[int], _Paths]:
+    """One partition's paths_from: each source qubit's _Paths, built on first use."""
+    return functools.cache(lambda src: _Paths(g, allowed, src))
+
+
 def _router(
     c: LogicalCircuit, layout: dict[int, int], members: Sequence[int], g: CouplingGraph
 ) -> tuple[dict[int, int], dict[int, int], Callable[[int], _Paths]]:
     """The routing rule that route and cost share: the logical-to-physical and
     physical-to-logical maps to update as SWAPs move qubits, and paths_from(a),
     whose [b] is the inner qubits of the shortest path from a to b inside the
-    partition's induced subgraph, built once per source qubit on first use.
+    partition's induced subgraph. paths_from is the partition's entry in the
+    path table (_path_table, the last 64 partitions, keyed by (g,
+    frozenset(members))): it builds a source's paths on first use and keeps
+    them for every later call on that partition.
     """
-    allowed = set(members)
+    allowed = frozenset(members)
     l2p = dict(layout)
     if (
         len(allowed) != c.qubit_count
@@ -295,8 +313,7 @@ def _router(
         or set(l2p.values()) != allowed
     ):
         raise ValueError("layout must be a bijection from logical qubits onto the partition")
-    paths_from = functools.cache(lambda src: _Paths(g, allowed, src))
-    return l2p, {p: l for l, p in l2p.items()}, paths_from
+    return l2p, {p: l for l, p in l2p.items()}, _path_table(g, allowed)
 
 
 def route(
@@ -406,8 +423,7 @@ def depth(
     snap_true: CalibrationSeries,
 ) -> int:
     """cost's depth. Kept only because bench/tracing.py's TRACED names it; it
-    goes with the next change to the benchmark's definition (ROADMAP items 1
-    Step 3 and 5)."""
+    goes with the next change to the benchmark's definition (ROADMAP item 4)."""
     return cost(c, layout, members, snap_true)[0]
 
 
@@ -418,6 +434,5 @@ def pst_estimate(
     snap_true: CalibrationSeries,
 ) -> float:
     """cost's PST. Kept only because bench/tracing.py's TRACED names it; it
-    goes with the next change to the benchmark's definition (ROADMAP items 1
-    Step 3 and 5)."""
+    goes with the next change to the benchmark's definition (ROADMAP item 4)."""
     return cost(c, layout, members, snap_true)[3]

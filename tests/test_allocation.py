@@ -25,6 +25,7 @@ from mtqsim.allocation import (
     _louvain,
     _subset_cri,
     cfm,
+    cfm_rank,
     comdap_allocate,
     cri,
     fidelity_weight,
@@ -34,7 +35,7 @@ from mtqsim.allocation import (
 )
 from mtqsim.calibration import synth_drift, uniform_snapshot, validate_snapshot
 from mtqsim.topology import CouplingGraph, hanoi27
-from mtqsim.transpile import cost, route
+from mtqsim.transpile import LogicalCircuit, Op, _path_table, cost, initial_layout, route
 
 P3 = CouplingGraph(3, frozenset({(0, 1), (1, 2)}))
 
@@ -396,6 +397,32 @@ def test_cri_names_an_out_of_range_member(members):
         cri(snap, members)
 
 
+@pytest.mark.parametrize("bad", [27, 99, -1])
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("allocator", [greedy_allocate, comdap_allocate])
+def test_allocators_name_an_out_of_range_available_qubit(allocator, size, bad):
+    # -1 must not wrap round to the last qubit, nor 99 index past a table
+    snap = uniform_snapshot(hanoi27(), 0.02, 0.02)
+    for _ in range(2):  # a raise is never remembered as an answer
+        with pytest.raises(ValueError, match=rf"^qubit index {bad} out of range for 27 qubits$"):
+            allocator(snap, AllocationRequest(size, (0, 1, bad)))
+
+
+@pytest.mark.parametrize("allocator", [greedy_allocate, comdap_allocate])
+def test_a_device_with_an_isolated_qubit_has_no_cfm(allocator):
+    # qubit 3 has no edge, so no qubit has a mean CNOT error: each request
+    # raises what cfm raises for the first available qubit
+    snap = uniform_snapshot(CouplingGraph(4, frozenset({(0, 1), (1, 2)})), 0.02, 0.02)
+    for available, message in (
+        ((3, 0), "qubit 3 is isolated; CFM undefined"),
+        ((0, 3), "qubit 3 has no incident edges"),
+        ((0, 2), "qubit 3 has no incident edges"),
+    ):
+        for _ in range(2):  # a raise is never remembered as an answer
+            with pytest.raises(ValueError, match=rf"^{message}$"):
+                allocator(snap, AllocationRequest(1, available))
+
+
 def test_scores_are_remembered_per_snapshot():
     # two snapshots of one graph with different rates, scored alternately
     a, b = snap_uniform(FIX5, 0.01, 0.01), FIX5_SNAP
@@ -410,10 +437,14 @@ def test_scores_are_remembered_per_snapshot():
 
 
 def test_remembered_scores_do_not_keep_a_snapshot_alive():
+    c = LogicalCircuit(3, (Op("cnot", (0, 2)), Op("cnot", (1, 2))))
+
     def score(snap):
         cfm(snap, 1)
         cri(snap, (1, 2, 3))
         comdap_allocate(snap, AllocationRequest(2, tuple(range(5))))  # runs louvain
+        members = greedy_allocate(snap, AllocationRequest(3, tuple(range(5)))).members
+        cost(c, initial_layout(c, members, snap), members, snap)  # reads both tables
 
     snap = uniform_snapshot(FIX5, 0.01, 0.01)
     score(snap)
@@ -450,6 +481,46 @@ def test_remembered_scores_equal_fresh_ones(g, data):
     cold = []
     for snap in snaps:
         for remembered in (cfm, _device_cri_term, _subset_cri, _louvain):
+            remembered.cache_clear()
+        cold.append(answers(snap))
+    for _ in range(2):
+        assert [answers(snap) for snap in snaps] == cold
+
+
+@PROPERTY_SETTINGS
+@given(g=connected_graph(), data=st.data())
+def test_remembered_tables_equal_fresh_ones(g, data):
+    """Two snapshots, one on g and one on an equal graph built apart, placed,
+    laid out and priced with cold tables and then again, interleaved, with
+    warm ones: every greedy partition, layout and cost is the same bit for
+    bit. The equal graphs share their path-table entries."""
+    twin = CouplingGraph(g.qubit_count, frozenset(g.edges))
+    assert twin == g and twin is not g
+    snaps = [data.draw(graph_and_snapshot(st.just(h)))[1] for h in (g, twin)]
+    everything = tuple(range(g.qubit_count))
+    available = tuple(sorted(data.draw(st.sets(st.sampled_from(everything), min_size=1))))
+    sizes = data.draw(st.lists(st.integers(1, g.qubit_count), min_size=1, max_size=4))
+    circuits = {n: data.draw(circuit(n)) for n in {*sizes, g.qubit_count}}
+    order = tuple(data.draw(st.permutations(everything)))  # a partition of every qubit
+
+    def answers(snap):
+        # the table is this snapshot's (-CFM, index) order, whatever else it has seen
+        by_rank = sorted(everything, key=cfm_rank(snap).__getitem__)
+        assert by_rank == sorted(everything, key=lambda q: (-cfm(snap, q), q))
+        out = []
+        for n in sizes:
+            part = greedy_allocate(snap, AllocationRequest(n, available))
+            if part is not None:
+                layout = initial_layout(circuits[n], part.members, snap)
+                part = part, layout, cost(circuits[n], layout, part.members, snap)
+            out.append(part)
+        c = circuits[g.qubit_count]
+        out.append(cost(c, initial_layout(c, order, snap), order, snap))
+        return out
+
+    cold = []
+    for snap in snaps:
+        for remembered in (cfm, cfm_rank, _path_table):
             remembered.cache_clear()
         cold.append(answers(snap))
     for _ in range(2):

@@ -554,11 +554,15 @@ def test_a_leading_byte_order_mark_is_read_as_if_absent(tmp_path, capsys):
     assert [p.name for p in plain] == [p.name for p in marked] and plain
     assert all(p.read_bytes() == m.read_bytes() for p, m in zip(plain, marked))
 
-    binary = tmp_path / "bom-binary.csv"
-    binary.write_bytes(BOM + b"cycle,kind\n\xff\x00\xfe")
-    capsys.readouterr()
-    assert main(["detect", "--calib", str(binary), "--windows", "0:3,3:6"]) == 3
-    assert capsys.readouterr().err.startswith(f"data error: {binary} is not UTF-8 text:")
+    # a byte that is not UTF-8 is named by its offset in the file, mark or none
+    for mark, offset in ((BOM, 14), (b"", 11)):
+        binary = tmp_path / "bom-binary.csv"
+        binary.write_bytes(mark + b"cycle,kind\n\xff\x00\xfe")
+        capsys.readouterr()
+        assert main(["detect", "--calib", str(binary), "--windows", "0:3,3:6"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {binary} is not UTF-8 text:")
+        assert f"can't decode byte 0xff in position {offset}:" in err
 
 
 def test_a_rate_outside_the_unit_range_exits_3_naming_its_line(tmp_path, capsys):

@@ -221,6 +221,19 @@ def test_initial_layout_bijection_and_mismatch():
         initial_layout(c, (1, 2, 3), s)
 
 
+@pytest.mark.parametrize("bad", [27, 99, -1])
+def test_initial_layout_names_an_out_of_range_member(bad):
+    # -1 must not wrap round to the last qubit, nor 99 index past a table
+    s = uniform_snapshot(hanoi27(), 0.02, 0.02)
+    for c, members in (
+        (parse_qasm_subset("qreg q[1];"), (bad,)),
+        (parse_qasm_subset("qreg q[2]; cx q[0],q[1];"), (0, bad)),
+        (parse_qasm_subset("qreg q[3]; cx q[0],q[1]; cx q[1],q[2];"), (bad, 1, 4)),
+    ):
+        with pytest.raises(ValueError, match=rf"^qubit index {bad} out of range for 27 qubits$"):
+            initial_layout(c, members, s)
+
+
 def test_route_adjacent_pair():
     s = uniform_snapshot(P3, 0.02, 0.01)
     c = parse_qasm_subset("qreg q[2]; cx q[0],q[1];")
@@ -245,10 +258,11 @@ def test_route_p3_long_range():
 
 def test_route_rejects_a_disconnected_partition():
     c = parse_qasm_subset("qreg q[2]; cx q[0],q[1];")
-    with pytest.raises(ValueError, match="no path 0 -> 2"):
-        route(c, {0: 0, 1: 2}, (0, 2), P3)
-    with pytest.raises(ValueError, match="no path 0 -> 2"):
-        cost(c, {0: 0, 1: 2}, (0, 2), uniform_snapshot(P3, 0.01, 0.01))
+    for _ in range(2):  # the partition's remembered path table raises again
+        with pytest.raises(ValueError, match=r"^partition \[0, 2\] is disconnected: no path 0 -> 2$"):
+            route(c, {0: 0, 1: 2}, (0, 2), P3)
+        with pytest.raises(ValueError, match=r"^partition \[0, 2\] is disconnected: no path 0 -> 2$"):
+            cost(c, {0: 0, 1: 2}, (0, 2), uniform_snapshot(P3, 0.01, 0.01))
 
 
 def test_route_rejects_a_many_to_one_layout():
