@@ -14,14 +14,14 @@ terms range over the candidate subset and the _h terms over the whole device.
 
 Both scores depend only on the snapshot, which carries its graph, so the
 allocators and the layout take the snapshot itself. A snapshot's arrays are
-read-only and it hashes by identity, so each qubit's CFM and the device's CRI
-term are remembered per snapshot, in caches bounded to a few snapshots. So is
-cfm_rank, each qubit's position in (-CFM, index) order (8 snapshots), which
-every CFM-ranked choice reads: the attractor, each greedy step and each step of
-a dense extraction. So are a subset's CRI, keyed by the snapshot and the
-members in the order given (256 entries), and the Louvain communities of an
-available region, keyed by the snapshot and the region as given (64 entries).
-A raise is never remembered.
+read-only and it hashes by identity, so the device's CRI term is remembered
+per snapshot, in a cache bounded to a few snapshots. So is cfm_rank, each
+qubit's position in (-CFM, index) order (8 snapshots), the one table of CFMs,
+which every CFM-ranked choice reads: the attractor, each greedy step and each
+step of a dense extraction; cfm itself remembers nothing. So are a subset's
+CRI, keyed by the snapshot and the members in the order given (256 entries),
+and the Louvain communities of an available region, keyed by the snapshot and
+the region as given (64 entries). A raise is never remembered.
 Failure to allocate is reported as None; the scheduler treats it as a signal
 to defer the job to a later round.
 """
@@ -58,7 +58,6 @@ class Partition:
     score: float
 
 
-@lru_cache(maxsize=256)
 def cfm(snap: CalibrationSeries, q: int) -> float:
     """Composite fidelity metric: degree(q) + (1 - (E + R)) on the snapshot's graph.
 

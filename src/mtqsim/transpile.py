@@ -22,10 +22,10 @@ pst_estimate each return one of cost's numbers.
 Routing reads a path table that is built once per partition, not once per
 call. It is a bounded cache of the last 64 partitions routed on, keyed by the
 graph (which compares by value) and the partition's member set, and each
-entry holds at most one shortest-path tree per member, built when that member
-is first a source. So the jobs of a run, and the seeds of a sweep, that land
-on one partition share its trees. Layout ranks qubits by allocation's
-per-snapshot CFM order (cfm_rank).
+entry is a dict of one shortest-path tree per member, all built when the
+partition is first routed. So the jobs of a run, and the seeds of a sweep,
+that land on one partition share its trees. Layout ranks qubits by
+allocation's per-snapshot CFM order (cfm_rank).
 
 Layout consumes the reported snapshot (the allocator's world view); the
 success probability consumes the true snapshot. Both are one-cycle
@@ -38,12 +38,12 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .allocation import cfm_rank
 from .calibration import CalibrationSeries
 from .errors import DataError
-from .topology import CouplingGraph, bfs_tree
+from .topology import CouplingGraph, bfs_tree, subset_members
 
 
 class Op(NamedTuple):
@@ -258,7 +258,7 @@ def initial_layout(
     layout: dict[int, int] = {}
     g = snap.graph
     rank = cfm_rank(snap)
-    unused = set(members)
+    unused = set(subset_members(members))
     for logical in order:
         preferred = {
             q for p in partners[logical] if p in layout for q in g.neighbors(layout[p])
@@ -289,21 +289,21 @@ class _Paths(dict):
 
 
 @functools.lru_cache(maxsize=64)
-def _path_table(g: CouplingGraph, allowed: frozenset[int]) -> Callable[[int], _Paths]:
-    """One partition's paths_from: each source qubit's _Paths, built on first use."""
-    return functools.cache(lambda src: _Paths(g, allowed, src))
+def _path_table(g: CouplingGraph, allowed: frozenset[int]) -> dict[int, _Paths]:
+    """One partition's paths: each member's _Paths, keyed by the member as source."""
+    return {src: _Paths(g, allowed, src) for src in sorted(allowed)}
 
 
 def _router(
     c: LogicalCircuit, layout: dict[int, int], members: Sequence[int], g: CouplingGraph
-) -> tuple[dict[int, int], dict[int, int], Callable[[int], _Paths]]:
+) -> tuple[dict[int, int], dict[int, int], dict[int, _Paths]]:
     """The routing rule that route and cost share: the logical-to-physical and
-    physical-to-logical maps to update as SWAPs move qubits, and paths_from(a),
-    whose [b] is the inner qubits of the shortest path from a to b inside the
-    partition's induced subgraph. paths_from is the partition's entry in the
-    path table (_path_table, the last 64 partitions, keyed by (g,
-    frozenset(members))): it builds a source's paths on first use and keeps
-    them for every later call on that partition.
+    physical-to-logical maps to update as SWAPs move qubits, and paths, whose
+    [a][b] is the inner qubits of the shortest path from a to b inside the
+    partition's induced subgraph. paths is the partition's entry in the path
+    table (_path_table, the last 64 partitions, keyed by (g,
+    frozenset(members))), built on its first call, which checks every
+    member's index, so an out-of-range member raises even with no CNOT.
     """
     allowed = frozenset(members)
     l2p = dict(layout)
@@ -332,7 +332,7 @@ def route(
     its hop's pair. Routing never leaves the partition and never emits a
     CNOT or SWAP on a non-edge.
     """
-    l2p, p2l, paths_from = _router(c, layout, members, g)
+    l2p, p2l, paths = _router(c, layout, members, g)
     ops: list[Op] = []
     swap_count = 0
 
@@ -341,7 +341,7 @@ def route(
             ops.append(Op(kind, (l2p[qubits[0]],), name, angle, clbit))
         else:
             pc, pt = l2p[qubits[0]], l2p[qubits[1]]
-            for step in paths_from(pc)[pt]:
+            for step in paths[pc][pt]:
                 ops.append(Op("swap", (pc, step)))
                 swap_count += 1
                 lc, ls = p2l[pc], p2l[step]
@@ -377,7 +377,7 @@ def cost(
     raised as route raises them.
     """
     g = snap_true.graph
-    l2p, p2l, paths_from = _router(c, layout, members, g)
+    l2p, p2l, paths = _router(c, layout, members, g)
     (cnot, readout), column = snap_true.rates, g.edge_column
     ready = dict.fromkeys(members, 0)
     total = cnots = swaps = 0
@@ -392,7 +392,7 @@ def cost(
                 measured.add(a)
         else:
             pc, pt = l2p[qubits[0]], l2p[qubits[1]]
-            for step in paths_from(pc)[pt]:
+            for step in paths[pc][pt]:
                 ta, tb = ready[pc], ready[step]
                 ready[pc] = ready[step] = (ta if ta > tb else tb) + 3
                 f = 1.0 - cnot[column[pc, step]]

@@ -480,7 +480,7 @@ def test_remembered_scores_equal_fresh_ones(g, data):
 
     cold = []
     for snap in snaps:
-        for remembered in (cfm, _device_cri_term, _subset_cri, _louvain):
+        for remembered in (_device_cri_term, _subset_cri, _louvain):
             remembered.cache_clear()
         cold.append(answers(snap))
     for _ in range(2):
@@ -520,7 +520,7 @@ def test_remembered_tables_equal_fresh_ones(g, data):
 
     cold = []
     for snap in snaps:
-        for remembered in (cfm, cfm_rank, _path_table):
+        for remembered in (cfm_rank, _path_table):
             remembered.cache_clear()
         cold.append(answers(snap))
     for _ in range(2):

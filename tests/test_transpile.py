@@ -219,6 +219,9 @@ def test_initial_layout_bijection_and_mismatch():
     assert sorted(lay.values()) == [1, 2, 3, 4]
     with pytest.raises(ValueError):
         initial_layout(c, (1, 2, 3), s)
+    two = parse_qasm_subset("qreg q[2]; cx q[0],q[1];")
+    with pytest.raises(ValueError, match=r"^duplicate members in subset \(0, 0\)$"):
+        initial_layout(two, (0, 0), s)
 
 
 @pytest.mark.parametrize("bad", [27, 99, -1])
@@ -232,6 +235,23 @@ def test_initial_layout_names_an_out_of_range_member(bad):
     ):
         with pytest.raises(ValueError, match=rf"^qubit index {bad} out of range for 27 qubits$"):
             initial_layout(c, members, s)
+
+
+@pytest.mark.parametrize("bad", [27, 99, -1])
+def test_cost_and_route_name_an_out_of_range_member(bad):
+    # with no CNOT to route, -1 must still not price qubit 26's readout
+    g = hanoi27()
+    s = uniform_snapshot(g, 0.02, 0.02)
+    for c, members in (
+        (parse_qasm_subset("qreg q[2]; creg c[2]; measure q[0] -> c[0]; measure q[1] -> c[1];"), (bad, 0)),
+        (parse_qasm_subset("qreg q[2]; cx q[0],q[1];"), (0, bad)),
+    ):
+        layout = dict(enumerate(members))
+        for _ in range(2):  # a raise is never remembered
+            with pytest.raises(ValueError, match=rf"^qubit index {bad} out of range for 27 qubits$"):
+                route(c, layout, members, g)
+            with pytest.raises(ValueError, match=rf"^qubit index {bad} out of range for 27 qubits$"):
+                cost(c, layout, members, s)
 
 
 def test_route_adjacent_pair():
