@@ -69,7 +69,7 @@ for leg, rep_snap in (("honest", snap_true), ("under-reported", reported)):
     part = comdap_allocate(rep_snap, AllocationRequest(5, tuple(range(27))))
     # laid out on what the device reports, priced on what it does, as the scheduler does
     layout = initial_layout(circuit, part.members, rep_snap)
-    depth, _, swaps, pst = cost(circuit, layout, part.members, snap_true)
+    depth, _, swaps, pst = cost(circuit, layout, snap_true)
     hit = targets & set(part.members)
     print(f"{leg} reports")
     print(f"  region   : {sorted(part.members)}"

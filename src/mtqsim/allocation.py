@@ -269,15 +269,14 @@ def cri(snap_reported: CalibrationSeries, s: Sequence[int]) -> float:
 def _subset_cri(snap: CalibrationSeries, members: tuple[int, ...]) -> float:
     # keyed by the members in the order given: _cri_term sums readout errors in
     # that order, so a reordered subset may differ in its last bit
-    return _cri_term(snap.graph, snap.rates, members) / _device_cri_term(snap)
+    return _cri_term(snap, members) / _device_cri_term(snap)
 
 
-def _cri_term(
-    g: CouplingGraph, rates: tuple[Sequence[float], Sequence[float]], members: tuple[int, ...]
-) -> float:
+def _cri_term(snap: CalibrationSeries, members: tuple[int, ...]) -> float:
     # the shape term first: density checks every index before a rate is read
+    g = snap.graph
     shape = density(g, members) / compactness(g, members)
-    cnot, readout = rates
+    cnot, readout = snap.rates
     mset = set(members)
     intra = [r for (u, v), r in zip(g.edge_list, cnot) if u in mset and v in mset]
     e_p = sum(intra) / len(intra) if intra else 0.0
@@ -287,8 +286,7 @@ def _cri_term(
 
 @lru_cache(maxsize=8)
 def _device_cri_term(snap: CalibrationSeries) -> float:
-    g = snap.graph
-    den = _cri_term(g, snap.rates, tuple(range(g.qubit_count)))
+    den = _cri_term(snap, tuple(range(snap.graph.qubit_count)))
     if den <= 0.0:
         raise ValueError(f"the whole-device CRI term is {den!r}, not positive; CRI undefined")
     return den

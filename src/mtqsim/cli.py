@@ -51,7 +51,6 @@ from .experiment import (
     write_text_atomic,
     write_workload,
 )
-from .scheduler import gen_workload
 
 
 def _attack_token(text: str) -> int | float | str:
@@ -68,8 +67,8 @@ def parse_attack_spec(spec: str) -> str | dict:
     Only a field given twice is rejected here; resolve_attack checks the rest.
     """
     spec = spec.strip()
-    if ":" not in spec:
-        return spec  # 'none'; resolve_attack rejects any other
+    if ":" not in spec:  # 'none' in any case; resolve_attack rejects any other word
+        return "none" if spec.lower() == "none" else spec
     kind, _, params = spec.partition(":")
     attack = {"kind": kind.strip().upper()}
     if attack["kind"] == "H2":
@@ -290,8 +289,7 @@ def cmd_gen_workload(args: argparse.Namespace) -> int:
         "gate_density": args.density,
         "seed": args.seed,
     }
-    jobs = gen_workload(**params)
-    write_workload(jobs, params, args.out)
+    jobs = write_workload(params, args.out)
     print(f"{len(jobs)} circuits written to {args.out}")
     return 0
 

@@ -451,15 +451,16 @@ def sweep_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def workload_manifest(jobs: list[Job], params: dict) -> dict:
-    return {
-        "params": params,
-        "jobs": [{"id": j.id, "size": j.size, "file": f"{j.id}.qasm"} for j in jobs],
-    }
-
-
-def write_workload(jobs: list[Job], params: dict, out_dir: str | Path) -> None:
+def write_workload(params: dict, out_dir: str | Path) -> list[Job]:
+    """Write gen_workload(**params)'s jobs to out_dir, one QASM file each, and a
+    manifest.json of params and each job's id, size and file; return the jobs."""
+    jobs = gen_workload(**params)
     out = Path(out_dir)
     for job in jobs:
         write_text_atomic(out / f"{job.id}.qasm", circuit_to_qasm(job.circuit))
-    write_text_atomic(out / "manifest.json", dump_json(workload_manifest(jobs, params)))
+    manifest = {
+        "params": params,
+        "jobs": [{"id": j.id, "size": j.size, "file": f"{j.id}.qasm"} for j in jobs],
+    }
+    write_text_atomic(out / "manifest.json", dump_json(manifest))
+    return jobs

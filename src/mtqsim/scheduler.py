@@ -107,7 +107,7 @@ def run_queue(
             raise ValueError(f"jobs cannot be placed even on idle hardware: {stuck}")
         for job, part in placed:
             layout = initial_layout(job.circuit, part.members, snap_reported)
-            values = cost(job.circuit, layout, part.members, snap_true)
+            values = cost(job.circuit, layout, snap_true)
             metrics.append(dict(zip(JOB_COLUMNS, (job.id, len(rounds), *values))))
         active = g.qubit_count - len(free)
         rounds.append({

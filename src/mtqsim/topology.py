@@ -263,9 +263,3 @@ def load_edge_list(text: str) -> CouplingGraph:
     if qubit_count is None:
         raise DataError("empty topology file: missing 'qubits N' header")
     return CouplingGraph(qubit_count, frozenset(edges))
-
-
-def write_edge_list(g: CouplingGraph) -> str:
-    lines = [f"qubits {g.qubit_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edge_list)
-    return "\n".join(lines) + "\n"

@@ -16,7 +16,8 @@ makes them, and builds no routed op; the scheduler prices every placed job
 with it. route is the op-level view of the same routing, for tests and the
 benchmark's tracer: it returns the ops on physical qubits plus one "swap" op
 per SWAP, which the tests replay and price with the reference schedulers in
-tests/oracles.py. route and cost share one routing rule (_router). depth and
+tests/oracles.py. route and cost share one routing rule (_router), and take
+the layout alone: the partition is the layout's image. depth and
 pst_estimate each return one of cost's numbers.
 
 Routing reads a path table that is built once per partition, not once per
@@ -223,7 +224,6 @@ def circuit_to_qasm(c: LogicalCircuit) -> str:
 
 @dataclass(frozen=True)
 class RoutedCircuit:
-    initial_layout: dict[int, int]
     physical_ops: tuple[Op, ...]
     swap_count: int
 
@@ -295,33 +295,26 @@ def _path_table(g: CouplingGraph, allowed: frozenset[int]) -> dict[int, _Paths]:
 
 
 def _router(
-    c: LogicalCircuit, layout: dict[int, int], members: Sequence[int], g: CouplingGraph
+    c: LogicalCircuit, layout: dict[int, int], g: CouplingGraph
 ) -> tuple[dict[int, int], dict[int, int], dict[int, _Paths]]:
-    """The routing rule that route and cost share: the logical-to-physical and
-    physical-to-logical maps to update as SWAPs move qubits, and paths, whose
-    [a][b] is the inner qubits of the shortest path from a to b inside the
-    partition's induced subgraph. paths is the partition's entry in the path
-    table (_path_table, the last 64 partitions, keyed by (g,
-    frozenset(members))), built on its first call, which checks every
+    """The routing rule that route and cost share. The partition is the
+    layout's image; the layout must map exactly the logical qubits
+    0..qubit_count-1, each to its own qubit. Returns the logical-to-physical
+    and physical-to-logical maps to update as SWAPs move qubits, and paths,
+    whose [a][b] is the inner qubits of the shortest path from a to b inside
+    the partition's induced subgraph. paths is the partition's entry in the
+    path table (_path_table, the last 64 partitions, keyed by (g, the
+    image's frozenset)), built on its first call, which checks every
     member's index, so an out-of-range member raises even with no CNOT.
     """
-    allowed = frozenset(members)
     l2p = dict(layout)
-    if (
-        len(allowed) != c.qubit_count
-        or set(l2p) != set(range(c.qubit_count))
-        or set(l2p.values()) != allowed
-    ):
+    allowed = frozenset(l2p.values())
+    if set(l2p) != set(range(c.qubit_count)) or len(allowed) != c.qubit_count:
         raise ValueError("layout must be a bijection from logical qubits onto the partition")
     return l2p, {p: l for l, p in l2p.items()}, _path_table(g, allowed)
 
 
-def route(
-    c: LogicalCircuit,
-    layout: dict[int, int],
-    members: Sequence[int],
-    g: CouplingGraph,
-) -> RoutedCircuit:
+def route(c: LogicalCircuit, layout: dict[int, int], g: CouplingGraph) -> RoutedCircuit:
     """Make every two-qubit gate executable by shortest-path SWAP insertion.
 
     Ops are processed in circuit order. A one-qubit or measure op moves to
@@ -332,7 +325,7 @@ def route(
     its hop's pair. Routing never leaves the partition and never emits a
     CNOT or SWAP on a non-edge.
     """
-    l2p, p2l, paths = _router(c, layout, members, g)
+    l2p, p2l, paths = _router(c, layout, g)
     ops: list[Op] = []
     swap_count = 0
 
@@ -350,18 +343,11 @@ def route(
                 pc = step
             ops.append(Op("cnot", (pc, pt)))
 
-    return RoutedCircuit(
-        initial_layout=dict(layout),
-        physical_ops=tuple(ops),
-        swap_count=swap_count,
-    )
+    return RoutedCircuit(physical_ops=tuple(ops), swap_count=swap_count)
 
 
 def cost(
-    c: LogicalCircuit,
-    layout: dict[int, int],
-    members: Sequence[int],
-    snap_true: CalibrationSeries,
+    c: LogicalCircuit, layout: dict[int, int], snap_true: CalibrationSeries
 ) -> tuple[int, int, int, float]:
     """Depth, CNOT count, SWAP count and PST of c as route routes it on
     snap_true's graph, priced against snap_true in one walk that builds no op.
@@ -377,9 +363,9 @@ def cost(
     raised as route raises them.
     """
     g = snap_true.graph
-    l2p, p2l, paths = _router(c, layout, members, g)
+    l2p, p2l, paths = _router(c, layout, g)
     (cnot, readout), column = snap_true.rates, g.edge_column
-    ready = dict.fromkeys(members, 0)
+    ready = dict.fromkeys(p2l, 0)
     total = cnots = swaps = 0
     p = 1.0
     measured: set[int] = set()
@@ -416,23 +402,13 @@ def cost(
     return total, cnots + 3 * swaps, swaps, p
 
 
-def depth(
-    c: LogicalCircuit,
-    layout: dict[int, int],
-    members: Sequence[int],
-    snap_true: CalibrationSeries,
-) -> int:
+def depth(c: LogicalCircuit, layout: dict[int, int], snap_true: CalibrationSeries) -> int:
     """cost's depth. Kept only because bench/tracing.py's TRACED names it; it
     goes with the next change to the benchmark's definition (ROADMAP item 4)."""
-    return cost(c, layout, members, snap_true)[0]
+    return cost(c, layout, snap_true)[0]
 
 
-def pst_estimate(
-    c: LogicalCircuit,
-    layout: dict[int, int],
-    members: Sequence[int],
-    snap_true: CalibrationSeries,
-) -> float:
+def pst_estimate(c: LogicalCircuit, layout: dict[int, int], snap_true: CalibrationSeries) -> float:
     """cost's PST. Kept only because bench/tracing.py's TRACED names it; it
     goes with the next change to the benchmark's definition (ROADMAP item 4)."""
-    return cost(c, layout, members, snap_true)[3]
+    return cost(c, layout, snap_true)[3]

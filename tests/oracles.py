@@ -108,6 +108,13 @@ def maxmin_chain(edges, n, pool, count):
     return selected
 
 
+def write_edge_list(qubit_count, edge_list):
+    """Edge-list file text: a 'qubits N' header, then one 'u v' line per edge."""
+    lines = [f"qubits {qubit_count}"]
+    lines.extend(f"{u} {v}" for u, v in edge_list)
+    return "\n".join(lines) + "\n"
+
+
 # --- scoring ----------------------------------------------------------------
 
 def incident_mean(cnot_rates, q):
@@ -220,8 +227,9 @@ def expand_swaps(ops):
     return out
 
 
-def replay_routed(circuit, routed):
-    """Replay physical ops against the logical program, tracking the layout.
+def replay_routed(circuit, layout, routed):
+    """Replay physical ops against the logical program, tracking the layout
+    from layout, the initial layout the ops were routed from.
 
     Each swap op is expanded into its three routing CNOTs (expand_swaps),
     which come in runs of three identical entries; each run exchanges the
@@ -230,7 +238,7 @@ def replay_routed(circuit, routed):
     clbit, and its qubits, mapped back through the current permutation, the
     gate's qubits in order. Returns the number of swap runs consumed.
     """
-    phys2log = {p: l for l, p in routed.initial_layout.items()}
+    phys2log = {p: l for l, p in layout.items()}
     logical = list(circuit.gates)
     ops = expand_swaps(routed.physical_ops)
     swaps = 0

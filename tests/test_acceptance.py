@@ -251,13 +251,13 @@ def test_criterion_08_routing_invariants(hanoi):
         for job in gen_workload(5, 2, 6, 2.0, 9000 + seed):
             part = get_allocator("greedy")(snap, AllocationRequest(job.size, tuple(range(27))))
             lay = initial_layout(job.circuit, part.members, snap)
-            r = route(job.circuit, lay, part.members, hanoi)
+            r = route(job.circuit, lay, hanoi)
             for op in oracles.expand_swaps(r.physical_ops):
                 if op.kind == "cnot":
                     ok &= tuple(sorted(op.qubits)) in edge_set
             logical_cnots = sum(1 for g in job.circuit.gates if g.kind == "cnot")
-            ok &= cost(job.circuit, lay, part.members, snap)[1] == logical_cnots + 3 * r.swap_count
-            ok &= oracles.replay_routed(job.circuit, r) == r.swap_count
+            ok &= cost(job.circuit, lay, snap)[1] == logical_cnots + 3 * r.swap_count
+            ok &= oracles.replay_routed(job.circuit, lay, r) == r.swap_count
             checked += 1
 
     p3 = CouplingGraph(3, frozenset({(0, 1), (1, 2)}))
@@ -265,7 +265,7 @@ def test_criterion_08_routing_invariants(hanoi):
     c = parse_qasm_subset(
         "qreg q[3]; creg c[2]; cx q[0],q[1]; measure q[0] -> c[0]; measure q[1] -> c[1];"
     )
-    pst_ok = abs(cost(c, {0: 0, 1: 2, 2: 1}, (0, 1, 2), s)[3] - 0.98**4 * 0.99**2) < 1e-12
+    pst_ok = abs(cost(c, {0: 0, 1: 2, 2: 1}, s)[3] - 0.98**4 * 0.99**2) < 1e-12
     ok = ok and pst_ok and checked == 60
     assert verdict(
         8,

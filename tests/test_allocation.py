@@ -444,7 +444,7 @@ def test_remembered_scores_do_not_keep_a_snapshot_alive():
         cri(snap, (1, 2, 3))
         comdap_allocate(snap, AllocationRequest(2, tuple(range(5))))  # runs louvain
         members = greedy_allocate(snap, AllocationRequest(3, tuple(range(5)))).members
-        cost(c, initial_layout(c, members, snap), members, snap)  # reads both tables
+        cost(c, initial_layout(c, members, snap), snap)  # reads both tables
 
     snap = uniform_snapshot(FIX5, 0.01, 0.01)
     score(snap)
@@ -465,14 +465,14 @@ def test_remembered_scores_equal_fresh_ones(g, data):
     tuple, and a sequence of comdap requests gives equal partitions."""
     everything = tuple(range(g.qubit_count))
     snaps = [data.draw(graph_and_snapshot(st.just(g)))[1] for _ in range(2)]
-    assume(all(_cri_term(g, snap.rates, everything) > 0.0 for snap in snaps))
+    assume(all(_cri_term(snap, everything) > 0.0 for snap in snaps))
     members = data.draw(connected_partition(g))
     subsets = (members, tuple(data.draw(st.permutations(members))))
     available = tuple(sorted(data.draw(st.sets(st.sampled_from(everything), min_size=1))))
     sizes = data.draw(st.lists(st.integers(1, g.qubit_count), min_size=1, max_size=4))
 
     def answers(snap):
-        fresh = [_cri_term(g, snap.rates, s) / _cri_term(g, snap.rates, everything) for s in subsets]
+        fresh = [_cri_term(snap, s) / _cri_term(snap, everything) for s in subsets]
         assert [cri(snap, s) for s in subsets] == fresh
         communities = louvain(snap, list(available))
         assert louvain(snap, available) == communities
@@ -512,10 +512,10 @@ def test_remembered_tables_equal_fresh_ones(g, data):
             part = greedy_allocate(snap, AllocationRequest(n, available))
             if part is not None:
                 layout = initial_layout(circuits[n], part.members, snap)
-                part = part, layout, cost(circuits[n], layout, part.members, snap)
+                part = part, layout, cost(circuits[n], layout, snap)
             out.append(part)
         c = circuits[g.qubit_count]
-        out.append(cost(c, initial_layout(c, order, snap), order, snap))
+        out.append(cost(c, initial_layout(c, order, snap), snap))
         return out
 
     cold = []
@@ -598,8 +598,8 @@ def test_scores_match_the_oracles(case, data):
     want = oracles.cri(cnot, readout, members)
     assert cri(snap, members) == pytest.approx(want, rel=1e-12, abs=1e-12)
     c = data.draw(circuit(len(members)))
-    r = route(c, dict(enumerate(members)), members, g)
-    pst = cost(c, dict(enumerate(members)), members, snap)[3]
+    r = route(c, dict(enumerate(members)), g)
+    pst = cost(c, dict(enumerate(members)), snap)[3]
     assert pst == oracles.success_product(r.physical_ops, cnot, readout)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from mtqsim import calibration, cli, defense, experiment
 from mtqsim.adversary import apply_misreport, h1_plan
 from mtqsim.calibration import (
@@ -21,7 +22,7 @@ from mtqsim.calibration import (
 from mtqsim.cli import main, parse_attack_spec, parse_seed_list, parse_windows
 from mtqsim.errors import ConfigError
 from mtqsim.experiment import SWEEP_COLUMNS, resolve_errors
-from mtqsim.topology import hanoi27, write_edge_list
+from mtqsim.topology import hanoi27
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -58,6 +59,10 @@ def test_parse_attack_spec():
     assert parse_attack_spec("H1:n=3.5,k=1") == {"kind": "H1", "n": 3.5, "k": 1}
     assert parse_attack_spec("H1:n=x,k=0.1") == {"kind": "H1", "n": "x", "k": 0.1}
     assert parse_attack_spec("sideways") == "sideways"
+    # 'none' is a kind like H1 and H2, so any case of it is the no-attack spec
+    for spec in ("None", "NONE", " nOnE "):
+        assert parse_attack_spec(spec) == "none"
+    assert parse_attack_spec("nones") == "nones"
     with pytest.raises(ConfigError, match="given twice"):
         parse_attack_spec("H1:n=3,k=0.1,k=0.9")
 
@@ -125,6 +130,13 @@ def test_simulate_writes_reports(tmp_path, capsys):
     assert "reports written" in capsys.readouterr().out
 
 
+def test_attack_none_in_any_case_writes_the_none_files(tmp_path):
+    cfg = write_config(tmp_path)
+    none = simulate_digests(cfg, tmp_path / "lower", "--attack", "none")
+    assert simulate_digests(cfg, tmp_path / "upper", "--attack", "NONE") == none
+    assert simulate_digests(cfg, tmp_path / "title", "--attack", "None") == none
+
+
 def test_simulate_rerun_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -169,6 +181,28 @@ def test_qasm_workload_reports_are_pinned_and_replay(tmp_path):
     replay.write_text(json.dumps(json.loads((tmp_path / "r1" / "attacked.json").read_text())["config"]))
     assert simulate_digests(replay, tmp_path / "r2") == QASM_DIGESTS
     assert main(["simulate", "--config", str(replay), "--seed", "2", "--out", str(tmp_path / "r3")]) == 2
+
+
+def test_a_generator_workload_reports_as_its_written_qasm_files(tmp_path):
+    """gen-workload's files, read as qasm_files, place and price every job as
+    the generator config of the same parameters does."""
+    gen = ["gen-workload", "--count", "6", "--size-min", "2", "--size-max", "6", "--seed", "5"]
+    assert main([*gen, "--out", str(tmp_path / "w")]) == 0
+    manifest = json.loads((tmp_path / "w" / "manifest.json").read_text())
+    files = [f"w/{job['file']}" for job in manifest["jobs"]]
+    workloads = {
+        "files": {"qasm_files": files},
+        "generator": {"count": 6, "size_min": 2, "size_max": 6, "seed": 5},
+    }
+    for name, workload in workloads.items():
+        cfg = write_config(tmp_path, f"{name}.json", workload=workload)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    from_files, from_generator = tmp_path / "files", tmp_path / "generator"
+    for leg in ("baseline", "attacked"):
+        for name in (f"{leg}_rounds.csv", f"{leg}_jobs.csv"):
+            assert (from_files / name).read_bytes() == (from_generator / name).read_bytes()
+        report = json.loads((from_files / f"{leg}.json").read_text())["report"]
+        assert report == json.loads((from_generator / f"{leg}.json").read_text())["report"]
 
 
 # sha256 of each simulate file for the 40-job preset (hanoi27, flat 2% errors,
@@ -962,12 +996,13 @@ def test_simulate_topology_flag_resolves_against_working_directory(tmp_path, mon
     conf = tmp_path / "conf"
     conf.mkdir()
     write_config(conf)
-    (tmp_path / "topo.txt").write_text(write_edge_list(hanoi27()))
+    g = hanoi27()
+    (tmp_path / "topo.txt").write_text(oracles.write_edge_list(g.qubit_count, g.edge_list))
     monkeypatch.chdir(tmp_path)
     argv = ["simulate", "--config", "conf/config.json", "--topology", "topo.txt", "--out", "r"]
     assert main(argv) == 0
     doc = json.loads((tmp_path / "r" / "attacked.json").read_text())
-    assert doc["config"]["topology"]["edges"] == [list(e) for e in hanoi27().edge_list]
+    assert doc["config"]["topology"]["edges"] == [list(e) for e in g.edge_list]
 
 
 @pytest.fixture(scope="module")

@@ -26,7 +26,6 @@ from mtqsim.topology import (
     load_edge_list,
     max_degree_qubits,
     path_stddev,
-    write_edge_list,
 )
 
 P3 = CouplingGraph(3, frozenset({(0, 1), (1, 2)}))
@@ -219,7 +218,7 @@ def test_subset_search_matches_oracle(case):
 
 def test_edge_list_round_trip():
     g = hanoi27()
-    text = write_edge_list(g)
+    text = oracles.write_edge_list(g.qubit_count, g.edge_list)
     g2 = load_edge_list(text)
     assert g2.qubit_count == 27
     assert set(g2.edge_list) == set(g.edge_list)

@@ -72,7 +72,8 @@ def test_a_routed_rotation_keeps_its_name_and_angle():
     c = parse_qasm_subset(
         "qreg q[3]; creg c[1]; rx(pi/4) q[1]; cx q[0],q[1]; rz(-0.5) q[0]; measure q[1] -> c[0];"
     )
-    r = route(c, {0: 0, 1: 2, 2: 1}, (0, 1, 2), P3)
+    layout = {0: 0, 1: 2, 2: 1}
+    r = route(c, layout, P3)
     assert r.physical_ops == (
         Op("1q", (2,), "rx", np.pi / 4),
         Op("swap", (0, 1)),
@@ -80,7 +81,7 @@ def test_a_routed_rotation_keeps_its_name_and_angle():
         Op("1q", (1,), "rz", -0.5),
         Op("measure", (2,), clbit=0),
     )
-    assert oracles.replay_routed(c, r) == 1
+    assert oracles.replay_routed(c, layout, r) == 1
 
 
 def test_parse_rejects_self_cx():
@@ -249,17 +250,17 @@ def test_cost_and_route_name_an_out_of_range_member(bad):
         layout = dict(enumerate(members))
         for _ in range(2):  # a raise is never remembered
             with pytest.raises(ValueError, match=rf"^qubit index {bad} out of range for 27 qubits$"):
-                route(c, layout, members, g)
+                route(c, layout, g)
             with pytest.raises(ValueError, match=rf"^qubit index {bad} out of range for 27 qubits$"):
-                cost(c, layout, members, s)
+                cost(c, layout, s)
 
 
 def test_route_adjacent_pair():
     s = uniform_snapshot(P3, 0.02, 0.01)
     c = parse_qasm_subset("qreg q[2]; cx q[0],q[1];")
-    r = route(c, {0: 0, 1: 1}, (0, 1), P3)
+    r = route(c, {0: 0, 1: 1}, P3)
     assert r.swap_count == 0
-    d, cnots, _, _ = cost(c, {0: 0, 1: 1}, (0, 1), s)
+    d, cnots, _, _ = cost(c, {0: 0, 1: 1}, s)
     assert cnots == 1
     assert d == 1
 
@@ -267,38 +268,52 @@ def test_route_adjacent_pair():
 def test_route_p3_long_range():
     """CNOT between the endpoints of a path costs one SWAP run plus the CNOT."""
     c = parse_qasm_subset("qreg q[3]; cx q[0],q[1];")
-    r = route(c, {0: 0, 1: 2, 2: 1}, (0, 1, 2), P3)
+    layout = {0: 0, 1: 2, 2: 1}
+    r = route(c, layout, P3)
     assert r.swap_count == 1
     assert [(op.kind, op.qubits) for op in r.physical_ops] == [("swap", (0, 1)), ("cnot", (1, 2))]
-    d, cnots, _, _ = cost(c, {0: 0, 1: 2, 2: 1}, (0, 1, 2), uniform_snapshot(P3, 0.02, 0.01))
+    d, cnots, _, _ = cost(c, layout, uniform_snapshot(P3, 0.02, 0.01))
     assert cnots == 4
     assert d == 4
-    assert oracles.replay_routed(c, r) == 1
+    assert oracles.replay_routed(c, layout, r) == 1
 
 
 def test_route_rejects_a_disconnected_partition():
     c = parse_qasm_subset("qreg q[2]; cx q[0],q[1];")
     for _ in range(2):  # the partition's remembered path table raises again
         with pytest.raises(ValueError, match=r"^partition \[0, 2\] is disconnected: no path 0 -> 2$"):
-            route(c, {0: 0, 1: 2}, (0, 2), P3)
+            route(c, {0: 0, 1: 2}, P3)
         with pytest.raises(ValueError, match=r"^partition \[0, 2\] is disconnected: no path 0 -> 2$"):
-            cost(c, {0: 0, 1: 2}, (0, 2), uniform_snapshot(P3, 0.01, 0.01))
+            cost(c, {0: 0, 1: 2}, uniform_snapshot(P3, 0.01, 0.01))
 
 
 def test_route_rejects_a_many_to_one_layout():
     # both logical qubits on physical 1 would route cx q[0],q[1] as a CNOT on (1, 1)
     c = parse_qasm_subset("qreg q[2]; cx q[0],q[1];")
     with pytest.raises(ValueError, match="layout must be a bijection"):
-        route(c, {0: 1, 1: 1}, (1,), P3)
+        route(c, {0: 1, 1: 1}, P3)
     with pytest.raises(ValueError, match="layout must be a bijection"):
-        cost(c, {0: 1, 1: 1}, (1,), uniform_snapshot(P3, 0.01, 0.01))
+        cost(c, {0: 1, 1: 1}, uniform_snapshot(P3, 0.01, 0.01))
+
+
+@pytest.mark.parametrize(
+    "layout", [{0: 0}, {0: 0, 1: 1, 2: 2}, {0: 0, 2: 1}], ids=["missing", "extra", "shifted"]
+)
+def test_route_and_cost_reject_a_layout_not_keyed_by_the_logical_qubits(layout):
+    # the partition is the layout's image, so only the layout's keys can be wrong
+    c = parse_qasm_subset("qreg q[2]; cx q[0],q[1];")
+    message = r"^layout must be a bijection from logical qubits onto the partition$"
+    with pytest.raises(ValueError, match=message):
+        route(c, layout, P3)
+    with pytest.raises(ValueError, match=message):
+        cost(c, layout, uniform_snapshot(P3, 0.01, 0.01))
 
 
 def test_route_takes_the_lowest_shortest_path():
     # on the 4-cycle 0-1-3-2 both 0-1-3 and 0-2-3 are shortest; neighbors scan ascending
     g = CouplingGraph(4, frozenset({(0, 1), (1, 3), (0, 2), (2, 3)}))
     c = parse_qasm_subset("qreg q[4]; cx q[0],q[1];")
-    r = route(c, {0: 0, 1: 3, 2: 1, 3: 2}, (0, 1, 2, 3), g)
+    r = route(c, {0: 0, 1: 3, 2: 1, 3: 2}, g)
     assert [(op.kind, op.qubits) for op in r.physical_ops] == [("swap", (0, 1)), ("cnot", (1, 3))]
     assert [op.qubits for op in oracles.expand_swaps(r.physical_ops)] == [(0, 1)] * 3 + [(1, 3)]
 
@@ -309,7 +324,7 @@ def test_route_emits_the_oracle_swaps_and_cnots(case):
     """Every SWAP and CNOT route emits, in order, is the oracle's: the shortest
     path that a breadth-first search from the control's carrier finds first."""
     g, _, members, c, layout = case
-    r = route(c, layout, members, g)
+    r = route(c, layout, g)
     adj = oracles.adjacency(g.edge_list, g.qubit_count)
     gates = [(op.kind, op.qubits) for op in c.gates]
     expected = oracles.routed_pairs(adj, members, gates, layout)
@@ -348,22 +363,22 @@ def test_route_stays_on_edges_and_preserves_interactions():
             gates.append(Op("measure", (q,), clbit=q))
         c = LogicalCircuit(size, tuple(gates), size)
         lay = initial_layout(c, tuple(members), s)
-        r = route(c, lay, tuple(members), g)
+        r = route(c, lay, g)
         for op in oracles.expand_swaps(r.physical_ops):
             if op.kind == "cnot":
                 u, v = sorted(op.qubits)
                 assert (u, v) in edge_set
                 assert set(op.qubits) <= set(members)
-        swaps = oracles.replay_routed(c, r)
+        swaps = oracles.replay_routed(c, lay, r)
         assert swaps == r.swap_count
-        assert cost(c, lay, tuple(members), s)[1] == n_gates + 3 * r.swap_count
+        assert cost(c, lay, s)[1] == n_gates + 3 * r.swap_count
 
 
 def test_depth_parallel_pairs():
     g = CouplingGraph(4, frozenset({(0, 1), (2, 3), (1, 2)}))
     c = parse_qasm_subset("qreg q[4]; cx q[0],q[1]; cx q[2],q[3];")
     s = uniform_snapshot(g, 0.02, 0.02)
-    d, _, swaps, _ = cost(c, {0: 0, 1: 1, 2: 2, 3: 3}, (0, 1, 2, 3), s)
+    d, _, swaps, _ = cost(c, {0: 0, 1: 1, 2: 2, 3: 3}, s)
     assert swaps == 0
     assert d == 1
 
@@ -375,22 +390,22 @@ def test_depth_lower_bound():
         "qreg q[3]; cx q[0],q[1]; cx q[0],q[2]; cx q[0],q[1]; cx q[1],q[2];"
     )
     lay = initial_layout(c, (11, 14, 16), s)
-    r = route(c, lay, (11, 14, 16), g)
+    r = route(c, lay, g)
     per_qubit = {}
     for op in oracles.expand_swaps(r.physical_ops):
         for q in op.qubits:
             per_qubit[q] = per_qubit.get(q, 0) + 1
-    assert cost(c, lay, (11, 14, 16), s)[0] >= max(per_qubit.values())
+    assert cost(c, lay, s)[0] >= max(per_qubit.values())
 
 
 def test_pst_examples():
     g = CouplingGraph(2, frozenset({(0, 1)}))
     s = validate_snapshot(g, {(0, 1): 0.1}, {0: 0.5, 1: 0.5})
     c = parse_qasm_subset("qreg q[2]; cx q[0],q[1];")
-    assert cost(c, {0: 0, 1: 1}, (0, 1), s)[3] == pytest.approx(0.9, abs=1e-12)
+    assert cost(c, {0: 0, 1: 1}, s)[3] == pytest.approx(0.9, abs=1e-12)
 
     empty = LogicalCircuit(2, (), 0)
-    assert cost(empty, {0: 0, 1: 1}, (0, 1), s)[3] == 1.0
+    assert cost(empty, {0: 0, 1: 1}, s)[3] == 1.0
 
 
 def test_pst_p3_hand_product():
@@ -398,7 +413,7 @@ def test_pst_p3_hand_product():
     c = parse_qasm_subset(
         "qreg q[3]; creg c[2]; cx q[0],q[1]; measure q[0] -> c[0]; measure q[1] -> c[1];"
     )
-    _, _, swaps, pst = cost(c, {0: 0, 1: 2, 2: 1}, (0, 1, 2), s)
+    _, _, swaps, pst = cost(c, {0: 0, 1: 2, 2: 1}, s)
     assert swaps == 1
     assert pst == pytest.approx(0.98**4 * 0.99**2, abs=1e-12)
 
@@ -410,7 +425,7 @@ def test_pst_strictly_decreases_per_cnot():
     for n in range(1, 5):
         gates = tuple(Op("cnot", (0, 1)) for _ in range(n))
         c = LogicalCircuit(2, gates, 0)
-        p = cost(c, {0: 0, 1: 1}, (0, 1), s)[3]
+        p = cost(c, {0: 0, 1: 1}, s)[3]
         if last is not None:
             assert p < last
         last = p
@@ -421,7 +436,7 @@ def test_no_swap_matches_unrouted_schedule():
     g = hanoi27()
     s = uniform_snapshot(g, 0.02, 0.02)
     c = parse_qasm_subset("qreg q[2]; cx q[0],q[1]; cx q[0],q[1];")
-    d, cnots, swaps, _ = cost(c, {0: 12, 1: 13}, (12, 13), s)
+    d, cnots, swaps, _ = cost(c, {0: 12, 1: 13}, s)
     assert swaps == 0
     assert cnots == 2
     assert d == 2
@@ -430,9 +445,9 @@ def test_no_swap_matches_unrouted_schedule():
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(routing_case())
 def test_depth_cnots_and_pst_match_the_oracles(case):
-    g, snap, members, c, layout = case
-    r = route(c, layout, members, g)
-    swaps = oracles.replay_routed(c, r)
+    g, snap, _, c, layout = case
+    r = route(c, layout, g)
+    swaps = oracles.replay_routed(c, layout, r)
     assert swaps == r.swap_count
     assert len(r.physical_ops) == len(c.gates) + r.swap_count
     layers = oracles.asap_layers(r.physical_ops)
@@ -441,4 +456,4 @@ def test_depth_cnots_and_pst_match_the_oracles(case):
     readout = dict(enumerate(snap.readout_error[0].tolist()))
     expected = oracles.success_product(r.physical_ops, cnot, readout)
     # the one walk that prices every job: the oracles' four numbers, PST bit for bit
-    assert cost(c, layout, members, snap) == (layers, cnots, swaps, expected)
+    assert cost(c, layout, snap) == (layers, cnots, swaps, expected)
