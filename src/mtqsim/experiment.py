@@ -27,8 +27,11 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -75,7 +78,59 @@ def _read_config_file(base_dir: Path, name: Any) -> str:
 
 
 def dump_json(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """A report's text: the same bytes as json.dumps(obj, indent=2,
+    sort_keys=True) + "\\n", without the pure-Python encoder that indent
+    selects in the stdlib. Keys must be str; a non-str key, or a value that
+    is not a str, int, float, bool, None, list, tuple or dict, raises
+    TypeError."""
+    chunks: list[str] = []
+    _encode(obj, chunks.append, "\n")
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _encode(o: Any, emit: Callable[[str], None], newline: str) -> None:
+    """Emit o's JSON text, its inner lines indented two spaces past newline."""
+    if isinstance(o, str):
+        emit(encode_basestring_ascii(o))
+    elif o is None:
+        emit("null")
+    elif o is True:
+        emit("true")
+    elif o is False:
+        emit("false")
+    elif isinstance(o, int):
+        emit(int.__repr__(o))
+    elif isinstance(o, float):
+        # the non-finite floats as the stdlib spells them
+        emit(float.__repr__(o) if math.isfinite(o) else "NaN" if o != o
+             else "Infinity" if o > 0 else "-Infinity")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in o:
+            emit(sep)
+            _encode(v, emit, inner)
+            sep = "," + inner
+        emit(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k in sorted(o):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            emit(sep + encode_basestring_ascii(k) + ": ")
+            _encode(o[k], emit, inner)
+            sep = "," + inner
+        emit(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -11,10 +11,19 @@ import oracles
 from strategies import connected_graph, graph_and_snapshot
 from mtqsim import allocation
 from mtqsim.calibration import synth_drift, uniform_snapshot
-from mtqsim.experiment import dump_json, jobs_csv, resolve_config, rounds_csv, run_simulate
+from mtqsim.experiment import (
+    SWEEP_COLUMNS,
+    dump_json,
+    jobs_csv,
+    resolve_config,
+    rounds_csv,
+    run_simulate,
+    run_sweep,
+    with_seed,
+)
 from mtqsim.scheduler import AGGREGATES, JOB_COLUMNS, Job, gen_workload, run_queue
 from mtqsim.topology import CouplingGraph, hanoi27, max_degree_qubits
-from mtqsim.transpile import LogicalCircuit, Op
+from mtqsim.transpile import LogicalCircuit, Op, _path_table
 
 
 def chain_job(jid, size):
@@ -218,10 +227,10 @@ def pin_id(key):
     return f"{allocator}-{attack}-{seed}"
 
 
-def leg_digests(errors, key):
-    """sha256 of the baseline and attacked reports of the preset workload."""
+def preset_run(errors, key):
+    """The preset workload's run for an (allocator, attack, seed) key."""
     allocator, attack, seed = key
-    config = resolve_config(
+    return resolve_config(
         {
             "topology": "hanoi27",
             "errors": errors,
@@ -232,7 +241,11 @@ def leg_digests(errors, key):
             },
         }
     )
-    res = run_simulate(config)
+
+
+def leg_digests(errors, key):
+    """sha256 of the baseline and attacked reports of the preset workload."""
+    res = run_simulate(preset_run(errors, key))
     return tuple(
         hashlib.sha256(dump_json(res[leg]["report"]).encode()).hexdigest()
         for leg in ("baseline", "attacked")
@@ -303,6 +316,25 @@ def test_an_attack_set_on_a_resolved_config_replays_from_its_report():
     replay = run_simulate(resolve_config(res["attacked"]["config"]))
     assert dump_json(replay["attacked"]) == dump_json(res["attacked"])
     assert dump_json(replay["summary"]) == dump_json(res["summary"])
+
+
+@pytest.mark.parametrize("allocator", sorted(PRESET_ATTACKS))
+def test_the_path_table_holds_a_sweep(allocator):
+    """A 20-seed sweep of the preset under each allocator's preset attack builds
+    each partition's paths once, and its rows are what a fresh simulate gives."""
+    flat = {"uniform": {"cnot": 0.02, "readout": 0.02}}
+    run = preset_run(flat, (allocator, PRESET_ATTACKS[allocator], 1))
+    _path_table.cache_clear()
+    rows = run_sweep([with_seed(run, seed) for seed in range(1, 21)])
+    info = _path_table.cache_info()
+    assert info.misses == info.currsize
+    for seed in (1, 10, 20):
+        _path_table.cache_clear()
+        summary = run_simulate(with_seed(run, seed))["summary"]
+        row = {c: summary[sec][key] for c, (sec, key) in SWEEP_COLUMNS.items()}
+        assert rows[seed - 1] == {"seed": seed, **row}
+    paths = next(iter(_path_table(hanoi27(), frozenset({0, 1})).values()))
+    assert not hasattr(paths, "__dict__")
 
 
 @st.composite
