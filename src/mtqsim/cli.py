@@ -9,9 +9,13 @@ DataError exits 3.
 
 The CLI is a thin layer: everything it does is importable from the library
 modules, and every report it writes embeds the resolved config and seeds
-needed to reproduce it. Flags only fill in the raw config: --attack text
-becomes an attack object whose values are numbers, and resolve_config
-checks it exactly as it checks a config file's.
+needed to reproduce it. simulate, sweep and gen-workload write their files
+into a directory and print what they did. attack-plan and detect write one
+JSON document through emit: to --out, or, without it, alone to stdout, so
+that stdout parses as JSON; detect's one-line summary then goes to stderr.
+Flags only fill in the raw config: --attack text becomes an attack object
+whose values are numbers, and resolve_config checks it exactly as it checks
+a config file's.
 """
 
 from __future__ import annotations
@@ -163,6 +167,17 @@ def resolve_run(args: argparse.Namespace, seeds: list[int]) -> tuple[list[Run], 
     return runs, out_dir
 
 
+def emit(doc: dict, out: str | None, noun: str) -> None:
+    """Write a JSON document: to out, atomically, saying '<noun> written to
+    <out>' on stdout, or, without out, the document alone to stdout."""
+    text = dump_json(doc)
+    if out:
+        write_text_atomic(out, text)
+        print(f"{noun} written to {out}")
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     (run,), out_dir = resolve_run(args, [] if args.seed is None else [args.seed])
     docs = run_simulate(run)
@@ -212,12 +227,7 @@ def cmd_attack_plan(args: argparse.Namespace) -> int:
             for (q, d), (_, profile) in zip(plan.targets, heuristic2_selection(g, n))
         ]
         doc = {"heuristic": plan.heuristic, "n": n, "targets": targets}
-    text = dump_json(doc)
-    if args.out:
-        write_text_atomic(args.out, text)
-        print(f"plan written to {args.out}")
-    else:
-        sys.stdout.write(text)
+    emit(doc, args.out, "plan")
     return 0
 
 
@@ -238,7 +248,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
     verdict = detect(series, window1, window2, bins=args.bins, eps=args.eps, tau=tau)
     doc = {
-        "tau": verdict.tau,
+        "tau": tau,
         "params": {
             "bins": args.bins,
             "eps": args.eps,
@@ -256,14 +266,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
             for q in sorted(verdict.divergence)
         ],
     }
-    text = dump_json(doc)
-    if args.out:
-        write_text_atomic(args.out, text)
-        print(f"verdict written to {args.out}")
+    emit(doc, args.out, "verdict")
     flagged = sorted(verdict.flagged)
-    print(f"tau {tau:.6f} ({tau_source}); flagged qubits: {flagged if flagged else 'none'}")
-    if not args.out:
-        sys.stdout.write(text)
+    print(
+        f"tau {tau:.6f} ({tau_source}); flagged qubits: {flagged if flagged else 'none'}",
+        file=sys.stdout if args.out else sys.stderr,
+    )
     return 0
 
 

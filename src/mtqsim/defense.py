@@ -48,8 +48,10 @@ CALIBRATION_SEED_BASE = 1000
 
 @dataclass(frozen=True)
 class DetectionVerdict:
+    """detect's answer: each qubit's divergence, and the qubits flagged, those
+    whose divergence exceeds the tau detect was given."""
+
     divergence: dict[int, float]
-    tau: float
     flagged: frozenset[int]
 
 
@@ -217,7 +219,7 @@ def detect(
         raise ValueError(f"tau must be finite and non-negative, got {tau}")
     divergence = dict(enumerate(divergences(series, window1, window2, bins, eps)))
     flagged = frozenset(q for q, d in divergence.items() if d > tau)
-    return DetectionVerdict(divergence=divergence, tau=tau, flagged=flagged)
+    return DetectionVerdict(divergence=divergence, flagged=flagged)
 
 
 def calibrate_threshold(

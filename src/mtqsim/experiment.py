@@ -3,13 +3,15 @@
 A configuration names a topology, a base error model, an allocator, an
 attack, and a workload. resolve_config checks every value (config_number
 checks every number) and every field (check_fields rejects any field an
-object's form does not take), and returns a Run: the true snapshot and the
-attack plan it built, and the config, the very dict that reports embed,
-with each file reference turned into inline content: the topology
-{"qubits", "edges"}, the errors' "cnot"/"readout" maps, the attack {"kind":
-"none"}, {"kind": "H1", n, k} or {"kind": "H2", "ks": [...]}, and the
-workload {"kind": "generator", count, size_min, size_max, gate_density,
-seed} or {"kind": "qasm", "circuits": [{"id", "qasm"}, ...]}. A replay,
+object's form does not take), and returns a Run: the true snapshot, the
+attack plan and the reported snapshot it built, once for every seed, and
+the config, the very dict that reports embed, with each file reference
+turned into inline content: the topology {"qubits", "edges"}, the errors'
+"cnot"/"readout" maps, the attack {"kind": "none"}, {"kind": "H1", n, k}
+or {"kind": "H2", "ks": [...]}, and the workload {"kind": "generator",
+count, size_min, size_max, gate_density, seed} or {"kind": "qasm",
+"circuits": [{"id", "qasm"}, ...]}. A circuit that does not parse is a
+DataError naming its id. A replay,
 run_simulate(resolve_config(config)), reproduces the report byte for byte.
 The baseline leg always embeds attack "none", which makes baseline reports
 byte-identical across attack variants sharing a workload and topology.
@@ -20,7 +22,8 @@ scheduler.run_queue returns embedded as it is, and "summary". The CSV
 writers lay out rows of one dict: rounds_csv and jobs_csv a leg's "report"
 (jobs.csv's columns are scheduler.JOB_COLUMNS, the keys of its "jobs"), and
 sweep_csv run_sweep's rows (SWEEP_COLUMNS), whose mean and std rows are
-computed once, there.
+computed once, there. Each builds its rows and leaves the text to csv_text,
+the one CSV join; every JSON document is dump_json's text.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import contextlib
 import json
 import math
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -312,7 +315,10 @@ def resolve_workload(spec: Any, base_dir: Path) -> dict:
                 raise ConfigError(f"duplicate workload circuit id {jid!r}")
             if not isinstance(text, str):
                 raise ConfigError(f"workload circuit {jid!r}: qasm must be a string")
-            parse_qasm_subset(text)  # fail fast with the circuit's line numbers
+            try:  # fail fast, naming the circuit and its line
+                parse_qasm_subset(text)
+            except DataError as exc:
+                raise DataError(f"workload circuit {jid!r}: {exc}") from None
             circuits.append({"id": jid, "qasm": text})
         if not circuits:
             raise ConfigError("workload lists no circuits")
@@ -332,12 +338,15 @@ def resolve_workload(spec: Any, base_dir: Path) -> dict:
 @dataclass(frozen=True)
 class Run:
     """A resolved config and what resolving it checked and built: the true
-    snapshot, which carries the graph, and the attack's misreport plan, None
-    for no attack. Only resolve_config and with_seed make one."""
+    snapshot, which carries the graph, the attack's misreport plan, None for
+    no attack, and the snapshot the attacked leg reports, the true one itself
+    for no attack. Only resolve_config and with_seed make one; every seed's
+    run shares them."""
 
     config: dict
     snapshot: CalibrationSeries
     plan: MisreportPlan | None
+    reported: CalibrationSeries
 
 
 def with_seed(run: Run, seed: int) -> Run:
@@ -360,7 +369,7 @@ def build_jobs(config: dict) -> list[Job]:
 def resolve_config(raw: Any, base_dir: str | Path = ".") -> Run:
     """Validate a raw config tree and resolve it to a Run: the dict reports
     embed, with every reference turned into inline content, its true
-    snapshot and its attack's plan."""
+    snapshot, its attack's plan and the snapshot that plan reports."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     base_dir = Path(base_dir)
@@ -386,7 +395,7 @@ def resolve_config(raw: Any, base_dir: str | Path = ".") -> Run:
         "topology": {"qubits": g.qubit_count, "edges": [[u, v] for u, v in g.edge_list]},
         "workload": resolve_workload(raw["workload"], base_dir),
     }
-    return Run(config, snapshot, plan)
+    return Run(config, snapshot, plan, apply_misreport(snapshot, plan))
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -420,16 +429,16 @@ def run_simulate(run: Run) -> dict:
     and return the three documents simulate writes, by file stem: "baseline"
     and "attacked", each {"config", "report"}, and "summary".
 
-    The run's true snapshot and plan are used as resolve_config built them;
-    only the jobs are built here, from the config's workload. The true
-    snapshot is shared; only the reported snapshot differs between legs, so
-    every metric delta is attributable to the misreport.
+    The run's true and reported snapshots and its plan are used as
+    resolve_config built them; only the jobs are built here, from the
+    config's workload. The true snapshot is shared; only the reported
+    snapshot differs between legs, so every metric delta is attributable to
+    the misreport.
     """
     config, snap_true, plan = run.config, run.snapshot, run.plan
     jobs = build_jobs(config)
-    snap_attacked = apply_misreport(snap_true, plan)
     baseline = run_queue(jobs, snap_true, snap_true, config["allocator"])
-    attacked = run_queue(jobs, snap_true, snap_attacked, config["allocator"])
+    attacked = run_queue(jobs, snap_true, run.reported, config["allocator"])
     b, a = ({name: report[name] for name in AGGREGATES} for report in (baseline, attacked))
     return {
         "baseline": {"config": {**config, "attack": {"kind": "none"}}, "report": baseline},
@@ -452,19 +461,22 @@ def run_simulate(run: Run) -> dict:
     }
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A CSV table's text: the header, then one line per row of str() fields,
+    comma-joined, each line ending in a newline. A float's str is its repr."""
+    return "".join(",".join(map(str, line)) + "\n" for line in (header, *rows))
+
+
 def rounds_csv(report: dict) -> str:
     """A report's "rounds" as CSV rows, with the number of jobs placed."""
-    lines = ["round,placed,active,utilization"]
-    for r in report["rounds"]:
-        lines.append(f"{r['round']},{len(r['placed'])},{r['active_qubits']},{r['utilization']!r}")
-    return "\n".join(lines) + "\n"
+    rows = [[r["round"], len(r["placed"]), r["active_qubits"], r["utilization"]]
+            for r in report["rounds"]]
+    return csv_text(("round", "placed", "active", "utilization"), rows)
 
 
 def jobs_csv(report: dict) -> str:
     """A report's "jobs" as CSV rows, one column per JOB_COLUMNS entry."""
-    lines = [",".join(JOB_COLUMNS)]
-    lines += [",".join(str(j[c]) for c in JOB_COLUMNS) for j in report["jobs"]]
-    return "\n".join(lines) + "\n"
+    return csv_text(JOB_COLUMNS, [[j[c] for c in JOB_COLUMNS] for j in report["jobs"]])
 
 
 # each sweep.csv column after "seed", as its (section, key) in a summary
@@ -501,9 +513,8 @@ def run_sweep(runs: list[Run]) -> list[dict]:
 
 
 def sweep_csv(rows: list[dict]) -> str:
-    lines = [",".join(["seed", *SWEEP_COLUMNS])]
-    lines += [",".join(str(v) for v in row.values()) for row in rows]
-    return "\n".join(lines) + "\n"
+    """run_sweep's rows as CSV rows, "seed" then one column per SWEEP_COLUMNS key."""
+    return csv_text(("seed", *SWEEP_COLUMNS), [list(row.values()) for row in rows])
 
 
 def write_workload(params: dict, out_dir: str | Path) -> list[Job]:

@@ -329,7 +329,9 @@ def test_malformed_data_exits_3(tmp_path, capsys):
     (tmp_path / "div0.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\nrx(pi/0) q[0];\n")
     cfg = write_config(tmp_path, "div0.json", workload={"qasm_files": ["div0.qasm"]})
     assert main(["simulate", "--config", str(cfg)]) == 3
-    assert capsys.readouterr().err == "data error: line 3: angle 'pi/0' divides by zero\n"
+    assert capsys.readouterr().err == (
+        "data error: workload circuit 'div0': line 3: angle 'pi/0' divides by zero\n"
+    )
 
     # bytes that are not UTF-8 in a calibration CSV, an edge list or a QASM file
     binary = tmp_path / "binary.dat"
@@ -345,6 +347,27 @@ def test_malformed_data_exits_3(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path} is not UTF-8 text:")
         assert len(err.splitlines()) == 1
+
+
+def test_a_circuit_that_does_not_parse_is_named(tmp_path, capsys):
+    """Of several circuits, the one that fails to parse is named by its id: a
+    file's stem, or an inline circuit's id."""
+    (tmp_path / "good.qasm").write_text(BELL)
+    (tmp_path / "bad.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\nfrob q[0];\n")
+    files = write_config(
+        tmp_path, "files.json", workload={"qasm_files": ["good.qasm", "bad.qasm"]}
+    )
+    inline = write_config(tmp_path, "inline.json", workload={"circuits": [
+        {"id": "ok", "qasm": BELL}, {"id": "broken", "qasm": "qreg q[1];\nh q[1];\n"}
+    ]})
+    for cfg, message in (
+        (files, "workload circuit 'bad': line 3: unknown gate 'frob'"),
+        (inline, "workload circuit 'broken': line 2: index 1 overflows qreg q[1]"),
+    ):
+        out = tmp_path / "r"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out.exists()
 
 
 def test_attack_plan_h1_evidence(tmp_path):
@@ -379,6 +402,21 @@ def test_attack_plan_h2_evidence(capsys):
     g = hanoi27()
     d = g.distance_matrix
     assert doc["targets"][2]["distance_profile"] == [int(d[14, 1]), int(d[14, 25])]
+
+
+def test_gen_workload_density_sets_the_cnot_count(tmp_path):
+    """--density is the manifest's gate_density, and a 4-qubit job draws
+    round(density * 4*3/2) CNOTs: 6 at density 1.0."""
+    out = tmp_path / "w"
+    args = ["gen-workload", "--count", "3", "--size-min", "4", "--size-max", "4",
+            "--density", "1.0", "--seed", "2", "--out", str(out)]
+    assert main(args) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["params"]["gate_density"] == 1.0
+    assert [entry["size"] for entry in manifest["jobs"]] == [4, 4, 4]
+    for entry in manifest["jobs"]:
+        lines = (out / entry["file"]).read_text().splitlines()
+        assert sum(line.startswith("cx ") for line in lines) == 6
 
 
 def test_gen_workload_manifest_and_determinism(tmp_path):
@@ -527,6 +565,26 @@ def test_detect_reports_are_pinned(case, audit_dir, monkeypatch, capsys):
         for data in ((audit_dir / f"{case}.json").read_bytes(), capsys.readouterr().out.encode())
     )
     assert got == digests
+
+
+@pytest.mark.parametrize("case", ["calibrated", "explicit-tau"])
+def test_detect_without_out_writes_only_the_verdict_to_stdout(
+    case, audit_dir, monkeypatch, capsys
+):
+    """Without --out, stdout is the bytes --out writes, and the summary line
+    goes to stderr alone."""
+    flags, _ = DETECT_DIGESTS[case]
+    monkeypatch.chdir(audit_dir)
+    argv = ["detect", "--calib", "audit.csv", "--windows", "0:336,336:420",
+            "--bins", "3", "--eps", "0.1", *flags]
+    assert main([*argv, "--out", f"{case}-stdout.json"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == (audit_dir / f"{case}-stdout.json").read_text()
+    json.loads(out)
+    assert len(err.splitlines()) == 1
+    assert err.startswith("tau ") and "flagged qubits: " in err
 
 
 # inputs detect rejects before it draws a synthetic honest run
@@ -920,9 +978,9 @@ def test_a_seed_override_needs_a_generator_workload(command, tmp_path, capsys, r
     "command", [["simulate"], ["sweep", "--seeds", "1..3"]], ids=["simulate", "sweep"]
 )
 def test_a_run_builds_its_snapshot_and_plan_once(command, attack, tmp_path, monkeypatch):
-    """resolve_config builds the true snapshot and the plan, and every seed's
-    run uses them as built."""
-    calls = {"snapshot": 0, "plan": 0}
+    """resolve_config builds the true snapshot, the plan and the reported
+    snapshot, and every seed's run uses them as built."""
+    calls = {"snapshot": 0, "plan": 0, "reported": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -935,10 +993,13 @@ def test_a_run_builds_its_snapshot_and_plan_once(command, attack, tmp_path, monk
         monkeypatch.setattr(module, "validate_snapshot", validate)
     for name in ("h1_plan", "h2_plan"):
         monkeypatch.setattr(experiment, name, counted("plan", getattr(experiment, name)))
+    monkeypatch.setattr(
+        experiment, "apply_misreport", counted("reported", experiment.apply_misreport)
+    )
     cfg = write_config(tmp_path)
     out = tmp_path / "r"
     assert main([*command, "--config", str(cfg), "--attack", attack, "--out", str(out)]) == 0
-    assert calls == {"snapshot": 1, "plan": 1}
+    assert calls == {"snapshot": 1, "plan": 1, "reported": 1}
 
 
 # config file text that json.dumps cannot write: a key given twice, at any

@@ -389,9 +389,10 @@ def test_a_resolved_config_resolves_to_itself(raw):
     config = run.config
     again = resolve_config(config)
     assert again.config == config
-    # with the same true rates and the same attack plan
+    # with the same true rates, the same attack plan and the same reported rates
     assert again.snapshot.rates == run.snapshot.rates
     assert again.plan == run.plan
+    assert again.reported.rates == run.reported.rates
     # and the copy a report embeds, read back from its JSON, to the same bytes
     assert dump_json(resolve_config(json.loads(dump_json(config))).config) == dump_json(config)
 
