@@ -9,21 +9,16 @@ over-reporting (lowest sigma first) and distributed under-reporting
 Usage: python3 demos/01_topology_and_targets.py
 """
 
-from mtqsim.adversary import heuristic1_sigma_ranking, heuristic1_targets, heuristic2_targets
-from mtqsim.topology import hanoi27, path_stddev
+from mtqsim.adversary import heuristic1_sigma_ranking, heuristic1_targets, heuristic2_selection
+from mtqsim.topology import degree, hanoi27, max_degree_qubits, path_stddev
 
 g = hanoi27()
-
-degree = {q: 0 for q in range(g.qubit_count)}
-for u, v in g.edge_list:
-    degree[u] += 1
-    degree[v] += 1
+degrees = [degree(g, q) for q in range(g.qubit_count)]
 
 print(f"fixture: {g.qubit_count} qubits, {len(g.edge_list)} edges")
-print(f"degree histogram: { {d: sum(1 for x in degree.values() if x == d) for d in (1, 2, 3)} }")
+print(f"degree histogram: { {d: degrees.count(d) for d in (1, 2, 3)} }")
 
-pool = sorted(q for q, d in degree.items() if d == 3)
-print(f"\ndegree-3 pool: {pool}")
+print(f"\ndegree-3 pool: {list(max_degree_qubits(g))}")
 print("\nqubit  sigma(hop distances)")
 for q, sigma in heuristic1_sigma_ranking(g):
     print(f"  {q:>3}  {sigma:.6f}")
@@ -32,9 +27,7 @@ print("\ncentral over-report targets (n=3):", heuristic1_targets(g, 3))
 print("mirror check: sigma(q) == sigma(26-q) for all q:",
       all(path_stddev(g, q) == path_stddev(g, 26 - q) for q in range(27)))
 
-h2 = heuristic2_targets(g, 3)
-d = g.distance_matrix
-print("\ndistributed under-report targets (n=3):", h2)
-for i, q in enumerate(h2):
-    profile = [int(d[q, s]) for s in h2[:i]]
-    print(f"  pick {i + 1}: qubit {q:>2}, distances to earlier picks {profile or '-'}")
+h2 = heuristic2_selection(g, 3)
+print("\ndistributed under-report targets (n=3):", [q for q, _ in h2])
+for i, (q, profile) in enumerate(h2, start=1):
+    print(f"  pick {i}: qubit {q:>2}, distances to earlier picks {list(profile) or '-'}")

@@ -9,8 +9,9 @@ rates steers these scores without touching real hardware behavior.
 Scores:
   CFM (per qubit)    degree + (1 - (avg CNOT error + readout error))
   CRI (per subset)   (D_p/C_p + (1 - (E_p+R_p))) / (D_h/C_h + (1 - (E_h+R_h)))
-where D/C are density/compactness, E/R are mean CNOT/readout error, the _p
-terms range over the candidate subset and the _h terms over the whole device.
+where D is density (internal edges over the k(k-1)/2 pairs of k qubits), C is
+compactness (induced diameter over k-1), D/C = 1 for one qubit, E/R are mean
+CNOT/readout error, _p over the candidate subset and _h over the whole device.
 
 Both scores depend only on the snapshot, which carries its graph, so the
 allocators and the layout take the snapshot itself. A snapshot's arrays are
@@ -34,7 +35,7 @@ from functools import lru_cache
 from typing import Callable, Collection, Sequence
 
 from .calibration import CalibrationSeries
-from .topology import CouplingGraph, bfs_tree, compactness, degree, density, subset_members
+from .topology import CouplingGraph, bfs_tree, degree, induced_diameter, subset_members
 
 
 @dataclass(frozen=True)
@@ -273,14 +274,20 @@ def _subset_cri(snap: CalibrationSeries, members: tuple[int, ...]) -> float:
 
 
 def _cri_term(snap: CalibrationSeries, members: tuple[int, ...]) -> float:
-    # the shape term first: density checks every index before a rate is read
+    # every index is checked first, so a bad member is named before a
+    # disconnected subset or a device term that is not positive
     g = snap.graph
-    shape = density(g, members) / compactness(g, members)
+    for q in members:
+        g._check_index(q)
     cnot, readout = snap.rates
     mset = set(members)
     intra = [r for (u, v), r in zip(g.edge_list, cnot) if u in mset and v in mset]
+    k = len(members)
+    shape = (
+        len(intra) / (k * (k - 1) / 2) / (induced_diameter(g, members) / (k - 1)) if k > 1 else 1.0
+    )
     e_p = sum(intra) / len(intra) if intra else 0.0
-    r_p = sum(readout[q] for q in members) / len(members)
+    r_p = sum(readout[q] for q in members) / k
     return shape + (1.0 - (e_p + r_p))
 
 

@@ -14,8 +14,8 @@ per-qubit statistic reads, gathered through the graph's per-qubit column
 table (CouplingGraph.incident_columns), and a snapshot's rates as tuples that
 scoring reads. Anything that derives a new snapshot or series builds new
 arrays. The CSV loader looks each row's subject up in a table of the
-spellings write_calibration_csv writes, built once per call, and checks any
-other spelling field by field.
+canonical spellings `u-v` (u < v) and `q`, built once per call, and checks
+any other spelling field by field.
 """
 
 from __future__ import annotations
@@ -299,14 +299,3 @@ def load_calibration_csv(text: str, g: CouplingGraph) -> CalibrationSeries:
         raise DataError(f"cycle {ids[i]}: no rate for these edges and qubits: {missing}")
     return CalibrationSeries(g, tuple(ids), *np.hsplit(np.array(rows), [len(g.edge_list)]))
 
-
-def write_calibration_csv(series: CalibrationSeries) -> str:
-    """Inverse of load_calibration_csv; loading the output reproduces the series."""
-    edges = series.graph.edge_list
-    rows = [CSV_HEADER]
-    for cycle, cnot, readout in zip(
-        series.cycle_ids, series.cnot_error.tolist(), series.readout_error.tolist()
-    ):
-        rows += (f"{cycle},cnot,{u}-{v},{val!r}" for (u, v), val in zip(edges, cnot))
-        rows += (f"{cycle},readout,{q},{val!r}" for q, val in enumerate(readout))
-    return "\n".join(rows) + "\n"

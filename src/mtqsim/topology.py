@@ -3,11 +3,11 @@
 A coupling graph is the undirected connectivity of a device's physical
 qubits: an edge (u, v) means a two-qubit gate can act directly on that pair.
 Allocation scores, misreport target selection, and SWAP routing all reduce to
-degrees, shortest-path distances, and subset density/compactness computed
-here. One breadth-first search inside a qubit subset, bfs_tree, gives the
-all-pairs hop distances, the induced diameter, allocation's connected pieces
-and routing's shortest paths. The 27-qubit heavy-hex fixture `hanoi27`
-matches the layout of the commonly modeled 27-qubit backends.
+degrees, shortest-path distances and induced diameters computed here. One
+breadth-first search inside a qubit subset, bfs_tree, gives the all-pairs hop
+distances, the induced diameter, allocation's connected pieces and routing's
+shortest paths. The 27-qubit heavy-hex fixture `hanoi27` matches the layout
+of the commonly modeled 27-qubit backends.
 """
 
 from __future__ import annotations
@@ -161,19 +161,6 @@ def path_stddev(g: CouplingGraph, q: int) -> float:
     return float(np.std(np.sort(others)))
 
 
-def density(g: CouplingGraph, s: Sequence[int]) -> float:
-    """Intra-subset edges divided by the pair count |s|(|s|-1)/2; 1 for singletons."""
-    members = subset_members(s)
-    for q in members:
-        g._check_index(q)
-    k = len(members)
-    if k == 1:
-        return 1.0
-    mset = set(members)
-    intra = sum(1 for u, v in g.edge_list if u in mset and v in mset)
-    return intra / (k * (k - 1) / 2)
-
-
 def bfs_tree(g: CouplingGraph, allowed: Collection[int], src: int) -> dict[int, int]:
     """Breadth-first search from src inside allowed: the parent of each reached qubit.
 
@@ -207,20 +194,6 @@ def induced_diameter(g: CouplingGraph, members: tuple[int, ...]) -> int:
             q, hops = parent[q], hops + 1
         best = max(best, hops)
     return best
-
-
-def compactness(g: CouplingGraph, s: Sequence[int]) -> float:
-    """Induced-subgraph diameter over the maximum possible diameter |s|-1.
-
-    A path-shaped subset scores exactly 1; denser shapes score lower. Defined
-    as 1 for singletons so downstream ratios stay finite.
-    """
-    members = subset_members(s)
-    for q in members:
-        g._check_index(q)
-    if len(members) == 1:
-        return 1.0
-    return induced_diameter(g, members) / (len(members) - 1)
 
 
 def load_edge_list(text: str) -> CouplingGraph:

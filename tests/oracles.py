@@ -8,7 +8,9 @@ KL divergence built on np.histogram and one distribution object per window
 (build_distribution, kl_divergence, window_divergence), against which the
 library's whole-array pass is checked bit for bit. The calibration CSV
 reference strips every line and field before it checks them, where the
-library looks the raw fields up first. No mtqsim module is imported here.
+library looks the raw fields up first. The library only reads that CSV; the
+writer that makes the tests' and CI's calibration files is here, and it reads
+a series through its attributes alone. No mtqsim module is imported here.
 """
 
 import math
@@ -393,6 +395,20 @@ def scalar_workload(rng, count, size_min, size_max, gate_density):
 # --- calibration CSV ----------------------------------------------------------
 
 CSV_HEADER = "cycle,kind,subject,value"
+
+
+def write_calibration_csv(series):
+    """Calibration CSV text of a series: per cycle, a `cnot` row per edge in
+    graph.edge_list order, then a `readout` row per qubit, each value written
+    with repr. Loading it reproduces the series."""
+    edges = series.graph.edge_list
+    rows = [CSV_HEADER]
+    for cycle, cnot, readout in zip(
+        series.cycle_ids, series.cnot_error.tolist(), series.readout_error.tolist()
+    ):
+        rows += (f"{cycle},cnot,{u}-{v},{val!r}" for (u, v), val in zip(edges, cnot))
+        rows += (f"{cycle},readout,{q},{val!r}" for q, val in enumerate(readout))
+    return "\n".join(rows) + "\n"
 
 
 def load_calibration_rows(text, edges, qubit_count):

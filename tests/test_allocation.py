@@ -38,6 +38,7 @@ from mtqsim.topology import CouplingGraph, hanoi27
 from mtqsim.transpile import LogicalCircuit, Op, _path_table, cost, initial_layout, route
 
 P3 = CouplingGraph(3, frozenset({(0, 1), (1, 2)}))
+K3 = CouplingGraph(3, frozenset({(0, 1), (0, 2), (1, 2)}))
 
 # path 0-1-2-3-4 plus chord 1-3; hand-checked CRI values below derive from it
 FIX5 = CouplingGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)}))
@@ -200,6 +201,24 @@ def test_cri_whole_hardware_is_one():
     g = hanoi27()
     assert cri(snap_uniform(g), tuple(range(27))) == pytest.approx(1.0, abs=1e-12)
     assert cri(FIX5_SNAP, (0, 1, 2, 3, 4)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "g, members, shape",
+    [
+        (K3, (0, 1, 2), 2.0),
+        (P3, (0, 1, 2), 2 / 3),
+        (K3, (1,), 1.0),
+        (K3, (2,), 1.0),
+        (hanoi27(), (0, 1, 2, 3, 4), 8 / 15),
+        (hanoi27(), (0, 1, 2, 3), 0.5),
+    ],
+    ids=["K3", "P3", "K3-singleton-1", "K3-singleton-2", "hanoi27-tree-5", "hanoi27-path-4"],
+)
+def test_the_cri_shape_term_is_density_over_compactness(g, members, shape):
+    # every rate 0 makes the fidelity term 1, leaving density / compactness:
+    # K3 1 / (1/2), P3 (2/3) / 1, the 5-qubit tree (4/10) / (3/4), the path (3/6) / 1
+    assert _cri_term(uniform_snapshot(g, 0.0, 0.0), members) - 1.0 == pytest.approx(shape)
 
 
 def test_cri_hand_value():
@@ -394,6 +413,24 @@ def test_cri_matches_the_oracle_or_is_undefined(case):
 def test_cri_names_an_out_of_range_member(members):
     snap = uniform_snapshot(hanoi27(), 0.02, 0.02)
     with pytest.raises(ValueError, match="out of range for 27 qubits"):
+        cri(snap, members)
+
+
+@pytest.mark.parametrize(
+    "members, message",
+    [
+        ((0, 5), "qubit index 5 out of range for 2 qubits"),
+        ((5,), "qubit index 5 out of range for 2 qubits"),
+        ((-1,), "qubit index -1 out of range for 2 qubits"),
+        ((0, 0), r"duplicate members in subset \(0, 0\)"),
+    ],
+    ids=["pair-out-of-range", "one-out-of-range", "one-negative", "duplicate"],
+)
+def test_cri_names_a_bad_member_before_a_zero_device_term(members, message):
+    # every rate 1 makes the device's CRI term 0: a member check made after the
+    # device term, or skipped for one qubit, would raise "CRI undefined" instead
+    snap = uniform_snapshot(CouplingGraph(2, frozenset({(0, 1)})), 1.0, 1.0)
+    with pytest.raises(ValueError, match=rf"^{message}$"):
         cri(snap, members)
 
 

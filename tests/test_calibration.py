@@ -16,7 +16,6 @@ from mtqsim.calibration import (
     synth_drift,
     uniform_snapshot,
     validate_snapshot,
-    write_calibration_csv,
 )
 from mtqsim.errors import DataError
 from mtqsim.topology import CouplingGraph, hanoi27
@@ -74,9 +73,9 @@ def test_synth_drift_deterministic():
     base = uniform_snapshot(P3, 0.02, 0.02)
     s1 = synth_drift(base, 5, 0.3, 42)
     s2 = synth_drift(base, 5, 0.3, 42)
-    assert write_calibration_csv(s1) == write_calibration_csv(s2)
+    assert oracles.write_calibration_csv(s1) == oracles.write_calibration_csv(s2)
     s3 = synth_drift(base, 5, 0.3, 43)
-    assert write_calibration_csv(s1) != write_calibration_csv(s3)
+    assert oracles.write_calibration_csv(s1) != oracles.write_calibration_csv(s3)
 
 
 def test_synth_drift_zero_cv_limit():
@@ -164,10 +163,10 @@ def test_csv_round_trip():
     g = hanoi27()
     base = uniform_snapshot(g, 0.02, 0.02)
     series = synth_drift(base, 3, 0.3, 9)
-    text = write_calibration_csv(series)
+    text = oracles.write_calibration_csv(series)
     assert text.splitlines()[0] == "cycle,kind,subject,value"
     again = load_calibration_csv(text, g)
-    assert write_calibration_csv(again) == text
+    assert oracles.write_calibration_csv(again) == text
     assert again.cycle_ids == series.cycle_ids
     assert np.array_equal(again.cnot_error, series.cnot_error)
     assert np.array_equal(again.readout_error, series.readout_error)
@@ -258,7 +257,7 @@ def test_snapshot_rows_rebuild_arrays(case):
 @given(graph_and_series())
 def test_csv_round_trip_keeps_arrays(case):
     g, series = case
-    again = load_calibration_csv(write_calibration_csv(series), g)
+    again = load_calibration_csv(oracles.write_calibration_csv(series), g)
     assert again.cycle_ids == series.cycle_ids
     assert np.array_equal(again.cnot_error, series.cnot_error)
     assert np.array_equal(again.readout_error, series.readout_error)
@@ -275,7 +274,7 @@ def test_a_rate_outside_the_unit_range_is_named(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     cnot = rng.uniform(0.0, 1.0, (len(ids), len(g.edge_list)))
     readout = rng.uniform(0.0, 1.0, (len(ids), g.qubit_count))
-    text = write_calibration_csv(CalibrationSeries(g, ids, cnot, readout)).splitlines()
+    text = oracles.write_calibration_csv(CalibrationSeries(g, ids, cnot, readout)).splitlines()
     row = data.draw(st.integers(0, len(ids) - 1))
     bad = data.draw(st.sampled_from([math.nan, -1e-9, 1.0 + 1e-9]))
     if data.draw(st.booleans()):
@@ -303,7 +302,7 @@ BAD_VALUES = ["nan", "1.5", "-0.0", "1e-3", "1_0", "inf", "", "0x1"]
 
 @st.composite
 def corrupted_csv(draw):
-    """A graph and a CSV that write_calibration_csv wrote for a series over it,
+    """A graph and a CSV that the oracle writer wrote for a series over it,
     after 0-5 random corruptions: whitespace around a field, blank lines, 3 or 5
     fields, odd subjects and kinds, a duplicated or dropped row, negative or
     out-of-order cycles, odd values."""
@@ -316,7 +315,7 @@ def corrupted_csv(draw):
         st.tuples(st.integers(0, n), st.integers(0, n)).map(lambda e: f"{e[0]}-{e[1]}"),
         st.tuples(st.integers(0, n), st.integers(0, n)).map(lambda e: f"{e[0]:02d}-{e[1]:02d}"),
     )
-    lines = write_calibration_csv(series).splitlines()
+    lines = oracles.write_calibration_csv(series).splitlines()
     for _ in range(draw(st.integers(0, 5))):
         op = draw(st.sampled_from(
             ["pad", "blank", "fields", "subject", "kind", "duplicate", "drop", "cycle", "value"]

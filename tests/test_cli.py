@@ -17,7 +17,6 @@ from mtqsim.calibration import (
     load_calibration_csv,
     synth_drift,
     uniform_snapshot,
-    write_calibration_csv,
 )
 from mtqsim.cli import main, parse_attack_spec, parse_seed_list, parse_windows
 from mtqsim.errors import ConfigError
@@ -43,7 +42,7 @@ def write_honest_calib(path):
     """14 cycles of honest drift at cv 0.30 around the flat 2% snapshot."""
     g = hanoi27()
     series = synth_drift(uniform_snapshot(g, 0.02, 0.02), 14, 0.30, 7)
-    path.write_text(write_calibration_csv(series))
+    path.write_text(oracles.write_calibration_csv(series))
     return path
 
 
@@ -475,7 +474,7 @@ def test_detect_cli_flags_misreported_targets(tmp_path, capsys):
         cnot[7:, g.edge_column[e]] = np.minimum(1.0, cnot[7:, g.edge_column[e]] + 0.15)
     doctored = CalibrationSeries(g, series.cycle_ids, cnot, series.readout_error)
     calib = tmp_path / "calib.csv"
-    calib.write_text(write_calibration_csv(doctored))
+    calib.write_text(oracles.write_calibration_csv(doctored))
     out = tmp_path / "verdict.json"
     code = main(
         [
@@ -523,7 +522,7 @@ def audit_dir(tmp_path_factory):
     g = hanoi27()
     series = synth_drift(uniform_snapshot(g, 0.02, 0.02), 420, 0.30, 5)
     attacked = apply_misreport(series, h1_plan(g, 3, 0.15), (336, 420))
-    (d / "audit.csv").write_text(write_calibration_csv(attacked))
+    (d / "audit.csv").write_text(oracles.write_calibration_csv(attacked))
     return d
 
 
@@ -788,7 +787,7 @@ def test_detect_names_a_nan_parameter(flag, tmp_path, monkeypatch, capsys):
 def test_detect_checks_eps_on_a_series_with_no_spread(flags, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     flat = synth_drift(uniform_snapshot(hanoi27(), 0.02, 0.02), 14, 0.0, 1)
-    (tmp_path / "c.csv").write_text(write_calibration_csv(flat))
+    (tmp_path / "c.csv").write_text(oracles.write_calibration_csv(flat))
     assert main(["detect", "--calib", "c.csv", "--windows", "0:7,7:14", *flags]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1

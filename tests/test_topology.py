@@ -18,9 +18,7 @@ from mtqsim.topology import (
     HANOI27_EDGES,
     CouplingGraph,
     bfs_tree,
-    compactness,
     degree,
-    density,
     hanoi27,
     induced_diameter,
     load_edge_list,
@@ -29,7 +27,6 @@ from mtqsim.topology import (
 )
 
 P3 = CouplingGraph(3, frozenset({(0, 1), (1, 2)}))
-K3 = CouplingGraph(3, frozenset({(0, 1), (0, 2), (1, 2)}))
 
 
 def test_hanoi27_fixture():
@@ -151,29 +148,6 @@ def test_path_stddev_disconnected():
     g = CouplingGraph(4, frozenset({(0, 1), (2, 3)}))
     with pytest.raises(ValueError):
         path_stddev(g, 0)
-
-
-def test_density_examples():
-    assert density(K3, (0, 1, 2)) == 1.0
-    assert density(P3, (0, 1, 2)) == pytest.approx(2 / 3)
-    assert density(K3, (1,)) == 1.0
-
-
-def test_density_tree_subsets():
-    g = hanoi27()
-    # the induced subgraph on 0..4 is a tree on 5 nodes
-    assert density(g, (0, 1, 2, 3, 4)) == pytest.approx(2 / 5)
-
-
-def test_compactness_examples():
-    assert compactness(P3, (0, 1, 2)) == 1.0
-    assert compactness(K3, (0, 1, 2)) == 0.5
-    assert compactness(K3, (2,)) == 1.0
-
-
-def test_compactness_path_subset():
-    g = hanoi27()
-    assert compactness(g, (0, 1, 2, 3)) == 1.0
 
 
 def test_induced_diameter_disconnected():
